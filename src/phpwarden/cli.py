@@ -45,16 +45,29 @@ def _load_policy_arg(value: str):
     return load_policy(Path(value).read_text())
 
 
+def _audit_ini(ini: str, policy: str):
+    """Misconfigurations of the php.ini at path ini under policy (a path,
+    or 'default').  An unreadable file raises OSError or ValueError."""
+    return audit(parse_ini(Path(ini).read_text()), _load_policy_arg(policy))
+
+
 def _cmd_scan(args) -> int:
+    if not Path(args.root).is_dir():
+        print(f"scan: --root {args.root} is not a directory", file=sys.stderr)
+        return 2
     try:
         checklist = _load_checklist_arg(args.checklist)
     except (ChecklistError, OSError) as exc:
         print(f"checklist: {exc}", file=sys.stderr)
         return 1
-    result = scan_project(args.root, checklist)
     misconfigs = []
     if args.ini:
-        misconfigs = audit(parse_ini(Path(args.ini).read_text()), _load_policy_arg(args.policy))
+        try:
+            misconfigs = _audit_ini(args.ini, args.policy)
+        except (OSError, ValueError) as exc:
+            print(f"scan: {exc}", file=sys.stderr)
+            return 1
+    result = scan_project(args.root, checklist)
     app_name = args.app_name or Path(args.root).name
     report = build_report(result, misconfigs, app_name)
     print(render(report))
@@ -67,8 +80,11 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    settings = parse_ini(Path(args.ini).read_text())
-    misconfigs = audit(settings, _load_policy_arg(args.policy))
+    try:
+        misconfigs = _audit_ini(args.ini, args.policy)
+    except (OSError, ValueError) as exc:
+        print(f"audit: {exc}", file=sys.stderr)
+        return 1
     if not misconfigs:
         print("No misconfigurations detected.")
         return 0
@@ -108,9 +124,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_build_model(args) -> int:
-    store = ProfileStore(args.store)
+    if not Path(args.store).is_dir():
+        print(f"build-model: no store directory at {args.store}", file=sys.stderr)
+        return 1
     try:
-        model1, model2 = build_model(store)
+        model1, model2 = build_model(ProfileStore(args.store))
     except ValueError as exc:
         print(f"build-model: {exc}", file=sys.stderr)
         return 1

@@ -23,7 +23,7 @@ import re
 from collections import deque
 from urllib.parse import urlencode, urlsplit
 
-from .profile_store import ProfileStore, page_of
+from .profile_store import ProfileStore, page_of, set_cookie_value
 
 _HREF_RE = re.compile(r'href="([^"#]+)"')
 
@@ -46,54 +46,30 @@ def extract_links(html: str) -> list[str]:
     return out
 
 
-class _Client:
-    """Single-session HTTP client that keeps the exact header block it
-    sends, so the store captures the request verbatim."""
-
-    def __init__(self, host: str, port: int, user_agent: str, cookie_name: str):
-        self.host = host
-        self.port = port
-        self.user_agent = user_agent
-        self.cookie_name = cookie_name
-        self.cookie: str | None = None
-
-    def fetch(self, method: str, path: str, form: dict | None = None):
-        body = urlencode(form).encode() if form is not None else None
-        headers: list[tuple[str, str]] = [
-            ("Host", f"{self.host}:{self.port}"),
-            ("User-Agent", self.user_agent),
-        ]
-        if self.cookie:
-            headers.append(("Cookie", f"{self.cookie_name}={self.cookie}"))
-        if body is not None:
-            headers.append(("Content-Type", "application/x-www-form-urlencoded"))
-            headers.append(("Content-Length", str(len(body))))
-        raw_head = f"{method} {path} HTTP/1.1\r\n"
-        raw_head += "".join(f"{k}: {v}\r\n" for k, v in headers)
-        raw_head += "\r\n"
-        try:
-            conn = http.client.HTTPConnection(self.host, self.port, timeout=10)
-            conn.putrequest(method, path, skip_host=True, skip_accept_encoding=True)
-            for k, v in headers:
-                conn.putheader(k, v)
-            conn.endheaders(body)
-            resp = conn.getresponse()
-            data = resp.read()
-            resp_headers = resp.getheaders()
-            conn.close()
-        except OSError as exc:
-            raise CrawlError(f"cannot reach http://{self.host}:{self.port}{path}: {exc}") from None
-        return resp.status, resp_headers, data.decode("latin-1"), raw_head
-
-    def set_cookie_from(self, resp_headers) -> bool:
-        for name, value in resp_headers:
-            if name.lower() == "set-cookie":
-                pair = value.split(";", 1)[0]
-                cname, _, cvalue = pair.partition("=")
-                if cname.strip() == self.cookie_name and cvalue.strip():
-                    self.cookie = cvalue.strip()
-                    return True
-        return False
+def send_request(addr: tuple[str, int], method: str, path: str, user_agent: str,
+                 cookie: str | None = None, form: dict | None = None,
+                 cookie_name: str = "PHPSESSID"):
+    """One request on a fresh connection.  Returns (status, headers, body
+    bytes, the exact header block sent), so a recorder can capture the
+    request verbatim.  Transport failures raise OSError."""
+    body = urlencode(form).encode() if form is not None else None
+    headers = [("Host", f"{addr[0]}:{addr[1]}"), ("User-Agent", user_agent)]
+    if cookie:
+        headers.append(("Cookie", f"{cookie_name}={cookie}"))
+    if body is not None:
+        headers.append(("Content-Type", "application/x-www-form-urlencoded"))
+        headers.append(("Content-Length", str(len(body))))
+    raw_head = f"{method} {path} HTTP/1.1\r\n" + "".join(f"{k}: {v}\r\n" for k, v in headers) + "\r\n"
+    conn = http.client.HTTPConnection(addr[0], addr[1], timeout=10)
+    try:
+        conn.putrequest(method, path, skip_host=True, skip_accept_encoding=True)
+        for k, v in headers:
+            conn.putheader(k, v)
+        conn.endheaders(body)
+        resp = conn.getresponse()
+        return resp.status, resp.getheaders(), resp.read(), raw_head
+    finally:
+        conn.close()
 
 
 def crawl(
@@ -113,7 +89,15 @@ def crawl(
     split = urlsplit(base_url)
     host = split.hostname or "127.0.0.1"
     port = split.port or 80
-    client = _Client(host, port, user_agent, store.session_cookie_name)
+    cookie: str | None = None
+
+    def fetch(method: str, path: str, form: dict | None = None):
+        try:
+            status, headers, body, raw_head = send_request(
+                (host, port), method, path, user_agent, cookie, form, store.session_cookie_name)
+        except OSError as exc:
+            raise CrawlError(f"cannot reach http://{host}:{port}{path}: {exc}") from None
+        return status, headers, body.decode("latin-1"), raw_head
 
     discovered: list[str] = []
     queue: deque[list[str]] = deque()
@@ -122,7 +106,7 @@ def crawl(
         if credentials is not None:
             raise CrawlError("role 0 is the unauthenticated crawl; no credentials apply")
         # landing fetch seeds the walk but is session scaffolding, unrecorded
-        status, _, body, _ = client.fetch("GET", split.path or "/")
+        status, _, body, _ = fetch("GET", split.path or "/")
         if status != 200:
             raise CrawlError(f"landing page returned {status}")
         for page in extract_links(body):
@@ -132,10 +116,11 @@ def crawl(
         if credentials is None:
             raise CrawlError(f"role {role} requires credentials")
         username, password = credentials
-        status, resp_headers, _, _ = client.fetch(
+        status, resp_headers, _, _ = fetch(
             "POST", f"/{login_page}", form={"username": username, "password": password}
         )
-        if status not in (301, 302, 303) or not client.set_cookie_from(resp_headers):
+        cookie = set_cookie_value(resp_headers, store.session_cookie_name)
+        if status not in (301, 302, 303) or cookie is None:
             raise CrawlError(f"login failed for role {role}")
         location = next((v for k, v in resp_headers if k.lower() == "location"), "/")
         first = page_of(location)
@@ -152,7 +137,7 @@ def crawl(
             fetched += 1
             if fetched > _PAGE_BUDGET:
                 raise CrawlError(f"crawl exceeded {_PAGE_BUDGET} page fetches")
-            status, _, body, raw_head = client.fetch("GET", f"/{page}")
+            status, _, body, raw_head = fetch("GET", f"/{page}")
             store.record_exchange(raw_head, role)
             if status != 200:
                 raise CrawlError(f"GET /{page} returned {status} during role {role} crawl")
@@ -161,7 +146,7 @@ def crawl(
         leaf = trail[-1]
         if role == "0" and leaf == login_page:
             # unauthenticated form probe: public surface, recorded
-            _, _, _, raw_head = client.fetch("POST", f"/{login_page}", form={"username": "", "password": ""})
+            _, _, _, raw_head = fetch("POST", f"/{login_page}", form={"username": "", "password": ""})
             store.record_exchange(raw_head, role)
         else:
             for link in extract_links(body):
@@ -170,5 +155,5 @@ def crawl(
                     queue.append(trail + [link])
 
     if role != "0":
-        client.fetch("GET", f"/{logout_page}")  # unrecorded, see module docstring
+        fetch("GET", f"/{logout_page}")  # unrecorded, see module docstring
     return visited_order

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs
 
+from .profile_store import cookie_value, page_of
+
 SESSION_COOKIE = "PHPSESSID"
 LOGIN_PAGE = "Login.php"
 HOME_PAGE = "Home.php"
@@ -91,20 +93,6 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass
 
-    def _page_name(self) -> str:
-        path = self.path.split("?", 1)[0]
-        name = path.rsplit("/", 1)[-1]
-        return name or "index.php"
-
-    def _session_user(self) -> str | None:
-        cookie = self.headers.get("Cookie", "")
-        for pair in cookie.split(";"):
-            name, _, value = pair.partition("=")
-            if name.strip() == SESSION_COOKIE:
-                with self.server.lock:
-                    return self.server.sessions.get(value.strip())
-        return None
-
     def _send_page(self, title: str, body: str, status: int = 200, extra_headers=()):
         content = (
             f"<html><head><title>{title}</title></head>"
@@ -138,30 +126,27 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_page(page, links)
 
     def do_GET(self):
-        page = self._page_name()
+        page = page_of(self.path)
         spec = ROUTES.get(page)
         if spec is None:
             self._send_page("Not Found", "<p>no such page</p>", status=404)
             return
-        user = self._session_user()
+        cookie = cookie_value(self.headers.get("Cookie", ""), SESSION_COOKIE)
+        with self.server.lock:
+            user = self.server.sessions.get(cookie)
         if spec.requires_session and user is None:
             self._redirect("/Login.php")
             return
         if page == "Logout.php":
-            cookie = self.headers.get("Cookie", "")
-            for pair in cookie.split(";"):
-                name, _, value = pair.partition("=")
-                if name.strip() == SESSION_COOKIE:
-                    with self.server.lock:
-                        self.server.sessions.pop(value.strip(), None)
+            with self.server.lock:
+                self.server.sessions.pop(cookie, None)
             self._redirect("/Login.php")
             return
         role = USERS[user][1] if user else None
         self._render(page, role)
 
     def do_POST(self):
-        page = self._page_name()
-        if page != LOGIN_PAGE:
+        if page_of(self.path) != LOGIN_PAGE:
             self._send_page("Not Found", "<p>no such page</p>", status=404)
             return
         length = int(self.headers.get("Content-Length", "0") or 0)

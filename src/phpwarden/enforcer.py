@@ -27,7 +27,6 @@ from datetime import datetime
 from .models import NavigationModel, RequestModel, is_asset
 from .profile_store import (
     derive_request_id,
-    extract_session_flag,
     page_of,
     parse_header_block,
     session_cookie_value,
@@ -144,10 +143,8 @@ class ClientIdentity:
 @dataclass
 class ClientState:
     identity: ClientIdentity
-    session_cookie: str | None = None
     role: str = "0"
     last_page: str | None = None
-    first_seen: float = 0.0
     last_seen: float = 0.0
 
 
@@ -165,11 +162,10 @@ class ClientTable:
         with self._lock:
             state = self._states.get(identity)
             if state is None:
-                state = ClientState(identity=identity, first_seen=now, last_seen=now)
+                state = ClientState(identity=identity, last_seen=now)
                 self._states[identity] = state
             elif now - state.last_seen > self.idle_timeout:
                 state.role = "0"
-                state.session_cookie = None
                 state.last_page = None
             state.last_seen = now
             return state
@@ -321,17 +317,14 @@ class Enforcer:
                 self._record_block(identity, reqres_id, verdict)
                 return verdict
 
-        flag = extract_session_flag(head, cookie_name)
         page = page_of(head.target)
-        verdict = verify_level1(reqres_id, flag, state.role, self.model1)
+        verdict = verify_request(
+            reqres_id, page, int(cookie is not None), state.role, state.last_page,
+            self.model1, self.model2,
+        )
         if verdict.blocked:
             self._record_block(identity, reqres_id, verdict)
-            return verdict
-        if not is_asset(page):
-            verdict = verify_level2(page, state.role, state.last_page, self.model2)
-            if verdict.blocked:
-                self._record_block(identity, reqres_id, verdict)
-                return verdict
+        elif not is_asset(page):
             state.last_page = page
         return verdict
 
@@ -342,7 +335,6 @@ class Enforcer:
         identity = ClientIdentity(client_ip, user_agent)
         state = self.table.state_for(identity, self.clock())
         state.role = resolve_role(state, username, self.bindings)
-        state.session_cookie = session_cookie
         state.last_page = None
         self.table.pin_cookie(session_cookie, identity)
 
@@ -350,5 +342,4 @@ class Enforcer:
         identity = ClientIdentity(client_ip, user_agent)
         state = self.table.state_for(identity, self.clock())
         state.role = "0"
-        state.session_cookie = None
         state.last_page = None

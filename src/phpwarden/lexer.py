@@ -105,14 +105,6 @@ def split_lines(source: str) -> list[str]:
     return _NEWLINE_RE.split(source)
 
 
-def source_line(source: str, line: int) -> str:
-    """1-based line lookup; out-of-range lines come back empty."""
-    lines = split_lines(source)
-    if 1 <= line <= len(lines):
-        return lines[line - 1]
-    return ""
-
-
 def extract_interpolations(body: str) -> tuple[str, ...]:
     """Variable names interpolated into a double-quoted string body.
 

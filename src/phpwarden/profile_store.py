@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from xml.sax.saxutils import escape as xml_escape
 
@@ -71,23 +71,39 @@ def parse_header_block(text: str) -> RequestHead:
     return RequestHead(method=method, target=target, version=version, headers=tuple(headers))
 
 
-def extract_session_flag(head: RequestHead, session_cookie_name: str = "PHPSESSID") -> int:
-    """1 iff some Cookie header carries a non-empty pair named
-    session_cookie_name, else 0."""
-    for cookie_header in head.get_all("Cookie"):
-        for pair in cookie_header.split(";"):
-            name, _, value = pair.partition("=")
-            if name.strip() == session_cookie_name and value.strip():
-                return 1
-    return 0
+def cookie_value(cookie_header: str, name: str) -> str | None:
+    """Value of the first non-empty `name=value` pair in one Cookie header
+    (or one Set-Cookie pair), else None."""
+    for pair in cookie_header.split(";"):
+        cname, _, value = pair.partition("=")
+        if cname.strip() == name and value.strip():
+            return value.strip()
+    return None
 
 
 def session_cookie_value(head: RequestHead, session_cookie_name: str = "PHPSESSID") -> str | None:
     for cookie_header in head.get_all("Cookie"):
-        for pair in cookie_header.split(";"):
-            name, _, value = pair.partition("=")
-            if name.strip() == session_cookie_name and value.strip():
-                return value.strip()
+        value = cookie_value(cookie_header, session_cookie_name)
+        if value is not None:
+            return value
+    return None
+
+
+def extract_session_flag(head: RequestHead, session_cookie_name: str = "PHPSESSID") -> int:
+    """1 iff some Cookie header carries a non-empty pair named
+    session_cookie_name, else 0."""
+    return int(session_cookie_value(head, session_cookie_name) is not None)
+
+
+def set_cookie_value(headers, session_cookie_name: str = "PHPSESSID") -> str | None:
+    """The session cookie a response grants: the value of the first
+    Set-Cookie field among (name, value) header pairs whose leading pair
+    names session_cookie_name with a non-empty value, else None."""
+    for name, value in headers:
+        if name.lower() == "set-cookie":
+            cookie = cookie_value(value.split(";", 1)[0], session_cookie_name)
+            if cookie is not None:
+                return cookie
     return None
 
 
@@ -96,11 +112,7 @@ def derive_request_id(method: str, url_path: str, index_page: str = "index.php")
     string dropped.  The bare root path maps to index_page."""
     if not method:
         raise ValueError("empty method")
-    path = url_path.split("?", 1)[0].split("#", 1)[0]
-    page = path.rsplit("/", 1)[-1]
-    if not page:
-        page = index_page
-    return f"{method.upper()}_{page}"
+    return f"{method.upper()}_{page_of(url_path, index_page)}"
 
 
 def page_of(url_path: str, index_page: str = "index.php") -> str:
@@ -115,11 +127,7 @@ class Trail:
     role: str
     first_id: int | None = None
     last_id: int | None = None
-    pages: list[str] | None = None
-
-    def __post_init__(self):
-        if self.pages is None:
-            self.pages = []
+    pages: list[str] = field(default_factory=list)
 
 
 _REQUEST_FILE_RE = re.compile(r"^(\d+)_request$")
@@ -135,14 +143,10 @@ class ProfileStore:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.session_cookie_name = session_cookie_name
         self.trails: list[Trail] = []
-        self._next_id = 1
         self._load()
 
     def _load(self) -> None:
-        for entry in self.directory.iterdir():
-            m = _REQUEST_FILE_RE.match(entry.name)
-            if m:
-                self._next_id = max(self._next_id, int(m.group(1)) + 1)
+        self._next_id = max(self.recorded_ids(), default=0) + 1
         index = self.directory / "trails"
         if not index.exists():
             return

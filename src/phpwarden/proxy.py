@@ -1,11 +1,13 @@
 """Intercepting reverse proxy, the deployable form of the enforcer.
 
-Sits between web clients and the target app.  Each connection carries one
-request: the head is read up to the blank line, the body by its declared
-Content-Length, and the whole thing is either forwarded verbatim (byte for
-byte, so the upstream sees exactly what the client sent) or answered with
-a 403-class refusal naming only the deviation reason.  An unreachable
-upstream is a 502, not a deviation.
+Sits between web clients and the target app.  Exactly one message is
+forwarded per connection: the head up to the blank line and the body by
+its declared Content-Length (anything but a non-negative integer counts as
+0).  Bytes the client sends past that message, such as a pipelined second
+request, were never verified and are dropped.  The message is either
+forwarded verbatim (byte for byte, so the upstream sees exactly what the
+client sent) or answered with a 403-class refusal naming only the
+deviation reason.  An unreachable upstream is a 502, not a deviation.
 
 When a login response comes back the proxy inspects it for a fresh session
 cookie and binds the client's role before releasing the response; a relayed
@@ -20,7 +22,7 @@ import threading
 from urllib.parse import parse_qs
 
 from .enforcer import Enforcer
-from .profile_store import page_of
+from .profile_store import RequestHead, page_of, parse_header_block, set_cookie_value
 
 _HEAD_LIMIT = 65536
 _IO_TIMEOUT = 15.0
@@ -40,24 +42,15 @@ def _read_head(sock: socket.socket) -> bytes | None:
     return buf
 
 
-def _content_length(head_text: str) -> int:
-    for line in head_text.split("\r\n")[1:]:
-        name, _, value = line.partition(":")
-        if name.strip().lower() == "content-length":
-            try:
-                return int(value.strip())
-            except ValueError:
-                return 0
-    return 0
+def _length(value: str | None) -> int:
+    """A declared Content-Length; anything but a non-negative integer is 0."""
+    return int(value) if value and value.isascii() and value.isdigit() else 0
 
 
-def _header_value(head_text: str, name: str) -> str | None:
-    lname = name.lower()
-    for line in head_text.split("\r\n")[1:]:
-        hname, _, value = line.partition(":")
-        if hname.strip().lower() == lname:
-            return value.strip()
-    return None
+def _response_fields(head_bytes: bytes) -> list[tuple[str, str]]:
+    """(lowercased name, value) pairs of a response head's header lines."""
+    pairs = (line.partition(":") for line in head_bytes.decode("latin-1").split("\r\n")[1:])
+    return [(name.strip().lower(), value.strip()) for name, _, value in pairs]
 
 
 def _recv_exact(sock: socket.socket, buf: bytes, total: int) -> bytes:
@@ -107,7 +100,14 @@ class _ProxyHandler(socketserver.BaseRequestHandler):
         head_bytes, sep, body = data.partition(b"\r\n\r\n")
         head_text = head_bytes.decode("latin-1") + "\r\n\r\n" if sep else head_bytes.decode("latin-1")
         try:
-            body = _recv_exact(sock, body, _content_length(head_text))
+            head = parse_header_block(head_text)
+        except ValueError:
+            head = None  # evaluate blocks and logs it
+        length = _length(head.get("Content-Length")) if head else 0
+        try:
+            # bytes past the declared body (a pipelined second request, say)
+            # were never verified, so they are never forwarded
+            body = _recv_exact(sock, body, length)[:length]
         except OSError:
             return
 
@@ -122,14 +122,14 @@ class _ProxyHandler(socketserver.BaseRequestHandler):
             ))
             return
 
-        raw_request = head_bytes + sep + body
-        response = self._forward(raw_request)
-        if response is None:
+        relayed = self._forward(head_bytes + sep + body)
+        if relayed is None:
             self._send(sock, _error_response("HTTP/1.1 502 Bad Gateway", None, "Upstream unreachable"))
             return
+        response, response_fields = relayed
         # bind/clear the session before the client can act on the response,
         # otherwise its next request races the bookkeeping
-        self._after_relay(head_text, body, response, client_ip)
+        self._after_relay(head, body, response_fields, client_ip)
         self._send(sock, response)
 
     def _send(self, sock: socket.socket, payload: bytes) -> None:
@@ -138,7 +138,8 @@ class _ProxyHandler(socketserver.BaseRequestHandler):
         except OSError:
             pass
 
-    def _forward(self, raw_request: bytes) -> bytes | None:
+    def _forward(self, raw_request: bytes) -> tuple[bytes, list[tuple[str, str]]] | None:
+        """The upstream's response to raw_request and its header fields."""
         try:
             up = socket.create_connection(self.server.upstream, timeout=_IO_TIMEOUT)
         except OSError:
@@ -149,44 +150,32 @@ class _ProxyHandler(socketserver.BaseRequestHandler):
             if data is None:
                 return None
             head_bytes, sep, body = data.partition(b"\r\n\r\n")
-            head_text = head_bytes.decode("latin-1")
-            length = _content_length(head_text)
+            fields = _response_fields(head_bytes)
+            declared = next((value for name, value in fields if name == "content-length"), None)
+            length = _length(declared)
             if sep and length:
                 body = _recv_exact(up, body, length)
-            elif sep and _header_value(head_text, "Content-Length") is None:
+            elif sep and declared is None:
                 # no declared length: upstream signals the end by closing
                 while True:
                     chunk = up.recv(65536)
                     if not chunk:
                         break
                     body += chunk
-            return head_bytes + sep + body
+            return head_bytes + sep + body, fields
         except OSError:
             return None
         finally:
             up.close()
 
-    def _after_relay(self, head_text: str, body: bytes, response: bytes, client_ip: str) -> None:
+    def _after_relay(self, head: RequestHead, body: bytes, response_fields: list[tuple[str, str]],
+                     client_ip: str) -> None:
         enforcer = self.server.enforcer
         config = enforcer.config
-        request_line = head_text.split("\r\n", 1)[0]
-        parts = request_line.split()
-        if len(parts) != 3:
-            return
-        method, target = parts[0].upper(), parts[1]
-        page = page_of(target)
-        user_agent = _header_value(head_text, "User-Agent") or ""
-        if method == "POST" and page == config.login_page:
-            resp_head = response.split(b"\r\n\r\n", 1)[0].decode("latin-1")
-            cookie = None
-            for line in resp_head.split("\r\n")[1:]:
-                name, _, value = line.partition(":")
-                if name.strip().lower() == "set-cookie":
-                    pair = value.split(";", 1)[0]
-                    cname, _, cvalue = pair.partition("=")
-                    if cname.strip() == config.session_cookie_name and cvalue.strip():
-                        cookie = cvalue.strip()
-                        break
+        page = page_of(head.target)
+        user_agent = head.get("User-Agent") or ""
+        if head.method.upper() == "POST" and page == config.login_page:
+            cookie = set_cookie_value(response_fields, config.session_cookie_name)
             if cookie:
                 form = parse_qs(body.decode("latin-1"))
                 username = (form.get("username") or [""])[0]

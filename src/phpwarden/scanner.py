@@ -20,7 +20,6 @@ from .lexer import (
     Token,
     TokenKind,
     TokenStream,
-    source_line,
     split_lines,
     tokenize,
 )

@@ -23,11 +23,10 @@ continues so the transcript shows the whole picture.
 
 from __future__ import annotations
 
-import http.client
 from dataclasses import dataclass, field
-from urllib.parse import urlencode
 
-from .profile_store import ProfileStore, parse_header_block
+from .crawler import send_request
+from .profile_store import ProfileStore, parse_header_block, set_cookie_value
 
 
 class ScenarioError(ValueError):
@@ -70,39 +69,12 @@ class _Client:
 
 
 def _send(addr: tuple[str, int], method: str, path: str, user_agent: str,
-          cookie: str | None = None, form: dict | None = None,
-          cookie_name: str = "PHPSESSID"):
-    """One request through the proxy.  Returns (status, headers, body,
-    deviation reason or None)."""
-    body = urlencode(form).encode() if form is not None else None
-    conn = http.client.HTTPConnection(addr[0], addr[1], timeout=10)
-    try:
-        conn.putrequest(method, path, skip_host=True, skip_accept_encoding=True)
-        conn.putheader("Host", f"{addr[0]}:{addr[1]}")
-        conn.putheader("User-Agent", user_agent)
-        if cookie:
-            conn.putheader("Cookie", f"{cookie_name}={cookie}")
-        if body is not None:
-            conn.putheader("Content-Type", "application/x-www-form-urlencoded")
-            conn.putheader("Content-Length", str(len(body)))
-        conn.endheaders(body)
-        resp = conn.getresponse()
-        data = resp.read()
-        headers = resp.getheaders()
-    finally:
-        conn.close()
+          cookie: str | None = None, form: dict | None = None):
+    """One request through the proxy.  Returns (status, headers, deviation
+    reason or None)."""
+    status, headers, _, _ = send_request(addr, method, path, user_agent, cookie, form)
     reason = next((v for k, v in headers if k.lower() == "x-deviation-reason"), None)
-    return resp.status, headers, data, reason
-
-
-def _session_cookie_from(headers, cookie_name: str = "PHPSESSID") -> str | None:
-    for name, value in headers:
-        if name.lower() == "set-cookie":
-            pair = value.split(";", 1)[0]
-            cname, _, cvalue = pair.partition("=")
-            if cname.strip() == cookie_name and cvalue.strip():
-                return cvalue.strip()
-    return None
+    return status, headers, reason
 
 
 def run_scenario(script: str, enforcer_addr: tuple[str, int], name: str = "scenario") -> ScenarioResult:
@@ -145,7 +117,7 @@ def run_scenario(script: str, enforcer_addr: tuple[str, int], name: str = "scena
                 raise ScenarioError(f"line {lineno}: login <client> <username> <password>")
             client = clients[args[0]]
             try:
-                status, headers, _, reason = _send(
+                status, headers, reason = _send(
                     enforcer_addr, "POST", "/Login.php", client.user_agent,
                     cookie=client.cookie, form={"username": args[1], "password": args[2]},
                 )
@@ -155,7 +127,7 @@ def run_scenario(script: str, enforcer_addr: tuple[str, int], name: str = "scena
             if reason is not None:
                 fail(lineno, f"login blocked ({reason})")
                 continue
-            cookie = _session_cookie_from(headers)
+            cookie = set_cookie_value(headers)
             if cookie is None:
                 fail(lineno, f"login as {args[1]} got no session cookie (status {status})")
                 continue
@@ -192,7 +164,7 @@ def run_scenario(script: str, enforcer_addr: tuple[str, int], name: str = "scena
                 else:
                     raise ScenarioError(f"line {lineno}: bad option {option!r}")
             try:
-                status, _, _, reason = _send(enforcer_addr, method, path, client.user_agent, cookie=client.cookie)
+                status, _, reason = _send(enforcer_addr, method, path, client.user_agent, cookie=client.cookie)
             except OSError as exc:
                 fail(lineno, f"transport: {exc}")
                 continue
@@ -280,14 +252,14 @@ def replay_training(
         if role != "0":
             username, password = credentials_by_role[role]
             total += 1
-            _, headers, _, reason = _send(
+            _, headers, reason = _send(
                 enforcer_addr, "POST", "/Login.php", agent,
                 form={"username": username, "password": password},
             )
             if reason is not None:
                 blocks += 1
                 continue
-            cookie = _session_cookie_from(headers)
+            cookie = set_cookie_value(headers)
         for _, raw, flag in records:
             head = parse_header_block(raw)
             form = None
@@ -295,7 +267,7 @@ def replay_training(
                 # the only trained POST is the unauthenticated form probe
                 form = {"username": "", "password": ""}
             total += 1
-            _, _, _, reason = _send(
+            _, _, reason = _send(
                 enforcer_addr, head.method.upper(), head.target, agent,
                 cookie=cookie if flag else None, form=form,
             )

@@ -160,6 +160,51 @@ def test_build_model_empty_store(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("build-model:")
 
 
+def test_scan_missing_root_is_a_usage_error(tmp_path, capsys):
+    rc = main(["scan", "--root", str(tmp_path / "absent")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("scan: --root ")
+    assert "not a directory" in captured.err
+    assert "No vulnerabilities detected" not in captured.out
+
+
+def test_audit_missing_ini(tmp_path, capsys):
+    rc = main(["audit", "--ini", str(tmp_path / "absent.ini")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("audit: ")
+    assert "absent.ini" in err
+
+
+def test_scan_missing_ini(tmp_path, capsys):
+    (tmp_path / "ok.php").write_text("<?php echo 'static'; ?>\n")
+    rc = main(["scan", "--root", str(tmp_path), "--ini", str(tmp_path / "absent.ini")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("scan: ")
+    assert "absent.ini" in captured.err
+    assert captured.out == ""
+
+
+def test_missing_policy(tmp_path, capsys):
+    ini = str(FIXTURES / "php_ini" / "hardened.ini")
+    rc = main(["audit", "--ini", ini, "--policy", str(tmp_path / "absent.policy")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("audit: ")
+    assert "absent.policy" in err
+
+
+def test_build_model_missing_store_is_not_created(tmp_path, capsys):
+    store = tmp_path / "absent"
+    rc = main(["build-model", "--store", str(store), "--out", str(tmp_path / "models")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("build-model: no store directory at ")
+    assert not store.exists()
+    assert not (tmp_path / "models").exists()
+
+
 def test_enforce_listen_must_be_host_port(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main([

@@ -418,3 +418,44 @@ def test_level_for_reason_table_is_total():
         UNKNOWN_PAGE_FOR_ROLE, SEQUENCE_VIOLATION, IDENTITY_MISMATCH,
     }
     assert set(LEVEL_FOR_REASON.values()) == {"1", "2", "identity"}
+
+
+_TRACE_HOOK_SCRIPT = """
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+import spans
+from phpwarden.enforcer import Enforcer
+from phpwarden.models import ModelRow, NavigationModel, RequestModel
+
+recorder = spans.Recorder(None)
+spans.instrument(recorder)
+model1 = RequestModel(rows=[ModelRow(1, 1, "GET_About.php", 0, "0")])
+model2 = NavigationModel(graphs={}, entries={"0": ["About.php"]})
+verdict = Enforcer(model1, model2, {}).evaluate(
+    "GET /About.php HTTP/1.1\\r\\nUser-Agent: trace-check\\r\\n\\r\\n", "127.0.0.1")
+print(json.dumps({"reason": verdict.reason, "spans": sorted({s[1] for s in recorder.spans})}))
+"""
+
+
+def test_trace_hooks_reach_the_enforcer_layers(repo_root):
+    # perfbench/spans.py wraps these functions through the enforcer module's
+    # globals; a refactor that calls them another way leaves the traced
+    # benchmark without spans for them
+    import json
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACE_HOOK_SCRIPT,
+         str(repo_root / "perfbench"), str(repo_root / "src")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["reason"] == "ok"
+    assert {
+        "enforcer.evaluate",
+        "enforcer.parse_header_block",
+        "enforcer.verify_level1",
+        "enforcer.verify_level2",
+    } <= set(result["spans"])

@@ -7,6 +7,7 @@ from phpwarden.profile_store import (
     page_of,
     parse_header_block,
     session_cookie_value,
+    set_cookie_value,
 )
 
 
@@ -61,6 +62,20 @@ def test_session_flag_respects_cookie_name():
     head = parse_header_block(head_text("/a.php", cookie="MYSESS=x"))
     assert extract_session_flag(head) == 0
     assert extract_session_flag(head, "MYSESS") == 1
+
+
+@pytest.mark.parametrize("headers, expected", [
+    ([("Set-Cookie", "PHPSESSID=abc; Path=/; HttpOnly")], "abc"),
+    ([("Set-Cookie", "theme=dark; Path=/")], None),
+    ([("Set-Cookie", "PHPSESSID=; Path=/")], None),
+    ([("sEt-CoOkIe", "PHPSESSID=mixed")], "mixed"),
+    ([("Set-Cookie", "theme=dark"), ("Set-Cookie", "PHPSESSID=first"),
+      ("Set-Cookie", "PHPSESSID=second")], "first"),
+    ([("Location", "PHPSESSID=nope"), ("Set-Cookie", "Path=/; PHPSESSID=attr")], None),
+], ids=["attributes-after-pair", "other-cookie", "empty-value", "mixed-case-name",
+        "first-match-wins", "only-leading-pair-of-set-cookie"])
+def test_set_cookie_value(headers, expected):
+    assert set_cookie_value(headers) == expected
 
 
 # -- request id derivation ----------------------------------------------------

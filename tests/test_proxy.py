@@ -117,6 +117,17 @@ def test_post_body_forwarded_by_declared_length(capture_rig):
     assert upstream.captured == [request]
 
 
+def test_pipelined_second_request_is_not_forwarded(capture_rig):
+    # one write carrying a verified head and an unverified one behind it:
+    # only the message that was checked may reach the upstream
+    addr, upstream, _, _ = capture_rig
+    first = b"GET /About.php HTTP/1.1\r\nHost: app.local\r\nUser-Agent: pipeline/1.0\r\n\r\n"
+    second = b"GET /Secret.php HTTP/1.1\r\nHost: app.local\r\nUser-Agent: pipeline/1.0\r\n\r\n"
+    response = send_raw(addr, first + second)
+    assert status_of(response) == 200
+    assert upstream.captured == [first]
+
+
 def test_blocked_request_never_reaches_upstream(capture_rig):
     addr, upstream, enforcer, log_path = capture_rig
     request = (
