@@ -143,6 +143,7 @@ def _cmd_enforce(args) -> int:
     try:
         model1, model2 = load_model(args.models)
         bindings = load_bindings(Path(args.bindings).read_text())
+        log = DeviationLog(args.log)
     except (ValueError, OSError) as exc:
         print(f"enforce: {exc}", file=sys.stderr)
         return 1
@@ -150,10 +151,11 @@ def _cmd_enforce(args) -> int:
         session_cookie_name=args.session_cookie,
         idle_timeout=args.idle_timeout,
     )
-    enforcer = Enforcer(model1, model2, bindings, DeviationLog(args.log), config)
+    enforcer = Enforcer(model1, model2, bindings, log, config)
     try:
         proxy = serve_proxy(args.listen, args.upstream, enforcer)
     except OSError as exc:
+        log.close()
         print(f"enforce: cannot listen on {args.listen[0]}:{args.listen[1]}: {exc}", file=sys.stderr)
         return 1
     print(f"enforcing on {args.listen[0]}:{args.listen[1]} -> "
@@ -164,6 +166,7 @@ def _cmd_enforce(args) -> int:
         pass
     finally:
         proxy.server_close()
+        log.close()
     return 0
 
 

@@ -14,6 +14,11 @@ Every intercepted request passes three gates, cheapest suspicion first:
 
 Verdicts are block / don't_block; exactly one deviation-log record is
 written per blocked request, none for forwarded ones.
+
+Both levels read indexes compiled once from the read-only models
+(`RequestModel.roles_by_request`, `NavigationModel.nodes_by_role`), so a
+verdict is a few dict and set lookups however large the trained model is.
+The Enforcer compiles them when it is built, before the first request.
 """
 
 from __future__ import annotations
@@ -84,24 +89,24 @@ def verify_level1(reqres_id: str, session_flag: int, role: str, model1: RequestM
     relation, with the block reason naming the nearest miss: id never seen
     at all, id never seen with this flag, or combination trained only for
     other roles."""
-    triples = model1.triple_set()
-    if (reqres_id, session_flag, role) in triples:
-        return Verdict.ok()
-    seen_flags = {t[1] for t in triples if t[0] == reqres_id}
-    if not seen_flags:
+    flags = model1.roles_by_request.get(reqres_id)
+    if flags is None:
         return Verdict.block(UNKNOWN_REQUEST, f"{reqres_id} not in trained model")
-    if session_flag not in seen_flags:
+    roles = flags.get(session_flag)
+    if roles is None:
         return Verdict.block(
             SESSION_FLAG_MISMATCH,
-            f"{reqres_id} trained only with session flag {', '.join(str(f) for f in sorted(seen_flags))}",
+            f"{reqres_id} trained only with session flag {', '.join(str(f) for f in sorted(flags))}",
         )
-    roles = sorted({t[2] for t in triples if t[0] == reqres_id and t[1] == session_flag})
-    return Verdict.block(ROLE_MISMATCH, f"{reqres_id} trained for role {', '.join(roles)}, not {role}")
+    if role in roles:
+        return Verdict.ok()
+    return Verdict.block(ROLE_MISMATCH, f"{reqres_id} trained for role {', '.join(sorted(roles))}, not {role}")
 
 
 def verify_level2(page: str, role: str, last_page: str | None, model2: NavigationModel) -> Verdict:
     """Graph membership: entry page when no history, trained edge otherwise."""
-    if not model2.has_role(role) or page not in model2.nodes(role):
+    nodes = model2.nodes_by_role.get(role)
+    if nodes is None or page not in nodes:
         return Verdict.block(UNKNOWN_PAGE_FOR_ROLE, f"{page} is not a page of role {role}")
     if last_page is None:
         if model2.is_entry(role, page):
@@ -214,11 +219,15 @@ def load_bindings(text: str) -> dict[str, str]:
 
 class DeviationLog:
     """Append-only, line-oriented, tab-separated:
-    timestamp, identity, request id text, level, reason, detail."""
+    timestamp, identity, request id text, level, reason, detail.
+
+    The file is opened once, for appending with line buffering, so each
+    record is on disk when record() returns; close() releases it."""
 
     def __init__(self, path: str):
         self.path = path
         self._lock = threading.Lock()
+        self._fh = open(path, "a", encoding="utf-8", buffering=1)
 
     def record(self, timestamp: float, identity: ClientIdentity, request_text: str,
                level: str, reason: str, detail: str) -> None:
@@ -232,8 +241,11 @@ class DeviationLog:
         ]
         line = "\t".join(f.replace("\t", " ").replace("\n", " ") for f in fields)
         with self._lock:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+            self._fh.write(line + "\n")
+
+    def close(self) -> None:
+        with self._lock:
+            self._fh.close()
 
     @staticmethod
     def read_records(path: str) -> list[tuple[str, ...]]:
@@ -272,6 +284,9 @@ class Enforcer:
     ):
         self.model1 = model1
         self.model2 = model2
+        # compile the verifier's indexes now, not on the first request
+        model1.roles_by_request
+        model2.nodes_by_role
         self.bindings = bindings
         self.log = deviation_log
         self.config = config or EnforcerConfig()

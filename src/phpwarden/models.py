@@ -9,6 +9,12 @@ Persisted forms: `requests.csv` with the exact header
 `sno,convid,reqresid,sessionFlag,role`, and one `<role>.xml` per role
 whose root is `<Pages entry="...">` with one child element per page that
 has successors; the element text is the comma-separated successor list.
+
+Both models are read-only once built or loaded.  The verifier reads them
+through indexes compiled from them on first use and cached on the model
+object (`RequestModel.roles_by_request`, `NavigationModel.nodes_by_role`),
+so a verdict costs a few lookups whatever the model's size; a model changed
+after its first read would leave those indexes stale.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import csv
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .profile_store import ProfileStore, derive_request_id, page_of, parse_header_block
@@ -47,6 +54,10 @@ class ModelRow:
 
 @dataclass
 class RequestModel:
+    """The trained request relation, one row per recorded request.  Read-only
+    after build_model or load_model returns: roles_by_request is compiled
+    from rows once and never rebuilt."""
+
     rows: list[ModelRow] = field(default_factory=list)
 
     def triples(self) -> list[tuple[str, int, str]]:
@@ -60,23 +71,44 @@ class RequestModel:
     def triple_set(self) -> frozenset[tuple[str, int, str]]:
         return frozenset(self.triples())
 
+    @cached_property
+    def roles_by_request(self) -> dict[str, dict[int, frozenset[str]]]:
+        """reqresid -> session flag -> the roles trained with that pair:
+        the relation of triples() keyed for level-1 lookups."""
+        index: dict[str, dict[int, set[str]]] = {}
+        for row in self.rows:
+            index.setdefault(row.reqresid, {}).setdefault(row.session_flag, set()).add(row.role)
+        return {
+            reqresid: {flag: frozenset(roles) for flag, roles in by_flag.items()}
+            for reqresid, by_flag in index.items()
+        }
+
 
 @dataclass
 class NavigationModel:
     """Per-role page graphs.  graphs[role] maps page -> ordered successor
     list and only contains pages with at least one successor (the canonical
     form, so persist/load round-trips exactly).  entries[role] is the
-    ordered set of pages a role's walk may start at."""
+    ordered set of pages a role's walk may start at.  Read-only after
+    build_model or load_model returns: nodes_by_role is compiled from the
+    graphs and entries once and never rebuilt."""
 
     graphs: dict[str, dict[str, list[str]]] = field(default_factory=dict)
     entries: dict[str, list[str]] = field(default_factory=dict)
 
-    def nodes(self, role: str) -> set[str]:
-        nodes: set[str] = set(self.entries.get(role, ()))
-        for page, nexts in self.graphs.get(role, {}).items():
-            nodes.add(page)
-            nodes.update(nexts)
-        return nodes
+    @cached_property
+    def nodes_by_role(self) -> dict[str, frozenset[str]]:
+        """role -> every page of its graph: entries, pages with successors
+        and the successors themselves.  Holds exactly the roles has_role
+        knows."""
+        index: dict[str, frozenset[str]] = {}
+        for role in self.entries.keys() | self.graphs.keys():
+            nodes: set[str] = set(self.entries.get(role, ()))
+            for page, nexts in self.graphs.get(role, {}).items():
+                nodes.add(page)
+                nodes.update(nexts)
+            index[role] = frozenset(nodes)
+        return index
 
     def has_edge(self, role: str, current: str, target: str) -> bool:
         return target in self.graphs.get(role, {}).get(current, ())

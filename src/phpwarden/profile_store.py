@@ -46,8 +46,14 @@ class RequestHead:
 def parse_header_block(text: str) -> RequestHead:
     """Parse a raw request head (request line + header lines).
 
-    Raises ValueError on a malformed request line or header line; callers
-    on the enforcement path map that to a block verdict rather than a crash.
+    The head ends at the first empty or whitespace-only line.  Anything but
+    blank lines after it is refused, not dropped: the proxy forwards the raw
+    bytes it framed, so a second request hidden behind a bare-LF blank line
+    would otherwise reach the upstream unverified.
+
+    Raises ValueError on a malformed request line or header line, or text
+    past the end of the head; callers on the enforcement path map that to a
+    block verdict rather than a crash.
     """
     lines = text.replace("\r\n", "\n").split("\n")
     while lines and not lines[0].strip():
@@ -61,8 +67,11 @@ def parse_header_block(text: str) -> RequestHead:
     if not version.startswith("HTTP/"):
         raise ValueError(f"malformed request line: {lines[0]!r}")
     headers: list[tuple[str, str]] = []
-    for line in lines[1:]:
+    rest = iter(lines[1:])
+    for line in rest:
         if not line.strip():
+            if any(extra.strip() for extra in rest):
+                raise ValueError("text after the blank line that ends the head")
             break
         if ":" not in line:
             raise ValueError(f"malformed header line: {line!r}")

@@ -225,6 +225,22 @@ def test_enforce_missing_models(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("enforce:")
 
 
+def test_enforce_unwritable_log_is_reported_at_start(tmp_path, capsys):
+    models = tmp_path / "models"
+    models.mkdir()
+    (models / "requests.csv").write_text("sno,convid,reqresid,sessionFlag,role\n1,1,GET_About.php,0,0\n")
+    (models / "0.xml").write_text('<Pages entry="About.php" />\n')
+    (tmp_path / "bindings.txt").write_text("mark,manager\n")
+    rc = main([
+        "enforce", "--models", str(models),
+        "--listen", "127.0.0.1:0", "--upstream", "127.0.0.1:1",
+        "--bindings", str(tmp_path / "bindings.txt"),
+        "--log", str(tmp_path / "absent" / "deviations.log"),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("enforce:")
+
+
 def test_scenario_list_names_builtins(capsys):
     rc = main(["scenario", "--list"])
     assert rc == 0

@@ -1,7 +1,10 @@
 import itertools
 import logging
+from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from phpwarden.enforcer import (
     BLOCK,
@@ -160,6 +163,58 @@ def test_level2_spec_examples_on_trained_model(trained):
     assert v.reason == UNKNOWN_PAGE_FOR_ROLE
 
 
+# -- detail strings (the deviation log's detail column) ----------------------------
+
+
+def multi_flag_model():
+    """GET_Mixed.php trained at flag 1 before flag 0, so a sorted listing
+    differs from training order."""
+    rows = [
+        ModelRow(sno=1, convid=1, reqresid="GET_Mixed.php", session_flag=1, role="manager"),
+        ModelRow(sno=2, convid=2, reqresid="GET_Mixed.php", session_flag=0, role="0"),
+    ]
+    return RequestModel(rows=rows)
+
+
+def test_level1_detail_unknown_request():
+    model1, _ = toy_models()
+    verdict = verify_level1("GET_Ghost.php", 1, "manager", model1)
+    assert verdict.detail == "GET_Ghost.php not in trained model"
+
+
+def test_level1_detail_flag_mismatch_lists_trained_flags_sorted():
+    verdict = verify_level1("GET_Mixed.php", 2, "manager", multi_flag_model())
+    assert verdict.reason == SESSION_FLAG_MISMATCH
+    assert verdict.detail == "GET_Mixed.php trained only with session flag 0, 1"
+    model1, _ = toy_models()
+    verdict = verify_level1("GET_Open.php", 1, "employer", model1)
+    assert verdict.detail == "GET_Open.php trained only with session flag 0"
+
+
+def test_level1_detail_role_mismatch_lists_trained_roles_sorted():
+    model1, _ = toy_models()
+    # Home.php at flag 1 was trained for manager first, then employer
+    verdict = verify_level1("GET_Home.php", 1, "0", model1)
+    assert verdict.reason == ROLE_MISMATCH
+    assert verdict.detail == "GET_Home.php trained for role employer, manager, not 0"
+
+
+def test_level2_detail_unknown_page():
+    _, nav = toy_models()
+    verdict = verify_level2("Ghost.php", "manager", "Home.php", nav)
+    assert verdict.detail == "Ghost.php is not a page of role manager"
+    verdict = verify_level2("Home.php", "ghost", None, nav)
+    assert verdict.detail == "Home.php is not a page of role ghost"
+
+
+def test_level2_detail_sequence_violations():
+    _, nav = toy_models()
+    verdict = verify_level2("Viewusers.php", "manager", None, nav)
+    assert verdict.detail == "Viewusers.php is not an entry page for role manager"
+    verdict = verify_level2("Viewusers.php", "manager", "Home.php", nav)
+    assert verdict.detail == "no trained transition Home.php -> Viewusers.php for role manager"
+
+
 # -- composed verify -------------------------------------------------------------
 
 
@@ -243,6 +298,126 @@ def test_verify_matches_brute_force_oracle_exhaustively():
         assert (got.status, got.reason) == expected, (page, flag, role, last_page)
         checked += 1
     assert checked == 7 * 2 * 3 * 8
+
+
+_PAGES = ["a.php", "b.php", "c.php", "d.php", "s.css", "x.js", "i.png"]
+_ROLES = ["0", "r1", "r2"]
+
+
+@st.composite
+def random_models(draw):
+    """Small models over shared alphabets: (triples, graphs, entries)."""
+    pages, roles = st.sampled_from(_PAGES), st.sampled_from(_ROLES)
+    triples = draw(st.lists(st.tuples(pages.map("GET_".__add__), st.integers(0, 1), roles), max_size=20))
+    graphs = draw(st.dictionaries(roles, st.dictionaries(pages, st.lists(pages, max_size=3)), max_size=3))
+    entries = draw(st.dictionaries(roles, st.lists(pages, max_size=3), max_size=3))
+    return triples, graphs, entries
+
+
+_QUERIES = st.lists(
+    st.tuples(
+        st.sampled_from(_PAGES + ["ghost.php"]),
+        st.integers(0, 1),
+        st.sampled_from(_ROLES + ["ghost"]),
+        st.none() | st.sampled_from(_PAGES),
+    ),
+    min_size=1, max_size=20,
+)
+
+
+@given(random_models(), _QUERIES)
+def test_verify_matches_brute_force_oracle_on_random_models(model, queries):
+    triples, graphs, entries = model
+    model1 = RequestModel(rows=[
+        ModelRow(sno=i, convid=i, reqresid=t[0], session_flag=t[1], role=t[2])
+        for i, t in enumerate(triples, start=1)
+    ])
+    nav = NavigationModel(graphs=graphs, entries=entries)
+    for page, flag, role, last_page in queries:
+        expected = naive_verdict(page, flag, role, last_page, triples, entries, graphs)
+        got = verify_request("GET_" + page, page, flag, role, last_page, model1, nav)
+        assert (got.status, got.reason) == expected, (page, flag, role, last_page)
+
+
+# -- compiled once ------------------------------------------------------------------
+
+
+class CountingList(list):
+    """A list that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+class CountingDict(dict):
+    """A dict that counts every walk over its keys, values or items."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+    def keys(self):
+        self.walks += 1
+        return super().keys()
+
+    def values(self):
+        self.walks += 1
+        return super().values()
+
+    def items(self):
+        self.walks += 1
+        return super().items()
+
+
+def test_models_are_compiled_once_not_per_request():
+    roles = [f"r{k}" for k in range(10)]
+    own = {role: [f"{role}_{j}.php" for j in range(50)] for role in roles}
+    # 1,000 rows per role, cycling over Home.php and the role's own pages
+    recorded = [
+        (role, page) for role in roles
+        for page in itertools.islice(itertools.cycle(["Home.php"] + own[role]), 1000)
+    ]
+    rows = CountingList(
+        ModelRow(sno=i, convid=i, reqresid="GET_" + page, session_flag=1, role=role)
+        for i, (role, page) in enumerate(recorded, start=1)
+    )
+    assert len(rows) == 10_000
+    graphs = {}
+    for role in roles:
+        pages = own[role]
+        graph = CountingDict({pages[j]: [pages[(j + 1) % 50], pages[(j + 7) % 50]] for j in range(50)})
+        graph["Home.php"] = [pages[0]]
+        graphs[role] = graph
+    nav = NavigationModel(graphs=graphs, entries={role: ["Home.php"] for role in roles})
+    engine = Enforcer(RequestModel(rows=rows), nav, {f"user{k}": role for k, role in enumerate(roles)})
+
+    reasons = Counter()
+    for k, role in enumerate(roles):
+        ip, ua = f"10.0.0.{k}", f"walker-{k}"
+        engine.note_login(ip, ua, f"user{k}", f"cookie-{k}")
+        pages, j = own[role], None
+        for step in range(100):
+            if step % 10 == 9:
+                page = own[roles[(k + 1) % 10]][5]  # another role's page
+            elif step % 13 == 12:
+                page = "Ghost.php"
+            elif step % 17 == 16 and j is not None:
+                page = pages[(j + 3) % 50]  # no trained edge
+            else:
+                page = "Home.php" if step == 0 else pages[0 if j is None else (j + 1) % 50]
+            verdict = engine.evaluate(raw_head(f"/{page}", ua=ua, cookie=f"cookie-{k}"), ip)
+            reasons[verdict.reason] += 1
+            if not verdict.blocked and page != "Home.php":
+                j = pages.index(page)
+    assert sum(reasons.values()) == 1000
+    assert {OK, ROLE_MISMATCH, UNKNOWN_REQUEST, SEQUENCE_VIOLATION} <= set(reasons)
+    assert rows.iterations <= 1
+    assert all(graph.walks <= 1 for graph in graphs.values())
 
 
 # -- role binding ------------------------------------------------------------------
@@ -408,6 +583,19 @@ def test_deviation_log_flattens_tabs_and_newlines(tmp_path):
     assert len(record) == 6
     assert record[1] == "1.1.1.1 ua with tabs"
     assert record[2] == "id with newlines"
+
+
+def test_deviation_log_record_is_on_disk_when_record_returns(tmp_path):
+    path = str(tmp_path / "d.log")
+    log = DeviationLog(path)
+    try:
+        identity = ClientIdentity("1.1.1.1", "ua")
+        log.record(0.0, identity, "GET_a.php", "1", UNKNOWN_REQUEST, "first")
+        assert [r[5] for r in DeviationLog.read_records(path)] == ["first"]
+        log.record(1.0, identity, "GET_b.php", "1", UNKNOWN_REQUEST, "second")
+        assert [r[5] for r in DeviationLog.read_records(path)] == ["first", "second"]
+    finally:
+        log.close()
 
 
 def test_level_for_reason_table_is_total():

@@ -42,6 +42,20 @@ def test_parse_header_block_rejects_malformed():
         parse_header_block("\r\n\r\n")
 
 
+def test_parse_header_block_rejects_text_after_the_blank_line():
+    # a second request behind a bare-LF or whitespace-only blank line
+    for text in (
+        "GET /a.php HTTP/1.1\nHost: x\n\nGET /b.php HTTP/1.1\r\n\r\n",
+        "GET /a.php HTTP/1.1\r\nHost: x\r\n \r\nGET /b.php HTTP/1.1\r\n\r\n",
+        "GET /a.php HTTP/1.1\r\n\r\nHost: x\r\n\r\n",
+    ):
+        with pytest.raises(ValueError, match="blank line"):
+            parse_header_block(text)
+    # blank lines alone may follow the head
+    head = parse_header_block("GET /a.php HTTP/1.1\r\nHost: x\r\n \r\n\r\n")
+    assert (head.target, head.headers) == ("/a.php", (("Host", "x"),))
+
+
 def test_session_flag_extraction():
     assert extract_session_flag(parse_header_block(head_text("/a.php"))) == 0
     flagged = parse_header_block(head_text("/a.php", cookie="PHPSESSID=deadbeef"))

@@ -128,6 +128,25 @@ def test_pipelined_second_request_is_not_forwarded(capture_rig):
     assert upstream.captured == [first]
 
 
+@pytest.mark.parametrize("payload", [
+    # the verified head ends at a bare-LF blank line, the framed one at CRLF CRLF
+    b"GET /About.php HTTP/1.1\nHost: x\nUser-Agent: lf\n\n"
+    b"GET /Secret.php HTTP/1.1\nHost: x\r\n\r\n",
+    # a whitespace-only line ends the verified head
+    b"GET /About.php HTTP/1.1\r\nHost: x\r\nUser-Agent: ws\r\n \r\n"
+    b"GET /Secret.php HTTP/1.1\r\nHost: x\r\n\r\n",
+], ids=["bare-lf-blank-line", "whitespace-blank-line"])
+def test_request_hidden_behind_a_blank_line_is_blocked(capture_rig, payload):
+    addr, upstream, enforcer, log_path = capture_rig
+    response = send_raw(addr, payload)
+    head = response.split(b"\r\n\r\n", 1)[0].decode()
+    assert status_of(response) == 403
+    assert "X-Deviation-Reason: unknown_request" in head
+    assert upstream.captured == []
+    assert enforcer.blocked_count == 1
+    assert len(DeviationLog.read_records(log_path)) == 1
+
+
 def test_blocked_request_never_reaches_upstream(capture_rig):
     addr, upstream, enforcer, log_path = capture_rig
     request = (
