@@ -5,11 +5,16 @@ totality over strictness: any byte sequence produces a token stream, and
 problems (unterminated strings, stray characters) are reported as
 diagnostics instead of exceptions.  Lines are 1-based and LF, CR and CRLF
 are all treated as line terminators.
+
+PHP mode is one compiled pattern with a named alternative per token class
+(the "Writing a Tokenizer" recipe of the re module docs); only a heredoc
+needs a second, label-specific search for its terminator.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -44,10 +49,6 @@ KEYWORDS = frozenset({
     "use", "var", "while", "xor", "yield",
 })
 
-SUPERGLOBALS = frozenset({
-    "$_GET", "$_POST", "$_REQUEST", "$_COOKIE", "$_SERVER", "$_FILES",
-})
-
 # Longest match first.
 OPERATORS = (
     "===", "!==", "<=>", "**=", "<<=", ">>=", "??=", "...", "?->",
@@ -58,13 +59,47 @@ OPERATORS = (
     "~", "?", ":", "@", "$", "\\",
 )
 
-PUNCTUATION = frozenset("()[]{};,")
+_NAME = r"[A-Za-z_\x80-\xff][A-Za-z0-9_\x80-\xff]*"
+
+# PHP-mode token classes as (group, kind, pattern), tried in order: the first
+# alternative that matches at the current position wins.  Whitespace and
+# stray characters (kind None) make no token.  A "name" is a keyword or an
+# identifier.  The "open_*" groups are the unterminated forms: they run to
+# the end of input and carry a diagnostic.
+_PHP_TOKENS = (
+    ("space", None, r"[ \t\r\n]+"),
+    ("close_tag", TokenKind.CLOSE_TAG, r"\?>"),
+    ("comment", TokenKind.COMMENT, r"(?://|\#)(?:[^\r\n?]|\?(?!>))*|/\*[\s\S]*?\*/"),
+    ("open_comment", TokenKind.COMMENT, r"/\*[\s\S]*"),
+    ("variable", TokenKind.VARIABLE, r"\$" + _NAME),
+    ("string", TokenKind.STRING,
+     r"'[^'\\]*(?:\\[\s\S][^'\\]*)*'|`[^`\\]*(?:\\[\s\S][^`\\]*)*`"),
+    ("dq_string", TokenKind.STRING, r'"[^"\\]*(?:\\[\s\S][^"\\]*)*"'),
+    ("open_string", TokenKind.STRING, r"['`][\s\S]*"),
+    ("open_dq_string", TokenKind.STRING, r'"[\s\S]*'),
+    ("heredoc", TokenKind.STRING,
+     r"<<<[ \t]*(?P<quote>['\"]?)(?P<label>[A-Za-z_][A-Za-z0-9_]*)(?P=quote)[ \t]*(?:\r\n|\r|\n)"),
+    ("number", TokenKind.NUMBER,
+     r"0[xX][0-9a-fA-F_]+|0[bB][01_]+|[0-9][0-9_]*(?:\.[0-9_]+)?(?:[eE][+-]?[0-9]+)?"
+     r"|\.[0-9][0-9_]*(?:[eE][+-]?[0-9]+)?"),
+    ("name", TokenKind.IDENTIFIER, _NAME),
+    ("punctuation", TokenKind.PUNCTUATION, r"[()\[\]{};,]"),
+    ("operator", TokenKind.OPERATOR, "|".join(map(re.escape, OPERATORS))),
+    ("unexpected", None, r"[\s\S]"),
+)
+_PHP_RE = re.compile("|".join(f"(?P<{group}>{pattern})" for group, _, pattern in _PHP_TOKENS))
+_KINDS = {group: kind for group, kind, _ in _PHP_TOKENS}
+_UNTERMINATED = {
+    "open_comment": "unterminated block comment",
+    "open_string": "unterminated string literal",
+    "open_dq_string": "unterminated string literal",
+}
 
 _OPEN_TAG_RE = re.compile(r"<\?(?:[pP][hH][pP](?![A-Za-z0-9_])|=)")
 _NEWLINE_RE = re.compile(r"\r\n|\r|\n")
-_IDENT_START = re.compile(r"[A-Za-z_\x80-\xff]")
-_IDENT_CHARS = re.compile(r"[A-Za-z0-9_\x80-\xff]*")
-_INTERP_RE = re.compile(r"\$([A-Za-z_][A-Za-z0-9_]*)|\{\$([A-Za-z_][A-Za-z0-9_]*)|\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
+_INTERP_RE = re.compile(
+    r"\\[\s\S]|\$([A-Za-z_][A-Za-z0-9_]*)|\{\$([A-Za-z_][A-Za-z0-9_]*)|\$\{([A-Za-z_][A-Za-z0-9_]*)\}"
+)
 
 
 @dataclass(frozen=True)
@@ -111,211 +146,52 @@ def extract_interpolations(body: str) -> tuple[str, ...]:
     Escaped dollars (\\$) do not interpolate.  Names are returned with the
     leading $ and de-duplicated in first-appearance order.
     """
-    names: list[str] = []
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "\\":
-            i += 2
+    names = ("$" + (m[1] or m[2] or m[3]) for m in _INTERP_RE.finditer(body) if m.lastindex)
+    return tuple(dict.fromkeys(names))
+
+
+def _lex_php(src: str, pos: int, line_ends: list[int], stream: TokenStream) -> int:
+    """Tokenize PHP mode from pos up to and including ?> (or the end of
+    input); returns the position where inline HTML resumes."""
+    tokens, diagnostics = stream.tokens, stream.diagnostics
+    while pos < len(src):
+        m = _PHP_RE.match(src, pos)
+        group, end = m.lastgroup, m.end()
+        if group == "space":
+            pos = end
             continue
-        if ch in ("$", "{"):
-            m = _INTERP_RE.match(body, i)
-            if m:
-                name = "$" + (m.group(1) or m.group(2) or m.group(3))
-                if name not in names:
-                    names.append(name)
-                i = m.end()
-                continue
-        i += 1
-    return tuple(names)
-
-
-class _Lexer:
-    def __init__(self, source: str, path: str):
-        self.src = source
-        self.path = path
-        self.pos = 0
-        self.line = 1
-        self.stream = TokenStream(source_path=path)
-
-    # -- low level helpers -------------------------------------------------
-
-    def _advance(self, end: int) -> str:
-        """Consume source up to end, keeping the line counter in sync."""
-        text = self.src[self.pos : end]
-        self.line += len(_NEWLINE_RE.findall(text))
-        self.pos = end
-        return text
-
-    def _emit(self, kind: TokenKind, end: int, line: int | None = None,
-              interpolations: tuple[str, ...] = ()) -> None:
-        start_line = self.line if line is None else line
-        lexeme = self._advance(end)
-        if lexeme:
-            self.stream.tokens.append(Token(kind, lexeme, start_line, interpolations))
-
-    def _diag(self, message: str, line: int | None = None) -> None:
-        self.stream.diagnostics.append(LexDiagnostic(message, line or self.line))
-
-    def _peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.src[i] if i < len(self.src) else ""
-
-    # -- top level ---------------------------------------------------------
-
-    def run(self) -> TokenStream:
-        while self.pos < len(self.src):
-            m = _OPEN_TAG_RE.search(self.src, self.pos)
-            if m is None:
-                self._emit(TokenKind.INLINE_HTML, len(self.src))
-                break
-            if m.start() > self.pos:
-                self._emit(TokenKind.INLINE_HTML, m.start())
-            self._emit(TokenKind.OPEN_TAG, m.end())
-            self._lex_php()
-        return self.stream
-
-    def _lex_php(self) -> None:
-        src = self.src
-        while self.pos < len(src):
-            ch = src[self.pos]
-            if ch in " \t\r\n":
-                # consume the whole run at once so \r\n counts as one line
-                end = self.pos + 1
-                while end < len(src) and src[end] in " \t\r\n":
-                    end += 1
-                self._advance(end)
-            elif src.startswith("?>", self.pos):
-                self._emit(TokenKind.CLOSE_TAG, self.pos + 2)
-                return
-            elif src.startswith("//", self.pos) or ch == "#":
-                self._lex_line_comment()
-            elif src.startswith("/*", self.pos):
-                self._lex_block_comment()
-            elif ch == "$":
-                self._lex_dollar()
-            elif ch == "'":
-                self._lex_single_quoted()
-            elif ch == '"' or ch == "`":
-                self._lex_double_quoted(ch)
-            elif src.startswith("<<<", self.pos):
-                self._lex_heredoc()
-            elif ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-                self._lex_number()
-            elif _IDENT_START.match(ch):
-                self._lex_identifier()
-            elif ch in PUNCTUATION:
-                self._emit(TokenKind.PUNCTUATION, self.pos + 1)
-            else:
-                for op in OPERATORS:
-                    if src.startswith(op, self.pos):
-                        self._emit(TokenKind.OPERATOR, self.pos + len(op))
-                        break
-                else:
-                    self._diag(f"unexpected character {ch!r}")
-                    self._advance(self.pos + 1)
-
-    # -- token scanners ----------------------------------------------------
-
-    def _lex_line_comment(self) -> None:
-        src = self.src
-        end = self.pos
-        while end < len(src) and src[end] not in "\r\n":
-            if src.startswith("?>", end):
-                break
-            end += 1
-        self._emit(TokenKind.COMMENT, end)
-
-    def _lex_block_comment(self) -> None:
-        start_line = self.line
-        end = self.src.find("*/", self.pos + 2)
-        if end < 0:
-            self._diag("unterminated block comment", start_line)
-            self._emit(TokenKind.COMMENT, len(self.src), start_line)
-        else:
-            self._emit(TokenKind.COMMENT, end + 2, start_line)
-
-    def _lex_dollar(self) -> None:
-        if _IDENT_START.match(self._peek(1)):
-            m = _IDENT_CHARS.match(self.src, self.pos + 2)
-            self._emit(TokenKind.VARIABLE, m.end())
-        else:
-            # bare $ as in $$name or ${name}
-            self._emit(TokenKind.OPERATOR, self.pos + 1)
-
-    def _lex_single_quoted(self) -> None:
-        start_line = self.line
-        i = self.pos + 1
-        src = self.src
-        while i < len(src):
-            if src[i] == "\\":
-                i += 2
-                continue
-            if src[i] == "'":
-                self._emit(TokenKind.STRING, i + 1, start_line)
-                return
-            i += 1
-        self._diag("unterminated string literal", start_line)
-        self._emit(TokenKind.STRING, len(src), start_line)
-
-    def _lex_double_quoted(self, quote: str) -> None:
-        start_line = self.line
-        i = self.pos + 1
-        src = self.src
-        while i < len(src):
-            if src[i] == "\\":
-                i += 2
-                continue
-            if src[i] == quote:
-                body = src[self.pos + 1 : i]
-                interps = extract_interpolations(body) if quote == '"' else ()
-                self._emit(TokenKind.STRING, i + 1, start_line, interps)
-                return
-            i += 1
-        self._diag("unterminated string literal", start_line)
-        body = src[self.pos + 1 :]
-        interps = extract_interpolations(body) if quote == '"' else ()
-        self._emit(TokenKind.STRING, len(src), start_line, interps)
-
-    def _lex_heredoc(self) -> None:
-        start_line = self.line
-        src = self.src
-        m = re.compile(r"<<<[ \t]*(['\"]?)([A-Za-z_][A-Za-z0-9_]*)\1[ \t]*(\r\n|\r|\n)").match(src, self.pos)
-        if m is None:
-            # <<< that is not a heredoc header: emit << and < as operators
-            self._emit(TokenKind.OPERATOR, self.pos + 2)
-            return
-        label = m.group(2)
-        nowdoc = m.group(1) == "'"
-        # terminator: a line consisting of optional indentation, the label,
-        # and an optional statement tail (; or ,)
-        term = re.compile(
-            r"(?:\r\n|\r|\n)[ \t]*" + re.escape(label) + r"(?=[;,) \t]|\r|\n|$)"
-        )
-        t = term.search(src, m.end() - 1)
-        if t is None:
-            self._diag("unterminated heredoc", start_line)
-            body = src[m.end():]
-            interps = () if nowdoc else extract_interpolations(body)
-            self._emit(TokenKind.STRING, len(src), start_line, interps)
-            return
-        body = src[m.end() : t.start()]
-        interps = () if nowdoc else extract_interpolations(body)
-        self._emit(TokenKind.STRING, t.end(), start_line, interps)
-
-    def _lex_number(self) -> None:
-        src = self.src
-        m = re.compile(
-            r"0[xX][0-9a-fA-F_]+|0[bB][01_]+|[0-9][0-9_]*(?:\.[0-9_]+)?(?:[eE][+-]?[0-9]+)?|\.[0-9_]+(?:[eE][+-]?[0-9]+)?"
-        ).match(src, self.pos)
-        assert m is not None
-        self._emit(TokenKind.NUMBER, m.end())
-
-    def _lex_identifier(self) -> None:
-        m = _IDENT_CHARS.match(self.src, self.pos + 1)
-        lexeme = self.src[self.pos : m.end()]
-        kind = TokenKind.KEYWORD if lexeme.lower() in KEYWORDS else TokenKind.IDENTIFIER
-        self._emit(kind, m.end())
+        line = bisect_right(line_ends, pos) + 1
+        if group == "unexpected":
+            diagnostics.append(LexDiagnostic(f"unexpected character {m[0]!r}", line))
+            pos = end
+            continue
+        kind = _KINDS[group]
+        if kind is TokenKind.IDENTIFIER and m[0].lower() in KEYWORDS:
+            kind = TokenKind.KEYWORD
+        if group in _UNTERMINATED:
+            diagnostics.append(LexDiagnostic(_UNTERMINATED[group], line))
+        interpolations: tuple[str, ...] = ()
+        if group == "dq_string":
+            interpolations = extract_interpolations(src[pos + 1 : end - 1])
+        elif group == "open_dq_string":
+            interpolations = extract_interpolations(src[pos + 1 : end])
+        elif group == "heredoc":
+            # terminator: a line of optional indentation, the label, and an
+            # optional statement tail (; or ,)
+            term = re.compile(
+                r"(?:\r\n|\r|\n)[ \t]*" + re.escape(m["label"]) + r"(?=[;,) \t]|\r|\n|$)"
+            )
+            t = term.search(src, end - 1)
+            if t is None:
+                diagnostics.append(LexDiagnostic("unterminated heredoc", line))
+            body_end, end = (t.start(), t.end()) if t else (len(src), len(src))
+            if m["quote"] != "'":
+                interpolations = extract_interpolations(src[m.end() : body_end])
+        tokens.append(Token(kind, src[pos:end], line, interpolations))
+        pos = end
+        if kind is TokenKind.CLOSE_TAG:
+            break
+    return pos
 
 
 def tokenize(source: str | bytes, path: str = "<source>") -> TokenStream:
@@ -326,4 +202,20 @@ def tokenize(source: str | bytes, path: str = "<source>") -> TokenStream:
     """
     if isinstance(source, bytes):
         source = source.decode("latin-1")
-    return _Lexer(source, path).run()
+    stream = TokenStream(source_path=path)
+    # a token's line is 1 + the number of line terminators ending at or
+    # before its start
+    line_ends = [m.end() for m in _NEWLINE_RE.finditer(source)]
+    pos = 0
+    while pos < len(source):
+        m = _OPEN_TAG_RE.search(source, pos)
+        html_end = m.start() if m else len(source)
+        if html_end > pos:
+            line = bisect_right(line_ends, pos) + 1
+            stream.tokens.append(Token(TokenKind.INLINE_HTML, source[pos:html_end], line))
+        if m is None:
+            break
+        line = bisect_right(line_ends, m.start()) + 1
+        stream.tokens.append(Token(TokenKind.OPEN_TAG, m[0], line))
+        pos = _lex_php(source, m.end(), line_ends, stream)
+    return stream

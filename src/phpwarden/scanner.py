@@ -15,14 +15,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .checklist import Checklist
-from .lexer import (
-    SUPERGLOBALS,
-    Token,
-    TokenKind,
-    TokenStream,
-    split_lines,
-    tokenize,
-)
+from .lexer import Token, TokenKind, TokenStream, split_lines, tokenize
 
 # Language constructs that take arguments without parentheses.
 CONSTRUCT_SINKS = frozenset({
@@ -162,9 +155,11 @@ def string_value(token: Token) -> str:
     return "".join(out)
 
 
-def _resolve_name(name: str, line: int, ctx: ScanContext,
+def _resolve_name(name: str, line: int, ctx: ScanContext, checklist: Checklist,
                   extra: frozenset[str]) -> list[tuple[str, TaintInfo]]:
-    if name in SUPERGLOBALS:
+    # a variable is a superglobal source when the checklist lists its
+    # $-prefixed name; function sources never start with $
+    if name in checklist.sources:
         return [(name, TaintInfo("superglobal", name, line, extra))]
     rec = ctx.lookup(name)
     if rec is None:
@@ -182,19 +177,20 @@ def _eval_span(tokens: list[Token], lo: int, hi: int, ctx: ScanContext,
     pairs; sanitizer calls mark everything inside their parentheses as
     clean for the sanitizer's categories."""
     results: list[tuple[str, TaintInfo]] = []
-    san_stack: list[frozenset[str]] = []
+    # cleared[-1]: categories cleared by every sanitizer call open here
+    cleared: list[frozenset[str]] = [frozenset()]
     pending: frozenset[str] = frozenset()
     i = lo
     while i < hi:
         t = tokens[i]
-        current: frozenset[str] = frozenset().union(*san_stack) if san_stack else frozenset()
+        current = cleared[-1]
         if t.kind is TokenKind.PUNCTUATION:
             if t.lexeme == "(":
-                san_stack.append(pending)
+                cleared.append(current | pending)
                 pending = frozenset()
             elif t.lexeme == ")":
-                if san_stack:
-                    san_stack.pop()
+                if len(cleared) > 1:
+                    cleared.pop()
         elif t.kind in (TokenKind.IDENTIFIER, TokenKind.KEYWORD):
             nxt = tokens[i + 1] if i + 1 < hi else None
             if nxt is not None and nxt.kind is TokenKind.PUNCTUATION and nxt.lexeme == "(":
@@ -206,10 +202,10 @@ def _eval_span(tokens: list[Token], lo: int, hi: int, ctx: ScanContext,
                         (t.lexeme, TaintInfo("source function", t.lexeme, t.line, current))
                     )
         elif t.kind is TokenKind.VARIABLE:
-            results.extend(_resolve_name(t.lexeme, t.line, ctx, current))
+            results.extend(_resolve_name(t.lexeme, t.line, ctx, checklist, current))
         elif t.kind is TokenKind.STRING and t.interpolations:
             for name in t.interpolations:
-                results.extend(_resolve_name(name, t.line, ctx, current))
+                results.extend(_resolve_name(name, t.line, ctx, checklist, current))
         i += 1
     return results
 
@@ -448,14 +444,14 @@ def scan_file(path: str | os.PathLike, checklist: Checklist,
         ctx = ScanContext()
     abspath = os.path.abspath(path)
     try:
-        data = Path(path).read_bytes()
+        source = Path(path).read_bytes().decode("latin-1")
     except OSError as exc:
         ctx.diagnostics.append(f"skipped {path}: {exc}")
         return []
     ctx.file_stack.append(abspath)
     try:
-        stream = tokenize(data, str(path))
-        findings = _walk(stream, data.decode("latin-1"), str(path), ctx, checklist)
+        stream = tokenize(source, str(path))
+        findings = _walk(stream, source, str(path), ctx, checklist)
     finally:
         ctx.file_stack.pop()
     if top_level:

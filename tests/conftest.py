@@ -73,3 +73,4 @@ def proxy_stack(trained, tmp_path) -> ProxyStack:
     yield ProxyStack(("127.0.0.1", proxy.server_address[1]), enforcer, log_path)
     proxy.shutdown()
     proxy.server_close()
+    enforcer.log.close()

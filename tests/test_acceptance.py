@@ -144,6 +144,7 @@ def gate(trained, tmp_path_factory):
     )
     proxy.shutdown()
     proxy.server_close()
+    enforcer.log.close()
 
 
 def test_criterion_1_admin_menu_report(criterion, repo_root):

@@ -65,6 +65,20 @@ def test_scan_clean_tree_exits_zero(tmp_path, capsys):
     assert "No vulnerabilities detected." in out
 
 
+def test_scan_latin1_file_with_superscript_digit(tmp_path, capsys):
+    # 0xB2 is "²" in latin-1: str.isdigit() accepts it, PHP reads it as a
+    # name byte; the scan must report, not crash
+    root = tmp_path / "app"
+    root.mkdir()
+    (root / "sq.php").write_bytes(b"<?php\n$n = 2\xb2;\necho $_GET['q'] . \xb2;\n")
+    out = tmp_path / "report.txt"
+    rc = main(["scan", "--root", str(root), "--out", str(out)])
+    assert rc == 1
+    report = out.read_text(encoding="utf-8")
+    assert "Cross-Site Scripting" in report
+    assert "3: echo $_GET['q'] . \u00b2;" in report
+
+
 def test_scan_app_name_override(tmp_path, capsys):
     (tmp_path / "ok.php").write_text("<?php echo 'static'; ?>\n")
     main(["scan", "--root", str(tmp_path), "--app-name", "storefront"])

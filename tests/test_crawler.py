@@ -122,6 +122,7 @@ def test_crawl_returns_first_visit_order(tmp_path):
         }
     finally:
         app.shutdown()
+        app.server_close()
 
 
 def test_role0_with_credentials_is_an_error(tmp_path):
@@ -147,6 +148,7 @@ def test_bad_credentials_name_the_role(tmp_path):
         assert store.recorded_ids() == []  # nothing recorded on failed login
     finally:
         app.shutdown()
+        app.server_close()
 
 
 def test_unreachable_target_is_crawl_error(tmp_path):
@@ -166,3 +168,4 @@ def test_crawl_user_agent_is_recorded(tmp_path):
         assert parse_header_block(raw).get("User-Agent") == "custom-agent/9"
     finally:
         app.shutdown()
+        app.server_close()

@@ -12,6 +12,7 @@ def app():
     start_in_thread(server)
     yield server.server_address
     server.shutdown()
+    server.server_close()
 
 
 def fetch(addr, path, cookie=None, method="GET", body=None):

@@ -460,7 +460,8 @@ def test_resolve_role_unknown_username_warns(caplog):
 @pytest.fixture
 def engine(trained, tmp_path):
     log = DeviationLog(str(tmp_path / "deviations.log"))
-    return Enforcer(trained.model1, trained.model2, load_bindings(BINDINGS_TEXT), log)
+    yield Enforcer(trained.model1, trained.model2, load_bindings(BINDINGS_TEXT), log)
+    log.close()
 
 
 def test_genuine_manager_walk(engine):
@@ -521,11 +522,14 @@ def test_idle_timeout_reverts_role(trained, tmp_path):
         trained.model1, trained.model2, load_bindings(BINDINGS_TEXT),
         DeviationLog(str(tmp_path / "d.log")), clock=lambda: now[0],
     )
-    engine.note_login("10.0.0.1", "browser-a", "mark", "cookie-1")
-    assert engine.evaluate(raw_head("/Home.php", ua="browser-a", cookie="cookie-1"), "10.0.0.1").status == DONT_BLOCK
-    now[0] += 3600.0  # past the 1800 s default
-    verdict = engine.evaluate(raw_head("/Home.php", ua="browser-a", cookie="cookie-1"), "10.0.0.1")
-    assert verdict.reason == ROLE_MISMATCH  # evaluated as role 0 again
+    try:
+        engine.note_login("10.0.0.1", "browser-a", "mark", "cookie-1")
+        assert engine.evaluate(raw_head("/Home.php", ua="browser-a", cookie="cookie-1"), "10.0.0.1").status == DONT_BLOCK
+        now[0] += 3600.0  # past the 1800 s default
+        verdict = engine.evaluate(raw_head("/Home.php", ua="browser-a", cookie="cookie-1"), "10.0.0.1")
+        assert verdict.reason == ROLE_MISMATCH  # evaluated as role 0 again
+    finally:
+        engine.log.close()
 
 
 def test_note_logout_resets_role(engine):
@@ -579,6 +583,7 @@ def test_deviation_record_fields(engine, tmp_path):
 def test_deviation_log_flattens_tabs_and_newlines(tmp_path):
     log = DeviationLog(str(tmp_path / "d.log"))
     log.record(0.0, ClientIdentity("1.1.1.1", "ua\twith\ttabs"), "id\nwith\nnewlines", "1", "x", "d")
+    log.close()
     (record,) = DeviationLog.read_records(str(tmp_path / "d.log"))
     assert len(record) == 6
     assert record[1] == "1.1.1.1 ua with tabs"

@@ -1,7 +1,8 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phpwarden.lexer import TokenKind, extract_interpolations, tokenize
+from phpwarden.lexer import TokenKind, TokenStream, extract_interpolations, tokenize
 
 
 def kinds(source):
@@ -122,3 +123,66 @@ def test_tokenize_is_total(source):
     # never raises, whatever the input; problems surface as diagnostics
     stream = tokenize(source)
     assert isinstance(stream.tokens, list)
+
+
+# Latin-1 superscript digits pass str.isdigit() but are identifier bytes in
+# PHP; they must lex like any other character, not abort the lexer.
+@pytest.mark.parametrize("source", ["<?php ²", "<?php .¹;", b"<?php $n = 2\xb2;", "<?php ³ = 1;"])
+def test_latin1_superscript_digits_do_not_abort(source):
+    stream = tokenize(source)
+    assert isinstance(stream, TokenStream)
+    assert stream.tokens[0].kind == TokenKind.OPEN_TAG
+
+
+def test_non_latin1_digit_is_an_unexpected_character():
+    stream = tokenize("<?php $a = ٣;")
+    assert [d.message for d in stream.diagnostics] == ["unexpected character '٣'"]
+
+
+PHP_FRAGMENTS = [
+    " ", "\t", "\n", "\r", "\r\n", "$", "$a", "$_GET", "${x}", "{$y}", "'", '"', "`", "\\",
+    "//", "#", "/*", "*/", "/", "*", "?", ">", "?>", "<?php ", "<?=", "<<<", "<<<EOT\n",
+    "<<<'N'\n", '<<<"Q"\r\n', "EOT", "\nEOT;\n", "\nN\n", "\r\nQ,", "0x1F", "0b101", "1.5e3",
+    ".5", "...", "1_000", "12", "echo", "include", "function", "foo", "_bar", "é", "(", ")",
+    "[", "]", "{", "}", ";", ",", "=", "===", "<=>", "**=", "??=", "?->", "->", "::", "@",
+    "~", "!", ".=", "'a $b'", '"a $b c"', "\xb2", "\xb3", "\xb9", "\xa0", "\x0b", "€",
+]
+
+php_mode = st.lists(
+    st.sampled_from(PHP_FRAGMENTS) | st.text(alphabet="ab1.$'\"\\\n\xb2\xb3\xb9\xa0\x0b€", max_size=3),
+    max_size=40,
+).map(lambda parts: "<?php " + "".join(parts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(php_mode)
+def test_tokenize_is_total_in_php_mode(source):
+    stream = tokenize(source)
+    assert isinstance(stream.tokens, list)
+
+
+def _line_at(source, pos):
+    return source[:pos].replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(php_mode)
+def test_tokens_tile_the_source(source):
+    # Every lexeme is an exact substring, in order; what lies between two
+    # tokens is whitespace or characters reported as unexpected; each token's
+    # line counts the LF, CR and CRLF terminators before its start.
+    stream = tokenize(source)
+    unexpected = [(d.message, d.line) for d in stream.diagnostics
+                  if d.message.startswith("unexpected character")]
+    pos = 0
+    for tok in stream.tokens + [None]:
+        start = len(source) if tok is None else source.find(tok.lexeme, pos)
+        assert start >= 0
+        for gap_pos in range(pos, start):
+            ch = source[gap_pos]
+            if ch not in " \t\r\n":
+                unexpected.remove((f"unexpected character {ch!r}", _line_at(source, gap_pos)))
+        if tok is not None:
+            assert tok.lexeme and tok.line == _line_at(source, start)
+            pos = start + len(tok.lexeme)
+    assert unexpected == []

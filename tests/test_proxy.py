@@ -85,6 +85,7 @@ def capture_rig(trained, tmp_path):
     proxy.server_close()
     upstream.shutdown()
     upstream.server_close()
+    enforcer.log.close()
 
 
 def test_forwarded_request_is_byte_identical(capture_rig):
@@ -204,6 +205,7 @@ def test_upstream_down_is_502_not_deviation(trained, tmp_path):
     finally:
         proxy.shutdown()
         proxy.server_close()
+        enforcer.log.close()
 
 
 def test_login_hook_binds_role_through_proxy(proxy_stack):
@@ -279,6 +281,7 @@ def test_logout_hook_clears_binding(tmp_path):
         proxy.server_close()
         upstream.shutdown()
         upstream.server_close()
+        enforcer.log.close()
 
 
 def test_concurrent_clients_are_isolated(proxy_stack):

@@ -188,3 +188,17 @@ def test_sanitizer_only_clears_its_own_category(tmp_path):
     findings = scan_file(target, CHECKLIST)
     # htmlspecialchars defeats XSS, not SQL injection
     assert findings_set(findings) == {(3, "SqlInjection")}
+
+
+def test_superglobals_come_from_the_checklist_sources(tmp_path):
+    target = tmp_path / "env.php"
+    target.write_text("<?php\necho $_SERVER['PHP_SELF'];\necho $_ENV['HOME'];\n")
+
+    def origins(checklist):
+        return {f.line: [c.origin() for c in f.children] for f in scan_file(target, checklist)}
+
+    without_server = load_checklist("CrossSiteScripting: echo\nCrossSiteScripting.sources: $_GET\n")
+    with_env = load_checklist("CrossSiteScripting: echo\nCrossSiteScripting.sources: $_ENV\n")
+    assert origins(CHECKLIST) == {2: ["superglobal $_SERVER"], 3: ["unresolved"]}
+    assert origins(without_server) == {2: ["unresolved"], 3: ["unresolved"]}
+    assert origins(with_env) == {2: ["unresolved"], 3: ["superglobal $_ENV"]}
