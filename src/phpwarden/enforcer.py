@@ -26,11 +26,12 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime
 
 from .models import NavigationModel, RequestModel, is_asset
 from .profile_store import (
+    RequestHead,
     derive_request_id,
     page_of,
     parse_header_block,
@@ -66,6 +67,8 @@ class Verdict:
     status: str
     reason: str
     detail: str = ""
+    # the head evaluate() parsed (None if it did not), so no caller parses it twice
+    head: RequestHead | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if (self.status == DONT_BLOCK) != (self.reason == OK):
@@ -305,8 +308,8 @@ class Enforcer:
             )
 
     def evaluate(self, raw_head: str, client_ip: str) -> Verdict:
-        """Verdict for one raw request head from client_ip.  Updates client
-        state on success; logs exactly once on block."""
+        """Verdict, carrying the parsed head, for one raw request head from
+        client_ip.  Updates client state on success; logs exactly once on block."""
         now = self.clock()
         cookie_name = self.config.session_cookie_name
         try:
@@ -325,9 +328,9 @@ class Enforcer:
         if cookie is not None:
             owner = self.table.cookie_owner(cookie, identity)
             if owner != identity:
-                verdict = Verdict.block(
-                    IDENTITY_MISMATCH,
-                    f"session cookie pinned to {owner.ip} / {owner.user_agent}",
+                verdict = Verdict(
+                    BLOCK, IDENTITY_MISMATCH,
+                    f"session cookie pinned to {owner.ip} / {owner.user_agent}", head,
                 )
                 self._record_block(identity, reqres_id, verdict)
                 return verdict
@@ -341,7 +344,7 @@ class Enforcer:
             self._record_block(identity, reqres_id, verdict)
         elif not is_asset(page):
             state.last_page = page
-        return verdict
+        return Verdict(verdict.status, verdict.reason, verdict.detail, head)
 
     def note_login(self, client_ip: str, user_agent: str, username: str, session_cookie: str) -> None:
         """Called after a successful login response was relayed: bind the

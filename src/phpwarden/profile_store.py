@@ -24,12 +24,13 @@ from xml.sax.saxutils import escape as xml_escape
 
 @dataclass(frozen=True)
 class RequestHead:
-    """Parsed request header block: request line plus ordered header fields."""
+    """Parsed request head: request line, ordered header fields, declared body length."""
 
     method: str
     target: str
     version: str
     headers: tuple[tuple[str, str], ...]
+    content_length: int = 0
 
     def get(self, name: str) -> str | None:
         lname = name.lower()
@@ -46,14 +47,15 @@ class RequestHead:
 def parse_header_block(text: str) -> RequestHead:
     """Parse a raw request head (request line + header lines).
 
-    The head ends at the first empty or whitespace-only line.  Anything but
-    blank lines after it is refused, not dropped: the proxy forwards the raw
-    bytes it framed, so a second request hidden behind a bare-LF blank line
-    would otherwise reach the upstream unverified.
+    The head ends at the first empty or whitespace-only line, and a line
+    break must end that line too.  Anything but blank lines after it is
+    refused, not dropped: the proxy forwards the raw bytes it framed, so a
+    second request hidden behind a bare-LF blank line would otherwise reach
+    the upstream unverified.  So is ambiguous framing (RFC 9112 section 11.2):
+    any Transfer-Encoding, or a Content-Length declared_length refuses.
 
-    Raises ValueError on a malformed request line or header line, or text
-    past the end of the head; callers on the enforcement path map that to a
-    block verdict rather than a crash.
+    Raises ValueError on a malformed or cut-off head; callers on the
+    enforcement path map that to a block verdict rather than a crash.
     """
     lines = text.replace("\r\n", "\n").split("\n")
     while lines and not lines[0].strip():
@@ -67,17 +69,37 @@ def parse_header_block(text: str) -> RequestHead:
     if not version.startswith("HTTP/"):
         raise ValueError(f"malformed request line: {lines[0]!r}")
     headers: list[tuple[str, str]] = []
-    rest = iter(lines[1:])
+    lengths: list[str] = []
+    rest = iter(lines[1:-1])  # no line break ends lines[-1]
     for line in rest:
         if not line.strip():
-            if any(extra.strip() for extra in rest):
-                raise ValueError("text after the blank line that ends the head")
             break
         if ":" not in line:
             raise ValueError(f"malformed header line: {line!r}")
         name, _, value = line.partition(":")
-        headers.append((name.strip(), value.strip()))
-    return RequestHead(method=method, target=target, version=version, headers=tuple(headers))
+        name, value = name.strip(), value.strip()
+        headers.append((name, value))
+        key = name.lower()
+        if key == "content-length":
+            lengths.append(value)
+        elif key == "transfer-encoding":
+            raise ValueError("Transfer-Encoding framing is refused")
+    else:
+        raise ValueError("head cut off before its blank line")
+    if any(extra.strip() for extra in rest) or lines[-1].strip():
+        raise ValueError("text after the blank line that ends the head")
+    return RequestHead(method=method, target=target, version=version, headers=tuple(headers),
+                       content_length=declared_length(lengths) if lengths else 0)
+
+
+def declared_length(values: list[str]) -> int:
+    """The body length in a message's Content-Length field values; raises
+    ValueError on more than one field or a value not all ASCII digits."""
+    if len(values) != 1:
+        raise ValueError(f"{len(values)} Content-Length fields")
+    if not (values[0].isascii() and values[0].isdigit()):
+        raise ValueError(f"Content-Length {values[0]!r} is not a length")
+    return int(values[0])
 
 
 def cookie_value(cookie_header: str, name: str) -> str | None:

@@ -1,17 +1,20 @@
 """Intercepting reverse proxy, the deployable form of the enforcer.
 
-Sits between web clients and the target app.  Exactly one message is
-forwarded per connection: the head up to the blank line and the body by
-its declared Content-Length (anything but a non-negative integer counts as
-0).  Bytes the client sends past that message, such as a pipelined second
-request, were never verified and are dropped.  The message is either
-forwarded verbatim (byte for byte, so the upstream sees exactly what the
-client sent) or answered with a 403-class refusal naming only the
-deviation reason.  An unreachable upstream is a 502, not a deviation.
+One request per connection.  Enforcer.evaluate parses the request head once
+and hands it back in its verdict, before the body is read.  The body is then
+read by the head's Content-Length: forwarded with the head verbatim (byte for
+byte) when the request passes, thrown away when it is blocked with a 403 that
+names only the deviation reason.  Bytes past that body, such as a pipelined
+second request, were never verified and are dropped.  The parser refuses a
+head cut off before its blank line or with ambiguous framing, so such a
+request is blocked as unknown_request.
 
-When a login response comes back the proxy inspects it for a fresh session
-cookie and binds the client's role before releasing the response; a relayed
-logout clears the binding the same way.
+The response is framed by RFC 9112 section 6.3 (no body after HEAD or for a
+204 or 304, read until close for a Transfer-Encoding or no Content-Length, a
+502 for an invalid Content-Length) and streamed to the client in pieces of at
+most 64 KiB.  An unreachable upstream is a 502, not a deviation.  A login or
+logout response binds or clears the client's role once its head arrives,
+before the client gets a byte of it.
 """
 
 from __future__ import annotations
@@ -22,57 +25,71 @@ import threading
 from urllib.parse import parse_qs
 
 from .enforcer import Enforcer
-from .profile_store import RequestHead, page_of, parse_header_block, set_cookie_value
+from .profile_store import RequestHead, declared_length, page_of, set_cookie_value
 
 _HEAD_LIMIT = 65536
+_PIECE = 65536
 _IO_TIMEOUT = 15.0
 
 
-def _read_head(sock: socket.socket) -> bytes | None:
-    """Bytes up to and including the blank line, plus whatever body bytes
-    arrived with them; None when the peer closes before sending a head."""
+def _read_head(sock: socket.socket) -> tuple[bytes, bytes]:
+    """(head, rest): the bytes up to and including the first CRLF blank line,
+    and whatever arrived after them.  A head cut off by the peer closing or
+    by _HEAD_LIMIT comes back as it is, with no blank line and rest empty;
+    it is empty when the peer closes before sending a byte."""
     buf = b""
     while b"\r\n\r\n" not in buf:
-        if len(buf) > _HEAD_LIMIT:
-            return buf
-        chunk = sock.recv(4096)
+        chunk = sock.recv(_PIECE) if len(buf) <= _HEAD_LIMIT else b""
         if not chunk:
-            return buf if buf else None
+            return buf, b""
         buf += chunk
-    return buf
+    head, sep, rest = buf.partition(b"\r\n\r\n")
+    return head + sep, rest
 
 
-def _length(value: str | None) -> int:
-    """A declared Content-Length; anything but a non-negative integer is 0."""
-    return int(value) if value and value.isascii() and value.isdigit() else 0
+def _relay(sock: socket.socket, rest: bytes, length: int | None, send) -> None:
+    """Pass exactly length bytes to send: those in rest first, then pieces of
+    at most _PIECE read from sock.  With length None, pass everything until
+    the peer closes.  A peer that closes early cuts it short."""
+    if length is not None:
+        rest = rest[:length]
+        length -= len(rest)
+    if rest:
+        send(rest)
+    while length is None or length > 0:
+        piece = sock.recv(_PIECE if length is None else min(_PIECE, length))
+        if not piece:
+            return
+        send(piece)
+        if length is not None:
+            length -= len(piece)
 
 
-def _response_fields(head_bytes: bytes) -> list[tuple[str, str]]:
-    """(lowercased name, value) pairs of a response head's header lines."""
-    pairs = (line.partition(":") for line in head_bytes.decode("latin-1").split("\r\n")[1:])
-    return [(name.strip().lower(), value.strip()) for name, _, value in pairs]
+def _response_framing(method: str, head: bytes) -> tuple[int | None, list[tuple[str, str]]]:
+    """The body length of a response (None: until the upstream closes) and
+    its (lowercased name, value) header fields.  Raises ValueError on a head
+    cut off before its blank line or an invalid Content-Length."""
+    if not head.endswith(b"\r\n\r\n"):
+        raise ValueError("response head cut off")
+    lines = head.decode("latin-1").split("\r\n")
+    pairs = (line.partition(":") for line in lines[1:-2])
+    fields = [(name.strip().lower(), value.strip()) for name, _, value in pairs]
+    # the status code sits after the 8-character "HTTP/x.y" and a space
+    if method == "HEAD" or lines[0][9:12] in ("204", "304"):
+        return 0, fields
+    if any(name == "transfer-encoding" for name, _ in fields):
+        return None, fields
+    lengths = [value for name, value in fields if name == "content-length"]
+    return (declared_length(lengths) if lengths else None), fields
 
 
-def _recv_exact(sock: socket.socket, buf: bytes, total: int) -> bytes:
-    while len(buf) < total:
-        chunk = sock.recv(min(65536, total - len(buf)))
-        if not chunk:
-            break
-        buf += chunk
-    return buf
+def _error_response(status: str, text: str, extra: str = "") -> bytes:
+    body = f"<html><body><h1>{text}</h1></body></html>"
+    return (f"HTTP/1.1 {status}\r\nContent-Type: text/html\r\nContent-Length: {len(body)}\r\n"
+            f"Connection: close\r\n{extra}\r\n{body}").encode()
 
 
-def _error_response(status_line: str, reason_header: tuple[str, str] | None, body_text: str) -> bytes:
-    body = f"<html><body><h1>{body_text}</h1></body></html>".encode()
-    lines = [
-        status_line,
-        "Content-Type: text/html",
-        f"Content-Length: {len(body)}",
-        "Connection: close",
-    ]
-    if reason_header:
-        lines.append(f"{reason_header[0]}: {reason_header[1]}")
-    return ("\r\n".join(lines) + "\r\n\r\n").encode() + body
+_BAD_GATEWAY = _error_response("502 Bad Gateway", "Bad gateway")
 
 
 class EnforcementProxy(socketserver.ThreadingTCPServer):
@@ -92,90 +109,58 @@ class _ProxyHandler(socketserver.BaseRequestHandler):
         sock = self.request
         sock.settimeout(_IO_TIMEOUT)
         try:
-            data = _read_head(sock)
+            head_bytes, rest = _read_head(sock)
         except OSError:
             return
-        if data is None:
+        if not head_bytes:
             return
-        head_bytes, sep, body = data.partition(b"\r\n\r\n")
-        head_text = head_bytes.decode("latin-1") + "\r\n\r\n" if sep else head_bytes.decode("latin-1")
-        try:
-            head = parse_header_block(head_text)
-        except ValueError:
-            head = None  # evaluate blocks and logs it
-        length = _length(head.get("Content-Length")) if head else 0
+        verdict = self.server.enforcer.evaluate(head_bytes.decode("latin-1"), self.client_address[0])
+        body: list[bytes] = []
         try:
             # bytes past the declared body (a pipelined second request, say)
             # were never verified, so they are never forwarded
-            body = _recv_exact(sock, body, length)[:length]
+            _relay(sock, rest, verdict.head.content_length if verdict.head else 0,
+                   (lambda piece: None) if verdict.blocked else body.append)
+            if verdict.blocked:
+                sock.sendall(_error_response("403 Forbidden", "Request blocked: " + verdict.reason,
+                                             f"X-Deviation-Reason: {verdict.reason}\r\n"))
+            else:
+                self._forward(sock, verdict.head, head_bytes, b"".join(body))
         except OSError:
-            return
+            pass  # a peer went away mid-message
 
-        enforcer = self.server.enforcer
-        client_ip = self.client_address[0]
-        verdict = enforcer.evaluate(head_text, client_ip)
-        if verdict.blocked:
-            self._send(sock, _error_response(
-                "HTTP/1.1 403 Forbidden",
-                ("X-Deviation-Reason", verdict.reason),
-                "Request blocked: " + verdict.reason,
-            ))
-            return
-
-        relayed = self._forward(head_bytes + sep + body)
-        if relayed is None:
-            self._send(sock, _error_response("HTTP/1.1 502 Bad Gateway", None, "Upstream unreachable"))
-            return
-        response, response_fields = relayed
-        # bind/clear the session before the client can act on the response,
-        # otherwise its next request races the bookkeeping
-        self._after_relay(head, body, response_fields, client_ip)
-        self._send(sock, response)
-
-    def _send(self, sock: socket.socket, payload: bytes) -> None:
-        try:
-            sock.sendall(payload)
-        except OSError:
-            pass
-
-    def _forward(self, raw_request: bytes) -> tuple[bytes, list[tuple[str, str]]] | None:
-        """The upstream's response to raw_request and its header fields."""
+    def _forward(self, sock: socket.socket, head: RequestHead, head_bytes: bytes, body: bytes) -> None:
+        """Send the verified request upstream and stream its response to the
+        client, or answer 502 when no well-framed response head comes."""
         try:
             up = socket.create_connection(self.server.upstream, timeout=_IO_TIMEOUT)
         except OSError:
-            return None
-        try:
-            up.sendall(raw_request)
-            data = _read_head(up)
-            if data is None:
-                return None
-            head_bytes, sep, body = data.partition(b"\r\n\r\n")
-            fields = _response_fields(head_bytes)
-            declared = next((value for name, value in fields if name == "content-length"), None)
-            length = _length(declared)
-            if sep and length:
-                body = _recv_exact(up, body, length)
-            elif sep and declared is None:
-                # no declared length: upstream signals the end by closing
-                while True:
-                    chunk = up.recv(65536)
-                    if not chunk:
-                        break
-                    body += chunk
-            return head_bytes + sep + body, fields
-        except OSError:
-            return None
-        finally:
-            up.close()
+            sock.sendall(_BAD_GATEWAY)
+            return
+        with up:
+            try:
+                up.sendall(head_bytes + body)
+                response_head, rest = _read_head(up)
+                length, fields = _response_framing(head.method, response_head)
+            except (OSError, ValueError):
+                sock.sendall(_BAD_GATEWAY)
+                return
+            # bind/clear the session before the client can act on the response,
+            # otherwise its next request races the bookkeeping
+            self._after_relay(head, body, fields)
+            # the head and the body bytes that came with it go in one write:
+            # a small head sent alone waits on Nagle's algorithm
+            _relay(up, response_head + rest,
+                   None if length is None else len(response_head) + length, sock.sendall)
 
-    def _after_relay(self, head: RequestHead, body: bytes, response_fields: list[tuple[str, str]],
-                     client_ip: str) -> None:
+    def _after_relay(self, head: RequestHead, body: bytes, fields: list[tuple[str, str]]) -> None:
         enforcer = self.server.enforcer
+        client_ip = self.client_address[0]
         config = enforcer.config
         page = page_of(head.target)
         user_agent = head.get("User-Agent") or ""
         if head.method.upper() == "POST" and page == config.login_page:
-            cookie = set_cookie_value(response_fields, config.session_cookie_name)
+            cookie = set_cookie_value(fields, config.session_cookie_name)
             if cookie:
                 form = parse_qs(body.decode("latin-1"))
                 username = (form.get("username") or [""])[0]

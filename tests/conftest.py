@@ -1,4 +1,7 @@
+import socket
+import socketserver
 import sys
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -74,3 +77,78 @@ def proxy_stack(trained, tmp_path) -> ProxyStack:
     proxy.shutdown()
     proxy.server_close()
     enforcer.log.close()
+
+
+class KeepAliveUpstream(socketserver.ThreadingTCPServer):
+    """HTTP/1.1 origin that keeps every connection open and never closes
+    first.  Each request it reads (head, then a Content-Length body) is
+    recorded in `received` and answered with the next entry of `responses`:
+    raw bytes, or a list of byte parts and `threading.Event`s, where the
+    upstream waits for each event before sending the parts after it."""
+
+    allow_reuse_address = True
+    daemon_threads = True
+
+    def __init__(self):
+        self.responses: list = []
+        self.received: list[bytes] = []
+        self.connections: list[socket.socket] = []
+        self.lock = threading.Lock()
+        super().__init__(("127.0.0.1", 0), _KeepAliveHandler)
+
+    def close_connections(self) -> None:
+        with self.lock:
+            for conn in self.connections:
+                try:
+                    conn.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+
+
+class _KeepAliveHandler(socketserver.BaseRequestHandler):
+    server: KeepAliveUpstream
+
+    def _read(self, buf: bytes) -> bytes:
+        chunk = self.request.recv(65536)
+        if not chunk:
+            raise EOFError
+        return buf + chunk
+
+    def handle(self):
+        server = self.server
+        with server.lock:
+            server.connections.append(self.request)
+        buf = b""
+        try:
+            while True:
+                while b"\r\n\r\n" not in buf:
+                    buf = self._read(buf)
+                head, _, buf = buf.partition(b"\r\n\r\n")
+                length = 0
+                for line in head.split(b"\r\n")[1:]:
+                    name, _, value = line.partition(b":")
+                    if name.strip().lower() == b"content-length":
+                        length = int(value)
+                while len(buf) < length:
+                    buf = self._read(buf)
+                with server.lock:
+                    server.received.append(head + b"\r\n\r\n" + buf[:length])
+                    response = server.responses.pop(0)
+                buf = buf[length:]
+                for part in response if isinstance(response, list) else [response]:
+                    if isinstance(part, threading.Event):
+                        part.wait(10)
+                    else:
+                        self.request.sendall(part)
+        except (EOFError, OSError):
+            return
+
+
+@pytest.fixture
+def keepalive_upstream() -> KeepAliveUpstream:
+    upstream = KeepAliveUpstream()
+    start_in_thread(upstream)
+    yield upstream
+    upstream.shutdown()
+    upstream.close_connections()
+    upstream.server_close()

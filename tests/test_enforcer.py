@@ -516,6 +516,16 @@ def test_malformed_head_blocked_and_logged(engine, tmp_path):
     assert records[0][2] == "NOT A REQUEST"
 
 
+def test_verdict_carries_the_head_evaluate_parsed(engine):
+    allowed = engine.evaluate(raw_head("/About.php", ua="head-a"), "10.9.9.8")
+    assert allowed.head.target == "/About.php" and allowed.head.get("User-Agent") == "head-a"
+    blocked = engine.evaluate(raw_head("/Home.php", ua="head-a"), "10.9.9.8")
+    assert blocked.blocked and blocked.head.target == "/Home.php"
+    # the head takes no part in a verdict's equality
+    assert allowed == Verdict.ok()
+    assert engine.evaluate("NOT A REQUEST\r\n\r\n", "10.9.9.8").head is None
+
+
 def test_idle_timeout_reverts_role(trained, tmp_path):
     now = [1000.0]
     engine = Enforcer(

@@ -56,6 +56,40 @@ def test_parse_header_block_rejects_text_after_the_blank_line():
     assert (head.target, head.headers) == ("/a.php", (("Host", "x"),))
 
 
+def test_parse_header_block_refuses_a_cut_off_head():
+    # the blank line that ends a head must itself end in a line break
+    for text in (
+        "GET /a.php HTTP/1.1",
+        "GET /a.php HTTP/1.1\r\nHost: x",
+        "GET /a.php HTTP/1.1\r\nHost: x\r\n",
+        "GET /a.php HTTP/1.1\r\nHost: x\r\n\r",
+    ):
+        with pytest.raises(ValueError, match="cut off"):
+            parse_header_block(text)
+    assert parse_header_block("GET /a.php HTTP/1.1\nHost: x\n\n").get("Host") == "x"
+
+
+def test_parse_header_block_frames_the_body_by_one_content_length():
+    assert parse_header_block(head_text("/a.php")).content_length == 0
+    assert parse_header_block("POST /a.php HTTP/1.1\r\ncontent-length: 012\r\n\r\n").content_length == 12
+    for fields, cause in (
+        ("Transfer-Encoding: chunked", "Transfer-Encoding"),
+        ("transfer-encoding: identity\r\nContent-Length: 3", "Transfer-Encoding"),
+        ("Content-Length: 3\r\nContent-Length: 3", "2 Content-Length fields"),
+        ("Content-Length: 3 ", None),
+        ("Content-Length: -3", "not a length"),
+        ("Content-Length: 3, 3", "not a length"),
+        ("Content-Length: \u0663", "not a length"),
+        ("Content-Length:", "not a length"),
+    ):
+        text = f"POST /a.php HTTP/1.1\r\n{fields}\r\n\r\n"
+        if cause is None:
+            assert parse_header_block(text).content_length == 3
+        else:
+            with pytest.raises(ValueError, match=cause):
+                parse_header_block(text)
+
+
 def test_session_flag_extraction():
     assert extract_session_flag(parse_header_block(head_text("/a.php"))) == 0
     flagged = parse_header_block(head_text("/a.php", cookie="PHPSESSID=deadbeef"))

@@ -1,9 +1,12 @@
+import http.client
 import socket
 import socketserver
+import sys
 import threading
 
 import pytest
 
+from phpwarden import profile_store
 from phpwarden.enforcer import DeviationLog, Enforcer, load_bindings
 from phpwarden.models import ModelRow, NavigationModel, RequestModel
 from phpwarden.proxy import serve_proxy, start_in_thread
@@ -303,3 +306,170 @@ def test_concurrent_clients_are_isolated(proxy_stack):
     for name, response in results.items():
         assert status_of(response) == 200, name
     assert proxy_stack.enforcer.blocked_count == 0
+
+
+# -- framing against an HTTP/1.1 keep-alive upstream ---------------------------
+
+
+@pytest.fixture
+def framing_rig(keepalive_upstream, tmp_path):
+    """Proxy in front of the keep-alive upstream, with a toy model under
+    which GET, HEAD and POST of /a.php pass for role 0."""
+    model1 = RequestModel(rows=[
+        ModelRow(sno=i, convid=i, reqresid=f"{method}_a.php", session_flag=0, role="0")
+        for i, method in enumerate(["GET", "HEAD", "POST"], start=1)
+    ])
+    model2 = NavigationModel(graphs={"0": {"a.php": ["a.php"]}}, entries={"0": ["a.php"]})
+    log_path = str(tmp_path / "deviations.log")
+    enforcer = Enforcer(model1, model2, {}, DeviationLog(log_path))
+    proxy = serve_proxy(("127.0.0.1", 0), keepalive_upstream.server_address, enforcer)
+    start_in_thread(proxy)
+    yield ("127.0.0.1", proxy.server_address[1]), keepalive_upstream, enforcer, log_path
+    proxy.shutdown()
+    proxy.server_close()
+    enforcer.log.close()
+
+
+def head_of(method: str, extra: bytes = b"") -> bytes:
+    return method.encode() + b" /a.php HTTP/1.1\r\nHost: x\r\nUser-Agent: framing/1\r\n" + extra + b"\r\n"
+
+
+@pytest.mark.parametrize("method, response", [
+    ("HEAD", b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nContent-Length: 5\r\n\r\n"),
+    ("GET", b"HTTP/1.1 204 No Content\r\nServer: keep-alive\r\n\r\n"),
+    ("GET", b"HTTP/1.1 304 Not Modified\r\nETag: \"v1\"\r\nContent-Length: 5\r\n\r\n"),
+], ids=["head", "204", "304"])
+def test_response_without_a_body_is_relayed_at_once(framing_rig, method, response):
+    # the upstream keeps the connection open and sends no body: waiting for
+    # one (or for the close) would hold the client until the I/O timeout
+    addr, upstream, _, _ = framing_rig
+    upstream.responses.append(response)
+    assert send_raw(addr, head_of(method)) == response
+    assert upstream.received == [head_of(method)]
+
+
+def test_chunked_response_reaches_the_client_at_once(framing_rig):
+    addr, upstream, _, _ = framing_rig
+    upstream.responses.append(
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n"
+    )
+    conn = http.client.HTTPConnection(*addr, timeout=5)
+    try:
+        conn.request("GET", "/a.php", headers={"User-Agent": "framing/1"})
+        response = conn.getresponse()
+        assert response.status == 200
+        assert response.read() == b"hello"
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize("lengths", [
+    b"Content-Length: five\r\n",
+    b"Content-Length: -5\r\n",
+    b"Content-Length: 5\r\nContent-Length: 7\r\n",
+], ids=["not-a-number", "negative", "conflicting"])
+def test_response_with_bad_content_length_is_502(framing_rig, lengths):
+    addr, upstream, enforcer, _ = framing_rig
+    upstream.responses.append(b"HTTP/1.1 200 OK\r\n" + lengths + b"\r\nhello")
+    response = send_raw(addr, head_of("GET"))
+    assert response.startswith(b"HTTP/1.1 502 Bad Gateway")
+    assert b"hello" not in response
+    assert enforcer.blocked_count == 0
+
+
+def test_large_response_streams_before_the_upstream_finishes(framing_rig):
+    # the client must see the first 64 KiB while the upstream still holds
+    # back the rest: the proxy relays in pieces, it does not buffer it whole
+    addr, upstream, _, _ = framing_rig
+    first, last = b"a" * 65536, b"b" * 3 * 65536
+    head = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % (len(first) + len(last))
+    released = threading.Event()
+    upstream.responses.append([head + first, released, last])
+    with socket.create_connection(addr, timeout=5) as sock:
+        sock.sendall(head_of("GET"))
+        got = b""
+        while len(got) < len(head) + len(first):
+            chunk = sock.recv(65536)
+            assert chunk, "proxy closed before the first piece"
+            got += chunk
+        released.set()
+        while chunk:
+            chunk = sock.recv(65536)
+            got += chunk
+    assert got == head + first + last
+
+
+# one byte past the proxy's 64 KiB head limit with no blank line yet: the
+# proxy reads all of it before it answers, so closing sends no reset
+OVERLONG_HEAD = (b"GET /a.php HTTP/1.1\r\nHost: x\r\nX-Pad: " + b"p" * 65536)[:65537]
+
+
+@pytest.mark.parametrize("payload, keep_open", [
+    # the client closes its side before the blank line
+    (b"GET /a.php HTTP/1.1\r\nHost: x\r\nUser-Agent: framing/1\r\n", False),
+    (OVERLONG_HEAD, True),
+], ids=["closed-before-blank-line", "longer-than-64kib"])
+def test_truncated_request_head_is_blocked(framing_rig, payload, keep_open):
+    addr, upstream, enforcer, log_path = framing_rig
+    upstream.responses.append(CANNED_RESPONSE)
+    with socket.create_connection(addr, timeout=5) as sock:
+        sock.sendall(payload)
+        if not keep_open:
+            sock.shutdown(socket.SHUT_WR)
+        response = b""
+        while chunk := sock.recv(65536):
+            response += chunk
+    head = response.split(b"\r\n\r\n", 1)[0].decode()
+    assert status_of(response) == 403
+    assert "X-Deviation-Reason: unknown_request" in head
+    assert upstream.received == []
+    assert enforcer.blocked_count == 1
+    records = DeviationLog.read_records(log_path)
+    assert len(records) == 1
+    assert "cut off" in records[0][5]
+
+
+@pytest.mark.parametrize("framing, body, cause", [
+    (b"Transfer-Encoding: chunked\r\n", b"5\r\nhello\r\n0\r\n\r\n", "Transfer-Encoding"),
+    (b"Content-Length: 5\r\nTransfer-Encoding: chunked\r\n", b"5\r\nhello\r\n0\r\n\r\n",
+     "Transfer-Encoding"),
+    (b"Content-Length: 5\r\nContent-Length: 5\r\n", b"hello", "Content-Length"),
+    (b"Content-Length: 5\r\nContent-Length: 12\r\n", b"hello", "Content-Length"),
+    (b"Content-Length: +5\r\n", b"hello", "Content-Length"),
+    (b"Content-Length: 5, 5\r\n", b"hello", "Content-Length"),
+], ids=["chunked", "cl-and-te", "repeated-cl", "conflicting-cl", "signed-cl", "list-cl"])
+def test_ambiguous_request_framing_is_blocked(framing_rig, framing, body, cause):
+    addr, upstream, enforcer, log_path = framing_rig
+    upstream.responses.append(CANNED_RESPONSE)
+    response = send_raw(addr, head_of("POST", framing) + body)
+    head = response.split(b"\r\n\r\n", 1)[0].decode()
+    assert status_of(response) == 403
+    assert "X-Deviation-Reason: unknown_request" in head
+    assert upstream.received == []
+    assert enforcer.blocked_count == 1
+    records = DeviationLog.read_records(log_path)
+    assert len(records) == 1 and len(records[0]) == 6
+    assert records[0][4] == "unknown_request"
+    assert cause in records[0][5]
+
+
+def test_each_proxied_request_is_parsed_once(proxy_stack, monkeypatch):
+    original = profile_store.parse_header_block
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return original(text)
+
+    patched = []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("phpwarden") and getattr(module, "parse_header_block", None) is original:
+            monkeypatch.setattr(module, "parse_header_block", counted)
+            patched.append(name)
+    assert "phpwarden.enforcer" in patched
+    requests = [
+        f"GET /About.php HTTP/1.1\r\nHost: x\r\nUser-Agent: once-{i}\r\n\r\n".encode() for i in range(4)
+    ] + [b"GET /Home.php HTTP/1.1\r\nHost: x\r\nUser-Agent: once-blocked\r\n\r\n"]
+    statuses = [status_of(send_raw(proxy_stack.addr, request)) for request in requests]
+    assert statuses == [200, 200, 200, 200, 403]
+    assert len(calls) == len(requests)
