@@ -167,9 +167,3 @@ class _Handler(BaseHTTPRequestHandler):
 def serve_app(listen: tuple[str, int], seed: int = 0) -> DemoApp:
     """Bind the app; caller drives serve_forever().  A busy port raises."""
     return DemoApp(listen, seed=seed)
-
-
-def start_in_thread(server: ThreadingHTTPServer) -> threading.Thread:
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return thread

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import socket
 import socketserver
-import threading
 from urllib.parse import parse_qs
 
 from .enforcer import Enforcer
@@ -171,9 +170,3 @@ class _ProxyHandler(socketserver.BaseRequestHandler):
 
 def serve_proxy(listen: tuple[str, int], upstream: tuple[str, int], enforcer: Enforcer) -> EnforcementProxy:
     return EnforcementProxy(listen, upstream, enforcer)
-
-
-def start_in_thread(server: socketserver.BaseServer) -> threading.Thread:
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return thread

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .checklist import Checklist
-from .lexer import Token, TokenKind, TokenStream, split_lines, tokenize
+from .lexer import (CLOSE_TAG, COMMENT, IDENTIFIER, INLINE_HTML, KEYWORD, OPEN_TAG, OPERATOR,
+                    PUNCTUATION, STRING, VARIABLE, Token, TokenStream, split_lines, tokenize)
 
 # Language constructs that take arguments without parentheses.
 CONSTRUCT_SINKS = frozenset({
@@ -80,13 +81,17 @@ class ScanContext:
     declared_variables holds file-scope bindings; dependency_stack carries
     one frame per open function body.  Both registers pair with braces, so
     in_function/in_class are false once a file scan completes.
+
+    include_cache maps the absolute path of each include target already
+    lexed to its (tokens, lines); scan_project shares one across its pages.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, include_cache: dict[str, tuple[TokenStream, list[str]]] | None = None) -> None:
         self.declared_variables: dict[str, _VarRecord] = {}
         self.dependency_stack: list[dict[str, _VarRecord]] = []
         self.file_stack: list[str] = []
         self.diagnostics: list[str] = []
+        self.include_cache = {} if include_cache is None else include_cache
         self._scopes: list[str] = []  # brace kinds: function | class | block
 
     @property
@@ -184,16 +189,16 @@ def _eval_span(tokens: list[Token], lo: int, hi: int, ctx: ScanContext,
     while i < hi:
         t = tokens[i]
         current = cleared[-1]
-        if t.kind is TokenKind.PUNCTUATION:
+        if t.kind is PUNCTUATION:
             if t.lexeme == "(":
                 cleared.append(current | pending)
                 pending = frozenset()
             elif t.lexeme == ")":
                 if len(cleared) > 1:
                     cleared.pop()
-        elif t.kind in (TokenKind.IDENTIFIER, TokenKind.KEYWORD):
+        elif t.kind in (IDENTIFIER, KEYWORD):
             nxt = tokens[i + 1] if i + 1 < hi else None
-            if nxt is not None and nxt.kind is TokenKind.PUNCTUATION and nxt.lexeme == "(":
+            if nxt is not None and nxt.kind is PUNCTUATION and nxt.lexeme == "(":
                 cats = checklist.sanitizer_categories(t.lexeme)
                 if cats:
                     pending = cats
@@ -201,9 +206,9 @@ def _eval_span(tokens: list[Token], lo: int, hi: int, ctx: ScanContext,
                     results.append(
                         (t.lexeme, TaintInfo("source function", t.lexeme, t.line, current))
                     )
-        elif t.kind is TokenKind.VARIABLE:
+        elif t.kind is VARIABLE:
             results.extend(_resolve_name(t.lexeme, t.line, ctx, checklist, current))
-        elif t.kind is TokenKind.STRING and t.interpolations:
+        elif t.kind is STRING and t.interpolations:
             for name in t.interpolations:
                 results.extend(_resolve_name(name, t.line, ctx, checklist, current))
         i += 1
@@ -217,7 +222,7 @@ def _rhs_end(tokens: list[Token], start: int) -> int:
     i = start
     while i < len(tokens):
         t = tokens[i]
-        if t.kind is TokenKind.PUNCTUATION:
+        if t.kind is PUNCTUATION:
             if t.lexeme in "([{":
                 depth += 1
             elif t.lexeme in ")]}":
@@ -226,7 +231,7 @@ def _rhs_end(tokens: list[Token], start: int) -> int:
                 depth -= 1
             elif t.lexeme in (";", ",") and depth == 0:
                 return i
-        elif t.kind is TokenKind.CLOSE_TAG:
+        elif t.kind is CLOSE_TAG:
             return i
         i += 1
     return i
@@ -241,7 +246,7 @@ def _paren_arg_spans(tokens: list[Token], open_idx: int) -> tuple[list[tuple[int
     i = open_idx
     while i < len(tokens):
         t = tokens[i]
-        if t.kind is TokenKind.PUNCTUATION:
+        if t.kind is PUNCTUATION:
             if t.lexeme in "([{":
                 depth += 1
             elif t.lexeme in ")]}":
@@ -267,7 +272,7 @@ def _construct_arg_spans(tokens: list[Token], keyword_idx: int) -> tuple[list[tu
     i = start
     while i < len(tokens):
         t = tokens[i]
-        if t.kind is TokenKind.PUNCTUATION:
+        if t.kind is PUNCTUATION:
             if t.lexeme in "([{":
                 depth += 1
             elif t.lexeme in ")]}":
@@ -279,7 +284,7 @@ def _construct_arg_spans(tokens: list[Token], keyword_idx: int) -> tuple[list[tu
             elif t.lexeme == "," and depth == 0:
                 spans.append((start, i))
                 start = i + 1
-        elif t.kind is TokenKind.CLOSE_TAG:
+        elif t.kind is CLOSE_TAG:
             break
         i += 1
     if i > start:
@@ -299,7 +304,7 @@ def backtrack_taint(stream: TokenStream, call_site: int, ctx: ScanContext,
     """
     tokens = stream.tokens
     nxt = tokens[call_site + 1] if call_site + 1 < len(tokens) else None
-    if nxt is not None and nxt.kind is TokenKind.PUNCTUATION and nxt.lexeme == "(":
+    if nxt is not None and nxt.kind is PUNCTUATION and nxt.lexeme == "(":
         spans, _ = _paren_arg_spans(tokens, call_site + 1)
     else:
         spans, _ = _construct_arg_spans(tokens, call_site)
@@ -316,10 +321,9 @@ def backtrack_taint(stream: TokenStream, call_site: int, ctx: ScanContext,
     return descriptors
 
 
-def _walk(stream: TokenStream, source: str, display_path: str,
+def _walk(stream: TokenStream, lines: list[str], display_path: str,
           ctx: ScanContext, checklist: Checklist) -> list[Finding]:
     tokens = stream.tokens
-    lines = split_lines(source)
     findings: list[Finding] = []
     sink_names = checklist.all_sink_names()
     pending_scope: str | None = None
@@ -345,15 +349,15 @@ def _walk(stream: TokenStream, source: str, display_path: str,
 
     while i < len(tokens):
         t = tokens[i]
-        if t.kind is TokenKind.COMMENT:
+        if t.kind is COMMENT:
             i += 1
             continue
 
-        if t.kind is TokenKind.OPEN_TAG and t.lexeme.startswith("<?="):
+        if t.kind is OPEN_TAG and t.lexeme.startswith("<?="):
             # <?= expr ?> is an echo
             emit(i, "echo")
 
-        elif t.kind is TokenKind.KEYWORD:
+        elif t.kind is KEYWORD:
             kw = t.lexeme.lower()
             if kw in ("function", "fn"):
                 pending_scope = "function"
@@ -362,7 +366,7 @@ def _walk(stream: TokenStream, source: str, display_path: str,
             elif kw in INCLUDE_KEYWORDS:
                 _handle_include(stream, i, ctx, checklist, findings, display_path)
 
-        if t.kind is TokenKind.PUNCTUATION:
+        if t.kind is PUNCTUATION:
             if t.lexeme == "{":
                 ctx.push_scope(pending_scope or "block")
                 pending_scope = None
@@ -370,36 +374,36 @@ def _walk(stream: TokenStream, source: str, display_path: str,
                 ctx.pop_scope()
             elif t.lexeme == ";":
                 pending_scope = None
-        elif t.kind is TokenKind.OPERATOR and t.lexeme == "=>":
+        elif t.kind is OPERATOR and t.lexeme == "=>":
             pending_scope = None
 
-        if t.kind is TokenKind.VARIABLE:
+        if t.kind is VARIABLE:
             nxt = tokens[i + 1] if i + 1 < len(tokens) else None
-            if nxt is not None and nxt.kind is TokenKind.OPERATOR and nxt.lexeme in ASSIGN_OPS:
+            if nxt is not None and nxt.kind is OPERATOR and nxt.lexeme in ASSIGN_OPS:
                 rhs_lo = i + 2
                 rhs_hi = _rhs_end(tokens, rhs_lo)
                 taints = [ti for _, ti in _eval_span(tokens, rhs_lo, rhs_hi, ctx, checklist)]
                 ctx.assign(t.lexeme, taints, t.line)
 
-        if t.kind in (TokenKind.IDENTIFIER, TokenKind.KEYWORD):
+        if t.kind in (IDENTIFIER, KEYWORD):
             name = t.lexeme.lower()
             if name in sink_names:
                 is_definition = (
                     prev_significant is not None
-                    and prev_significant.kind is TokenKind.KEYWORD
+                    and prev_significant.kind is KEYWORD
                     and prev_significant.lexeme.lower() == "function"
                 )
                 nxt = tokens[i + 1] if i + 1 < len(tokens) else None
                 call_style = (
                     nxt is not None
-                    and nxt.kind is TokenKind.PUNCTUATION
+                    and nxt.kind is PUNCTUATION
                     and nxt.lexeme == "("
                 )
-                construct_style = t.kind is TokenKind.KEYWORD and name in CONSTRUCT_SINKS
+                construct_style = t.kind is KEYWORD and name in CONSTRUCT_SINKS
                 if not is_definition and (call_style or construct_style):
                     emit(i, name)
 
-        if t.kind not in (TokenKind.COMMENT, TokenKind.INLINE_HTML):
+        if t.kind not in (COMMENT, INLINE_HTML):
             prev_significant = t
         i += 1
 
@@ -417,14 +421,15 @@ def _handle_include(stream: TokenStream, keyword_idx: int, ctx: ScanContext,
         return
     lo, hi = spans[0]
     span = [t for t in tokens[lo:hi]
-            if not (t.kind is TokenKind.PUNCTUATION and t.lexeme in "()")]
-    if len(span) != 1 or span[0].kind is not TokenKind.STRING:
+            if not (t.kind is PUNCTUATION and t.lexeme in "()")]
+    if len(span) != 1 or span[0].kind is not STRING:
         return
     if span[0].interpolations:
         return
     rel = string_value(span[0])
-    base = os.path.dirname(os.path.abspath(display_path))
-    target = os.path.normpath(os.path.join(base, rel))
+    # the target keeps the includer's path form (relative or absolute), so
+    # its findings match those of its own direct scan
+    target = os.path.normpath(os.path.join(os.path.dirname(display_path), rel))
     if not os.path.isfile(target):
         ctx.diagnostics.append(f"{display_path}: include target not found: {rel}")
         return
@@ -438,20 +443,26 @@ def scan_file(path: str | os.PathLike, checklist: Checklist,
               ctx: ScanContext | None = None) -> list[Finding]:
     """Scan one PHP file, following string-literal includes.  Returns
     findings in discovery order; a fresh (top-level) scan numbers them
-    1..n."""
+    1..n.  A file reached through an include is lexed once per
+    ctx.include_cache and walked in the includer's context each time."""
     top_level = ctx is None
     if ctx is None:
         ctx = ScanContext()
     abspath = os.path.abspath(path)
-    try:
-        source = Path(path).read_bytes().decode("latin-1")
-    except OSError as exc:
-        ctx.diagnostics.append(f"skipped {path}: {exc}")
-        return []
+    lexed = ctx.include_cache.get(abspath)
+    if lexed is None:
+        try:
+            source = Path(path).read_bytes().decode("latin-1")
+        except OSError as exc:
+            ctx.diagnostics.append(f"skipped {path}: {exc}")
+            return []
+        lexed = tokenize(source, str(path)), split_lines(source)
+        if ctx.file_stack:  # reached through an include
+            ctx.include_cache[abspath] = lexed
+    stream, lines = lexed
     ctx.file_stack.append(abspath)
     try:
-        stream = tokenize(source, str(path))
-        findings = _walk(stream, source, str(path), ctx, checklist)
+        findings = _walk(stream, lines, str(path), ctx, checklist)
     finally:
         ctx.file_stack.pop()
     if top_level:
@@ -480,15 +491,16 @@ def scan_project(root: str | os.PathLike, checklist: Checklist) -> ScanResult:
     findings: list[Finding] = []
     seen: set[tuple] = set()
     diagnostics: list[str] = []
+    include_cache: dict[str, tuple[TokenStream, list[str]]] = {}
     scanned = 0
     for php_file in files:
-        ctx = ScanContext()
-        before = len(ctx.diagnostics)
+        ctx = ScanContext(include_cache)
         file_findings = scan_file(php_file, checklist, ctx)
-        file_diags = ctx.diagnostics[before:]
-        if not any(d.startswith("skipped") for d in file_diags):
+        # a page whose own read failed stops at that one diagnostic; one
+        # that failed to read an include target was still scanned
+        if not ctx.diagnostics or not ctx.diagnostics[0].startswith(f"skipped {php_file}:"):
             scanned += 1
-        diagnostics.extend(file_diags)
+        diagnostics.extend(ctx.diagnostics)
         for f in file_findings:
             if f.key() not in seen:
                 seen.add(f.key())

@@ -10,7 +10,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent))  # scanner_oracle import
 
 from phpwarden.crawler import crawl
-from phpwarden.demoapp import serve_app, start_in_thread
+from phpwarden.demoapp import serve_app
 from phpwarden.enforcer import DeviationLog, Enforcer, load_bindings
 from phpwarden.models import NavigationModel, RequestModel, build_model
 from phpwarden.profile_store import ProfileStore
@@ -20,6 +20,15 @@ REPO = Path(__file__).resolve().parent.parent
 
 CREDENTIALS = {"manager": ("mark", "maplesyrup"), "employer": ("emma", "evergreen")}
 BINDINGS_TEXT = "mark,manager\nemma,employer\n"
+
+
+def start_in_thread(server: socketserver.BaseServer) -> threading.Thread:
+    """Serve from a daemon thread.  The short poll interval lets
+    `server.shutdown()` return within 0.05 s, not the default 0.5 s."""
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
+                              daemon=True)
+    thread.start()
+    return thread
 
 
 @pytest.fixture(scope="session")

@@ -22,11 +22,12 @@ from phpwarden.crawler import crawl
 from phpwarden.enforcer import DeviationLog, Enforcer, load_bindings, verify_request
 from phpwarden.models import build_model, load_model, persist_model
 from phpwarden.profile_store import ProfileStore
-from phpwarden.proxy import serve_proxy, start_in_thread
+from phpwarden.proxy import serve_proxy
 from phpwarden.report import build_report, parse_structured, render, render_structured
 from phpwarden.scanner import scan_project
 from phpwarden.scenarios import replay_training
 
+from conftest import start_in_thread
 from test_enforcer import naive_verdict, toy_models
 
 CREDENTIALS = {"manager": ("mark", "maplesyrup"), "employer": ("emma", "evergreen")}

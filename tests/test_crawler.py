@@ -1,8 +1,10 @@
 import pytest
 
 from phpwarden.crawler import CrawlError, crawl, extract_links
-from phpwarden.demoapp import serve_app, start_in_thread
+from phpwarden.demoapp import serve_app
 from phpwarden.profile_store import ProfileStore, parse_header_block
+
+from conftest import start_in_thread
 
 
 def test_extract_links_order_and_dedup():

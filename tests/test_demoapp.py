@@ -3,7 +3,9 @@ import http.client
 import pytest
 
 from phpwarden.crawler import extract_links
-from phpwarden.demoapp import ROUTES, SESSION_COOKIE, USERS, serve_app, start_in_thread
+from phpwarden.demoapp import ROUTES, SESSION_COOKIE, USERS, serve_app
+
+from conftest import start_in_thread
 
 
 @pytest.fixture(scope="module")

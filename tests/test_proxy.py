@@ -9,9 +9,9 @@ import pytest
 from phpwarden import profile_store
 from phpwarden.enforcer import DeviationLog, Enforcer, load_bindings
 from phpwarden.models import ModelRow, NavigationModel, RequestModel
-from phpwarden.proxy import serve_proxy, start_in_thread
+from phpwarden.proxy import serve_proxy
 
-from conftest import BINDINGS_TEXT
+from conftest import BINDINGS_TEXT, start_in_thread
 
 CANNED_RESPONSE = (
     b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nContent-Length: 2\r\n\r\nok"

@@ -1,8 +1,12 @@
+import os
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from phpwarden import scanner
 from phpwarden.checklist import default_checklist, load_checklist
+from phpwarden.lexer import tokenize
 from phpwarden.scanner import ScanContext, scan_file, scan_project
 from scanner_oracle import expected_findings
 
@@ -202,3 +206,118 @@ def test_superglobals_come_from_the_checklist_sources(tmp_path):
     assert origins(CHECKLIST) == {2: ["superglobal $_SERVER"], 3: ["unresolved"]}
     assert origins(without_server) == {2: ["unresolved"], 3: ["unresolved"]}
     assert origins(with_env) == {2: ["unresolved"], 3: ["superglobal $_ENV"]}
+
+
+def write_tree(root, files):
+    for rel, text in files.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+
+
+def shared_library_tree(root, lib_dir, pages=5):
+    write_tree(root, {f"{lib_dir}/shared.php": "<?php\n$q = $_GET['q'];\necho $v;\necho $_COOKIE['c'];\n"})
+    for n in range(pages):
+        write_tree(root, {f"pages/page{n}.php":
+                          f"<?php\n$v = 'p{n}';\nrequire_once '../{lib_dir}/shared.php';\necho $q;\n"})
+
+
+def include_heavy_tree(root):
+    """Pages that set a variable a library reads, read one it sets, include
+    libraries through nested and cyclic paths, and miss one target."""
+    write_tree(root, {
+        "lib/a.php": "<?php\ninclude 'b.php';\necho $x;\nmysql_query($y);\n",
+        "lib/b.php": "<?php\n$y = $_POST['y'];\ninclude '../lib/a.php';\nfunction f($p) { echo $p; }\n",
+        "lib/sub/c.php": "<?php\ninclude '../a.php';\n$z = htmlspecialchars($x);\n",
+        "pages/clean.php": "<?php\n$x = 'fixed';\ninclude '../lib/a.php';\necho $y;\n",
+        "pages/dirty.php": "<?php\n$x = $_GET['x'];\ninclude '../lib/sub/c.php';\necho $z;\n",
+        "pages/twice.php": "<?php\ninclude '../lib/a.php';\n$x = $_COOKIE['x'];\ninclude '../lib/a.php';\n",
+        "pages/missing.php": "<?php\ninclude 'gone.php';\necho $x;\n",
+    })
+
+
+def test_relative_root_reports_include_findings_once(tmp_path, monkeypatch):
+    shared_library_tree(tmp_path / "app", "lib")
+    monkeypatch.chdir(tmp_path)
+    relative = scan_project("app", CHECKLIST)
+    absolute = scan_project(tmp_path / "app", CHECKLIST)
+    assert [(f.file, f.line, f.category) for f in relative.findings] == [
+        (os.path.relpath(f.file, tmp_path), f.line, f.category) for f in absolute.findings
+    ]
+    assert [(f.file, f.line) for f in relative.findings].count(("app/lib/shared.php", 4)) == 1
+
+
+def test_page_with_unreadable_include_is_counted(tmp_path, monkeypatch):
+    (tmp_path / "lib.php").write_text("<?php\n$a = 1;\n")
+    (tmp_path / "main.php").write_text("<?php\ninclude 'lib.php';\necho $_GET['q'];\n")
+    read_bytes = Path.read_bytes
+
+    def failing_read(self):
+        if self.name == "lib.php":
+            raise PermissionError("denied")
+        return read_bytes(self)
+
+    monkeypatch.setattr(Path, "read_bytes", failing_read)
+    result = scan_project(tmp_path, CHECKLIST)
+    assert findings_set(result.findings) == {(3, "CrossSiteScripting")}
+    # lib.php fails as a page of its own and as main.php's include target;
+    # only main.php was scanned
+    assert result.files_scanned == 1
+    assert sum(d.startswith("skipped") for d in result.diagnostics) == 2
+
+
+# A library that sorts before its first includer is lexed once more: its own
+# direct scan comes first, and only include targets stay cached.
+@pytest.mark.parametrize("lib_dir, lib_lexes", [("zlib", 1), ("alib", 2)])
+def test_include_target_is_lexed_once_per_scan(tmp_path, monkeypatch, lib_dir, lib_lexes):
+    shared_library_tree(tmp_path, lib_dir, pages=6)
+    lexed = Counter()
+
+    def counting_tokenize(source, path="<source>"):
+        lexed[os.path.abspath(path)] += 1
+        return tokenize(source, path)
+
+    monkeypatch.setattr(scanner, "tokenize", counting_tokenize)
+    result = scan_project(tmp_path, CHECKLIST)
+    assert result.files_scanned == 7
+    library = str(tmp_path / lib_dir / "shared.php")
+    assert lexed.pop(library) == lib_lexes
+    assert sorted(lexed.values()) == [1] * 6
+
+
+def test_include_cache_holds_include_targets_only(tmp_path, monkeypatch):
+    include_heavy_tree(tmp_path)
+    contexts = []
+
+    class RecordingContext(ScanContext):
+        def __init__(self, *args):
+            super().__init__(*args)
+            contexts.append(self)
+
+    monkeypatch.setattr(scanner, "ScanContext", RecordingContext)
+    scan_project(tmp_path, CHECKLIST)
+    cache = contexts[0].include_cache
+    assert all(ctx.include_cache is cache for ctx in contexts)
+    assert set(cache) == {str(tmp_path / p) for p in ("lib/a.php", "lib/b.php", "lib/sub/c.php")}
+
+
+def independent_scans(root):
+    """Deduplicated union of scan_file runs, each in a fresh context."""
+    files = sorted(Path(root).rglob("*.php"), key=lambda p: p.relative_to(root).as_posix())
+    union, seen = [], set()
+    for path in files:
+        for f in scan_file(path, CHECKLIST, ScanContext()):
+            if f.key() not in seen:
+                seen.add(f.key())
+                union.append(f)
+    return union
+
+
+@pytest.mark.parametrize("tree", ["fixtures", "oracle_fixtures", "include_heavy"])
+def test_scan_project_equals_union_of_independent_scans(repo_root, tmp_path, tree):
+    root = {"fixtures": repo_root / "fixtures", "oracle_fixtures": FIXTURES}.get(tree, tmp_path)
+    if tree == "include_heavy":
+        include_heavy_tree(tmp_path)
+    strip = lambda fs: [(f.file, f.line, f.line_text, f.category, f.children) for f in fs]
+    project = scan_project(root, CHECKLIST).findings
+    assert project and strip(project) == strip(independent_scans(root))
