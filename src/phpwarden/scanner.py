@@ -5,6 +5,11 @@ flow-insensitive (assignments accumulate; redefinition never clears taint)
 and variables that cannot be resolved to a definition are assumed tainted.
 A sink call produces a finding only when at least one argument carries
 taint that no category-appropriate sanitizer has cleared.
+
+One walker, _arg_spans, splits the arguments of sink calls and includes and
+finds an assignment's right-hand side (its first span).  A sink call's
+arguments are evaluated once; each of the sink's categories then drops the
+taints sanitized for it.
 """
 
 from __future__ import annotations
@@ -69,12 +74,6 @@ class Finding:
         return (self.file, self.line, self.category, self.children)
 
 
-@dataclass
-class _VarRecord:
-    taints: list[TaintInfo]
-    line: int
-
-
 class ScanContext:
     """Mutable scan state: variable bindings, scope registers, include stack.
 
@@ -87,8 +86,8 @@ class ScanContext:
     """
 
     def __init__(self, include_cache: dict[str, tuple[TokenStream, list[str]]] | None = None) -> None:
-        self.declared_variables: dict[str, _VarRecord] = {}
-        self.dependency_stack: list[dict[str, _VarRecord]] = []
+        self.declared_variables: dict[str, list[TaintInfo]] = {}
+        self.dependency_stack: list[dict[str, list[TaintInfo]]] = []
         self.file_stack: list[str] = []
         self.diagnostics: list[str] = []
         self.include_cache = {} if include_cache is None else include_cache
@@ -114,26 +113,26 @@ class ScanContext:
         if kind == "function" and self.dependency_stack:
             self.dependency_stack.pop()
 
-    def current_frame(self) -> dict[str, _VarRecord]:
+    def current_frame(self) -> dict[str, list[TaintInfo]]:
         if self.dependency_stack:
             return self.dependency_stack[-1]
         return self.declared_variables
 
-    def lookup(self, name: str) -> _VarRecord | None:
+    def lookup(self, name: str) -> list[TaintInfo] | None:
         for frame in reversed(self.dependency_stack):
             if name in frame:
                 return frame[name]
         return self.declared_variables.get(name)
 
-    def assign(self, name: str, taints: list[TaintInfo], line: int) -> None:
+    def assign(self, name: str, taints: list[TaintInfo]) -> None:
         frame = self.current_frame()
-        rec = frame.get(name)
-        if rec is None:
-            frame[name] = _VarRecord(list(taints), line)
+        bound = frame.get(name)
+        if bound is None:
+            frame[name] = list(taints)
             return
         for t in taints:
-            if t not in rec.taints:
-                rec.taints.append(t)
+            if t not in bound:
+                bound.append(t)
 
 
 def string_value(token: Token) -> str:
@@ -166,14 +165,10 @@ def _resolve_name(name: str, line: int, ctx: ScanContext, checklist: Checklist,
     # $-prefixed name; function sources never start with $
     if name in checklist.sources:
         return [(name, TaintInfo("superglobal", name, line, extra))]
-    rec = ctx.lookup(name)
-    if rec is None:
+    bound = ctx.lookup(name)
+    if bound is None:
         return [(name, TaintInfo("unresolved", name, line, extra))]
-    out = []
-    for ti in rec.taints:
-        merged = ti.sanitized_for | extra
-        out.append((name, replace(ti, sanitized_for=merged)))
-    return out
+    return [(name, replace(ti, sanitized_for=ti.sanitized_for | extra)) for ti in bound]
 
 
 def _eval_span(tokens: list[Token], lo: int, hi: int, ctx: ScanContext,
@@ -215,60 +210,12 @@ def _eval_span(tokens: list[Token], lo: int, hi: int, ctx: ScanContext,
     return results
 
 
-def _rhs_end(tokens: list[Token], start: int) -> int:
-    """End of an assignment right-hand side: the ; or , at depth 0, or the
-    closer of an enclosing group (covers  while ($row = fetch($r)) )."""
-    depth = 0
-    i = start
-    while i < len(tokens):
-        t = tokens[i]
-        if t.kind is PUNCTUATION:
-            if t.lexeme in "([{":
-                depth += 1
-            elif t.lexeme in ")]}":
-                if depth == 0:
-                    return i
-                depth -= 1
-            elif t.lexeme in (";", ",") and depth == 0:
-                return i
-        elif t.kind is CLOSE_TAG:
-            return i
-        i += 1
-    return i
-
-
-def _paren_arg_spans(tokens: list[Token], open_idx: int) -> tuple[list[tuple[int, int]], int]:
-    """Argument spans of a parenthesized call; returns (spans, index of
-    the closing parenthesis)."""
+def _arg_spans(tokens: list[Token], start: int, in_parens: bool) -> list[tuple[int, int]]:
+    """Comma-separated spans from start up to the closer of the enclosing
+    group.  Outside parentheses a depth-0 ; or any ?> also ends the list,
+    as for an assignment's right-hand side or  echo $a, $b; ."""
     spans: list[tuple[int, int]] = []
     depth = 0
-    start = open_idx + 1
-    i = open_idx
-    while i < len(tokens):
-        t = tokens[i]
-        if t.kind is PUNCTUATION:
-            if t.lexeme in "([{":
-                depth += 1
-            elif t.lexeme in ")]}":
-                depth -= 1
-                if depth == 0:
-                    if i > start:
-                        spans.append((start, i))
-                    return spans, i
-            elif t.lexeme == "," and depth == 1:
-                spans.append((start, i))
-                start = i + 1
-        i += 1
-    if start < len(tokens):
-        spans.append((start, len(tokens)))
-    return spans, len(tokens)
-
-
-def _construct_arg_spans(tokens: list[Token], keyword_idx: int) -> tuple[list[tuple[int, int]], int]:
-    """Argument spans of a parenthesis-less construct (echo $a, $b;)."""
-    spans: list[tuple[int, int]] = []
-    depth = 0
-    start = keyword_idx + 1
     i = start
     while i < len(tokens):
         t = tokens[i]
@@ -279,46 +226,17 @@ def _construct_arg_spans(tokens: list[Token], keyword_idx: int) -> tuple[list[tu
                 if depth == 0:
                     break
                 depth -= 1
-            elif t.lexeme == ";" and depth == 0:
-                break
             elif t.lexeme == "," and depth == 0:
                 spans.append((start, i))
                 start = i + 1
-        elif t.kind is CLOSE_TAG:
+            elif t.lexeme == ";" and depth == 0 and not in_parens:
+                break
+        elif t.kind is CLOSE_TAG and not in_parens:
             break
         i += 1
     if i > start:
         spans.append((start, i))
-    return spans, i
-
-
-def backtrack_taint(stream: TokenStream, call_site: int, ctx: ScanContext,
-                    checklist: Checklist, category: str) -> list[TaintedParam]:
-    """Tainted-parameter descriptors for the sink call at call_site,
-    evaluated against one checklist category.
-
-    call_site indexes the sink name token; arguments are either the
-    parenthesized list that follows or, for constructs like echo, the
-    expression up to the statement end.  Resolution consults the bindings
-    accumulated in ctx; unknown variables count as tainted.
-    """
-    tokens = stream.tokens
-    nxt = tokens[call_site + 1] if call_site + 1 < len(tokens) else None
-    if nxt is not None and nxt.kind is PUNCTUATION and nxt.lexeme == "(":
-        spans, _ = _paren_arg_spans(tokens, call_site + 1)
-    else:
-        spans, _ = _construct_arg_spans(tokens, call_site)
-    descriptors: list[TaintedParam] = []
-    seen: set[tuple] = set()
-    for lo, hi in spans:
-        for label, taint in _eval_span(tokens, lo, hi, ctx, checklist):
-            if category in taint.sanitized_for:
-                continue
-            param = TaintedParam(label, taint.source_kind, taint.source_name, taint.line)
-            if param not in seen:
-                seen.add(param)
-                descriptors.append(param)
-    return descriptors
+    return spans
 
 
 def _walk(stream: TokenStream, lines: list[str], display_path: str,
@@ -334,10 +252,19 @@ def _walk(stream: TokenStream, lines: list[str], display_path: str,
         return lines[n - 1] if 1 <= n <= len(lines) else ""
 
     def emit(call_site: int, name: str) -> None:
+        # arguments: the parenthesized list that follows the name or, for
+        # constructs like echo, the expression up to the statement end;
+        # each is evaluated once and filtered per category
+        nxt = tokens[call_site + 1] if call_site + 1 < len(tokens) else None
+        in_parens = nxt is not None and nxt.kind is PUNCTUATION and nxt.lexeme == "("
+        taints = [taint for lo, hi in _arg_spans(tokens, call_site + 1 + in_parens, in_parens)
+                  for taint in _eval_span(tokens, lo, hi, ctx, checklist)]
+        tok = tokens[call_site]
         for category in checklist.sink_categories(name):
-            children = backtrack_taint(stream, call_site, ctx, checklist, category)
+            children = dict.fromkeys(
+                TaintedParam(label, ti.source_kind, ti.source_name, ti.line)
+                for label, ti in taints if category not in ti.sanitized_for)
             if children:
-                tok = tokens[call_site]
                 findings.append(Finding(
                     number=0,
                     file=display_path,
@@ -364,7 +291,7 @@ def _walk(stream: TokenStream, lines: list[str], display_path: str,
             elif kw in ("class", "interface", "trait"):
                 pending_scope = "class"
             elif kw in INCLUDE_KEYWORDS:
-                _handle_include(stream, i, ctx, checklist, findings, display_path)
+                _handle_include(tokens, i, ctx, checklist, findings, display_path)
 
         if t.kind is PUNCTUATION:
             if t.lexeme == "{":
@@ -380,10 +307,10 @@ def _walk(stream: TokenStream, lines: list[str], display_path: str,
         if t.kind is VARIABLE:
             nxt = tokens[i + 1] if i + 1 < len(tokens) else None
             if nxt is not None and nxt.kind is OPERATOR and nxt.lexeme in ASSIGN_OPS:
-                rhs_lo = i + 2
-                rhs_hi = _rhs_end(tokens, rhs_lo)
-                taints = [ti for _, ti in _eval_span(tokens, rhs_lo, rhs_hi, ctx, checklist)]
-                ctx.assign(t.lexeme, taints, t.line)
+                # the right-hand side is the first span
+                rhs = _arg_spans(tokens, i + 2, False)[:1]
+                ctx.assign(t.lexeme, [ti for lo, hi in rhs
+                                      for _, ti in _eval_span(tokens, lo, hi, ctx, checklist)])
 
         if t.kind in (IDENTIFIER, KEYWORD):
             name = t.lexeme.lower()
@@ -410,13 +337,12 @@ def _walk(stream: TokenStream, lines: list[str], display_path: str,
     return findings
 
 
-def _handle_include(stream: TokenStream, keyword_idx: int, ctx: ScanContext,
+def _handle_include(tokens: list[Token], keyword_idx: int, ctx: ScanContext,
                     checklist: Checklist, findings: list[Finding],
                     display_path: str) -> None:
     """Follow include/require with a string-literal argument.  Dynamic
     includes are left to the FileInclusion sink check."""
-    tokens = stream.tokens
-    spans, _ = _construct_arg_spans(tokens, keyword_idx)
+    spans = _arg_spans(tokens, keyword_idx + 1, False)
     if len(spans) != 1:
         return
     lo, hi = spans[0]
