@@ -4,7 +4,9 @@ The analysis is deliberately recall-biased: variable resolution is
 flow-insensitive (assignments accumulate; redefinition never clears taint)
 and variables that cannot be resolved to a definition are assumed tainted.
 A sink call produces a finding only when at least one argument carries
-taint that no category-appropriate sanitizer has cleared.
+taint that no category-appropriate sanitizer has cleared.  A construct
+sink (echo, print, include, <?= ...) takes the whole expression up to the
+statement end, so  echo ('a') . $x;  is checked for $x as well.
 
 One walker, _arg_spans, splits the arguments of sink calls and includes and
 finds an assignment's right-hand side (its first span).  A sink call's
@@ -252,11 +254,10 @@ def _walk(stream: TokenStream, lines: list[str], display_path: str,
         return lines[n - 1] if 1 <= n <= len(lines) else ""
 
     def emit(call_site: int, name: str) -> None:
-        # arguments: the parenthesized list that follows the name or, for
-        # constructs like echo, the expression up to the statement end;
-        # each is evaluated once and filtered per category
-        nxt = tokens[call_site + 1] if call_site + 1 < len(tokens) else None
-        in_parens = nxt is not None and nxt.kind is PUNCTUATION and nxt.lexeme == "("
+        # arguments: a call's parenthesized list or, for a construct like
+        # echo (even one followed by a parenthesis), the expression up to
+        # the statement end; evaluated once, then filtered per category
+        in_parens = name not in CONSTRUCT_SINKS
         taints = [taint for lo, hi in _arg_spans(tokens, call_site + 1 + in_parens, in_parens)
                   for taint in _eval_span(tokens, lo, hi, ctx, checklist)]
         tok = tokens[call_site]

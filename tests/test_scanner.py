@@ -103,6 +103,20 @@ def test_short_echo_tag_is_a_sink(tmp_path):
     assert findings_set(findings) == {(1, "CrossSiteScripting")}
 
 
+# echo/print/<?= followed by ( still take the whole expression, not just
+# the parenthesized part
+@pytest.mark.parametrize("source", [
+    "<?php\necho ('a') . $_GET['x'];\n",
+    "<?php\necho ('x'), $_GET['q'];\n",
+    "<?php\nprint('a') . $_GET['x'];\n",
+    "<p>\n<?= ('a') . $_GET['x'] ?></p>\n",
+], ids=["echo-concat", "echo-list", "print-concat", "short-tag-concat"])
+def test_construct_sink_takes_the_whole_expression(tmp_path, source):
+    target = tmp_path / "c.php"
+    target.write_text(source)
+    assert findings_set(scan_file(target, CHECKLIST)) == {(2, "CrossSiteScripting")}
+
+
 def test_method_call_sink(tmp_path):
     target = tmp_path / "db.php"
     target.write_text("<?php\n$db->query($_POST['id']);\n")
@@ -192,6 +206,17 @@ def test_sanitizer_only_clears_its_own_category(tmp_path):
     findings = scan_file(target, CHECKLIST)
     # htmlspecialchars defeats XSS, not SQL injection
     assert findings_set(findings) == {(3, "SqlInjection")}
+
+
+# exec is a sink of both categories; each sanitizer clears only its own
+@pytest.mark.parametrize("sanitizer, category", [
+    ("escapeshellarg", "SqlInjection"),
+    ("intval", "CommandInjection"),
+])
+def test_two_category_sink_is_filtered_per_category(tmp_path, sanitizer, category):
+    target = tmp_path / "x.php"
+    target.write_text(f"<?php\nexec({sanitizer}($_GET['c']));\n")
+    assert findings_set(scan_file(target, CHECKLIST)) == {(2, category)}
 
 
 def test_superglobals_come_from_the_checklist_sources(tmp_path):
