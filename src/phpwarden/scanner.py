@@ -84,10 +84,11 @@ class ScanContext:
     in_function/in_class are false once a file scan completes.
 
     include_cache maps the absolute path of each include target already
-    lexed to its (tokens, lines); scan_project shares one across its pages.
+    read to its (tokens, lines), or to the OSError its read raised;
+    scan_project shares one across its pages.
     """
 
-    def __init__(self, include_cache: dict[str, tuple[TokenStream, list[str]]] | None = None) -> None:
+    def __init__(self, include_cache: dict[str, tuple[TokenStream, list[str]] | OSError] | None = None) -> None:
         self.declared_variables: dict[str, list[TaintInfo]] = {}
         self.dependency_stack: list[dict[str, list[TaintInfo]]] = []
         self.file_stack: list[str] = []
@@ -370,8 +371,10 @@ def scan_file(path: str | os.PathLike, checklist: Checklist,
               ctx: ScanContext | None = None) -> list[Finding]:
     """Scan one PHP file, following string-literal includes.  Returns
     findings in discovery order; a fresh (top-level) scan numbers them
-    1..n.  A file reached through an include is lexed once per
-    ctx.include_cache and walked in the includer's context each time."""
+    1..n.  A file reached through an include is read and lexed once per
+    ctx.include_cache and walked in the includer's context each time; a
+    failed read is noted once as an include target and again by the
+    file's own scan."""
     top_level = ctx is None
     if ctx is None:
         ctx = ScanContext()
@@ -381,11 +384,16 @@ def scan_file(path: str | os.PathLike, checklist: Checklist,
         try:
             source = Path(path).read_bytes().decode("latin-1")
         except OSError as exc:
-            ctx.diagnostics.append(f"skipped {path}: {exc}")
-            return []
-        lexed = tokenize(source, str(path)), split_lines(source)
+            lexed = exc
+        else:
+            lexed = tokenize(source, str(path)), split_lines(source)
         if ctx.file_stack:  # reached through an include
             ctx.include_cache[abspath] = lexed
+    elif isinstance(lexed, OSError) and ctx.file_stack:
+        return []  # noted when this include target first failed
+    if isinstance(lexed, OSError):
+        ctx.diagnostics.append(f"skipped {path}: {lexed}")
+        return []
     stream, lines = lexed
     ctx.file_stack.append(abspath)
     try:
@@ -418,7 +426,7 @@ def scan_project(root: str | os.PathLike, checklist: Checklist) -> ScanResult:
     findings: list[Finding] = []
     seen: set[tuple] = set()
     diagnostics: list[str] = []
-    include_cache: dict[str, tuple[TokenStream, list[str]]] = {}
+    include_cache: dict[str, tuple[TokenStream, list[str]] | OSError] = {}
     scanned = 0
     for php_file in files:
         ctx = ScanContext(include_cache)

@@ -291,6 +291,29 @@ def test_page_with_unreadable_include_is_counted(tmp_path, monkeypatch):
     assert sum(d.startswith("skipped") for d in result.diagnostics) == 2
 
 
+@pytest.mark.parametrize("lib_name", ["a_lib.php", "z_lib.php"])
+def test_unreadable_include_target_is_read_once_per_scan(tmp_path, monkeypatch, lib_name):
+    (tmp_path / lib_name).write_text("<?php\n$a = 1;\n")
+    for page in ("m1.php", "m2.php", "m3.php"):
+        (tmp_path / page).write_text(f"<?php\ninclude '{lib_name}';\necho $_GET['q'];\n")
+    reads = Counter()
+    read_bytes = Path.read_bytes
+
+    def failing_read(self):
+        reads[self.name] += 1
+        if self.name == lib_name:
+            raise PermissionError("denied")
+        return read_bytes(self)
+
+    monkeypatch.setattr(Path, "read_bytes", failing_read)
+    result = scan_project(tmp_path, CHECKLIST)
+    assert len(result.findings) == 3
+    # one note as an include target, one for the library's own page scan
+    assert result.files_scanned == 3
+    assert sum(d.startswith("skipped") for d in result.diagnostics) == 2
+    assert reads[lib_name] <= 2
+
+
 # A library that sorts before its first includer is lexed once more: its own
 # direct scan comes first, and only include targets stay cached.
 @pytest.mark.parametrize("lib_dir, lib_lexes", [("zlib", 1), ("alib", 2)])
