@@ -9,7 +9,7 @@ byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime
 from typing import Callable
 
@@ -83,40 +83,8 @@ def render(report: Report) -> str:
 
 def render_structured(report: Report) -> str:
     """Machine-readable form: `phpwarden-report 1` header line, then JSON."""
-    doc = {
-        "application_name": report.application_name,
-        "scan_timestamp": report.scan_timestamp.isoformat(),
-        "files_scanned": report.files_scanned,
-        "elapsed": report.elapsed,
-        "findings": [
-            {
-                "number": f.number,
-                "file": f.file,
-                "line": f.line,
-                "line_text": f.line_text,
-                "category": f.category,
-                "children": [
-                    {
-                        "variable": c.variable,
-                        "source_kind": c.source_kind,
-                        "source_name": c.source_name,
-                        "line": c.line,
-                    }
-                    for c in f.children
-                ],
-            }
-            for f in report.findings
-        ],
-        "misconfigurations": [
-            {
-                "name": m.name,
-                "current": m.current,
-                "recommended": m.recommended,
-                "rationale": m.rationale,
-            }
-            for m in report.misconfigurations
-        ],
-    }
+    doc = asdict(report)
+    doc["scan_timestamp"] = report.scan_timestamp.isoformat()
     header = f"{STRUCTURED_FORMAT} {STRUCTURED_VERSION}"
     return header + "\n" + json.dumps(doc, indent=2) + "\n"
 
@@ -132,25 +100,15 @@ def parse_structured(text: str) -> Report:
         raise ValueError(f"unsupported report version {parts[1]}")
     doc = json.loads(body)
     findings = [
-        Finding(
-            number=f["number"],
-            file=f["file"],
-            line=f["line"],
-            line_text=f["line_text"],
-            category=f["category"],
-            children=tuple(TaintedParam(**c) for c in f["children"]),
-        )
+        Finding(**{**f, "children": tuple(TaintedParam(**c) for c in f["children"])})
         for f in doc["findings"]
     ]
-    misconfigs = [Misconfiguration(**m) for m in doc["misconfigurations"]]
-    return Report(
-        application_name=doc["application_name"],
-        scan_timestamp=datetime.fromisoformat(doc["scan_timestamp"]),
-        files_scanned=doc["files_scanned"],
-        elapsed=doc["elapsed"],
-        findings=findings,
-        misconfigurations=misconfigs,
-    )
+    return Report(**{
+        **doc,
+        "scan_timestamp": datetime.fromisoformat(doc["scan_timestamp"]),
+        "findings": findings,
+        "misconfigurations": [Misconfiguration(**m) for m in doc["misconfigurations"]],
+    })
 
 
 def write_report(report: Report, out_path: str) -> tuple[str, str]:
