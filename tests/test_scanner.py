@@ -3,6 +3,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from phpwarden import scanner
 from phpwarden.checklist import default_checklist, load_checklist
@@ -177,6 +179,33 @@ def test_scan_project_deterministic_modulo_elapsed(repo_root):
     strip = lambda r: [(f.file, f.line, f.category, f.children) for f in r.findings]
     assert strip(first) == strip(second)
     assert first.files_scanned == second.files_scanned
+
+
+# ASCII fragments biased to what the argument walker and the include
+# handler see: unbalanced brackets, ?> inside parentheses, =>, heredocs,
+# sinks of several categories, sanitizers, sources, self and missing includes
+SCAN_FRAGMENTS = [
+    " ", "\n", "(", ")", "[", "]", "{", "}", ";", ",", "=", ".=", "=>", "?>", "<?php ", "<?= ",
+    "echo ", "print ", "include ", "require_once ", "exec", "mysql_query", "system", "eval",
+    "function ", "fn", "class ", "f", "$x", "$y", "$_GET['a']", "$_POST", "file_get_contents(",
+    "htmlspecialchars(", "escapeshellarg", "intval", "'t.php'", "'gone.php'", '"a $x b"', '"{$y}"',
+    "<<<EOT\n$x\nEOT;\n", "<<<'N'\n$y\nN;\n", "<<<EOT\n", "'", '"', "// ?>\n", "/*", "*/",
+    ".", "->", "::",
+]
+
+scan_soup = st.lists(st.sampled_from(SCAN_FRAGMENTS), max_size=60).map(
+    lambda parts: "<?php " + "".join(parts))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(source=scan_soup)
+def test_scan_file_is_total(tmp_path, source):
+    target = tmp_path / "t.php"
+    target.write_text(source)
+    lines = source.split("\n")
+    for f in scan_file(target, CHECKLIST):
+        assert 1 <= f.line <= len(lines) and f.line_text == lines[f.line - 1]
+        assert f.children
 
 
 def test_every_finding_line_names_a_sink(repo_root):
