@@ -258,9 +258,11 @@ def _walk(stream: TokenStream, lines: list[str], display_path: str,
         # arguments: a call's parenthesized list or, for a construct like
         # echo (even one followed by a parenthesis), the expression up to
         # the statement end; evaluated once, then filtered per category
-        in_parens = name not in CONSTRUCT_SINKS
-        taints = [taint for lo, hi in _arg_spans(tokens, call_site + 1 + in_parens, in_parens)
-                  for taint in _eval_span(tokens, lo, hi, ctx, checklist)]
+        if name in CONSTRUCT_SINKS:
+            spans = _arg_spans(tokens, call_site + 1, False)
+        else:  # a call: the name is followed by (
+            spans = _arg_spans(tokens, call_site + 2, True)
+        taints = [taint for lo, hi in spans for taint in _eval_span(tokens, lo, hi, ctx, checklist)]
         tok = tokens[call_site]
         for category in checklist.sink_categories(name):
             children = dict.fromkeys(
