@@ -20,6 +20,7 @@ import os
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Iterator
 
 from .checklist import Checklist
 from .lexer import (CLOSE_TAG, COMMENT, IDENTIFIER, INLINE_HTML, KEYWORD, OPEN_TAG, OPERATOR,
@@ -213,11 +214,11 @@ def _eval_span(tokens: list[Token], lo: int, hi: int, ctx: ScanContext,
     return results
 
 
-def _arg_spans(tokens: list[Token], start: int, in_parens: bool) -> list[tuple[int, int]]:
+def _arg_spans(tokens: list[Token], start: int, in_parens: bool) -> Iterator[tuple[int, int]]:
     """Comma-separated spans from start up to the closer of the enclosing
-    group.  Outside parentheses a depth-0 ; or any ?> also ends the list,
-    as for an assignment's right-hand side or  echo $a, $b; ."""
-    spans: list[tuple[int, int]] = []
+    group, yielded as found.  Outside parentheses a depth-0 ; or any ?>
+    also ends the list, as for an assignment's right-hand side or
+    echo $a, $b; ."""
     depth = 0
     i = start
     while i < len(tokens):
@@ -230,7 +231,7 @@ def _arg_spans(tokens: list[Token], start: int, in_parens: bool) -> list[tuple[i
                     break
                 depth -= 1
             elif t.lexeme == "," and depth == 0:
-                spans.append((start, i))
+                yield start, i
                 start = i + 1
             elif t.lexeme == ";" and depth == 0 and not in_parens:
                 break
@@ -238,8 +239,7 @@ def _arg_spans(tokens: list[Token], start: int, in_parens: bool) -> list[tuple[i
             break
         i += 1
     if i > start:
-        spans.append((start, i))
-    return spans
+        yield start, i
 
 
 def _walk(stream: TokenStream, lines: list[str], display_path: str,
@@ -311,10 +311,10 @@ def _walk(stream: TokenStream, lines: list[str], display_path: str,
         if t.kind is VARIABLE:
             nxt = tokens[i + 1] if i + 1 < len(tokens) else None
             if nxt is not None and nxt.kind is OPERATOR and nxt.lexeme in ASSIGN_OPS:
-                # the right-hand side is the first span
-                rhs = _arg_spans(tokens, i + 2, False)[:1]
-                ctx.assign(t.lexeme, [ti for lo, hi in rhs
-                                      for _, ti in _eval_span(tokens, lo, hi, ctx, checklist)])
+                # the right-hand side is the first span; taking only that
+                # one keeps  f($a = 1, $b = 2, ...)  linear
+                lo, hi = next(_arg_spans(tokens, i + 2, False), (i + 2, i + 2))
+                ctx.assign(t.lexeme, [ti for _, ti in _eval_span(tokens, lo, hi, ctx, checklist)])
 
         if t.kind in (IDENTIFIER, KEYWORD):
             name = t.lexeme.lower()
@@ -346,7 +346,7 @@ def _handle_include(tokens: list[Token], keyword_idx: int, ctx: ScanContext,
                     display_path: str) -> None:
     """Follow include/require with a string-literal argument.  Dynamic
     includes are left to the FileInclusion sink check."""
-    spans = _arg_spans(tokens, keyword_idx + 1, False)
+    spans = list(_arg_spans(tokens, keyword_idx + 1, False))
     if len(spans) != 1:
         return
     lo, hi = spans[0]

@@ -208,6 +208,28 @@ def test_scan_file_is_total(tmp_path, source):
         assert f.children
 
 
+def test_comma_separated_assignments_are_walked_once(tmp_path, monkeypatch):
+    # each right-hand side ends at its comma, so token reads grow linearly
+    reads = Counter()
+
+    class CountingList(list):
+        def __getitem__(self, index):
+            reads["reads"] += 1
+            return super().__getitem__(index)
+
+    def counting_tokenize(source, path="<source>"):
+        stream = tokenize(source, path)
+        stream.tokens = CountingList(stream.tokens)
+        reads["tokens"] = len(stream.tokens)
+        return stream
+
+    monkeypatch.setattr(scanner, "tokenize", counting_tokenize)
+    target = tmp_path / "many.php"
+    target.write_text("<?php\nf(" + ", ".join(f"$a{i} = 1" for i in range(2000)) + ");\n")
+    scan_file(target, CHECKLIST)
+    assert reads["reads"] < 10 * reads["tokens"]
+
+
 def test_every_finding_line_names_a_sink(repo_root):
     sink_names = CHECKLIST.all_sink_names()
     for app in TABLE_CATEGORY_SETS:
