@@ -126,6 +126,11 @@ def build_model(store: ProfileStore) -> tuple[RequestModel, NavigationModel]:
     ids = store.recorded_ids()
     if not ids:
         raise ValueError(f"store {store.directory}: no recorded exchanges")
+    role_by_id: dict[int, str] = {}
+    for trail in store.trails:  # the first trail covering an id wins, as in role_of
+        if trail.first_id is not None:
+            for cid in range(trail.first_id, trail.last_id + 1):
+                role_by_id.setdefault(cid, trail.role)
     rows: list[ModelRow] = []
     for sno, cid in enumerate(ids, start=1):
         raw, flag = store.read_exchange(cid)
@@ -135,7 +140,7 @@ def build_model(store: ProfileStore) -> tuple[RequestModel, NavigationModel]:
             convid=cid,
             reqresid=derive_request_id(head.method, head.target),
             session_flag=flag,
-            role=store.role_of(cid),
+            role=role_by_id[cid] if cid in role_by_id else store.role_of(cid),  # role_of raises
         ))
     model1 = RequestModel(rows=rows)
 

@@ -11,10 +11,23 @@ exact training traffic again.
 
 Communication ids are unique positive integers, strictly increasing across
 the life of the store (reopening continues the counter).
+
+Only the newest trail ever grows: recording under a role other than the
+newest trail's starts a new trail, and so does the first recording after
+the store is reopened, so trail id ranges never overlap.  The store keeps the rendered text of every older (sealed) trail, so each
+exchange rewrites `trails` and its role's XML from that text plus one line,
+and the files are complete after every exchange.
+
+An exchange is written in a fixed order: `<id>_request`, `<id>_Srequest`,
+the role's XML, then the `trails` index.  A run interrupted part-way thus
+leaves at most ids that no trail covers; since a reopened store never
+extends a trail it read, no later recording covers them either.  The model
+builder refuses a store with such an id: an interrupted store fails closed.
 """
 
 from __future__ import annotations
 
+import os
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
@@ -174,10 +187,19 @@ class ProfileStore:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.session_cookie_name = session_cookie_name
         self.trails: list[Trail] = []
+        # rendered text of the sealed trails (all but the newest): the
+        # `trails` index lines, and per role its XML up to the newest trail
+        self._sealed_index = ""
+        self._sealed_xml: dict[str, str] = {}
+        self._open_pages = ""  # the newest trail's pages, joined and escaped
+        self._open: Trail | None = None  # the newest trail, unless read from disk
         self._load()
 
     def _load(self) -> None:
-        self._next_id = max(self.recorded_ids(), default=0) + 1
+        self._ids = sorted(
+            int(m.group(1)) for m in map(_REQUEST_FILE_RE.match, os.listdir(self.directory)) if m
+        )
+        self._next_id = (self._ids[-1] if self._ids else 0) + 1
         index = self.directory / "trails"
         if not index.exists():
             return
@@ -200,57 +222,67 @@ class ProfileStore:
             consumed[role] = seq_index + 1
             role_seqs = sequences.get(role, [])
             pages = role_seqs[seq_index] if seq_index < len(role_seqs) else []
-            self.trails.append(Trail(role=role, first_id=int(first), last_id=int(last), pages=pages))
+            self._start(Trail(role=role, first_id=int(first), last_id=int(last), pages=pages))
 
     # -- recording ---------------------------------------------------------
 
     def begin_trail(self, role: str) -> None:
         """Start a new page sequence for role; subsequent exchanges recorded
         under that role extend it."""
-        self.trails.append(Trail(role=role))
+        self._open = Trail(role=role)
+        self._start(self._open)
 
-    def _current_trail(self, role: str) -> Trail:
-        for trail in reversed(self.trails):
-            if trail.role == role:
-                return trail
-        trail = Trail(role=role)
+    def _start(self, trail: Trail) -> None:
+        """Seal the newest trail, rendering its text once, and append trail."""
+        if self.trails:
+            sealed = self.trails[-1]
+            if sealed.first_id is not None:
+                self._sealed_index += self._index_line(sealed)
+            if sealed.pages:
+                self._sealed_xml[sealed.role] = self._xml_prefix(sealed.role) + self._xml_line()
         self.trails.append(trail)
-        return trail
+        self._open_pages = xml_escape(", ".join(trail.pages)) if trail.pages else ""
 
     def record_exchange(self, request_headers: str, role: str) -> int:
         """Persist one captured request under the next communication id and
-        append its page to the role's current trail.  Write failures
-        propagate and abort the run."""
+        append its page to the newest trail.  A new trail starts when the
+        newest one belongs to another role or was read from disk.  Write
+        failures propagate and abort the run."""
         head = parse_header_block(request_headers)
         flag = extract_session_flag(head, self.session_cookie_name)
+        if self._open is None or self._open.role != role:
+            self.begin_trail(role)
+        trail = self._open
         cid = self._next_id
         self._next_id += 1
         (self.directory / f"{cid}_request").write_text(request_headers)
+        self._ids.append(cid)
         (self.directory / f"{cid}_Srequest").write_text(str(flag))
-        trail = self._current_trail(role)
         if trail.first_id is None:
             trail.first_id = cid
         trail.last_id = cid
-        trail.pages.append(page_of(head.target))
-        self._flush(role)
+        page = page_of(head.target)
+        escaped = xml_escape(page)
+        self._open_pages = f"{self._open_pages}, {escaped}" if trail.pages else escaped
+        trail.pages.append(page)
+        (self.directory / f"{role}.xml").write_text(
+            f"{self._xml_prefix(role)}{self._xml_line()}</Sequences>\n")
+        (self.directory / "trails").write_text(self._sealed_index + self._index_line(trail))
         return cid
 
-    def _flush(self, role: str) -> None:
-        lines = []
-        for trail in self.trails:
-            if trail.first_id is None:
-                continue
-            lines.append(f"{trail.role}\t{trail.first_id}\t{trail.last_id}")
-        (self.directory / "trails").write_text("\n".join(lines) + "\n" if lines else "")
-        self._write_role_xml(role)
+    @staticmethod
+    def _index_line(trail: Trail) -> str:
+        return f"{trail.role}\t{trail.first_id}\t{trail.last_id}\n"
 
-    def _write_role_xml(self, role: str) -> None:
-        parts = [f'<Sequences role="{xml_escape(role, {chr(34): "&quot;"})}">']
-        for trail in self.trails:
-            if trail.role == role and trail.pages:
-                parts.append(f"  <Trail>{xml_escape(', '.join(trail.pages))}</Trail>")
-        parts.append("</Sequences>")
-        (self.directory / f"{role}.xml").write_text("\n".join(parts) + "\n")
+    def _xml_line(self) -> str:
+        return f"  <Trail>{self._open_pages}</Trail>\n"
+
+    def _xml_prefix(self, role: str) -> str:
+        """role's XML up to the newest trail: the root tag, then its sealed trails."""
+        prefix = self._sealed_xml.get(role)
+        if prefix is None:
+            prefix = self._sealed_xml[role] = f'<Sequences role="{xml_escape(role, {chr(34): "&quot;"})}">\n'
+        return prefix
 
     # -- reading -----------------------------------------------------------
 
@@ -264,19 +296,16 @@ class ProfileStore:
     def read_exchange(self, cid: int) -> tuple[str, int]:
         """(raw request text, session flag) for one communication id.
         A missing flag file is a corrupt store and is reported by id."""
-        request_file = self.directory / f"{cid}_request"
-        flag_file = self.directory / f"{cid}_Srequest"
-        if not flag_file.exists():
-            raise ValueError(f"store {self.directory}: {cid}_request has no matching {cid}_Srequest")
-        return request_file.read_text(), int(flag_file.read_text().strip())
+        try:
+            flag = int((self.directory / f"{cid}_Srequest").read_text().strip())
+        except FileNotFoundError:
+            raise ValueError(f"store {self.directory}: {cid}_request has no matching {cid}_Srequest") from None
+        return (self.directory / f"{cid}_request").read_text(), flag
 
     def recorded_ids(self) -> list[int]:
-        ids = []
-        for entry in self.directory.iterdir():
-            m = _REQUEST_FILE_RE.match(entry.name)
-            if m:
-                ids.append(int(m.group(1)))
-        return sorted(ids)
+        """Ids with a `<id>_request` file: those listed on open, then those
+        recorded since."""
+        return list(self._ids)
 
     def role_of(self, cid: int) -> str:
         for trail in self.trails:

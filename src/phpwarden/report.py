@@ -9,7 +9,7 @@ byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import datetime
 from typing import Callable
 
@@ -83,10 +83,20 @@ def render(report: Report) -> str:
 
 def render_structured(report: Report) -> str:
     """Machine-readable form: `phpwarden-report 1` header line, then JSON."""
-    doc = asdict(report)
-    doc["scan_timestamp"] = report.scan_timestamp.isoformat()
     header = f"{STRUCTURED_FORMAT} {STRUCTURED_VERSION}"
-    return header + "\n" + json.dumps(doc, indent=2) + "\n"
+    return header + "\n" + json.dumps(_json_value(report), indent=2) + "\n"
+
+
+def _json_value(value):
+    """value as JSON data: each dataclass a dict of its fields in order, a
+    datetime its ISO form.  Leaves are shared, not copied as `asdict` would."""
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    if isinstance(value, datetime):
+        return value.isoformat()
+    if is_dataclass(value):
+        return {f.name: _json_value(getattr(value, f.name)) for f in fields(value)}
+    return value
 
 
 def parse_structured(text: str) -> Report:

@@ -11,6 +11,7 @@ import pytest
 
 from phpwarden import __version__
 from phpwarden.cli import main
+from phpwarden.profile_store import ProfileStore
 from phpwarden.scenarios import BUILTIN_SCENARIOS
 
 REPO = Path(__file__).resolve().parent.parent
@@ -216,6 +217,35 @@ def test_build_model_missing_store_is_not_created(tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err.startswith("build-model: no store directory at ")
     assert not store.exists()
+    assert not (tmp_path / "models").exists()
+
+
+@pytest.mark.parametrize("begin", [False, True], ids=["extends-trail", "opens-trail"])
+def test_build_model_refuses_a_store_whose_index_write_failed(tmp_path, monkeypatch, capsys, begin):
+    # an interrupted run leaves an id that no trail covers, and recording into
+    # the reopened store does not cover it: the store fails closed
+    store_dir = tmp_path / "store"
+    store = ProfileStore(store_dir)
+    store.begin_trail("0")
+    store.record_exchange("GET /a.php HTTP/1.1\r\nHost: x\r\n\r\n", "0")
+    write_text = Path.write_text
+
+    def failing_index_write(path, *args, **kwargs):
+        if path.name == "trails":
+            raise OSError("no space left on device")
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", failing_index_write)
+    if begin:
+        store.begin_trail("0")
+    with pytest.raises(OSError):
+        store.record_exchange("GET /b.php HTTP/1.1\r\nHost: x\r\n\r\n", "0")
+    monkeypatch.undo()
+    ProfileStore(store_dir).record_exchange("GET /c.php HTTP/1.1\r\nHost: x\r\n\r\n", "0")
+    rc = main(["build-model", "--store", str(store_dir), "--out", str(tmp_path / "models")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert re.fullmatch(r"build-model: .* communication id 2 not covered by any trail\n", err)
     assert not (tmp_path / "models").exists()
 
 

@@ -1,5 +1,13 @@
-import pytest
+import tempfile
+from pathlib import Path
+from xml.sax.saxutils import escape as xml_escape
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from phpwarden import profile_store
+from phpwarden.models import build_model
 from phpwarden.profile_store import (
     ProfileStore,
     derive_request_id,
@@ -251,3 +259,94 @@ def test_custom_session_cookie_name(tmp_path):
     cid = store.record_exchange(head_text("/a.php", cookie="MYSESS=zz"), "0")
     _, flag = store.read_exchange(cid)
     assert flag == 1
+
+
+def test_recording_under_another_role_starts_a_new_trail(tmp_path):
+    # role 0 recorded after a manager trail began must not extend role 0's
+    # older trail: the id ranges would overlap and id 2 would go to role 0
+    store = ProfileStore(tmp_path)
+    store.begin_trail("0")
+    store.record_exchange(head_text("/a.php"), "0")
+    store.begin_trail("manager")
+    store.record_exchange(head_text("/Home.php", cookie="PHPSESSID=aa"), "manager")
+    store.record_exchange(head_text("/c.php"), "0")
+    assert (tmp_path / "trails").read_text() == "0\t1\t1\nmanager\t2\t2\n0\t3\t3\n"
+    assert (tmp_path / "0.xml").read_text() == (
+        '<Sequences role="0">\n  <Trail>a.php</Trail>\n  <Trail>c.php</Trail>\n</Sequences>\n')
+    assert [store.role_of(cid) for cid in (1, 2, 3)] == ["0", "manager", "0"]
+    assert [[cid for cid, _, _ in records] for _, records in store.trail_records()] == [[1], [2], [3]]
+    model1, _ = build_model(store)
+    assert [(r.reqresid, r.session_flag, r.role) for r in model1.rows] == [
+        ("GET_a.php", 0, "0"), ("GET_Home.php", 1, "manager"), ("GET_c.php", 0, "0")]
+
+
+# -- store files against a full re-render ---------------------------------------
+
+
+def render_index(trails):
+    """The `trails` index as rendered from every trail at once."""
+    lines = [f"{t.role}\t{t.first_id}\t{t.last_id}" for t in trails if t.first_id is not None]
+    return "\n".join(lines) + "\n" if lines else ""
+
+
+def render_role_xml(trails, role):
+    """One role's `<role>.xml` as rendered from every trail at once."""
+    parts = [f'<Sequences role="{xml_escape(role, {chr(34): "&quot;"})}">']
+    for trail in trails:
+        if trail.role == role and trail.pages:
+            parts.append(f"  <Trail>{xml_escape(', '.join(trail.pages))}</Trail>")
+    parts.append("</Sequences>")
+    return "\n".join(parts) + "\n"
+
+
+_ROLES = ["0", "manager", 'a"&<b']
+_TARGETS = ["/a.php", "/", "/b&c.php?x=1", "/<x>.php", "/d/e.php"]
+_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("begin"), st.sampled_from(_ROLES)),
+    st.tuples(st.just("record"), st.sampled_from(_ROLES), st.sampled_from(_TARGETS)),
+    st.tuples(st.just("reopen")),
+), max_size=25)
+
+
+def persisted(trails):
+    return [(t.role, t.first_id, t.last_id, t.pages) for t in trails if t.first_id is not None]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_STEPS)
+def test_store_files_equal_a_full_render_after_every_step(steps):
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        store = ProfileStore(directory)
+        for step in steps:
+            if step[0] == "begin":
+                store.begin_trail(step[1])
+            elif step[0] == "record":
+                store.record_exchange(head_text(step[2]), step[1])
+            else:
+                store = ProfileStore(directory)
+            if not store.recorded_ids():
+                continue
+            assert (directory / "trails").read_text() == render_index(store.trails)
+            recorded_roles = {t.role for t in store.trails if t.pages}
+            assert {p.stem for p in directory.glob("*.xml")} == recorded_roles
+            for role in recorded_roles:
+                assert (directory / f"{role}.xml").read_text() == render_role_xml(store.trails, role)
+            assert persisted(ProfileStore(directory).trails) == persisted(store.trails)
+
+
+def test_one_more_exchange_escapes_only_its_own_page(tmp_path, monkeypatch):
+    store = ProfileStore(tmp_path)
+    for _ in range(2000):
+        store.begin_trail("0")
+        store.record_exchange(head_text("/a.php"), "0")
+    calls = []
+
+    def counting_escape(*args):
+        calls.append(args)
+        return xml_escape(*args)
+
+    monkeypatch.setattr(profile_store, "xml_escape", counting_escape)
+    store.record_exchange(head_text("/b.php"), "0")
+    assert len(calls) <= 2
+    assert (tmp_path / "0.xml").read_text().endswith("  <Trail>a.php, b.php</Trail>\n</Sequences>\n")

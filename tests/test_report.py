@@ -1,3 +1,5 @@
+import json
+from dataclasses import asdict
 from datetime import datetime
 
 import pytest
@@ -127,6 +129,17 @@ def test_structured_round_trip_identity():
 def test_structured_round_trip_empty_report():
     report = Report("x", FIXED_CLOCK(), 0, 0.0)
     assert parse_structured(render_structured(report)) == report
+
+
+def test_structured_body_is_the_json_of_asdict():
+    children = (TaintedParam("$id", "superglobal", "$_GET", 4), TaintedParam("$q", "unresolved", "", 5))
+    findings = [Finding(n, f"app/p{n}.php", 7 * n, 'echo "<b>" . $x;', "CrossSiteScripting", children)
+                for n in (1, 2)]
+    report = Report("demo \u00e9", FIXED_CLOCK(), 2, 0.25, findings,
+                    sample_audits() + [Misconfiguration("allow_url_include", "1", "0", "remote code")])
+    doc = asdict(report)
+    doc["scan_timestamp"] = report.scan_timestamp.isoformat()
+    assert render_structured(report) == "phpwarden-report 1\n" + json.dumps(doc, indent=2) + "\n"
 
 
 def test_parse_structured_rejects_bad_header():
