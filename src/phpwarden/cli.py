@@ -16,14 +16,10 @@ from . import __version__
 from .checklist import ChecklistError, default_checklist, load_checklist
 from .config_audit import audit, default_policy, load_policy, parse_ini
 from .crawler import CrawlError, crawl
-from .demoapp import serve_app
-from .enforcer import DeviationLog, Enforcer, EnforcerConfig, load_bindings
 from .models import build_model, load_model, persist_model
 from .profile_store import ProfileStore
-from .proxy import serve_proxy
 from .report import build_report, parse_structured, render, write_report
 from .scanner import scan_project
-from .scenarios import BUILTIN_SCENARIOS, ScenarioError, run_scenario
 
 
 def _parse_addr(text: str, default_host: str = "127.0.0.1") -> tuple[str, int]:
@@ -140,6 +136,9 @@ def _cmd_build_model(args) -> int:
 
 
 def _cmd_enforce(args) -> int:
+    from .enforcer import DeviationLog, Enforcer, EnforcerConfig, load_bindings
+    from .proxy import serve_proxy
+
     try:
         model1, model2 = load_model(args.models)
         bindings = load_bindings(Path(args.bindings).read_text())
@@ -171,6 +170,8 @@ def _cmd_enforce(args) -> int:
 
 
 def _cmd_serve_demo(args) -> int:
+    from .demoapp import serve_app
+
     try:
         app = serve_app(args.listen, seed=args.seed)
     except OSError as exc:
@@ -187,6 +188,8 @@ def _cmd_serve_demo(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
+    from .scenarios import BUILTIN_SCENARIOS, ScenarioError, run_scenario
+
     if args.list:
         for name in BUILTIN_SCENARIOS:
             print(name)

@@ -18,7 +18,6 @@ signing in is part of the public surface.
 
 from __future__ import annotations
 
-import http.client
 import re
 from collections import deque
 from urllib.parse import urlencode, urlsplit
@@ -60,6 +59,8 @@ def send_request(addr: tuple[str, int], method: str, path: str, user_agent: str,
         headers.append(("Content-Type", "application/x-www-form-urlencoded"))
         headers.append(("Content-Length", str(len(body))))
     raw_head = f"{method} {path} HTTP/1.1\r\n" + "".join(f"{k}: {v}\r\n" for k, v in headers) + "\r\n"
+    import http.client  # loaded on first use: the scan and the enforcer send nothing
+
     conn = http.client.HTTPConnection(addr[0], addr[1], timeout=10)
     try:
         conn.putrequest(method, path, skip_host=True, skip_accept_encoding=True)

@@ -32,7 +32,16 @@ import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from pathlib import Path
-from xml.sax.saxutils import escape as xml_escape
+
+
+def xml_escape(data: str, entities: dict[str, str] | None = None) -> str:
+    """&, < and > as entities, then each key of entities replaced by its
+    value: xml.sax.saxutils.escape, whose module imports urllib.request."""
+    data = data.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+    if entities:
+        for key, value in entities.items():
+            data = data.replace(key, value)
+    return data
 
 
 @dataclass(frozen=True)

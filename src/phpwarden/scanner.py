@@ -77,6 +77,27 @@ class Finding:
         return (self.file, self.line, self.category, self.children)
 
 
+@dataclass(frozen=True)
+class _Walk:
+    """One walk of an include target: its findings, the ScanContext
+    snapshot it left, and the absolute paths it entered through nested
+    includes."""
+
+    findings: tuple[Finding, ...]
+    exit: tuple
+    entered: frozenset[str]
+
+
+@dataclass
+class IncludeTarget:
+    """A read include target: its tokens and lines, and its walks keyed by
+    display path and entering snapshot."""
+
+    stream: TokenStream
+    lines: list[str]
+    walks: dict[tuple, _Walk] = field(default_factory=dict)
+
+
 class ScanContext:
     """Mutable scan state: variable bindings, scope registers, include stack.
 
@@ -85,17 +106,19 @@ class ScanContext:
     in_function/in_class are false once a file scan completes.
 
     include_cache maps the absolute path of each include target already
-    read to its (tokens, lines), or to the OSError its read raised;
-    scan_project shares one across its pages.
+    read to its IncludeTarget, or to the OSError its read raised;
+    scan_project shares one across its pages.  The walks it keeps hold for
+    one checklist.
     """
 
-    def __init__(self, include_cache: dict[str, tuple[TokenStream, list[str]] | OSError] | None = None) -> None:
+    def __init__(self, include_cache: dict[str, IncludeTarget | OSError] | None = None) -> None:
         self.declared_variables: dict[str, list[TaintInfo]] = {}
         self.dependency_stack: list[dict[str, list[TaintInfo]]] = []
         self.file_stack: list[str] = []
         self.diagnostics: list[str] = []
         self.include_cache = {} if include_cache is None else include_cache
         self._scopes: list[str] = []  # brace kinds: function | class | block
+        self._entered: list[str] = []  # absolute path of every file scan_file entered
 
     @property
     def in_function(self) -> bool:
@@ -116,6 +139,20 @@ class ScanContext:
         kind = self._scopes.pop()
         if kind == "function" and self.dependency_stack:
             self.dependency_stack.pop()
+
+    def snapshot(self) -> tuple:
+        """Scope kinds and every frame's bindings, in order, as one hashable
+        value that no later assignment changes."""
+        frames = (self.declared_variables, *self.dependency_stack)
+        bindings = tuple(tuple((name, tuple(taints)) for name, taints in frame.items()) for frame in frames)
+        return tuple(self._scopes), bindings
+
+    def restore(self, snapshot: tuple) -> None:
+        """Take the state a snapshot holds, in lists of this context's own."""
+        scopes, frames = snapshot
+        self._scopes = list(scopes)
+        self.declared_variables, *self.dependency_stack = (
+            {name: list(taints) for name, taints in frame} for frame in frames)
 
     def current_frame(self) -> dict[str, list[TaintInfo]]:
         if self.dependency_stack:
@@ -374,34 +411,48 @@ def scan_file(path: str | os.PathLike, checklist: Checklist,
     """Scan one PHP file, following string-literal includes.  Returns
     findings in discovery order; a fresh (top-level) scan numbers them
     1..n.  A file reached through an include is read and lexed once per
-    ctx.include_cache and walked in the includer's context each time; a
-    failed read is noted once as an include target and again by the
-    file's own scan."""
+    ctx.include_cache, and walked once per distinct state it is entered
+    with: a later entry in the same state replays that walk's findings and
+    exit state, unless the walk noted anything or entered a file now on the
+    include stack.  A failed read is noted once as an include target and
+    again by the file's own scan."""
     top_level = ctx is None
     if ctx is None:
         ctx = ScanContext()
     abspath = os.path.abspath(path)
-    lexed = ctx.include_cache.get(abspath)
-    if lexed is None:
+    ctx._entered.append(abspath)
+    target = ctx.include_cache.get(abspath)
+    if target is None:
         try:
             source = Path(path).read_bytes().decode("latin-1")
         except OSError as exc:
-            lexed = exc
+            target = exc
         else:
-            lexed = tokenize(source, str(path)), split_lines(source)
+            target = IncludeTarget(tokenize(source, str(path)), split_lines(source))
         if ctx.file_stack:  # reached through an include
-            ctx.include_cache[abspath] = lexed
-    elif isinstance(lexed, OSError) and ctx.file_stack:
+            ctx.include_cache[abspath] = target
+    elif isinstance(target, OSError) and ctx.file_stack:
         return []  # noted when this include target first failed
-    if isinstance(lexed, OSError):
-        ctx.diagnostics.append(f"skipped {path}: {lexed}")
+    if isinstance(target, OSError):
+        ctx.diagnostics.append(f"skipped {path}: {target}")
         return []
-    stream, lines = lexed
+    key = None
+    if ctx.file_stack:
+        key = str(path), ctx.snapshot()
+        walk = target.walks.get(key)
+        if walk is not None and walk.entered.isdisjoint(ctx.file_stack):
+            ctx.restore(walk.exit)
+            ctx._entered.extend(walk.entered)
+            return [replace(f) for f in walk.findings]
+    entered, noted = len(ctx._entered), len(ctx.diagnostics)
     ctx.file_stack.append(abspath)
     try:
-        findings = _walk(stream, lines, str(path), ctx, checklist)
+        findings = _walk(target.stream, target.lines, str(path), ctx, checklist)
     finally:
         ctx.file_stack.pop()
+    if key is not None and len(ctx.diagnostics) == noted:
+        target.walks[key] = _Walk(tuple(replace(f) for f in findings), ctx.snapshot(),
+                                  frozenset(ctx._entered[entered:]))
     if top_level:
         for n, f in enumerate(findings, start=1):
             f.number = n
@@ -428,7 +479,7 @@ def scan_project(root: str | os.PathLike, checklist: Checklist) -> ScanResult:
     findings: list[Finding] = []
     seen: set[tuple] = set()
     diagnostics: list[str] = []
-    include_cache: dict[str, tuple[TokenStream, list[str]] | OSError] = {}
+    include_cache: dict[str, IncludeTarget | OSError] = {}
     scanned = 0
     for php_file in files:
         ctx = ScanContext(include_cache)

@@ -447,3 +447,40 @@ def test_deviation_log_written(pipeline):
     # the attack scenarios above must have produced log records
     assert pipeline["log"].exists()
     assert pipeline["log"].read_text().strip()
+
+
+HTTP_STACK = ("http.client", "ssl", "urllib.request", "http.server", "email.parser")
+
+
+@pytest.mark.parametrize("modules", ["phpwarden.cli", "phpwarden.enforcer, phpwarden.proxy, phpwarden.models"])
+def test_scan_and_enforce_imports_leave_out_the_http_stack(modules):
+    code = f"import sys, {modules}; print([m for m in {HTTP_STACK!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_trace_hook_points_are_module_globals(tmp_path, monkeypatch, capsys):
+    # perfbench/spans.py times these by replacing the module attributes
+    from phpwarden import cli, scanner
+
+    for module, name in [(cli, "write_report"), (cli, "crawl"), (cli, "build_model"),
+                         (cli, "load_model"), (scanner, "tokenize"), (scanner, "scan_file")]:
+        assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+    (tmp_path / "lib").mkdir()
+    (tmp_path / "a.php").write_text("<?php\ninclude 'lib/l.php';\n")
+    (tmp_path / "b.php").write_text("<?php\ninclude 'lib/l.php';\n")
+    (tmp_path / "lib" / "l.php").write_text("<?php\ninclude 'm.php';\n")
+    (tmp_path / "lib" / "m.php").write_text("<?php\necho $_GET['m'];\n")
+    calls = []
+    scan_file = scanner.scan_file
+
+    def recording_scan_file(path, *args):
+        calls.append(Path(path).name)
+        return scan_file(path, *args)
+
+    monkeypatch.setattr(scanner, "scan_file", recording_scan_file)
+    assert main(["scan", "--root", str(tmp_path)]) == 1
+    # b.php's include replays the walk a.php's include stored, through scan_file
+    assert calls == ["a.php", "l.php", "m.php", "b.php", "l.php", "l.php", "m.php", "m.php"]
+    capsys.readouterr()

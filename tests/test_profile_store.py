@@ -350,3 +350,10 @@ def test_one_more_exchange_escapes_only_its_own_page(tmp_path, monkeypatch):
     store.record_exchange(head_text("/b.php"), "0")
     assert len(calls) <= 2
     assert (tmp_path / "0.xml").read_text().endswith("  <Trail>a.php, b.php</Trail>\n</Sequences>\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(st.one_of(st.sampled_from('&<>"\'; '), st.characters())))
+def test_xml_escape_matches_saxutils(text):
+    assert profile_store.xml_escape(text) == xml_escape(text)
+    assert profile_store.xml_escape(text, {'"': "&quot;"}) == xml_escape(text, {'"': "&quot;"})

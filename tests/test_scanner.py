@@ -1,4 +1,5 @@
 import os
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -420,3 +421,166 @@ def test_scan_project_equals_union_of_independent_scans(repo_root, tmp_path, tre
     strip = lambda fs: [(f.file, f.line, f.line_text, f.category, f.children) for f in fs]
     project = scan_project(root, CHECKLIST).findings
     assert project and strip(project) == strip(independent_scans(root))
+
+
+def count_include_walks(monkeypatch):
+    """Walks per display path of files entered through an include."""
+    walks = Counter()
+    walk = scanner._walk
+
+    def counting_walk(stream, lines, display_path, ctx, checklist):
+        if len(ctx.file_stack) > 1:
+            walks[display_path] += 1
+        return walk(stream, lines, display_path, ctx, checklist)
+
+    monkeypatch.setattr(scanner, "_walk", counting_walk)
+    return walks
+
+
+strip = lambda fs: [(f.file, f.line, f.line_text, f.category, f.children) for f in fs]
+
+
+def test_include_target_is_walked_once_per_entering_state(tmp_path, monkeypatch):
+    shared_library_tree(tmp_path, "lib", pages=6)
+    walks = count_include_walks(monkeypatch)
+    result = scan_project(tmp_path, CHECKLIST)
+    assert walks == {str(tmp_path / "lib" / "shared.php"): 1}
+    assert strip(result.findings) == strip(independent_scans(tmp_path))
+
+
+def test_include_target_is_walked_once_per_distinct_state(tmp_path, monkeypatch):
+    shared_library_tree(tmp_path, "lib", pages=6)
+    for n in (0, 2, 4):
+        write_tree(tmp_path, {f"pages/page{n}.php":
+                              "<?php\n$v = $_GET['v'];\nrequire_once '../lib/shared.php';\necho $q;\n"})
+    walks = count_include_walks(monkeypatch)
+    result = scan_project(tmp_path, CHECKLIST)
+    assert walks == {str(tmp_path / "lib" / "shared.php"): 2}
+    assert strip(result.findings) == strip(independent_scans(tmp_path))
+    assert (str(tmp_path / "lib" / "shared.php"), 3) in {(f.file, f.line) for f in result.findings}
+
+
+def test_replayed_include_findings_are_distinct_and_numbered(tmp_path):
+    # the library binds nothing, so each include enters it in the same state
+    write_tree(tmp_path, {"lib.php": "<?php\necho $_GET['a'];\necho $x;\n",
+                          "page.php": "<?php\ninclude 'lib.php';\ninclude 'lib.php';\ninclude 'lib.php';\n"})
+    findings = scan_file(tmp_path / "page.php", CHECKLIST)
+    assert [f.number for f in findings] == [1, 2, 3, 4, 5, 6]
+    assert len({id(f) for f in findings}) == 6
+    assert [f.key() for f in findings] == [f.key() for f in findings[:2]] * 3
+    # with a shared cache, a replay is unaffected by numbering an earlier result
+    cache = {}
+    for f in scan_file(tmp_path / "page.php", CHECKLIST, ScanContext(cache)):
+        f.number = 7
+    assert [f.number for f in scan_file(tmp_path / "page.php", CHECKLIST, ScanContext(cache))] == [0] * 6
+
+
+def test_include_cycle_cut_is_noted_with_a_shared_cache(tmp_path):
+    write_tree(tmp_path, {
+        "lib/l.php": "<?php\n$a = $_GET['a'];\ninclude 'm.php';\n",
+        "lib/m.php": "<?php\necho $a;\ninclude 'l.php';\n",
+        "p.php": "<?php\ninclude 'lib/l.php';\n",
+        "q.php": "<?php\ninclude 'lib/m.php';\n",
+    })
+    cache = {}
+    for page in ("p.php", "q.php"):
+        shared, fresh = ScanContext(cache), ScanContext()
+        assert scan_file(tmp_path / page, CHECKLIST, shared) == scan_file(tmp_path / page, CHECKLIST, fresh)
+        assert shared.diagnostics == fresh.diagnostics
+    assert shared.diagnostics == [f"{tmp_path / 'lib' / 'l.php'}: include cycle cut at m.php"]
+
+
+def test_walk_is_not_replayed_while_a_file_it_entered_is_open(tmp_path):
+    write_tree(tmp_path, {
+        "lib/l.php": "<?php\ninclude 'm.php';\n",
+        "lib/m.php": "<?php\necho $_GET['m'];\n",
+        "p.php": "<?php\ninclude 'lib/l.php';\n",
+    })
+    cache = {}
+    scan_file(tmp_path / "p.php", CHECKLIST, ScanContext(cache))
+    # l.php as m.php's include target: its stored walk entered m.php
+    shared, fresh = ScanContext(cache), ScanContext()
+    for ctx in (shared, fresh):
+        ctx.file_stack.append(str(tmp_path / "lib" / "m.php"))
+    assert scan_file(tmp_path / "lib" / "l.php", CHECKLIST, shared) == []
+    assert scan_file(tmp_path / "lib" / "l.php", CHECKLIST, fresh) == []
+    assert shared.diagnostics == fresh.diagnostics == [
+        f"{tmp_path / 'lib' / 'l.php'}: include cycle cut at m.php"]
+
+
+@pytest.mark.parametrize("first, second", [
+    ("", "if ($a) {"),                                            # scopes differ
+    ("function g() {", "function g() { $v = $_GET['v'];"),       # frames differ
+    ("$v = 'clean';", "$v = $_GET['v'];"),                        # bindings differ
+])
+def test_walks_are_kept_apart_by_entering_state(tmp_path, monkeypatch, first, second):
+    write_tree(tmp_path, {"lib.php": "<?php\necho $v;\n",
+                          "a.php": f"<?php\n{first}\ninclude 'lib.php';\n",
+                          "b.php": f"<?php\n{second}\ninclude 'lib.php';\n"})
+    walks = count_include_walks(monkeypatch)
+    cache = {}
+    for page in ("a.php", "b.php"):
+        shared, fresh = ScanContext(cache), ScanContext()
+        assert scan_file(tmp_path / page, CHECKLIST, shared) == scan_file(tmp_path / page, CHECKLIST, fresh)
+        assert (shared.declared_variables, shared.dependency_stack, shared._scopes) == (
+            fresh.declared_variables, fresh.dependency_stack, fresh._scopes)
+    # each state walked once with the shared cache and once with a fresh context
+    assert walks[str(tmp_path / "lib.php")] == 4
+
+
+def test_walks_are_kept_apart_by_display_path(tmp_path, monkeypatch):
+    write_tree(tmp_path, {"lib.php": "<?php\necho $_GET['a'];\n", "page.php": "<?php\ninclude 'lib.php';\n"})
+    monkeypatch.chdir(tmp_path)
+    cache = {}
+    for page in (tmp_path / "page.php", Path("page.php")):
+        assert [f.file for f in scan_file(page, CHECKLIST, ScanContext(cache))] == [str(page.parent / "lib.php")]
+
+
+LIBS = 3
+_var = st.integers(0, 2).map(lambda n: f"$v{n}")
+_target = st.sampled_from([*range(LIBS)] * 3 + [None])  # None: a missing file
+_include = st.tuples(st.just("include"), _target,
+                     st.sampled_from(["include '{}';", "require_once('{}');"]))
+_plain = st.one_of(
+    _var.map(lambda v: f"{v} = $_GET['k'];"),
+    _var.map(lambda v: f"{v} = 'clean';"),
+    _var.map(lambda v: f"{v} = htmlspecialchars($_COOKIE['k']);"),
+    _var.map(lambda v: f"echo {v};"),
+    _var.map(lambda v: f"mysql_query({v});"),
+    st.sampled_from(["function g() {", "if ($v0) {", "}"]),
+)
+_including = st.one_of(_include, st.tuples(st.just("function"), _include, _var))
+_page = st.lists(st.one_of(_plain, _including), max_size=6)
+# libraries include less often, so that fewer of their walks cut a cycle
+_library = st.lists(st.one_of(_plain, _plain, _plain, _including), max_size=6)
+
+
+def _render(statement, in_lib):
+    if isinstance(statement, str):
+        return statement
+    if statement[0] == "function":
+        return f"function f() {{ {_render(statement[1], in_lib)} echo {statement[2]}; }}"
+    _, target, form = statement
+    name = "gone.php" if target is None else f"l{target}.php"
+    return form.format(name if in_lib else f"lib/{name}")
+
+
+@settings(max_examples=200, deadline=None)
+@given(pages=st.lists(_page, min_size=1, max_size=3), libs=st.lists(_library, min_size=LIBS, max_size=LIBS))
+def test_shared_cache_scans_equal_fresh_scans(pages, libs):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        # each page twice, so the second copy enters its includes as the first did
+        files = {f"p{n}{copy}.php": page for n, page in enumerate(pages) for copy in "ab"}
+        files.update({f"lib/l{n}.php": lib for n, lib in enumerate(libs)})
+        write_tree(root, {rel: "<?php\n" + "\n".join(_render(s, rel.startswith("lib/")) for s in body) + "\n"
+                          for rel, body in files.items()})
+        cache = {}
+        for path in sorted(root.rglob("*.php"), key=lambda p: p.relative_to(root).as_posix()):
+            shared, fresh = ScanContext(cache), ScanContext()
+            assert scan_file(path, CHECKLIST, shared) == scan_file(path, CHECKLIST, fresh)
+            assert shared.diagnostics == fresh.diagnostics
+            assert list(shared.declared_variables.items()) == list(fresh.declared_variables.items())
+            assert shared.dependency_stack == fresh.dependency_stack
+            assert shared._scopes == fresh._scopes
+        assert strip(scan_project(root, CHECKLIST).findings) == strip(independent_scans(root))
