@@ -460,7 +460,7 @@ def test_scan_and_enforce_imports_leave_out_the_http_stack(modules):
     assert proc.stdout.strip() == "[]"
 
 
-def test_trace_hook_points_are_module_globals(tmp_path, monkeypatch, capsys):
+def test_trace_hook_points_are_module_globals(tmp_path, monkeypatch):
     # perfbench/spans.py times these by replacing the module attributes
     from phpwarden import cli, scanner
 
@@ -483,4 +483,3 @@ def test_trace_hook_points_are_module_globals(tmp_path, monkeypatch, capsys):
     assert main(["scan", "--root", str(tmp_path)]) == 1
     # b.php's include replays the walk a.php's include stored, through scan_file
     assert calls == ["a.php", "l.php", "m.php", "b.php", "l.php", "l.php", "m.php", "m.php"]
-    capsys.readouterr()
