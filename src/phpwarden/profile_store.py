@@ -55,63 +55,80 @@ class RequestHead:
     content_length: int = 0
 
     def get(self, name: str) -> str | None:
-        lname = name.lower()
-        for k, v in self.headers:
-            if k.lower() == lname:
-                return v
-        return None
+        return next(iter(self.get_all(name)), None)
 
     def get_all(self, name: str) -> list[str]:
         lname = name.lower()
         return [v for k, v in self.headers if k.lower() == lname]
 
 
-def parse_header_block(text: str) -> RequestHead:
-    """Parse a raw request head (request line + header lines).
-
-    The head ends at the first empty or whitespace-only line, and a line
-    break must end that line too.  Anything but blank lines after it is
-    refused, not dropped: the proxy forwards the raw bytes it framed, so a
-    second request hidden behind a bare-LF blank line would otherwise reach
-    the upstream unverified.  So is ambiguous framing (RFC 9112 section 11.2):
-    any Transfer-Encoding, or a Content-Length declared_length refuses.
-
-    Raises ValueError on a malformed or cut-off head; callers on the
-    enforcement path map that to a block verdict rather than a crash.
-    """
+def _split_head(text: str) -> tuple[str, list[tuple[str, str]]]:
+    """(start line, (name, value) fields) of a raw message head.  The head
+    ends at the first empty or whitespace-only line, and a line break must
+    end that line too.  Anything but blank lines after it is refused, not
+    dropped: the proxy relays the raw bytes it framed, so a message hidden
+    behind a bare-LF blank line would otherwise pass unverified.  Raises
+    ValueError on a cut-off head or a line that is not `name: value`."""
     lines = text.replace("\r\n", "\n").split("\n")
     while lines and not lines[0].strip():
         lines.pop(0)
     if not lines:
-        raise ValueError("empty request")
-    parts = lines[0].split()
-    if len(parts) != 3:
-        raise ValueError(f"malformed request line: {lines[0]!r}")
-    method, target, version = parts
-    if not version.startswith("HTTP/"):
-        raise ValueError(f"malformed request line: {lines[0]!r}")
-    headers: list[tuple[str, str]] = []
-    lengths: list[str] = []
+        raise ValueError("empty head")
+    fields: list[tuple[str, str]] = []
     rest = iter(lines[1:-1])  # no line break ends lines[-1]
     for line in rest:
         if not line.strip():
             break
-        if ":" not in line:
+        name, colon, value = line.partition(":")
+        if not colon:
             raise ValueError(f"malformed header line: {line!r}")
-        name, _, value = line.partition(":")
-        name, value = name.strip(), value.strip()
-        headers.append((name, value))
-        key = name.lower()
-        if key == "content-length":
-            lengths.append(value)
-        elif key == "transfer-encoding":
-            raise ValueError("Transfer-Encoding framing is refused")
+        fields.append((name.strip(), value.strip()))
     else:
         raise ValueError("head cut off before its blank line")
     if any(extra.strip() for extra in rest) or lines[-1].strip():
         raise ValueError("text after the blank line that ends the head")
-    return RequestHead(method=method, target=target, version=version, headers=tuple(headers),
-                       content_length=declared_length(lengths) if lengths else 0)
+    return lines[0], fields
+
+
+def parse_header_block(text: str) -> RequestHead:
+    """Parse a raw request head split by _split_head.  Ambiguous framing is
+    refused (RFC 9112 section 11.2): any Transfer-Encoding, or a
+    Content-Length declared_length refuses.  Raises ValueError on a
+    malformed or cut-off head; callers on the enforcement path map that to
+    a block verdict rather than a crash."""
+    start, fields = _split_head(text)
+    parts = start.split()
+    if len(parts) != 3 or not parts[2].startswith("HTTP/"):
+        raise ValueError(f"malformed request line: {start!r}")
+    if any(name.lower() == "transfer-encoding" for name, _ in fields):
+        raise ValueError("Transfer-Encoding framing is refused")
+    lengths = [value for name, value in fields if name.lower() == "content-length"]
+    return RequestHead(*parts, tuple(fields), declared_length(lengths) if lengths else 0)
+
+
+CHUNKED = -1  # the body length parse_response_head gives a chunked body
+_STATUS_LINE = re.compile(r"HTTP/[0-9]\.[0-9] ([1-5][0-9][0-9])(?: |$)")
+
+
+def parse_response_head(text: str, method: str) -> tuple[int, list[tuple[str, str]], int | None]:
+    """(status, fields, body length) of a raw response head to method, split
+    by _split_head and framed by RFC 9112 section 6.3: 0 after HEAD or for a
+    1xx, 204 or 304, CHUNKED for a final chunked coding, None (until close)
+    for any other Transfer-Encoding or no Content-Length.  Raises ValueError
+    as _split_head does and on a bad status line or Content-Length."""
+    start, fields = _split_head(text)
+    match = _STATUS_LINE.match(start)
+    if not match:
+        raise ValueError(f"malformed status line: {start!r}")
+    status = int(match[1])
+    codings = [value for name, value in fields if name.lower() == "transfer-encoding"]
+    lengths = [value for name, value in fields if name.lower() == "content-length"]
+    if method == "HEAD" or status < 200 or status in (204, 304):
+        return status, fields, 0
+    if codings:  # only a final chunked coding frames the body
+        final = codings[-1].rsplit(",", 1)[-1].strip().lower()
+        return status, fields, CHUNKED if final == "chunked" else None
+    return status, fields, declared_length(lengths) if lengths else None
 
 
 def declared_length(values: list[str]) -> int:

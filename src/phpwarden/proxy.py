@@ -24,7 +24,7 @@ import socketserver
 from urllib.parse import parse_qs
 
 from .enforcer import Enforcer
-from .profile_store import RequestHead, declared_length, page_of, set_cookie_value
+from .profile_store import CHUNKED, RequestHead, page_of, parse_response_head, set_cookie_value
 
 _HEAD_LIMIT = 65536
 _PIECE = 65536
@@ -62,24 +62,6 @@ def _relay(sock: socket.socket, rest: bytes, length: int | None, send) -> None:
         send(piece)
         if length is not None:
             length -= len(piece)
-
-
-def _response_framing(method: str, head: bytes) -> tuple[int | None, list[tuple[str, str]]]:
-    """The body length of a response (None: until the upstream closes) and
-    its (lowercased name, value) header fields.  Raises ValueError on a head
-    cut off before its blank line or an invalid Content-Length."""
-    if not head.endswith(b"\r\n\r\n"):
-        raise ValueError("response head cut off")
-    lines = head.decode("latin-1").split("\r\n")
-    pairs = (line.partition(":") for line in lines[1:-2])
-    fields = [(name.strip().lower(), value.strip()) for name, _, value in pairs]
-    # the status code sits after the 8-character "HTTP/x.y" and a space
-    if method == "HEAD" or lines[0][9:12] in ("204", "304"):
-        return 0, fields
-    if any(name == "transfer-encoding" for name, _ in fields):
-        return None, fields
-    lengths = [value for name, value in fields if name == "content-length"]
-    return (declared_length(lengths) if lengths else None), fields
 
 
 def _error_response(status: str, text: str, extra: str = "") -> bytes:
@@ -140,7 +122,7 @@ class _ProxyHandler(socketserver.BaseRequestHandler):
             try:
                 up.sendall(head_bytes + body)
                 response_head, rest = _read_head(up)
-                length, fields = _response_framing(head.method, response_head)
+                status, fields, length = parse_response_head(response_head.decode("latin-1"), head.method)
             except (OSError, ValueError):
                 sock.sendall(_BAD_GATEWAY)
                 return
@@ -149,8 +131,8 @@ class _ProxyHandler(socketserver.BaseRequestHandler):
             self._after_relay(head, body, fields)
             # the head and the body bytes that came with it go in one write:
             # a small head sent alone waits on Nagle's algorithm
-            _relay(up, response_head + rest,
-                   None if length is None else len(response_head) + length, sock.sendall)
+            end = None if length in (None, CHUNKED) or status < 200 else len(response_head) + length
+            _relay(up, response_head + rest, end, sock.sendall)
 
     def _after_relay(self, head: RequestHead, body: bytes, fields: list[tuple[str, str]]) -> None:
         enforcer = self.server.enforcer

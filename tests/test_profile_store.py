@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from phpwarden import profile_store
 from phpwarden.models import build_model
 from phpwarden.profile_store import (
+    CHUNKED,
     ProfileStore,
     derive_request_id,
     extract_session_flag,
     page_of,
     parse_header_block,
+    parse_response_head,
     session_cookie_value,
     set_cookie_value,
 )
@@ -132,6 +134,75 @@ def test_session_flag_respects_cookie_name():
         "first-match-wins", "only-leading-pair-of-set-cookie"])
 def test_set_cookie_value(headers, expected):
     assert set_cookie_value(headers) == expected
+
+
+@pytest.mark.parametrize("method, status_line, fields, length", [
+    ("HEAD", "200 OK", "Content-Length: 5", 0),
+    ("GET", "100 Continue", "", 0),
+    ("GET", "103 Early Hints", "Link: </a.css>", 0),
+    ("GET", "204 No Content", "", 0),
+    ("GET", "304 Not Modified", "Content-Length: 5", 0),
+    ("GET", "200 OK", "Transfer-Encoding: chunked", CHUNKED),
+    ("GET", "200 OK", "Transfer-Encoding: gzip, Chunked", CHUNKED),
+    ("GET", "200 OK", "Transfer-Encoding: gzip\r\nTransfer-Encoding: chunked", CHUNKED),
+    ("GET", "200 OK", "Transfer-Encoding: gzip", None),
+    ("GET", "200 OK", "Transfer-Encoding: chunked, gzip", None),
+    ("GET", "200 OK", "Content-Length: 5\r\nTransfer-Encoding: chunked", CHUNKED),
+    ("POST", "200 OK", "Content-Length: 5", 5),
+    ("GET", "200", "Content-Length: 0", 0),
+    ("GET", "302 Found", "Location: /a.php", None),
+], ids=["head", "1xx", "103", "204", "304", "chunked", "gzip-chunked", "chunked-in-second-field",
+        "gzip-until-close", "chunked-not-final", "te-wins-over-cl", "length", "no-reason-phrase",
+        "no-length"])
+def test_response_framing_follows_rfc_9112_section_6_3(method, status_line, fields, length):
+    text = f"HTTP/1.1 {status_line}\r\n{fields}\r\n\r\n" if fields else f"HTTP/1.1 {status_line}\r\n\r\n"
+    status, parsed, framed = parse_response_head(text, method)
+    assert status == int(status_line[:3])
+    assert parsed == [tuple(field.split(": ", 1)) for field in fields.split("\r\n") if field]
+    assert framed == length
+
+
+@pytest.mark.parametrize("text, cause", [
+    ("HTTP/1.1 200 OK\r\nContent-Length: five\r\n\r\n", "not a length"),
+    ("HTTP/1.1 200 OK\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\n", "2 Content-Length"),
+    ("HTTP/1.1 200 OK\r\nContent-Length: 5, 5\r\n\r\n", "not a length"),
+    ("HTTP/1.1 2000 OK\r\n\r\n", "status line"),
+    ("HTTP/1.1 OK\r\n\r\n", "status line"),
+    ("HTTP/1.1 099 Low\r\n\r\n", "status line"),
+    ("ICY 200 OK\r\n\r\n", "status line"),
+    ("HTTP/1.1 200 OK\r\nno colon\r\n\r\n", "header line"),
+    ("HTTP/1.1 200 OK\r\nServer: x\r\n", "cut off"),
+    ("HTTP/1.1 200 OK\n\nHTTP/1.1 200 OK\r\n\r\n", "blank line"),
+], ids=["not-a-number", "repeated", "list", "four-digits", "no-code", "below-100", "not-http",
+        "no-colon", "cut-off", "second-head"])
+def test_response_head_refuses_what_it_cannot_frame(text, cause):
+    with pytest.raises(ValueError, match=cause):
+        parse_response_head(text, "GET")
+
+
+_HEAD_PIECES = st.one_of(
+    st.sampled_from(["\r\n", "\n", "\r", " ", "\t", ":", "GET /a.php HTTP/1.1", "HTTP/1.1 200 OK",
+                     "HTTP/1.1 100 Continue", "HTTP/1.1 204 ", "Content-Length: ", "Transfer-Encoding: ",
+                     "chunked", "gzip, ", "5", "-1"]),
+    st.text(st.characters(max_codepoint=255), max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(st.text(st.characters(max_codepoint=255)),
+                      st.lists(_HEAD_PIECES, max_size=24).map("".join)))
+def test_head_parsers_are_total_on_latin1_text(text):
+    try:
+        head = parse_header_block(text)
+        assert head.content_length >= 0
+    except ValueError:
+        pass
+    for method in ("GET", "HEAD"):
+        try:
+            status, _, length = parse_response_head(text, method)
+            assert 100 <= status <= 599 and (length is None or length == CHUNKED or length >= 0)
+        except ValueError:
+            pass
 
 
 # -- request id derivation ----------------------------------------------------

@@ -377,6 +377,19 @@ def test_response_with_bad_content_length_is_502(framing_rig, lengths):
     assert enforcer.blocked_count == 0
 
 
+@pytest.mark.parametrize("fields", [
+    b"Content-Length: 5\r\nno colon here\r\n",
+    b"Content-Length: 5\r\n\nX-Hidden: 1\r\n",
+], ids=["no-colon", "text-after-bare-lf-blank-line"])
+def test_response_with_malformed_field_lines_is_502(framing_rig, fields):
+    addr, upstream, enforcer, _ = framing_rig
+    upstream.responses.append(b"HTTP/1.1 200 OK\r\n" + fields + b"\r\nhello")
+    response = send_raw(addr, head_of("GET"))
+    assert response.startswith(b"HTTP/1.1 502 Bad Gateway")
+    assert b"hello" not in response
+    assert enforcer.blocked_count == 0
+
+
 def test_large_response_streams_before_the_upstream_finishes(framing_rig):
     # the client must see the first 64 KiB while the upstream still holds
     # back the rest: the proxy relays in pieces, it does not buffer it whole
