@@ -68,7 +68,8 @@ def _split_head(text: str) -> tuple[str, list[tuple[str, str]]]:
     end that line too.  Anything but blank lines after it is refused, not
     dropped: the proxy relays the raw bytes it framed, so a message hidden
     behind a bare-LF blank line would otherwise pass unverified.  Raises
-    ValueError on a cut-off head or a line that is not `name: value`."""
+    ValueError on a cut-off head or a line that is not `name: value` with a
+    name that neither starts nor ends with whitespace."""
     lines = text.replace("\r\n", "\n").split("\n")
     while lines and not lines[0].strip():
         lines.pop(0)
@@ -80,9 +81,10 @@ def _split_head(text: str) -> tuple[str, list[tuple[str, str]]]:
         if not line.strip():
             break
         name, colon, value = line.partition(":")
-        if not colon:
+        # RFC 9112 sections 5.1 and 5.2: no whitespace before the colon, no obs-fold
+        if not colon or not name or name != name.strip():
             raise ValueError(f"malformed header line: {line!r}")
-        fields.append((name.strip(), value.strip()))
+        fields.append((name, value.strip()))
     else:
         raise ValueError("head cut off before its blank line")
     if any(extra.strip() for extra in rest) or lines[-1].strip():

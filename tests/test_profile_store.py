@@ -100,6 +100,18 @@ def test_parse_header_block_frames_the_body_by_one_content_length():
                 parse_header_block(text)
 
 
+@pytest.mark.parametrize("line", [
+    "Content-Length : 3", "Content-Length\t: 3", " Content-Length: 3", "\tX-Folded: 1", ": 3",
+], ids=["space-before-colon", "tab-before-colon", "obs-fold", "obs-fold-tab", "empty-name"])
+def test_field_names_with_whitespace_are_refused(line):
+    # an upstream that does not see this Content-Length reads the body as a
+    # second request (RFC 9112 sections 5.1 and 5.2)
+    with pytest.raises(ValueError, match="header line"):
+        parse_header_block(f"POST /a.php HTTP/1.1\r\nHost: x\r\n{line}\r\n\r\n")
+    with pytest.raises(ValueError, match="header line"):
+        parse_response_head(f"HTTP/1.1 200 OK\r\nServer: x\r\n{line}\r\n\r\n", "GET")
+
+
 def test_session_flag_extraction():
     assert extract_session_flag(parse_header_block(head_text("/a.php"))) == 0
     flagged = parse_header_block(head_text("/a.php", cookie="PHPSESSID=deadbeef"))

@@ -380,7 +380,9 @@ def test_response_with_bad_content_length_is_502(framing_rig, lengths):
 @pytest.mark.parametrize("fields", [
     b"Content-Length: 5\r\nno colon here\r\n",
     b"Content-Length: 5\r\n\nX-Hidden: 1\r\n",
-], ids=["no-colon", "text-after-bare-lf-blank-line"])
+    b"Content-Length : 5\r\n",
+    b"Server: x\r\n Content-Length: 5\r\n",
+], ids=["no-colon", "text-after-bare-lf-blank-line", "space-before-colon", "obs-fold"])
 def test_response_with_malformed_field_lines_is_502(framing_rig, fields):
     addr, upstream, enforcer, _ = framing_rig
     upstream.responses.append(b"HTTP/1.1 200 OK\r\n" + fields + b"\r\nhello")
@@ -464,6 +466,26 @@ def test_ambiguous_request_framing_is_blocked(framing_rig, framing, body, cause)
     assert len(records) == 1 and len(records[0]) == 6
     assert records[0][4] == "unknown_request"
     assert cause in records[0][5]
+
+
+SMUGGLED = b"GET /Secret.php HTTP/1.1\r\nHost: x\r\n\r\n"
+
+
+@pytest.mark.parametrize("field", [
+    b"Content-Length : %d\r\n", b"Content-Length\t: %d\r\n", b"X-Pad: 1\r\n Content-Length: %d\r\n",
+], ids=["space-before-colon", "tab-before-colon", "obs-fold"])
+def test_request_smuggled_behind_a_whitespace_content_length_is_blocked(framing_rig, field):
+    # an upstream that ignores the malformed field reads the body as a
+    # second, unverified request
+    addr, upstream, enforcer, log_path = framing_rig
+    upstream.responses.extend([CANNED_RESPONSE, CANNED_RESPONSE])
+    response = send_raw(addr, head_of("POST", field % len(SMUGGLED)) + SMUGGLED)
+    head = response.split(b"\r\n\r\n", 1)[0].decode()
+    assert status_of(response) == 403
+    assert "X-Deviation-Reason: unknown_request" in head
+    assert upstream.received == []
+    assert enforcer.blocked_count == 1
+    assert len(DeviationLog.read_records(log_path)) == 1
 
 
 def test_each_proxied_request_is_parsed_once(proxy_stack, monkeypatch):
