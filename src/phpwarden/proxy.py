@@ -31,12 +31,12 @@ _PIECE = 65536
 _IO_TIMEOUT = 15.0
 
 
-def _read_head(sock: socket.socket) -> tuple[bytes, bytes]:
+def _read_head(sock: socket.socket, buf: bytes = b"") -> tuple[bytes, bytes]:
     """(head, rest): the bytes up to and including the first CRLF blank line,
-    and whatever arrived after them.  A head cut off by the peer closing or
-    by _HEAD_LIMIT comes back as it is, with no blank line and rest empty;
-    it is empty when the peer closes before sending a byte."""
-    buf = b""
+    and whatever arrived after them, reading from sock after the bytes in
+    buf.  A head cut off by the peer closing or by _HEAD_LIMIT comes back as
+    it is, with no blank line and rest empty; it is empty when the peer
+    closes before sending a byte."""
     while b"\r\n\r\n" not in buf:
         chunk = sock.recv(_PIECE) if len(buf) <= _HEAD_LIMIT else b""
         if not chunk:
@@ -62,6 +62,48 @@ def _relay(sock: socket.socket, rest: bytes, length: int | None, send) -> None:
         send(piece)
         if length is not None:
             length -= len(piece)
+
+
+def _relay_chunked(sock: socket.socket, buf: bytes, checked: int, send) -> None:
+    """Pass a chunked body (RFC 9112 section 7.1) to send, raw: each
+    chunk-size line, its data and their CRLF, up to the last chunk and the
+    blank line that ends its trailer section.  buf holds bytes already read,
+    of which the first checked need no framing (the head).  The bytes framed
+    so far go to send before each read of a piece of at most _PIECE from
+    sock.  Raises ValueError on a bad chunk-size line, chunk data longer than
+    its size, or a line longer than _HEAD_LIMIT.  A peer that closes early
+    cuts it short."""
+    data = 0  # chunk data still to pass
+    expect = "size"  # the next line: a chunk size, the CRLF after data, or a trailer line
+    while True:
+        step = min(data, len(buf) - checked)
+        checked, data = checked + step, data - step
+        end = -1 if data else buf.find(b"\r\n", checked)
+        if end < 0:
+            if checked:
+                send(buf[:checked])
+                buf, checked = buf[checked:], 0
+            if len(buf) > _HEAD_LIMIT:
+                raise ValueError("chunked body line too long")
+            piece = sock.recv(_PIECE)
+            if not piece:
+                return
+            buf += piece
+            continue
+        line, checked = buf[checked:end], end + 2
+        if expect == "size":
+            size = line.split(b";", 1)[0].rstrip(b" \t")  # chunk extensions are passed on unread
+            if not size or size.strip(b"0123456789abcdefABCDEF"):
+                raise ValueError(f"bad chunk-size line: {line[:40]!r}")
+            data = int(size, 16)
+            expect = "crlf" if data else "trailer"
+        elif line and expect == "crlf":
+            raise ValueError("chunk data longer than its chunk size")
+        elif not line:
+            if expect == "trailer":
+                send(buf[:checked])
+                return
+            expect = "size"
 
 
 def _error_response(status: str, text: str, extra: str = "") -> bytes:
@@ -107,8 +149,8 @@ class _ProxyHandler(socketserver.BaseRequestHandler):
                                              f"X-Deviation-Reason: {verdict.reason}\r\n"))
             else:
                 self._forward(sock, verdict.head, head_bytes, b"".join(body))
-        except OSError:
-            pass  # a peer went away mid-message
+        except (OSError, ValueError):
+            pass  # a peer went away mid-message or broke the chunked framing: close both
 
     def _forward(self, sock: socket.socket, head: RequestHead, head_bytes: bytes, body: bytes) -> None:
         """Send the verified request upstream and stream its response to the
@@ -121,8 +163,16 @@ class _ProxyHandler(socketserver.BaseRequestHandler):
         with up:
             try:
                 up.sendall(head_bytes + body)
-                response_head, rest = _read_head(up)
-                status, fields, length = parse_response_head(response_head.decode("latin-1"), head.method)
+                rest = b""
+                while True:
+                    response_head, rest = _read_head(up, rest)
+                    status, fields, length = parse_response_head(response_head.decode("latin-1"),
+                                                                 head.method)
+                    if status >= 200 or status == 101:
+                        break
+                    # an interim response (RFC 9110 section 15.2): on to the
+                    # client at once, and the final one follows
+                    sock.sendall(response_head)
             except (OSError, ValueError):
                 sock.sendall(_BAD_GATEWAY)
                 return
@@ -131,8 +181,11 @@ class _ProxyHandler(socketserver.BaseRequestHandler):
             self._after_relay(head, body, fields)
             # the head and the body bytes that came with it go in one write:
             # a small head sent alone waits on Nagle's algorithm
-            end = None if length in (None, CHUNKED) or status < 200 else len(response_head) + length
-            _relay(up, response_head + rest, end, sock.sendall)
+            if length == CHUNKED:
+                _relay_chunked(up, response_head + rest, len(response_head), sock.sendall)
+            else:  # after a 101 the connection speaks another protocol, until close
+                end = None if length is None or status == 101 else len(response_head) + length
+                _relay(up, response_head + rest, end, sock.sendall)
 
     def _after_relay(self, head: RequestHead, body: bytes, fields: list[tuple[str, str]]) -> None:
         enforcer = self.server.enforcer

@@ -3,6 +3,7 @@ import socket
 import socketserver
 import sys
 import threading
+import time
 
 import pytest
 
@@ -414,6 +415,139 @@ def test_large_response_streams_before_the_upstream_finishes(framing_rig):
     assert got == head + first + last
 
 
+CHUNKED_HEAD = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+
+
+def read_until(sock: socket.socket, got: bytes, size: int) -> bytes:
+    while len(got) < size:
+        chunk = sock.recv(65536)
+        assert chunk, "proxy closed early"
+        got += chunk
+    return got
+
+
+def read_to_close(sock: socket.socket, got: bytes = b"") -> bytes:
+    while chunk := sock.recv(65536):
+        got += chunk
+    return got
+
+
+def timed_send_raw(addr, payload: bytes) -> tuple[bytes, float]:
+    started = time.monotonic()
+    response = send_raw(addr, payload)
+    return response, time.monotonic() - started
+
+
+@pytest.mark.parametrize("body", [
+    b"5\r\nhello\r\n0\r\n\r\n",
+    b"5;name=value\r\nhello\r\n1a\r\n" + b"z" * 26 + b"\r\nF ; x\r\n" + b"f" * 15 + b"\r\n000\r\n"
+    b"X-Trailer: t\r\nX-More: u\r\n\r\n",
+], ids=["one-chunk", "extensions-and-trailers"])
+def test_chunked_response_ends_the_connection_at_its_last_chunk(framing_rig, body):
+    # the upstream keeps its connection open: the relay must end at the
+    # last chunk, not wait for a close that never comes
+    addr, upstream, _, _ = framing_rig
+    upstream.responses.append(CHUNKED_HEAD + body)
+    response, elapsed = timed_send_raw(addr, head_of("GET"))
+    assert response == CHUNKED_HEAD + body
+    assert elapsed < 1
+
+
+def test_chunked_response_split_across_reads_is_framed(framing_rig):
+    # cuts inside a size line, between CR and LF, inside data and inside
+    # the trailer section
+    addr, upstream, _, _ = framing_rig
+    response = CHUNKED_HEAD + b"10\r\n0123456789abcdef\r\n0\r\nX: y\r\n\r\n"
+    cuts = [len(CHUNKED_HEAD) + 1, len(CHUNKED_HEAD) + 3, len(CHUNKED_HEAD) + 10,
+            len(response) - 9, len(response) - 1]
+    pieces = [response[a:b] for a, b in zip([0] + cuts, cuts + [len(response)])]
+    events = [threading.Event() for _ in cuts]
+    parts = [pieces[0]]
+    for event, piece in zip(events, pieces[1:]):
+        parts += [event, piece]
+    upstream.responses.append(parts)
+
+    def release():
+        for event in events:
+            time.sleep(0.02)
+            event.set()
+
+    threading.Thread(target=release, daemon=True).start()
+    got, elapsed = timed_send_raw(addr, head_of("GET"))
+    assert got == response
+    assert elapsed < 1
+
+
+def test_large_chunked_response_streams_before_the_upstream_finishes(framing_rig):
+    addr, upstream, _, _ = framing_rig
+    first, last = b"a" * 65536, b"b" * 3 * 65536
+    opening = CHUNKED_HEAD + b"%x\r\n" % (len(first) + len(last)) + first
+    closing = last + b"\r\n0\r\n\r\n"
+    released = threading.Event()
+    upstream.responses.append([opening, released, closing])
+    with socket.create_connection(addr, timeout=5) as sock:
+        sock.sendall(head_of("GET"))
+        got = read_until(sock, b"", len(opening))
+        released.set()
+        started = time.monotonic()
+        got = read_to_close(sock, got)
+    assert got == opening + closing
+    assert time.monotonic() - started < 1
+
+
+@pytest.mark.parametrize("body", [
+    b"zz\r\nhello\r\n0\r\n\r\n",
+    b"+5\r\nhello\r\n0\r\n\r\n",
+    b"0x5\r\nhello\r\n0\r\n\r\n",
+    b" 5\r\nhello\r\n0\r\n\r\n",
+    b"\r\nhello\r\n0\r\n\r\n",
+    b"5\r\nhello\r\n3\r\nhello\r\n0\r\n\r\n",
+    b"5" + b"0" * 65536,
+], ids=["not-hex", "signed", "0x-prefix", "leading-space", "empty", "data-longer-than-size",
+        "overlong-line"])
+def test_bad_chunked_framing_closes_the_connection(framing_rig, body):
+    addr, upstream, enforcer, _ = framing_rig
+    upstream.responses.append(CHUNKED_HEAD + body)
+    response, elapsed = timed_send_raw(addr, head_of("GET"))
+    assert elapsed < 1
+    # whatever was relayed is a prefix that stops short of the bad line
+    assert (CHUNKED_HEAD + body).startswith(response)
+    assert not response.endswith(b"0\r\n\r\n")
+    assert enforcer.blocked_count == 0
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["one-write", "final-head-later"])
+def test_interim_response_is_relayed_and_the_final_one_frames_the_body(framing_rig, split):
+    addr, upstream, _, _ = framing_rig
+    interim = b"HTTP/1.1 103 Early Hints\r\nLink: </a.css>\r\n\r\nHTTP/1.1 100 Continue\r\n\r\n"
+    final = b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello"
+    released = threading.Event()
+    upstream.responses.append([interim, released, final] if split else interim + final)
+    with socket.create_connection(addr, timeout=5) as sock:
+        sock.sendall(head_of("GET"))
+        got = b""
+        if split:
+            got = read_until(sock, got, len(interim))
+            assert got == interim
+            released.set()
+        started = time.monotonic()
+        got = read_to_close(sock, got)
+    assert got == interim + final
+    assert time.monotonic() - started < 1
+
+
+def test_switching_protocols_is_relayed_until_the_upstream_closes(framing_rig):
+    addr, upstream, _, _ = framing_rig
+    response = b"HTTP/1.1 101 Switching Protocols\r\nUpgrade: x\r\nConnection: Upgrade\r\n\r\nframe-1"
+    upstream.responses.append(response)
+    with socket.create_connection(addr, timeout=5) as sock:
+        sock.sendall(head_of("GET"))
+        got = read_until(sock, b"", len(response))
+        upstream.close_connections()
+        got = read_to_close(sock, got)
+    assert got == response
+
+
 # one byte past the proxy's 64 KiB head limit with no blank line yet: the
 # proxy reads all of it before it answers, so closing sends no reset
 OVERLONG_HEAD = (b"GET /a.php HTTP/1.1\r\nHost: x\r\nX-Pad: " + b"p" * 65536)[:65537]
@@ -486,6 +620,52 @@ def test_request_smuggled_behind_a_whitespace_content_length_is_blocked(framing_
     assert upstream.received == []
     assert enforcer.blocked_count == 1
     assert len(DeviationLog.read_records(log_path)) == 1
+
+
+@pytest.fixture
+def login_rig(keepalive_upstream, tmp_path):
+    """Proxy in front of the keep-alive upstream, with a toy model in which
+    role 0 may POST /Login.php and only a manager may GET /Home.php with a
+    session."""
+    model1 = RequestModel(rows=[
+        ModelRow(sno=1, convid=1, reqresid="POST_Login.php", session_flag=0, role="0"),
+        ModelRow(sno=2, convid=2, reqresid="GET_Home.php", session_flag=1, role="manager"),
+    ])
+    model2 = NavigationModel(graphs={"0": {"Login.php": []}, "manager": {"Home.php": []}},
+                             entries={"0": ["Login.php"], "manager": ["Home.php"]})
+    enforcer = Enforcer(model1, model2, load_bindings(BINDINGS_TEXT),
+                        DeviationLog(str(tmp_path / "deviations.log")))
+    proxy = serve_proxy(("127.0.0.1", 0), keepalive_upstream.server_address, enforcer)
+    start_in_thread(proxy)
+    yield ("127.0.0.1", proxy.server_address[1]), keepalive_upstream, enforcer
+    proxy.shutdown()
+    proxy.server_close()
+    enforcer.log.close()
+
+
+def login_then_home(addr, password: bytes) -> tuple[bytes, bytes]:
+    """(login response, response to the next GET /Home.php with cookie ck)."""
+    body = b"username=mark&password=" + password
+    login = (b"POST /Login.php HTTP/1.1\r\nHost: x\r\nUser-Agent: login/1\r\n"
+             b"Content-Length: %d\r\n\r\n" % len(body) + body)
+    response = send_raw(addr, login)
+    home = b"GET /Home.php HTTP/1.1\r\nHost: x\r\nUser-Agent: login/1\r\nCookie: PHPSESSID=ck\r\n\r\n"
+    return response, send_raw(addr, home)
+
+
+def test_login_behind_an_interim_response_binds_the_role(login_rig):
+    # the Set-Cookie sits in the final head, not in the 100 before it
+    addr, upstream, enforcer = login_rig
+    upstream.responses += [
+        b"HTTP/1.1 100 Continue\r\n\r\n"
+        b"HTTP/1.1 302 Found\r\nLocation: /Home.php\r\nSet-Cookie: PHPSESSID=ck; Path=/\r\n"
+        b"Content-Length: 0\r\n\r\n",
+        CANNED_RESPONSE,
+    ]
+    login, home = login_then_home(addr, b"maplesyrup")
+    assert login.startswith(b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 302 Found\r\n")
+    assert status_of(home) == 200
+    assert enforcer.blocked_count == 0
 
 
 def test_each_proxied_request_is_parsed_once(proxy_stack, monkeypatch):
