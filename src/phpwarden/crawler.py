@@ -22,7 +22,7 @@ import re
 from collections import deque
 from urllib.parse import urlencode, urlsplit
 
-from .profile_store import ProfileStore, page_of, set_cookie_value
+from .profile_store import ProfileStore, login_succeeded, page_of
 
 _HREF_RE = re.compile(r'href="([^"#]+)"')
 
@@ -120,8 +120,8 @@ def crawl(
         status, resp_headers, _, _ = fetch(
             "POST", f"/{login_page}", form={"username": username, "password": password}
         )
-        cookie = set_cookie_value(resp_headers, store.session_cookie_name)
-        if status not in (301, 302, 303) or cookie is None:
+        cookie = login_succeeded(status, resp_headers, store.session_cookie_name)
+        if cookie is None:
             raise CrawlError(f"login failed for role {role}")
         location = next((v for k, v in resp_headers if k.lower() == "location"), "/")
         first = page_of(location)

@@ -179,6 +179,14 @@ def set_cookie_value(headers, session_cookie_name: str = "PHPSESSID") -> str | N
     return None
 
 
+def login_succeeded(status: int, headers, session_cookie_name: str = "PHPSESSID") -> str | None:
+    """The session cookie a login response grants, or None: a login
+    succeeded only when its response is a 301, 302 or 303 redirect that sets
+    the session cookie.  An app that starts a session on its login page
+    sets the cookie on a failed login too, and answers that with a 200."""
+    return set_cookie_value(headers, session_cookie_name) if status in (301, 302, 303) else None
+
+
 def derive_request_id(method: str, url_path: str, index_page: str = "index.php") -> str:
     """`METHOD_page`: uppercased method, final path segment with the query
     string dropped.  The bare root path maps to index_page."""

@@ -24,7 +24,7 @@ import socketserver
 from urllib.parse import parse_qs
 
 from .enforcer import Enforcer
-from .profile_store import CHUNKED, RequestHead, page_of, parse_response_head, set_cookie_value
+from .profile_store import CHUNKED, RequestHead, login_succeeded, page_of, parse_response_head
 
 _HEAD_LIMIT = 65536
 _PIECE = 65536
@@ -178,7 +178,7 @@ class _ProxyHandler(socketserver.BaseRequestHandler):
                 return
             # bind/clear the session before the client can act on the response,
             # otherwise its next request races the bookkeeping
-            self._after_relay(head, body, fields)
+            self._after_relay(head, body, status, fields)
             # the head and the body bytes that came with it go in one write:
             # a small head sent alone waits on Nagle's algorithm
             if length == CHUNKED:
@@ -187,14 +187,15 @@ class _ProxyHandler(socketserver.BaseRequestHandler):
                 end = None if length is None or status == 101 else len(response_head) + length
                 _relay(up, response_head + rest, end, sock.sendall)
 
-    def _after_relay(self, head: RequestHead, body: bytes, fields: list[tuple[str, str]]) -> None:
+    def _after_relay(self, head: RequestHead, body: bytes, status: int,
+                     fields: list[tuple[str, str]]) -> None:
         enforcer = self.server.enforcer
         client_ip = self.client_address[0]
         config = enforcer.config
         page = page_of(head.target)
         user_agent = head.get("User-Agent") or ""
         if head.method.upper() == "POST" and page == config.login_page:
-            cookie = set_cookie_value(fields, config.session_cookie_name)
+            cookie = login_succeeded(status, fields, config.session_cookie_name)
             if cookie:
                 form = parse_qs(body.decode("latin-1"))
                 username = (form.get("username") or [""])[0]

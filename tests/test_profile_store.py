@@ -13,6 +13,7 @@ from phpwarden.profile_store import (
     ProfileStore,
     derive_request_id,
     extract_session_flag,
+    login_succeeded,
     page_of,
     parse_header_block,
     parse_response_head,
@@ -215,6 +216,15 @@ def test_head_parsers_are_total_on_latin1_text(text):
             assert 100 <= status <= 599 and (length is None or length == CHUNKED or length >= 0)
         except ValueError:
             pass
+
+
+@pytest.mark.parametrize("status, expected", [
+    (302, "abc"), (301, "abc"), (303, "abc"), (200, None), (307, None), (403, None),
+])
+def test_login_succeeded_only_on_a_redirect_that_sets_the_cookie(status, expected):
+    assert login_succeeded(status, [("Set-Cookie", "PHPSESSID=abc; Path=/")]) == expected
+    assert login_succeeded(status, [("Set-Cookie", "MYSESS=abc")], "MYSESS") == expected
+    assert login_succeeded(status, [("Location", "/Home.php")]) is None
 
 
 # -- request id derivation ----------------------------------------------------

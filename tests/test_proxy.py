@@ -668,6 +668,23 @@ def test_login_behind_an_interim_response_binds_the_role(login_rig):
     assert enforcer.blocked_count == 0
 
 
+def test_failed_login_that_sets_a_cookie_binds_no_role(login_rig):
+    # an app that starts a session on its login page sets the cookie on a
+    # wrong password too; only a redirect that sets it is a login
+    addr, upstream, enforcer = login_rig
+    upstream.responses += [
+        b"HTTP/1.1 200 OK\r\nSet-Cookie: PHPSESSID=ck; Path=/\r\nContent-Length: 5\r\n\r\nretry",
+        CANNED_RESPONSE,
+    ]
+    login, home = login_then_home(addr, b"wrong")
+    assert status_of(login) == 200
+    head = home.split(b"\r\n\r\n", 1)[0].decode()
+    assert status_of(home) == 403
+    assert "X-Deviation-Reason: role_mismatch" in head
+    assert len(upstream.received) == 1
+    assert enforcer.blocked_count == 1
+
+
 def test_each_proxied_request_is_parsed_once(proxy_stack, monkeypatch):
     original = profile_store.parse_header_block
     calls = []
