@@ -243,7 +243,10 @@ def _eval_span(tokens: list[Token], lo: int, hi: int, ctx: ScanContext,
                         (t.lexeme, TaintInfo("source function", t.lexeme, t.line, current))
                     )
         elif t.kind is VARIABLE:
-            results.extend(_resolve_name(t.lexeme, t.line, ctx, checklist, current))
+            nxt = tokens[i + 1] if i + 1 < hi else None
+            # the target of a plain = is written, not read; .= and the rest read it
+            if nxt is None or nxt.kind is not OPERATOR or nxt.lexeme != "=":
+                results.extend(_resolve_name(t.lexeme, t.line, ctx, checklist, current))
         elif t.kind is STRING and t.interpolations:
             for name in t.interpolations:
                 results.extend(_resolve_name(name, t.line, ctx, checklist, current))

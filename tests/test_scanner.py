@@ -252,6 +252,22 @@ def test_checklist_monotonicity(tmp_path):
     assert findings_set(scan_file(target, with_sanitizer)) <= base_set
 
 
+@pytest.mark.parametrize("source, expected", [
+    # the target of an inner plain = is written, so it is no unresolved read
+    ("echo ($x = 'a');", {}),
+    ("$y = ($x = 'a');\necho $y;", {}),
+    # the value assigned still flows out of the expression
+    ("echo ($x = $_GET['a']);", {2: ["superglobal $_GET"]}),
+    # a compound assignment reads its target
+    ("echo ($x .= 'a');", {2: ["unresolved"]}),
+], ids=["echo-of-assignment", "assignment-of-assignment", "tainted-value", "compound-reads-target"])
+def test_inner_assignment_target_is_a_write(tmp_path, source, expected):
+    target = tmp_path / "a.php"
+    target.write_text(f"<?php\n{source}\n")
+    findings = scan_file(target, CHECKLIST)
+    assert {f.line: [c.origin() for c in f.children] for f in findings} == expected
+
+
 def test_sanitizer_only_clears_its_own_category(tmp_path):
     target = tmp_path / "s.php"
     target.write_text("<?php\n$v = htmlspecialchars($_GET['q']);\nmysql_query($v);\n")
