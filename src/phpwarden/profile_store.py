@@ -23,6 +23,13 @@ the role's XML, then the `trails` index.  A run interrupted part-way thus
 leaves at most ids that no trail covers; since a reopened store never
 extends a trail it read, no later recording covers them either.  The model
 builder refuses a store with such an id: an interrupted store fails closed.
+
+This module is also the one place that reads HTTP/1.1 message heads, for
+the store, the enforcer and the proxy alike.  _split_head splits a head into
+its start line and fields; parse_header_block frames a request (any
+Transfer-Encoding refused, no Content-Length is an empty body) and
+parse_response_head a response (RFC 9112 section 6.3).  set_cookie_value and
+login_succeeded read what a response grants.
 """
 
 from __future__ import annotations

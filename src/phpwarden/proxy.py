@@ -6,14 +6,17 @@ read by the head's Content-Length: forwarded with the head verbatim (byte for
 byte) when the request passes, thrown away when it is blocked with a 403 that
 names only the deviation reason.  Bytes past that body, such as a pipelined
 second request, were never verified and are dropped.  The parser refuses a
-head cut off before its blank line or with ambiguous framing, so such a
-request is blocked as unknown_request.
+head cut off before its blank line, with a malformed field line or with
+ambiguous framing, so such a request is blocked as unknown_request.
 
-The response is framed by RFC 9112 section 6.3 (no body after HEAD or for a
-204 or 304, read until close for a Transfer-Encoding or no Content-Length, a
-502 for an invalid Content-Length) and streamed to the client in pieces of at
-most 64 KiB.  An unreachable upstream is a 502, not a deviation.  A login or
-logout response binds or clears the client's role once its head arrives,
+The response head goes through profile_store.parse_response_head, which
+frames it by RFC 9112 section 6.3; one it refuses is a 502, and so is an
+unreachable upstream.  A 1xx head other than 101 is relayed at once and the
+final head read after it.  The body is streamed to the client in pieces of
+at most 64 KiB: a chunked one up to its last chunk and trailer section, a
+101's or one with no length until the upstream closes.  A login (a redirect
+that sets the session cookie, see profile_store.login_succeeded) or logout
+response binds or clears the client's role once its final head arrives,
 before the client gets a byte of it.
 """
 
