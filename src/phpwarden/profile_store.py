@@ -130,13 +130,13 @@ def parse_response_head(text: str, method: str) -> tuple[int, list[tuple[str, st
     if not match:
         raise ValueError(f"malformed status line: {start!r}")
     status = int(match[1])
-    codings = [value for name, value in fields if name.lower() == "transfer-encoding"]
-    lengths = [value for name, value in fields if name.lower() == "content-length"]
     if method == "HEAD" or status < 200 or status in (204, 304):
         return status, fields, 0
+    codings = [value for name, value in fields if name.lower() == "transfer-encoding"]
     if codings:  # only a final chunked coding frames the body
         final = codings[-1].rsplit(",", 1)[-1].strip().lower()
         return status, fields, CHUNKED if final == "chunked" else None
+    lengths = [value for name, value in fields if name.lower() == "content-length"]
     return status, fields, declared_length(lengths) if lengths else None
 
 
