@@ -152,8 +152,8 @@ class _ProxyHandler(socketserver.BaseRequestHandler):
                                              f"X-Deviation-Reason: {verdict.reason}\r\n"))
             else:
                 self._forward(sock, verdict.head, head_bytes, b"".join(body))
-        except (OSError, ValueError):
-            pass  # a peer went away mid-message or broke the chunked framing: close both
+        except OSError:
+            pass  # a peer went away mid-message
 
     def _forward(self, sock: socket.socket, head: RequestHead, head_bytes: bytes, body: bytes) -> None:
         """Send the verified request upstream and stream its response to the
@@ -185,7 +185,10 @@ class _ProxyHandler(socketserver.BaseRequestHandler):
             # the head and the body bytes that came with it go in one write:
             # a small head sent alone waits on Nagle's algorithm
             if length == CHUNKED:
-                _relay_chunked(up, response_head + rest, len(response_head), sock.sendall)
+                try:
+                    _relay_chunked(up, response_head + rest, len(response_head), sock.sendall)
+                except ValueError:
+                    return  # broken chunked framing: both connections close
             else:  # after a 101 the connection speaks another protocol, until close
                 end = None if length is None or status == 101 else len(response_head) + length
                 _relay(up, response_head + rest, end, sock.sendall)
