@@ -22,7 +22,8 @@ import re
 from collections import deque
 from urllib.parse import urlencode, urlsplit
 
-from .profile_store import ProfileStore, login_succeeded, page_of
+from .profile_store import (CHUNKED, ProfileStore, login_succeeded, page_of, read_response_head,
+                            relay, relay_chunked)
 
 _HREF_RE = re.compile(r'href="([^"#]+)"')
 
@@ -50,27 +51,26 @@ def send_request(addr: tuple[str, int], method: str, path: str, user_agent: str,
                  cookie_name: str = "PHPSESSID"):
     """One request on a fresh connection.  Returns (status, headers, body
     bytes, the exact header block sent), so a recorder can capture the
-    request verbatim.  Transport failures raise OSError."""
-    body = urlencode(form).encode() if form is not None else None
+    request verbatim.  The response is read as the proxy reads it: one it
+    would answer 502 for raises ValueError, a transport failure OSError."""
+    body = urlencode(form).encode() if form is not None else b""
     headers = [("Host", f"{addr[0]}:{addr[1]}"), ("User-Agent", user_agent)]
     if cookie:
         headers.append(("Cookie", f"{cookie_name}={cookie}"))
-    if body is not None:
+    if form is not None:
         headers.append(("Content-Type", "application/x-www-form-urlencoded"))
         headers.append(("Content-Length", str(len(body))))
     raw_head = f"{method} {path} HTTP/1.1\r\n" + "".join(f"{k}: {v}\r\n" for k, v in headers) + "\r\n"
-    import http.client  # loaded on first use: the scan and the enforcer send nothing
-
-    conn = http.client.HTTPConnection(addr[0], addr[1], timeout=10)
-    try:
-        conn.putrequest(method, path, skip_host=True, skip_accept_encoding=True)
-        for k, v in headers:
-            conn.putheader(k, v)
-        conn.endheaders(body)
-        resp = conn.getresponse()
-        return resp.status, resp.getheaders(), resp.read(), raw_head
-    finally:
-        conn.close()
+    import socket  # loaded on first use: a scan sends nothing
+    with socket.create_connection(addr, timeout=10) as sock:
+        sock.sendall(raw_head.encode("latin-1") + body)
+        _, rest, status, fields, length = read_response_head(sock, method, lambda head: None)
+        data: list[bytes] = []
+        if length == CHUNKED:
+            relay_chunked(sock, rest, 0, lambda piece: None, data.append)
+        else:
+            relay(sock, rest, length, data.append)
+    return status, fields, b"".join(data), raw_head
 
 
 def crawl(
@@ -98,6 +98,8 @@ def crawl(
                 (host, port), method, path, user_agent, cookie, form, store.session_cookie_name)
         except OSError as exc:
             raise CrawlError(f"cannot reach http://{host}:{port}{path}: {exc}") from None
+        except ValueError as exc:  # a response the proxy would answer 502 for
+            raise CrawlError(f"http://{host}:{port}{path}: bad response: {exc}") from None
         return status, headers, body.decode("latin-1"), raw_head
 
     discovered: list[str] = []

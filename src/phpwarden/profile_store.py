@@ -116,6 +116,8 @@ def parse_header_block(text: str) -> RequestHead:
 
 
 CHUNKED = -1  # the body length parse_response_head gives a chunked body
+_HEAD_LIMIT = 65536
+_PIECE = 65536
 _STATUS_LINE = re.compile(r"HTTP/[0-9]\.[0-9] ([1-5][0-9][0-9])(?: |$)")
 
 
@@ -138,6 +140,96 @@ def parse_response_head(text: str, method: str) -> tuple[int, list[tuple[str, st
         return status, fields, CHUNKED if final == "chunked" else None
     lengths = [value for name, value in fields if name.lower() == "content-length"]
     return status, fields, declared_length(lengths) if lengths else None
+
+
+def read_head(sock, buf: bytes = b"") -> tuple[bytes, bytes]:
+    """(head, rest): the bytes up to and including the first CRLF blank line,
+    and whatever arrived after them, reading from sock after the bytes in
+    buf.  A head cut off by the peer closing or by _HEAD_LIMIT comes back as
+    it is, with no blank line and rest empty; it is empty when the peer
+    closes before sending a byte."""
+    while b"\r\n\r\n" not in buf:
+        chunk = sock.recv(_PIECE) if len(buf) <= _HEAD_LIMIT else b""
+        if not chunk:
+            return buf, b""
+        buf += chunk
+    head, sep, rest = buf.partition(b"\r\n\r\n")
+    return head + sep, rest
+
+
+def read_response_head(sock, method: str,
+                       interim) -> tuple[bytes, bytes, int, list[tuple[str, str]], int | None]:
+    """read_head's (head, rest), then parse_response_head's (status, fields, body length) of
+    the final response; each 1xx head before it but a 101 goes to interim, raw."""
+    rest = b""
+    while True:
+        head, rest = read_head(sock, rest)
+        status, fields, length = parse_response_head(head.decode("latin-1"), method)
+        if status >= 200 or status == 101:
+            return head, rest, status, fields, length
+        interim(head)
+
+
+def relay(sock, rest: bytes, length: int | None, send) -> None:
+    """Pass exactly length bytes to send: those in rest first, then pieces of
+    at most _PIECE read from sock.  With length None, pass everything until
+    the peer closes.  A peer that closes early cuts it short."""
+    if length is not None:
+        rest = rest[:length]
+        length -= len(rest)
+    if rest:
+        send(rest)
+    while length is None or length > 0:
+        piece = sock.recv(_PIECE if length is None else min(_PIECE, length))
+        if not piece:
+            return
+        send(piece)
+        if length is not None:
+            length -= len(piece)
+
+
+def relay_chunked(sock, buf: bytes, checked: int, send, on_data=None) -> None:
+    """Pass a chunked body (RFC 9112 section 7.1) to send, raw: each
+    chunk-size line, its data and their CRLF, up to the last chunk and the
+    blank line that ends its trailer section.  buf holds bytes already read,
+    of which the first checked need no framing (the head).  The bytes framed
+    so far go to send before each read of a piece of at most _PIECE from
+    sock, and the chunk data alone to on_data.  Raises ValueError on a bad
+    chunk-size line, chunk data longer than its size, or a line longer than
+    _HEAD_LIMIT.  A peer that closes early cuts it short."""
+    data = 0  # chunk data still to pass
+    expect = "size"  # the next line: a chunk size, the CRLF after data, or a trailer line
+    while True:
+        step = min(data, len(buf) - checked)
+        if step and on_data:
+            on_data(buf[checked:checked + step])
+        checked, data = checked + step, data - step
+        end = -1 if data else buf.find(b"\r\n", checked)
+        if end < 0:
+            if checked:
+                send(buf[:checked])
+                buf, checked = buf[checked:], 0
+            if len(buf) > _HEAD_LIMIT:
+                raise ValueError("chunked body line too long")
+            piece = sock.recv(_PIECE)
+            if not piece:
+                return
+            buf += piece
+            continue
+        line, checked = buf[checked:end], end + 2
+        if expect == "size":
+            size = line.split(b";", 1)[0].rstrip(b" \t")  # chunk extensions are passed on unread
+            if not size or size.strip(b"0123456789abcdefABCDEF"):
+                raise ValueError(f"bad chunk-size line: {line[:40]!r}")
+            data = int(size, 16)
+            expect = "crlf" if data else "trailer"
+        elif line and expect == "crlf":
+            raise ValueError("chunk data longer than its chunk size")
+        elif not line:
+            if expect == "trailer":
+                send(buf[:checked])
+                return
+            expect = "size"
 
 
 def declared_length(values: list[str]) -> int:

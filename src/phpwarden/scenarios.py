@@ -121,7 +121,7 @@ def run_scenario(script: str, enforcer_addr: tuple[str, int], name: str = "scena
                     enforcer_addr, "POST", "/Login.php", client.user_agent,
                     cookie=client.cookie, form={"username": args[1], "password": args[2]},
                 )
-            except OSError as exc:
+            except (OSError, ValueError) as exc:
                 fail(lineno, f"transport: {exc}")
                 continue
             if reason is not None:
@@ -141,7 +141,7 @@ def run_scenario(script: str, enforcer_addr: tuple[str, int], name: str = "scena
             client = clients[args[0]]
             try:
                 _send(enforcer_addr, "GET", "/Logout.php", client.user_agent, cookie=client.cookie)
-            except OSError as exc:
+            except (OSError, ValueError) as exc:
                 fail(lineno, f"transport: {exc}")
                 continue
             client.cookie = None
@@ -165,7 +165,7 @@ def run_scenario(script: str, enforcer_addr: tuple[str, int], name: str = "scena
                     raise ScenarioError(f"line {lineno}: bad option {option!r}")
             try:
                 status, _, reason = _send(enforcer_addr, method, path, client.user_agent, cookie=client.cookie)
-            except OSError as exc:
+            except (OSError, ValueError) as exc:
                 fail(lineno, f"transport: {exc}")
                 continue
             observed = "block" if reason is not None else "don't_block"

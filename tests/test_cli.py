@@ -452,12 +452,22 @@ def test_deviation_log_written(pipeline):
 HTTP_STACK = ("http.client", "ssl", "urllib.request", "http.server", "email.parser")
 
 
-@pytest.mark.parametrize("modules", ["phpwarden.cli", "phpwarden.enforcer, phpwarden.proxy, phpwarden.models"])
+@pytest.mark.parametrize("modules", ["phpwarden.cli", "phpwarden.enforcer, phpwarden.proxy, phpwarden.models",
+                                     "phpwarden.crawler, phpwarden.scenarios"])
 def test_scan_and_enforce_imports_leave_out_the_http_stack(modules):
     code = f"import sys, {modules}; print([m for m in {HTTP_STACK!r} if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_out_socket():
+    # the crawler imports socket when it sends its first request, so a scan
+    # process does not pay for loading it
+    code = "import sys, phpwarden.cli; print('socket' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_trace_hook_points_are_module_globals(tmp_path, monkeypatch):

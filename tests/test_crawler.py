@@ -171,3 +171,40 @@ def test_crawl_user_agent_is_recorded(tmp_path):
     finally:
         app.shutdown()
         app.server_close()
+
+
+# -- responses read by the proxy's framing --------------------------------------
+
+
+def page(body: bytes, extra: bytes = b"") -> bytes:
+    return b"HTTP/1.1 200 OK\r\n" + extra + b"Content-Length: %d\r\n\r\n" % len(body) + body
+
+
+def test_chunked_page_with_a_link_split_across_chunks_is_followed(keepalive_upstream, tmp_path):
+    # the upstream keeps its connection open: the crawler must end the page
+    # at its last chunk and decode the data, not read the raw chunk framing
+    keepalive_upstream.responses += [
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+        b"c\r\n<a href=\"Abo\r\n8;ext=1\r\nut.php\">\r\n4\r\nx</a\r\n1\r\n>\r\n0\r\nX-T: 1\r\n\r\n",
+        page(b"<p>about</p>"),
+    ]
+    store = ProfileStore(tmp_path / "store")
+    base = "http://%s:%d/" % keepalive_upstream.server_address
+    assert crawl(base, "0", None, store) == ["About.php"]
+    assert [parse_header_block(raw).target for _, raw, _ in store.trail_records()[0][1]] == ["/About.php"]
+
+
+@pytest.mark.parametrize("role, credentials, response", [
+    ("0", None, b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello"),
+    ("manager", ("mark", "maplesyrup"),
+     b"HTTP/1.1 302 Found\r\nLocation: /Home.php\r\nSet-Cookie : PHPSESSID=ck; Path=/\r\n"
+     b"Content-Length: 0\r\n\r\n"),
+], ids=["two-content-lengths", "space-before-colon-in-set-cookie"])
+def test_response_the_proxy_would_refuse_is_a_crawl_error(keepalive_upstream, tmp_path,
+                                                          role, credentials, response):
+    keepalive_upstream.responses.append(response)
+    store = ProfileStore(tmp_path / "store")
+    base = "http://%s:%d/" % keepalive_upstream.server_address
+    with pytest.raises(CrawlError, match="bad response"):
+        crawl(base, role, credentials, store)
+    assert store.recorded_ids() == []

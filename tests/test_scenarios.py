@@ -147,3 +147,14 @@ def test_replay_training_is_block_free(trained, proxy_stack):
     assert (recorded, authenticated_trails) == (36, 13)
     # replay produced no deviation records either
     assert proxy_stack.enforcer.blocked_count == 0
+
+
+def test_request_answered_with_a_malformed_response_fails(keepalive_upstream):
+    # two Content-Length fields: the proxy answers 502 for this response,
+    # so a client that reads it as the proxy does cannot take it as a page
+    keepalive_upstream.responses.append(
+        b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nok")
+    result = run_scenario("client c agent/1\nrequest c GET /a.php expect=don't_block\n",
+                          keepalive_upstream.server_address)
+    assert not result.passed
+    assert result.transcript[1].startswith("FAIL line 2: ")
