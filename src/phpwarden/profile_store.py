@@ -118,6 +118,7 @@ def parse_header_block(text: str) -> RequestHead:
 CHUNKED = -1  # the body length parse_response_head gives a chunked body
 _HEAD_LIMIT = 65536
 _PIECE = 65536
+_BLANK_LINE = re.compile(rb"\n\r?\n")
 _STATUS_LINE = re.compile(r"HTTP/[0-9]\.[0-9] ([1-5][0-9][0-9])(?: |$)")
 
 
@@ -143,18 +144,20 @@ def parse_response_head(text: str, method: str) -> tuple[int, list[tuple[str, st
 
 
 def read_head(sock, buf: bytes = b"") -> tuple[bytes, bytes]:
-    """(head, rest): the bytes up to and including the first CRLF blank line,
+    """(head, rest): the bytes up to and including the first blank line,
     and whatever arrived after them, reading from sock after the bytes in
-    buf.  A head cut off by the peer closing or by _HEAD_LIMIT comes back as
-    it is, with no blank line and rest empty; it is empty when the peer
-    closes before sending a byte."""
-    while b"\r\n\r\n" not in buf:
+    buf.  A bare LF that ends or begins that blank line takes every byte
+    received into the head, so _split_head refuses whatever follows it.  A
+    head cut off by the peer closing or by _HEAD_LIMIT comes back as it is,
+    with no blank line and rest empty; it is empty when the peer closes
+    before sending a byte."""
+    while not (blank := _BLANK_LINE.search(buf)):
         chunk = sock.recv(_PIECE) if len(buf) <= _HEAD_LIMIT else b""
         if not chunk:
             return buf, b""
         buf += chunk
-    head, sep, rest = buf.partition(b"\r\n\r\n")
-    return head + sep, rest
+    end = blank.end() if buf[blank.start() - 1:blank.end()] == b"\r\n\r\n" else len(buf)
+    return buf[:end], buf[end:]
 
 
 def read_response_head(sock, method: str,

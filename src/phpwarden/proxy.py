@@ -65,17 +65,26 @@ class _ProxyHandler(socketserver.BaseRequestHandler):
         if not head_bytes:
             return
         verdict = self.server.enforcer.evaluate(head_bytes.decode("latin-1"), self.client_address[0])
+        head = verdict.head
+        length = head.content_length if head else 0
         body: list[bytes] = []
         try:
+            if (length and head.version == "HTTP/1.1"
+                    and (head.get("Expect") or "").lower() == "100-continue"):
+                # the client holds its body back until it hears 100 (RFC 9110
+                # section 10.1.1), and a blocked request is answered without it
+                if verdict.blocked:
+                    length = 0
+                else:
+                    sock.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
             # bytes past the declared body (a pipelined second request, say)
             # were never verified, so they are never forwarded
-            relay(sock, rest, verdict.head.content_length if verdict.head else 0,
-                  (lambda piece: None) if verdict.blocked else body.append)
+            relay(sock, rest, length, (lambda piece: None) if verdict.blocked else body.append)
             if verdict.blocked:
                 sock.sendall(_error_response("403 Forbidden", "Request blocked: " + verdict.reason,
                                              f"X-Deviation-Reason: {verdict.reason}\r\n"))
             else:
-                self._forward(sock, verdict.head, head_bytes, b"".join(body))
+                self._forward(sock, head, head_bytes, b"".join(body))
         except OSError:
             pass  # a peer went away mid-message
 

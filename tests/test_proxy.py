@@ -548,6 +548,51 @@ def test_switching_protocols_is_relayed_until_the_upstream_closes(framing_rig):
     assert got == response
 
 
+def test_bare_lf_head_is_answered_while_the_client_keeps_its_side_open(framing_rig):
+    # the head ends at its bare-LF blank line: the proxy must not wait for
+    # a CRLF one, or for the client to close
+    addr, upstream, enforcer, _ = framing_rig
+    with socket.create_connection(addr, timeout=2) as sock:
+        sock.sendall(b"GET /b.php HTTP/1.1\nHost: x\nUser-Agent: lf\n\n")
+        response = read_to_close(sock)
+    head = response.split(b"\r\n\r\n", 1)[0].decode()
+    assert status_of(response) == 403
+    assert "X-Deviation-Reason: unknown_request" in head
+    assert upstream.received == []
+    assert enforcer.blocked_count == 1
+
+
+CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
+
+
+def test_blocked_request_expecting_continue_is_answered_without_its_body(framing_rig):
+    # the client holds its body back until it hears 100 Continue
+    addr, upstream, enforcer, _ = framing_rig
+    request = (b"POST /b.php HTTP/1.1\r\nHost: x\r\nUser-Agent: expect/1\r\n"
+               b"Expect: 100-continue\r\nContent-Length: 5\r\n\r\n")
+    with socket.create_connection(addr, timeout=2) as sock:
+        sock.sendall(request)
+        response = read_to_close(sock)
+    assert status_of(response) == 403
+    assert upstream.received == []
+    assert enforcer.blocked_count == 1
+
+
+def test_passing_request_expecting_continue_gets_100_before_its_body_is_read(framing_rig):
+    addr, upstream, enforcer, _ = framing_rig
+    upstream.responses.append(CANNED_RESPONSE)
+    request = head_of("POST", b"Expect: 100-continue\r\nContent-Length: 5\r\n")
+    with socket.create_connection(addr, timeout=2) as sock:
+        sock.sendall(request)
+        got = read_until(sock, b"", len(CONTINUE))
+        assert got == CONTINUE
+        sock.sendall(b"hello")
+        response = read_to_close(sock, got)
+    assert response == CONTINUE + CANNED_RESPONSE
+    assert upstream.received == [request + b"hello"]
+    assert enforcer.blocked_count == 0
+
+
 # one byte past the proxy's 64 KiB head limit with no blank line yet: the
 # proxy reads all of it before it answers, so closing sends no reset
 OVERLONG_HEAD = (b"GET /a.php HTTP/1.1\r\nHost: x\r\nX-Pad: " + b"p" * 65536)[:65537]
