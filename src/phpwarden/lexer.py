@@ -144,12 +144,6 @@ class TokenStream:
     source_path: str = "<source>"
     diagnostics: list[LexDiagnostic] = field(default_factory=list)
 
-    def __iter__(self):
-        return iter(self.tokens)
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
 
 def split_lines(source: str) -> list[str]:
     """Split on LF, CR or CRLF.  Shared by the scanner and report code so
