@@ -22,8 +22,8 @@ import re
 from collections import deque
 from urllib.parse import urlencode, urlsplit
 
-from .profile_store import (CHUNKED, ProfileStore, login_succeeded, page_of, read_response_head,
-                            relay, relay_chunked)
+from .profile_store import (CHUNKED, LOGIN_PAGE, LOGOUT_PAGE, ProfileStore, login_succeeded, page_of,
+                            read_response_head, relay, relay_chunked)
 
 _HREF_RE = re.compile(r'href="([^"#]+)"')
 
@@ -80,8 +80,6 @@ def crawl(
     store: ProfileStore,
     *,
     user_agent: str = "phpwarden-trainer/0.1",
-    login_page: str = "Login.php",
-    logout_page: str = "Logout.php",
 ) -> list[str]:
     """Crawl base_url as role, recording into store.  Role "0" starts at
     the landing page with no login; any other role logs in with
@@ -120,7 +118,7 @@ def crawl(
             raise CrawlError(f"role {role} requires credentials")
         username, password = credentials
         status, resp_headers, _, _ = fetch(
-            "POST", f"/{login_page}", form={"username": username, "password": password}
+            "POST", f"/{LOGIN_PAGE}", form={"username": username, "password": password}
         )
         cookie = login_succeeded(status, resp_headers, store.session_cookie_name)
         if cookie is None:
@@ -147,9 +145,9 @@ def crawl(
             if page not in visited_order:
                 visited_order.append(page)
         leaf = trail[-1]
-        if role == "0" and leaf == login_page:
+        if role == "0" and leaf == LOGIN_PAGE:
             # unauthenticated form probe: public surface, recorded
-            _, _, _, raw_head = fetch("POST", f"/{login_page}", form={"username": "", "password": ""})
+            _, _, _, raw_head = fetch("POST", f"/{LOGIN_PAGE}", form={"username": "", "password": ""})
             store.record_exchange(raw_head, role)
         else:
             for link in extract_links(body):
@@ -158,5 +156,5 @@ def crawl(
                     queue.append(trail + [link])
 
     if role != "0":
-        fetch("GET", f"/{logout_page}")  # unrecorded, see module docstring
+        fetch("GET", f"/{LOGOUT_PAGE}")  # unrecorded, see module docstring
     return visited_order

@@ -19,10 +19,9 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs
 
-from .profile_store import cookie_value, page_of
+from .profile_store import LOGIN_PAGE, LOGOUT_PAGE, cookie_value, page_of
 
 SESSION_COOKIE = "PHPSESSID"
-LOGIN_PAGE = "Login.php"
 HOME_PAGE = "Home.php"
 
 # username -> (password, role)
@@ -50,10 +49,10 @@ _ANY = frozenset({"0", "manager", "employer"})
 _AUTH = frozenset({"manager", "employer"})
 
 ROUTES: dict[str, PageSpec] = {
-    "index.php": PageSpec(False, {None: ["About.php", "Help.php", "Login.php", "Services.php", "Products.php"]}, _ANY),
+    "index.php": PageSpec(False, {None: ["About.php", "Help.php", LOGIN_PAGE, "Services.php", "Products.php"]}, _ANY),
     "About.php": PageSpec(False, {}, _ANY),
     "Help.php": PageSpec(False, {}, _ANY),
-    "Login.php": PageSpec(False, {}, _ANY),
+    LOGIN_PAGE: PageSpec(False, {}, _ANY),
     "Services.php": PageSpec(False, {}, _ANY),
     "Products.php": PageSpec(False, {}, _ANY),
     "Home.php": PageSpec(True, {
@@ -69,7 +68,7 @@ ROUTES: dict[str, PageSpec] = {
     "Viewroles.php": PageSpec(True, {}, _AUTH),
     "Work_report.php": PageSpec(True, {}, frozenset({"employer"})),
     # reachable only by typing the URL; never linked, so never trained
-    "Logout.php": PageSpec(True, {}, _AUTH),
+    LOGOUT_PAGE: PageSpec(True, {}, _AUTH),
 }
 
 
@@ -119,7 +118,7 @@ class _Handler(BaseHTTPRequestHandler):
         links = "\n".join(f'<p><a href="{t}">{t}</a></p>' for t in spec.links_for(role))
         if page == LOGIN_PAGE:
             links = (
-                '<form method="post" action="Login.php">'
+                f'<form method="post" action="{LOGIN_PAGE}">'
                 '<input name="username"><input name="password" type="password">'
                 '<input type="submit" value="Sign in"></form>'
             )
@@ -135,12 +134,12 @@ class _Handler(BaseHTTPRequestHandler):
         with self.server.lock:
             user = self.server.sessions.get(cookie)
         if spec.requires_session and user is None:
-            self._redirect("/Login.php")
+            self._redirect(f"/{LOGIN_PAGE}")
             return
-        if page == "Logout.php":
+        if page == LOGOUT_PAGE:
             with self.server.lock:
                 self.server.sessions.pop(cookie, None)
-            self._redirect("/Login.php")
+            self._redirect(f"/{LOGIN_PAGE}")
             return
         role = USERS[user][1] if user else None
         self._render(page, role)

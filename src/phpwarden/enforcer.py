@@ -266,8 +266,6 @@ class DeviationLog:
 @dataclass
 class EnforcerConfig:
     session_cookie_name: str = "PHPSESSID"
-    login_page: str = "Login.php"
-    logout_page: str = "Logout.php"
     idle_timeout: float = 1800.0
 
 

@@ -281,6 +281,10 @@ def set_cookie_value(headers, session_cookie_name: str = "PHPSESSID") -> str | N
     return None
 
 
+LOGIN_PAGE = "Login.php"  # a POST here with username and password logs in
+LOGOUT_PAGE = "Logout.php"
+
+
 def login_succeeded(status: int, headers, session_cookie_name: str = "PHPSESSID") -> str | None:
     """The session cookie a login response grants, or None: a login
     succeeded only when its response is a 301, 302 or 303 redirect that sets

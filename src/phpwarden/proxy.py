@@ -27,8 +27,8 @@ import socketserver
 from urllib.parse import parse_qs
 
 from .enforcer import Enforcer
-from .profile_store import (CHUNKED, RequestHead, login_succeeded, page_of, read_head,
-                            read_response_head, relay, relay_chunked)
+from .profile_store import (CHUNKED, LOGIN_PAGE, LOGOUT_PAGE, RequestHead, login_succeeded, page_of,
+                            read_head, read_response_head, relay, relay_chunked)
 
 _IO_TIMEOUT = 15.0
 
@@ -124,13 +124,13 @@ class _ProxyHandler(socketserver.BaseRequestHandler):
         config = enforcer.config
         page = page_of(head.target)
         user_agent = head.get("User-Agent") or ""
-        if head.method.upper() == "POST" and page == config.login_page:
+        if head.method.upper() == "POST" and page == LOGIN_PAGE:
             cookie = login_succeeded(status, fields, config.session_cookie_name)
             if cookie:
                 form = parse_qs(body.decode("latin-1"))
                 username = (form.get("username") or [""])[0]
                 enforcer.note_login(client_ip, user_agent, username, cookie)
-        elif page == config.logout_page:
+        elif page == LOGOUT_PAGE:
             enforcer.note_logout(client_ip, user_agent)
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .crawler import send_request
-from .profile_store import ProfileStore, parse_header_block, set_cookie_value
+from .profile_store import LOGIN_PAGE, LOGOUT_PAGE, ProfileStore, parse_header_block, set_cookie_value
 
 
 class ScenarioError(ValueError):
@@ -118,7 +118,7 @@ def run_scenario(script: str, enforcer_addr: tuple[str, int], name: str = "scena
             client = clients[args[0]]
             try:
                 status, headers, reason = _send(
-                    enforcer_addr, "POST", "/Login.php", client.user_agent,
+                    enforcer_addr, "POST", f"/{LOGIN_PAGE}", client.user_agent,
                     cookie=client.cookie, form={"username": args[1], "password": args[2]},
                 )
             except (OSError, ValueError) as exc:
@@ -140,7 +140,7 @@ def run_scenario(script: str, enforcer_addr: tuple[str, int], name: str = "scena
                 raise ScenarioError(f"line {lineno}: logout <client>")
             client = clients[args[0]]
             try:
-                _send(enforcer_addr, "GET", "/Logout.php", client.user_agent, cookie=client.cookie)
+                _send(enforcer_addr, "GET", f"/{LOGOUT_PAGE}", client.user_agent, cookie=client.cookie)
             except (OSError, ValueError) as exc:
                 fail(lineno, f"transport: {exc}")
                 continue
@@ -253,7 +253,7 @@ def replay_training(
             username, password = credentials_by_role[role]
             total += 1
             _, headers, reason = _send(
-                enforcer_addr, "POST", "/Login.php", agent,
+                enforcer_addr, "POST", f"/{LOGIN_PAGE}", agent,
                 form={"username": username, "password": password},
             )
             if reason is not None:
