@@ -14,6 +14,11 @@ it is scaffolding for the crawl, not evidence of the role's browsing
 surface.  The exception is the unauthenticated probe of the login form
 (empty credentials), which IS recorded: submitting the form without
 signing in is part of the public surface.
+
+Each request goes out on a fresh connection as the exact head the store
+records.  Its response is read with profile_store's wire helpers, by the
+same rules as the proxy: a response the proxy would answer 502 for is a
+CrawlError, and a chunked page is decoded before its links are read.
 """
 
 from __future__ import annotations

@@ -24,12 +24,17 @@ leaves at most ids that no trail covers; since a reopened store never
 extends a trail it read, no later recording covers them either.  The model
 builder refuses a store with such an id: an interrupted store fails closed.
 
-This module is also the one place that reads HTTP/1.1 message heads, for
-the store, the enforcer and the proxy alike.  _split_head splits a head into
-its start line and fields; parse_header_block frames a request (any
-Transfer-Encoding refused, no Content-Length is an empty body) and
-parse_response_head a response (RFC 9112 section 6.3).  set_cookie_value and
-login_succeeded read what a response grants.
+This module is also the one HTTP/1.1 wire path, for the store, the
+enforcer, the proxy and the crawler alike.  read_head reads a head from a
+socket up to its first blank line, CRLF or bare LF; _split_head splits a
+head into its start line and fields; parse_header_block frames a request
+(any Transfer-Encoding refused, no Content-Length is an empty body) and
+parse_response_head a response (RFC 9112 section 6.3), and
+read_response_head reads the final response head past any interim ones.
+relay passes a body by its length or until close, and relay_chunked frames
+a chunked one.  set_cookie_value and login_succeeded read what a response
+grants; LOGIN_PAGE and LOGOUT_PAGE name the pages where a session starts
+and ends.
 """
 
 from __future__ import annotations

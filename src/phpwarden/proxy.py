@@ -1,16 +1,21 @@
 """Intercepting reverse proxy, the deployable form of the enforcer.
 
-One request per connection.  Enforcer.evaluate parses the request head once
-and hands it back in its verdict, before the body is read.  The body is then
-read by the head's Content-Length: forwarded with the head verbatim (byte for
-byte) when the request passes, thrown away when it is blocked with a 403 that
-names only the deviation reason.  Bytes past that body, such as a pipelined
-second request, were never verified and are dropped.  The parser refuses a
-head cut off before its blank line, with a malformed field line or with
-ambiguous framing, so such a request is blocked as unknown_request.
+One request per connection.  Its head ends at the first blank line, CRLF
+or bare LF.  Enforcer.evaluate parses the request head once and hands it
+back in its verdict, before the body is read.  The body is then read by the
+head's Content-Length: forwarded with the head verbatim (byte for byte) when
+the request passes, thrown away when it is blocked with a 403 that names
+only the deviation reason.  A client that sends Expect: 100-continue gets
+100 Continue before its body is read when the request passes, and its 403
+without the body being read when it is blocked.  Bytes past that body, such
+as a pipelined second request, were never verified and are dropped.  The
+parser refuses a head cut off before its blank line, with a malformed field
+line or with ambiguous framing, so such a request is blocked as
+unknown_request.
 
-The response head goes through profile_store.parse_response_head, which
-frames it by RFC 9112 section 6.3; one it refuses is a 502, and so is an
+The socket-level reading is profile_store's, which the crawler shares.  The
+response head goes through profile_store.read_response_head, which frames
+it by RFC 9112 section 6.3; one it refuses is a 502, and so is an
 unreachable upstream.  A 1xx head other than 101 is relayed at once and the
 final head read after it.  The body is streamed to the client in pieces of
 at most 64 KiB: a chunked one up to its last chunk and trailer section, a
