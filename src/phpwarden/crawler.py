@@ -30,7 +30,8 @@ from urllib.parse import urlencode, urlsplit
 from .profile_store import (CHUNKED, LOGIN_PAGE, LOGOUT_PAGE, ProfileStore, login_succeeded, page_of,
                             read_response_head, relay, relay_chunked)
 
-_HREF_RE = re.compile(r'href="([^"#]+)"')
+# a target with whitespace or a control character would break the request line
+_HREF_RE = re.compile(r'href="([^"#\x00-\x20\x7f]+)"')
 
 _PAGE_BUDGET = 10_000
 

@@ -167,8 +167,9 @@ def read_head(sock, buf: bytes = b"") -> tuple[bytes, bytes]:
 
 def read_response_head(sock, method: str,
                        interim) -> tuple[bytes, bytes, int, list[tuple[str, str]], int | None]:
-    """read_head's (head, rest), then parse_response_head's (status, fields, body length) of
-    the final response; each 1xx head before it but a 101 goes to interim, raw."""
+    """(head, rest, status, fields, body length) of the final response to
+    method, read by read_head and parse_response_head, whose ValueError it
+    raises.  Each 1xx head before it but a 101 goes to interim."""
     rest = b""
     while True:
         head, rest = read_head(sock, rest)

@@ -28,6 +28,14 @@ def test_extract_links_skips_offsite_and_pseudo_schemes():
     assert extract_links(html) == ["Real.php"]
 
 
+def test_extract_links_skips_targets_that_would_break_the_request_line():
+    # the crawler writes the request line itself: a space or a line break in
+    # a target would split it or smuggle a field line into the request
+    html = ('<a href="a b.php">s</a><a href="c.php\r\nX-Injected: 1">n</a>'
+            '<a href="d\x00.php">z</a><a href="Real.php">r</a>')
+    assert extract_links(html) == ["Real.php"]
+
+
 def test_extract_links_empty_html():
     assert extract_links("<p>nothing here</p>") == []
 
