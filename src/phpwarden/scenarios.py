@@ -122,7 +122,7 @@ def run_scenario(script: str, enforcer_addr: tuple[str, int], name: str = "scena
                     cookie=client.cookie, form={"username": args[1], "password": args[2]},
                 )
             except (OSError, ValueError) as exc:
-                fail(lineno, f"transport: {exc}")
+                fail(lineno, f"no usable response: {exc}")
                 continue
             if reason is not None:
                 fail(lineno, f"login blocked ({reason})")
@@ -142,7 +142,7 @@ def run_scenario(script: str, enforcer_addr: tuple[str, int], name: str = "scena
             try:
                 _send(enforcer_addr, "GET", f"/{LOGOUT_PAGE}", client.user_agent, cookie=client.cookie)
             except (OSError, ValueError) as exc:
-                fail(lineno, f"transport: {exc}")
+                fail(lineno, f"no usable response: {exc}")
                 continue
             client.cookie = None
             say(f"{args[0]} logged out")
@@ -166,7 +166,7 @@ def run_scenario(script: str, enforcer_addr: tuple[str, int], name: str = "scena
             try:
                 status, _, reason = _send(enforcer_addr, method, path, client.user_agent, cookie=client.cookie)
             except (OSError, ValueError) as exc:
-                fail(lineno, f"transport: {exc}")
+                fail(lineno, f"no usable response: {exc}")
                 continue
             observed = "block" if reason is not None else "don't_block"
             note = f"{args[0]} {method} {path} -> {observed}" + (f" ({reason})" if reason else f" [{status}]")
