@@ -184,8 +184,8 @@ def test_crawl_user_agent_is_recorded(tmp_path):
 # -- responses read by the proxy's framing --------------------------------------
 
 
-def page(body: bytes, extra: bytes = b"") -> bytes:
-    return b"HTTP/1.1 200 OK\r\n" + extra + b"Content-Length: %d\r\n\r\n" % len(body) + body
+def page(body: bytes) -> bytes:
+    return b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(body) + body
 
 
 def test_chunked_page_with_a_link_split_across_chunks_is_followed(keepalive_upstream, tmp_path):

@@ -593,6 +593,16 @@ def test_passing_request_expecting_continue_gets_100_before_its_body_is_read(fra
     assert enforcer.blocked_count == 0
 
 
+def test_http10_request_expecting_continue_gets_no_100(framing_rig):
+    # RFC 9110 section 10.1.1: an HTTP/1.0 request's 100-continue is ignored
+    addr, upstream, _, _ = framing_rig
+    upstream.responses.append(CANNED_RESPONSE)
+    request = (b"POST /a.php HTTP/1.0\r\nHost: x\r\nUser-Agent: expect/1\r\n"
+               b"Expect: 100-continue\r\nContent-Length: 5\r\n\r\nhello")
+    assert send_raw(addr, request) == CANNED_RESPONSE
+    assert upstream.received == [request]
+
+
 # one byte past the proxy's 64 KiB head limit with no blank line yet: the
 # proxy reads all of it before it answers, so closing sends no reset
 OVERLONG_HEAD = (b"GET /a.php HTTP/1.1\r\nHost: x\r\nX-Pad: " + b"p" * 65536)[:65537]
