@@ -17,8 +17,9 @@ signing in is part of the public surface.
 
 Each request goes out on a fresh connection as the exact head the store
 records.  Its response is read with profile_store's wire helpers, by the
-same rules as the proxy: a response the proxy would answer 502 for is a
-CrawlError, and a chunked page is decoded before its links are read.
+same rules as the proxy: a response the proxy would answer 502 for, or
+one cut short of its length or last chunk, is a CrawlError, and a chunked
+page is decoded before its links are read.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ def send_request(addr: tuple[str, int], method: str, path: str, user_agent: str,
     """One request on a fresh connection.  Returns (status, headers, body
     bytes, the exact header block sent), so a recorder can capture the
     request verbatim.  The response is read as the proxy reads it: one it
-    would answer 502 for raises ValueError, a transport failure OSError."""
+    would answer 502 for, or one whose body the upstream cuts short, raises
+    ValueError, a transport failure OSError."""
     body = urlencode(form).encode() if form is not None else b""
     headers = [("Host", f"{addr[0]}:{addr[1]}"), ("User-Agent", user_agent)]
     if cookie:
@@ -73,9 +75,11 @@ def send_request(addr: tuple[str, int], method: str, path: str, user_agent: str,
         _, rest, status, fields, length = read_response_head(sock, method, lambda head: None)
         data: list[bytes] = []
         if length == CHUNKED:
-            relay_chunked(sock, rest, 0, lambda piece: None, data.append)
+            whole = relay_chunked(sock, rest, 0, lambda piece: None, data.append)
         else:
-            relay(sock, rest, length, data.append)
+            whole = relay(sock, rest, length, data.append)
+    if not whole:
+        raise ValueError("response body cut short")
     return status, fields, b"".join(data), raw_head
 
 
@@ -102,7 +106,7 @@ def crawl(
                 (host, port), method, path, user_agent, cookie, form, store.session_cookie_name)
         except OSError as exc:
             raise CrawlError(f"cannot reach http://{host}:{port}{path}: {exc}") from None
-        except ValueError as exc:  # a response the proxy would answer 502 for
+        except ValueError as exc:  # one the proxy would answer 502 for, or cut short
             raise CrawlError(f"http://{host}:{port}{path}: bad response: {exc}") from None
         return status, headers, body.decode("latin-1"), raw_head
 

@@ -26,15 +26,16 @@ builder refuses a store with such an id: an interrupted store fails closed.
 
 This module is also the one HTTP/1.1 wire path, for the store, the
 enforcer, the proxy and the crawler alike.  read_head reads a head from a
-socket up to its first blank line, CRLF or bare LF; _split_head splits a
-head into its start line and fields; parse_header_block frames a request
-(any Transfer-Encoding refused, no Content-Length is an empty body) and
+socket up to its first blank line, and cuts it off before one with a bare
+LF in it, so that head is refused; _split_head splits a head into its start
+line and fields; parse_header_block frames a request (any
+Transfer-Encoding refused, no Content-Length is an empty body) and
 parse_response_head a response (RFC 9112 section 6.3), and
 read_response_head reads the final response head past any interim ones.
 relay passes a body by its length or until close, and relay_chunked frames
-a chunked one.  set_cookie_value and login_succeeded read what a response
-grants; LOGIN_PAGE and LOGOUT_PAGE name the pages where a session starts
-and ends.
+a chunked one; each reports whether the peer cut the body short.
+set_cookie_value and login_succeeded read what a response grants;
+LOGIN_PAGE and LOGOUT_PAGE name the pages where a session starts and ends.
 """
 
 from __future__ import annotations
@@ -151,18 +152,21 @@ def parse_response_head(text: str, method: str) -> tuple[int, list[tuple[str, st
 def read_head(sock, buf: bytes = b"") -> tuple[bytes, bytes]:
     """(head, rest): the bytes up to and including the first blank line,
     and whatever arrived after them, reading from sock after the bytes in
-    buf.  A bare LF that ends or begins that blank line takes every byte
-    received into the head, so _split_head refuses whatever follows it.  A
-    head cut off by the peer closing or by _HEAD_LIMIT comes back as it is,
-    with no blank line and rest empty; it is empty when the peer closes
-    before sending a byte."""
+    buf.  A blank line with a bare LF in it ends the read but not the head:
+    the head comes back cut off before it, and rest empty, so every parser
+    refuses it.  A peer that ends heads only at CRLF CRLF would read what
+    follows, even bytes sent later, as more of the head.  A head cut off by
+    the peer closing or by _HEAD_LIMIT comes back as it is, with no blank
+    line and rest empty; it is empty when the peer closes before sending a
+    byte."""
     while not (blank := _BLANK_LINE.search(buf)):
         chunk = sock.recv(_PIECE) if len(buf) <= _HEAD_LIMIT else b""
         if not chunk:
             return buf, b""
         buf += chunk
-    end = blank.end() if buf[blank.start() - 1:blank.end()] == b"\r\n\r\n" else len(buf)
-    return buf[:end], buf[end:]
+    if buf[blank.start() - 1:blank.end()] != b"\r\n\r\n":
+        return buf[:blank.start() + 1], b""
+    return buf[:blank.end()], buf[blank.end():]
 
 
 def read_response_head(sock, method: str,
@@ -179,10 +183,11 @@ def read_response_head(sock, method: str,
         interim(head)
 
 
-def relay(sock, rest: bytes, length: int | None, send) -> None:
+def relay(sock, rest: bytes, length: int | None, send) -> bool:
     """Pass exactly length bytes to send: those in rest first, then pieces of
     at most _PIECE read from sock.  With length None, pass everything until
-    the peer closes.  A peer that closes early cuts it short."""
+    the peer closes.  Returns False when a peer that closes early cut it
+    short."""
     if length is not None:
         rest = rest[:length]
         length -= len(rest)
@@ -191,13 +196,14 @@ def relay(sock, rest: bytes, length: int | None, send) -> None:
     while length is None or length > 0:
         piece = sock.recv(_PIECE if length is None else min(_PIECE, length))
         if not piece:
-            return
+            return length is None
         send(piece)
         if length is not None:
             length -= len(piece)
+    return True
 
 
-def relay_chunked(sock, buf: bytes, checked: int, send, on_data=None) -> None:
+def relay_chunked(sock, buf: bytes, checked: int, send, on_data=None) -> bool:
     """Pass a chunked body (RFC 9112 section 7.1) to send, raw: each
     chunk-size line, its data and their CRLF, up to the last chunk and the
     blank line that ends its trailer section.  buf holds bytes already read,
@@ -205,7 +211,7 @@ def relay_chunked(sock, buf: bytes, checked: int, send, on_data=None) -> None:
     so far go to send before each read of a piece of at most _PIECE from
     sock, and the chunk data alone to on_data.  Raises ValueError on a bad
     chunk-size line, chunk data longer than its size, or a line longer than
-    _HEAD_LIMIT.  A peer that closes early cuts it short."""
+    _HEAD_LIMIT.  Returns False when a peer that closes early cut it short."""
     data = 0  # chunk data still to pass
     expect = "size"  # the next line: a chunk size, the CRLF after data, or a trailer line
     while True:
@@ -222,7 +228,7 @@ def relay_chunked(sock, buf: bytes, checked: int, send, on_data=None) -> None:
                 raise ValueError("chunked body line too long")
             piece = sock.recv(_PIECE)
             if not piece:
-                return
+                return False
             buf += piece
             continue
         line, checked = buf[checked:end], end + 2
@@ -237,7 +243,7 @@ def relay_chunked(sock, buf: bytes, checked: int, send, on_data=None) -> None:
         elif not line:
             if expect == "trailer":
                 send(buf[:checked])
-                return
+                return True
             expect = "size"
 
 

@@ -1,17 +1,18 @@
 """Intercepting reverse proxy, the deployable form of the enforcer.
 
-One request per connection.  Its head ends at the first blank line, CRLF
-or bare LF.  Enforcer.evaluate parses the request head once and hands it
-back in its verdict, before the body is read.  The body is then read by the
-head's Content-Length: forwarded with the head verbatim (byte for byte) when
-the request passes, thrown away when it is blocked with a 403 that names
-only the deviation reason.  A client that sends Expect: 100-continue gets
-100 Continue before its body is read when the request passes, and its 403
-without the body being read when it is blocked.  Bytes past that body, such
-as a pipelined second request, were never verified and are dropped.  The
-parser refuses a head cut off before its blank line, with a malformed field
-line or with ambiguous framing, so such a request is blocked as
-unknown_request.
+One request per connection.  Its head is read up to the first blank line;
+one with a bare LF in it is refused, since an upstream that ends heads only
+at CRLF CRLF would read what follows as more of the head.  Enforcer.evaluate
+parses the request head once and hands it back in its verdict, before the
+body is read.  A blocked request gets a 403 that names only the deviation
+reason at once, and its body, by the head's Content-Length, is then read
+and thrown away.  A passing request's body is read by its Content-Length
+and forwarded with the head verbatim (byte for byte); a client that sends
+Expect: 100-continue gets 100 Continue before it is read.  Bytes past that
+body, such as a pipelined second request, were never verified and are
+dropped.  The parser refuses a head cut off before its blank line, with a
+malformed field line or with ambiguous framing, so such a request is
+blocked as unknown_request.
 
 The socket-level reading is profile_store's, which the crawler shares.  The
 response head goes through profile_store.read_response_head, which frames
@@ -72,23 +73,25 @@ class _ProxyHandler(socketserver.BaseRequestHandler):
         verdict = self.server.enforcer.evaluate(head_bytes.decode("latin-1"), self.client_address[0])
         head = verdict.head
         length = head.content_length if head else 0
-        body: list[bytes] = []
         try:
-            if (length and head.version == "HTTP/1.1"
-                    and (head.get("Expect") or "").lower() == "100-continue"):
-                # the client holds its body back until it hears 100 (RFC 9110
-                # section 10.1.1), and a blocked request is answered without it
-                if verdict.blocked:
-                    length = 0
-                else:
-                    sock.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
-            # bytes past the declared body (a pipelined second request, say)
-            # were never verified, so they are never forwarded
-            relay(sock, rest, length, (lambda piece: None) if verdict.blocked else body.append)
             if verdict.blocked:
+                # answered before the body is read, which the client may hold
+                # back for a 100 Continue (RFC 9110 section 10.1.1), and
+                # half-closed so the client sees the end; whatever body it
+                # sends is then read, so closing sends no reset
                 sock.sendall(_error_response("403 Forbidden", "Request blocked: " + verdict.reason,
                                              f"X-Deviation-Reason: {verdict.reason}\r\n"))
-            else:
+                sock.shutdown(socket.SHUT_WR)
+                relay(sock, rest, length, lambda piece: None)
+                return
+            if (length and head.version == "HTTP/1.1"
+                    and (head.get("Expect") or "").lower() == "100-continue"):
+                sock.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+            # bytes past the declared body (a pipelined second request, say)
+            # were never verified, so they are never forwarded; nor is a body
+            # the client cut short
+            body: list[bytes] = []
+            if relay(sock, rest, length, body.append):
                 self._forward(sock, head, head_bytes, b"".join(body))
         except OSError:
             pass  # a peer went away mid-message

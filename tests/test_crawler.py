@@ -1,3 +1,6 @@
+import socket
+import threading
+
 import pytest
 
 from phpwarden.crawler import CrawlError, crawl, extract_links
@@ -216,3 +219,30 @@ def test_response_the_proxy_would_refuse_is_a_crawl_error(keepalive_upstream, tm
     with pytest.raises(CrawlError, match="bad response"):
         crawl(base, role, credentials, store)
     assert store.recorded_ids() == []
+
+
+def serve_once(response: bytes):
+    """Base URL of a listener that answers one connection with response,
+    then closes it, and the thread that does so."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(5)
+
+    def answer():
+        with listener, listener.accept()[0] as conn:
+            conn.recv(65536)
+            conn.sendall(response)
+
+    thread = threading.Thread(target=answer)
+    thread.start()
+    return "http://%s:%d/" % listener.getsockname(), thread
+
+
+@pytest.mark.parametrize("response", [
+    b"HTTP/1.1 200 OK\r\nContent-Length: 50\r\n\r\n<a href=\"About.php\">",
+    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n14\r\n<a href=\"About.php\">\r\n",
+], ids=["short-of-its-length", "before-the-last-chunk"])
+def test_page_cut_short_by_the_upstream_is_a_crawl_error(tmp_path, response):
+    base, thread = serve_once(response)
+    with pytest.raises(CrawlError, match="cut short"):
+        crawl(base, "0", None, ProfileStore(tmp_path / "store"))
+    thread.join()

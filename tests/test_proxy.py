@@ -578,6 +578,54 @@ def test_blocked_request_expecting_continue_is_answered_without_its_body(framing
     assert enforcer.blocked_count == 1
 
 
+def test_blocked_request_is_answered_before_its_body_arrives(framing_rig):
+    addr, upstream, enforcer, _ = framing_rig
+    request = b"POST /b.php HTTP/1.1\r\nHost: x\r\nUser-Agent: late/1\r\nContent-Length: 5\r\n\r\n"
+    with socket.create_connection(addr, timeout=2) as sock:
+        sock.sendall(request)
+        response = read_to_close(sock)
+        sock.sendall(b"hello")
+    assert status_of(response) == 403
+    assert upstream.received == []
+    assert enforcer.blocked_count == 1
+
+
+def test_passing_request_whose_body_the_client_cuts_short_is_not_forwarded(framing_rig):
+    addr, upstream, enforcer, _ = framing_rig
+    upstream.responses.append(CANNED_RESPONSE)
+    with socket.create_connection(addr, timeout=2) as sock:
+        sock.sendall(head_of("POST", b"Content-Length: 5\r\n") + b"he")
+        sock.shutdown(socket.SHUT_WR)
+        assert read_to_close(sock) == b""
+    assert upstream.received == []
+    assert enforcer.blocked_count == 0
+
+
+# read as more head fields by an upstream that ends heads only at CRLF CRLF:
+# a chunked framing, then a request hidden behind it
+HIDDEN_FIELDS = b"Transfer-Encoding: chunked\r\n\r\n0\r\n\r\nGET /Secret.php HTTP/1.1\r\nHost: x\r\n\r\n"
+EXPECTING_HIDDEN = head_of("POST", b"Expect: 100-continue\r\nContent-Length: %d\r\n" % len(HIDDEN_FIELDS))
+
+
+@pytest.mark.parametrize("request_head", [
+    EXPECTING_HIDDEN.replace(b"\r\n", b"\n"),
+    EXPECTING_HIDDEN[:-2] + b"\n",
+], ids=["bare-lf-blank-line", "crlf-lf-blank-line"])
+def test_body_sent_later_behind_a_bare_lf_blank_line_never_reaches_upstream(framing_rig, request_head):
+    # the body comes in a second write, after the head was read alone
+    addr, upstream, enforcer, _ = framing_rig
+    upstream.responses.append(CANNED_RESPONSE)
+    with socket.create_connection(addr, timeout=2) as sock:
+        sock.sendall(request_head)
+        response = sock.recv(65536)
+        if response == CONTINUE:
+            sock.sendall(HIDDEN_FIELDS)
+        response = read_to_close(sock, response)
+    assert status_of(response) == 403
+    assert upstream.received == []
+    assert enforcer.blocked_count == 1
+
+
 def test_passing_request_expecting_continue_gets_100_before_its_body_is_read(framing_rig):
     addr, upstream, enforcer, _ = framing_rig
     upstream.responses.append(CANNED_RESPONSE)
