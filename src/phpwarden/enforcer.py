@@ -158,16 +158,18 @@ class ClientState:
 
 class ClientTable:
     """Shared client-state map.  Cookie ownership pins on first sighting;
-    idle clients fall back to role 0 after the timeout."""
+    idle clients fall back to role 0 after the timeout.  Hold `lock` from
+    state_for through the update of the state it returns, so that two
+    requests of one client never interleave their read-verify-update."""
 
     def __init__(self, idle_timeout: float = 1800.0):
         self.idle_timeout = idle_timeout
         self._states: dict[ClientIdentity, ClientState] = {}
         self._cookie_owner: dict[str, ClientIdentity] = {}
-        self._lock = threading.RLock()
+        self.lock = threading.RLock()
 
     def state_for(self, identity: ClientIdentity, now: float) -> ClientState:
-        with self._lock:
+        with self.lock:
             state = self._states.get(identity)
             if state is None:
                 state = ClientState(identity=identity, last_seen=now)
@@ -179,7 +181,7 @@ class ClientTable:
             return state
 
     def cookie_owner(self, cookie: str, presenter: ClientIdentity) -> ClientIdentity:
-        with self._lock:
+        with self.lock:
             owner = self._cookie_owner.get(cookie)
             if owner is None:
                 self._cookie_owner[cookie] = presenter
@@ -187,7 +189,7 @@ class ClientTable:
             return owner
 
     def pin_cookie(self, cookie: str, identity: ClientIdentity) -> None:
-        with self._lock:
+        with self.lock:
             self._cookie_owner[cookie] = identity
 
 
@@ -321,27 +323,23 @@ class Enforcer:
             return verdict
 
         identity = ClientIdentity(client_ip, head.get("User-Agent") or "")
-        state = self.table.state_for(identity, now)
         cookie = session_cookie_value(head, cookie_name)
-        if cookie is not None:
-            owner = self.table.cookie_owner(cookie, identity)
-            if owner != identity:
-                verdict = Verdict(
-                    BLOCK, IDENTITY_MISMATCH,
-                    f"session cookie pinned to {owner.ip} / {owner.user_agent}", head,
-                )
-                self._record_block(identity, reqres_id, verdict)
-                return verdict
-
         page = page_of(head.target)
-        verdict = verify_request(
-            reqres_id, page, int(cookie is not None), state.role, state.last_page,
-            self.model1, self.model2,
-        )
+        with self.table.lock:
+            state = self.table.state_for(identity, now)
+            owner = identity if cookie is None else self.table.cookie_owner(cookie, identity)
+            if owner != identity:
+                verdict = Verdict.block(IDENTITY_MISMATCH,
+                                        f"session cookie pinned to {owner.ip} / {owner.user_agent}")
+            else:
+                verdict = verify_request(
+                    reqres_id, page, int(cookie is not None), state.role, state.last_page,
+                    self.model1, self.model2,
+                )
+                if not verdict.blocked and not is_asset(page):
+                    state.last_page = page
         if verdict.blocked:
             self._record_block(identity, reqres_id, verdict)
-        elif not is_asset(page):
-            state.last_page = page
         return Verdict(verdict.status, verdict.reason, verdict.detail, head)
 
     def note_login(self, client_ip: str, user_agent: str, username: str, session_cookie: str) -> None:
@@ -349,13 +347,15 @@ class Enforcer:
         role, pin the fresh cookie, and clear page history so the session
         starts from an entry page."""
         identity = ClientIdentity(client_ip, user_agent)
-        state = self.table.state_for(identity, self.clock())
-        state.role = resolve_role(state, username, self.bindings)
-        state.last_page = None
-        self.table.pin_cookie(session_cookie, identity)
+        with self.table.lock:
+            state = self.table.state_for(identity, self.clock())
+            state.role = resolve_role(state, username, self.bindings)
+            state.last_page = None
+            self.table.pin_cookie(session_cookie, identity)
 
     def note_logout(self, client_ip: str, user_agent: str) -> None:
         identity = ClientIdentity(client_ip, user_agent)
-        state = self.table.state_for(identity, self.clock())
-        state.role = "0"
-        state.last_page = None
+        with self.table.lock:
+            state = self.table.state_for(identity, self.clock())
+            state.role = "0"
+            state.last_page = None

@@ -124,7 +124,8 @@ def parse_header_block(text: str) -> RequestHead:
 CHUNKED = -1  # the body length parse_response_head gives a chunked body
 _HEAD_LIMIT = 65536
 _PIECE = 65536
-_BLANK_LINE = re.compile(rb"\n\r?\n")
+# a line _split_head takes as blank: empty, or whitespace only in latin-1
+_BLANK_LINE = re.compile(rb"\n[\t\x0b\x0c\r\x1c-\x1f \x85\xa0]*\n")
 _STATUS_LINE = re.compile(r"HTTP/[0-9]\.[0-9] ([1-5][0-9][0-9])(?: |$)")
 
 
@@ -152,13 +153,13 @@ def parse_response_head(text: str, method: str) -> tuple[int, list[tuple[str, st
 def read_head(sock, buf: bytes = b"") -> tuple[bytes, bytes]:
     """(head, rest): the bytes up to and including the first blank line,
     and whatever arrived after them, reading from sock after the bytes in
-    buf.  A blank line with a bare LF in it ends the read but not the head:
-    the head comes back cut off before it, and rest empty, so every parser
-    refuses it.  A peer that ends heads only at CRLF CRLF would read what
-    follows, even bytes sent later, as more of the head.  A head cut off by
-    the peer closing or by _HEAD_LIMIT comes back as it is, with no blank
-    line and rest empty; it is empty when the peer closes before sending a
-    byte."""
+    buf.  A blank line other than a bare CRLF (a bare LF, or whitespace in
+    it) ends the read but not the head: the head comes back cut off before
+    it, and rest empty, so every parser refuses it.  A peer that ends heads
+    only at CRLF CRLF would read what follows, even bytes sent later, as
+    more of the head.  A head cut off by the peer closing or by _HEAD_LIMIT
+    comes back as it is, with no blank line and rest empty; it is empty
+    when the peer closes before sending a byte."""
     while not (blank := _BLANK_LINE.search(buf)):
         chunk = sock.recv(_PIECE) if len(buf) <= _HEAD_LIMIT else b""
         if not chunk:

@@ -1,18 +1,30 @@
 """Intercepting reverse proxy, the deployable form of the enforcer.
 
-One request per connection.  Its head is read up to the first blank line;
-one with a bare LF in it is refused, since an upstream that ends heads only
-at CRLF CRLF would read what follows as more of the head.  Enforcer.evaluate
-parses the request head once and hands it back in its verdict, before the
-body is read.  A blocked request gets a 403 that names only the deviation
-reason at once, and its body, by the head's Content-Length, is then read
-and thrown away.  A passing request's body is read by its Content-Length
-and forwarded with the head verbatim (byte for byte); a client that sends
-Expect: 100-continue gets 100 Continue before it is read.  Bytes past that
-body, such as a pipelined second request, were never verified and are
-dropped.  The parser refuses a head cut off before its blank line, with a
-malformed field line or with ambiguous framing, so such a request is
-blocked as unknown_request.
+A fixed pool of worker threads serves it, 8 by default (the workers
+argument).  Each worker loops: a blocking accept() on the shared listening
+socket, then the whole request, so the kernel hands each connection to one
+idle worker, and no thread is started per connection.  When every worker
+is busy a connection waits in the listen backlog (_BACKLOG) until one
+frees: the overload policy is to wait.  A slow client holds its worker for
+up to _IO_TIMEOUT per read.  An exception in one request goes to
+handle_error, and neither it nor a failed accept ends the worker.
+shutdown() wakes the blocked accepts and joins the workers once each has
+finished its request; a Ctrl-C in serve_forever does not wait for them.
+
+One request per connection.  Its head is read up to the first blank line,
+empty or whitespace only; one whose blank line is not a bare CRLF is
+refused, since an upstream that ends heads only at CRLF CRLF would read
+what follows as more of the head.  Enforcer.evaluate parses the request
+head once and hands it back in its verdict, before the body is read.  A
+blocked request gets a 403 that names only the deviation reason at once,
+and its body, by the head's Content-Length, is then read and thrown away.
+A passing request's body is read by its Content-Length and forwarded with
+the head verbatim (byte for byte); a client that sends Expect:
+100-continue gets 100 Continue before it is read.  Bytes past that body,
+such as a pipelined second request, were never verified and are dropped.
+The parser refuses a head cut off before its blank line, with a malformed
+field line or with ambiguous framing, so such a request is blocked as
+unknown_request.
 
 The socket-level reading is profile_store's, which the crawler shares.  The
 response head goes through profile_store.read_response_head, which frames
@@ -30,6 +42,8 @@ from __future__ import annotations
 
 import socket
 import socketserver
+import threading
+import time
 from urllib.parse import parse_qs
 
 from .enforcer import Enforcer
@@ -37,6 +51,9 @@ from .profile_store import (CHUNKED, LOGIN_PAGE, LOGOUT_PAGE, RequestHead, login
                             read_head, read_response_head, relay, relay_chunked)
 
 _IO_TIMEOUT = 15.0
+_WORKERS = 8
+# the listen backlog: connections that wait while every worker is busy
+_BACKLOG = 128
 
 
 def _error_response(status: str, text: str, extra: str = "") -> bytes:
@@ -48,14 +65,69 @@ def _error_response(status: str, text: str, extra: str = "") -> bytes:
 _BAD_GATEWAY = _error_response("502 Bad Gateway", "Bad gateway")
 
 
-class EnforcementProxy(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
+class EnforcementProxy(socketserver.TCPServer):
+    """A TCPServer served by a fixed pool of worker threads, each of which
+    accepts its own connections from the shared listening socket."""
 
-    def __init__(self, listen: tuple[str, int], upstream: tuple[str, int], enforcer: Enforcer):
+    allow_reuse_address = True
+    request_queue_size = _BACKLOG
+
+    def __init__(self, listen: tuple[str, int], upstream: tuple[str, int], enforcer: Enforcer,
+                 workers: int = _WORKERS):
+        if workers < 1:
+            raise ValueError("the proxy needs at least one worker")
         super().__init__(listen, _ProxyHandler)
         self.upstream = upstream
         self.enforcer = enforcer
+        self.workers = workers
+        self.threads: list[threading.Thread] = []  # the pool, once serve_forever starts it
+        self._stopping = threading.Event()
+
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        """Start the workers and wait until shutdown().  No worker polls,
+        since shutdown() wakes their accepts; poll_interval is only the
+        pause after a failed accept (out of file descriptors, say).  After a
+        Ctrl-C here the accepts stop at once, and a request in flight ends
+        with the process, the workers being daemon threads."""
+        for n in range(self.workers):
+            worker = threading.Thread(target=self._work, args=(poll_interval,),
+                                      name=f"proxy worker {n}", daemon=True)
+            worker.start()
+            self.threads.append(worker)
+        try:
+            self._stopping.wait()
+        finally:
+            self._stop_accepting()
+
+    def shutdown(self) -> None:
+        """Stop serve_forever, once every worker has finished its request."""
+        self._stop_accepting()
+        for worker in self.threads:
+            worker.join()
+
+    def _stop_accepting(self) -> None:
+        self._stopping.set()
+        try:
+            # on Linux this wakes every accept() blocked on the socket, and
+            # makes every later one fail at once
+            self.socket.shutdown(socket.SHUT_RD)
+        except OSError:
+            pass  # already shut
+
+    def _work(self, pause: float) -> None:
+        while not self._stopping.is_set():
+            try:
+                request, client_address = self.get_request()
+            except OSError:
+                if not self._stopping.is_set():
+                    time.sleep(pause)
+                continue
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                self.shutdown_request(request)
 
 
 class _ProxyHandler(socketserver.BaseRequestHandler):
@@ -142,5 +214,6 @@ class _ProxyHandler(socketserver.BaseRequestHandler):
             enforcer.note_logout(client_ip, user_agent)
 
 
-def serve_proxy(listen: tuple[str, int], upstream: tuple[str, int], enforcer: Enforcer) -> EnforcementProxy:
-    return EnforcementProxy(listen, upstream, enforcer)
+def serve_proxy(listen: tuple[str, int], upstream: tuple[str, int], enforcer: Enforcer,
+                workers: int = _WORKERS) -> EnforcementProxy:
+    return EnforcementProxy(listen, upstream, enforcer, workers)

@@ -212,6 +212,48 @@ def _resolve_name(name: str, line: int, ctx: ScanContext, checklist: Checklist,
     return [(name, replace(ti, sanitized_for=ti.sanitized_for | extra)) for ti in bound]
 
 
+def _is_assigned(tokens: list[Token], j: int, hi: int, closers: dict[int, int | None]) -> bool:
+    """Whether the variable before tokens[j] is the target of a plain =,
+    itself or through a chain of [...] indexes and ->name properties.  The
+    index expressions are left for the caller to read.  closers memoizes
+    _match_brackets for one span, so no token is scanned twice."""
+    while j < hi:
+        t = tokens[j]
+        if t.kind is OPERATOR:
+            if t.lexeme != "->":
+                return t.lexeme == "="
+            if j + 1 >= hi or tokens[j + 1].kind not in (IDENTIFIER, KEYWORD):
+                return False
+            j += 2
+        elif t.kind is PUNCTUATION and t.lexeme == "[":
+            if j not in closers:
+                _match_brackets(tokens, j, hi, closers)
+            closer = closers[j]
+            if closer is None:
+                return False
+            j = closer + 1
+        else:
+            return False
+    return False
+
+
+def _match_brackets(tokens: list[Token], j: int, hi: int, closers: dict[int, int | None]) -> None:
+    """Record in closers the index of the ] that closes the [ at tokens[j],
+    and of each [ inside it; None for one still open at hi."""
+    opened: list[int] = []
+    for k in range(j, hi):
+        t = tokens[k]
+        if t.kind is PUNCTUATION:
+            if t.lexeme == "[":
+                opened.append(k)
+            elif t.lexeme == "]":
+                closers[opened.pop()] = k
+                if not opened:
+                    return
+    for k in opened:
+        closers[k] = None
+
+
 def _eval_span(tokens: list[Token], lo: int, hi: int, ctx: ScanContext,
                checklist: Checklist) -> list[tuple[str, TaintInfo]]:
     """Taint evaluation of an expression span.  Returns (label, taint)
@@ -221,6 +263,7 @@ def _eval_span(tokens: list[Token], lo: int, hi: int, ctx: ScanContext,
     # cleared[-1]: categories cleared by every sanitizer call open here
     cleared: list[frozenset[str]] = [frozenset()]
     pending: frozenset[str] = frozenset()
+    closers: dict[int, int | None] = {}
     i = lo
     while i < hi:
         t = tokens[i]
@@ -243,9 +286,8 @@ def _eval_span(tokens: list[Token], lo: int, hi: int, ctx: ScanContext,
                         (t.lexeme, TaintInfo("source function", t.lexeme, t.line, current))
                     )
         elif t.kind is VARIABLE:
-            nxt = tokens[i + 1] if i + 1 < hi else None
             # the target of a plain = is written, not read; .= and the rest read it
-            if nxt is None or nxt.kind is not OPERATOR or nxt.lexeme != "=":
+            if not _is_assigned(tokens, i + 1, hi, closers):
                 results.extend(_resolve_name(t.lexeme, t.line, ctx, checklist, current))
         elif t.kind is STRING and t.interpolations:
             for name in t.interpolations:

@@ -1,11 +1,13 @@
 import itertools
 import logging
+import threading
 from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from phpwarden import enforcer as enforcer_module
 from phpwarden.enforcer import (
     BLOCK,
     DONT_BLOCK,
@@ -479,6 +481,42 @@ def test_blocked_request_leaves_history_untouched(engine):
     assert blocked.reason == SEQUENCE_VIOLATION
     # last_page is still Home.php, so the trained Home -> View edge applies
     assert engine.evaluate(raw_head("/View.php", ua="browser-a", cookie="cookie-1"), "10.0.0.1").status == DONT_BLOCK
+
+
+def test_two_requests_of_one_client_do_not_interleave(engine, monkeypatch):
+    # the first request is held inside its verification; the second must
+    # wait for it and see the page it moved to, not the history before it
+    original = enforcer_module.verify_request
+    entered, release = threading.Event(), threading.Event()
+    seen = []
+
+    def held(reqres_id, page, session_flag, role, last_page, model1, model2):
+        if not entered.is_set():
+            entered.set()
+            release.wait(5)
+        else:
+            seen.append(last_page)
+        return original(reqres_id, page, session_flag, role, last_page, model1, model2)
+
+    monkeypatch.setattr(enforcer_module, "verify_request", held)
+    engine.note_login("10.0.0.1", "browser-a", "mark", "cookie-1")
+    verdicts = {}
+
+    def evaluate(page):
+        verdicts[page] = engine.evaluate(raw_head(f"/{page}", ua="browser-a", cookie="cookie-1"), "10.0.0.1")
+
+    first = threading.Thread(target=evaluate, args=("Home.php",))
+    first.start()
+    assert entered.wait(5)
+    second = threading.Thread(target=evaluate, args=("View.php",))
+    second.start()
+    second.join(0.2)
+    release.set()
+    first.join(5)
+    second.join(5)
+    assert seen == ["Home.php"]
+    assert verdicts["Home.php"].status == DONT_BLOCK
+    assert verdicts["View.php"].status == DONT_BLOCK
 
 
 def test_hijacked_cookie_blocked_by_identity(engine):

@@ -1,3 +1,4 @@
+import errno
 import http.client
 import socket
 import socketserver
@@ -808,3 +809,183 @@ def test_each_proxied_request_is_parsed_once(proxy_stack, monkeypatch):
     statuses = [status_of(send_raw(proxy_stack.addr, request)) for request in requests]
     assert statuses == [200, 200, 200, 200, 403]
     assert len(calls) == len(requests)
+
+
+def test_whitespace_only_line_ends_the_head_while_the_client_keeps_its_side_open(framing_rig):
+    # a line of whitespace ends the head for the parser but is no CRLF
+    # blank line, so the head is refused at once, not read on until timeout
+    addr, upstream, enforcer, _ = framing_rig
+    with socket.create_connection(addr, timeout=2) as sock:
+        sock.sendall(b"GET /b.php HTTP/1.1\r\nHost: x\r\nUser-Agent: ws\r\n \r\n")
+        response = read_to_close(sock)
+    head = response.split(b"\r\n\r\n", 1)[0].decode()
+    assert status_of(response) == 403
+    assert "X-Deviation-Reason: unknown_request" in head
+    assert upstream.received == []
+    assert enforcer.blocked_count == 1
+
+
+# -- the worker pool -------------------------------------------------------------
+
+
+class SerialUpstream(CaptureUpstream):
+    """CaptureUpstream answering one connection at a time in its serving
+    thread, so it starts no thread of its own."""
+
+    process_request = socketserver.TCPServer.process_request
+
+
+POOL_REQUEST = b"GET /a.php HTTP/1.1\r\nHost: x\r\nUser-Agent: pool/1\r\n\r\n"
+
+
+@pytest.fixture
+def start_pool(tmp_path):
+    """Start a proxy with a pool of the given size in front of a
+    SerialUpstream, under a model where GET /a.php passes for role 0;
+    returns the proxy and the thread serve_forever runs in, once every
+    worker has started."""
+    upstream = SerialUpstream()
+    start_in_thread(upstream)
+    model1 = RequestModel(rows=[ModelRow(sno=1, convid=1, reqresid="GET_a.php", session_flag=0, role="0")])
+    model2 = NavigationModel(graphs={"0": {"a.php": ["a.php"]}}, entries={"0": ["a.php"]})
+    enforcer = Enforcer(model1, model2, {}, DeviationLog(str(tmp_path / "deviations.log")))
+    proxies = []
+
+    def start(workers: int):
+        proxy = serve_proxy(("127.0.0.1", 0), upstream.server_address, enforcer, workers)
+        proxies.append(proxy)
+        serving = start_in_thread(proxy)
+        deadline = time.monotonic() + 5
+        while len(proxy.threads) < workers and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert len(proxy.threads) == workers
+        return proxy, serving
+
+    yield start
+    for proxy in proxies:
+        proxy.shutdown()
+        proxy.server_close()
+    upstream.shutdown()
+    upstream.server_close()
+    enforcer.log.close()
+
+
+def test_pool_serves_sequential_requests_without_starting_threads(start_pool, monkeypatch):
+    proxy, _ = start_pool(3)
+    addr = proxy.server_address
+    handlers = []
+    finish_request = type(proxy).finish_request
+
+    def recorded(self, request, client_address):
+        handlers.append(threading.current_thread())
+        finish_request(self, request, client_address)
+
+    monkeypatch.setattr(type(proxy), "finish_request", recorded)
+    before = set(threading.enumerate())
+    for _ in range(50):
+        assert status_of(send_raw(addr, POOL_REQUEST)) == 200
+    assert len(handlers) == 50
+    assert set(handlers) <= set(proxy.threads)
+    assert set(threading.enumerate()) <= before
+    assert all(worker.is_alive() for worker in proxy.threads)
+
+
+def test_client_beyond_the_pool_waits_until_a_worker_frees(start_pool):
+    proxy, _ = start_pool(2)
+    addr = proxy.server_address
+    # two clients that send half a head hold both workers
+    slow = [socket.create_connection(addr, timeout=5) for _ in range(2)]
+    try:
+        for sock in slow:
+            sock.sendall(POOL_REQUEST[:20])
+        with socket.create_connection(addr, timeout=5) as waiting:
+            waiting.sendall(POOL_REQUEST)
+            waiting.shutdown(socket.SHUT_WR)
+            waiting.settimeout(0.3)
+            with pytest.raises(socket.timeout):
+                waiting.recv(1)  # queued in the listen backlog, not answered
+            slow[0].sendall(POOL_REQUEST[20:])
+            assert status_of(read_to_close(slow[0])) == 200
+            waiting.settimeout(5)
+            assert status_of(read_to_close(waiting)) == 200
+        slow[1].sendall(POOL_REQUEST[20:])
+        assert status_of(read_to_close(slow[1])) == 200
+    finally:
+        for sock in slow:
+            sock.close()
+
+
+def test_request_whose_handling_raises_leaves_the_pool_whole(start_pool, monkeypatch):
+    proxy, _ = start_pool(2)
+    addr = proxy.server_address
+    errors = []
+    monkeypatch.setattr(proxy, "handle_error", lambda request, client_address: errors.append(client_address))
+
+    def boom(raw_head, client_ip):
+        raise RuntimeError("evaluate failed")
+
+    monkeypatch.setattr(proxy.enforcer, "evaluate", boom)
+    for _ in range(4):
+        assert send_raw(addr, POOL_REQUEST) == b""  # closed without an answer
+    monkeypatch.undo()
+    assert len(errors) == 4
+    assert all(worker.is_alive() for worker in proxy.threads)
+    for _ in range(4):
+        assert status_of(send_raw(addr, POOL_REQUEST)) == 200
+
+
+def test_failed_accept_leaves_the_pool_whole(start_pool, monkeypatch):
+    proxy, _ = start_pool(2)
+    get_request = proxy.get_request
+    failures = [OSError(errno.EMFILE, "Too many open files") for _ in range(4)]
+
+    def flaky():
+        try:
+            error = failures.pop()
+        except IndexError:
+            return get_request()
+        raise error
+
+    monkeypatch.setattr(proxy, "get_request", flaky)
+    for _ in range(6):
+        assert status_of(send_raw(proxy.server_address, POOL_REQUEST)) == 200
+    assert failures == []
+    assert all(worker.is_alive() for worker in proxy.threads)
+
+
+def test_shutdown_leaves_no_worker_and_no_socket(start_pool):
+    proxy, serving = start_pool(3)
+    assert status_of(send_raw(proxy.server_address, POOL_REQUEST)) == 200
+    proxy.shutdown()
+    proxy.server_close()
+    serving.join(2)
+    assert not serving.is_alive()
+    assert not any(worker.is_alive() for worker in proxy.threads)
+    assert proxy.socket.fileno() == -1
+
+
+def test_pool_under_more_clients_than_workers_loses_no_verdict(start_pool):
+    proxy, _ = start_pool(4)
+    addr = proxy.server_address
+    enforcer = proxy.enforcer
+    statuses: dict[str, list[int]] = {}
+
+    def walk(name: str) -> None:
+        passing = POOL_REQUEST.replace(b"pool/1", name.encode())
+        blocked = passing.replace(b"/a.php", b"/b.php")
+        statuses[name] = [status_of(send_raw(addr, request)) for _ in range(5) for request in (passing, blocked)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        clients = [threading.Thread(target=walk, args=(f"stress-{i}",)) for i in range(8)]
+        for client in clients:
+            client.start()
+        for client in clients:
+            client.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(client.is_alive() for client in clients)
+    assert all(got == [200, 403] * 5 for got in statuses.values()) and len(statuses) == 8
+    assert enforcer.blocked_count == 40
+    assert len(DeviationLog.read_records(enforcer.log.path)) == 40

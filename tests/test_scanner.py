@@ -268,6 +268,25 @@ def test_inner_assignment_target_is_a_write(tmp_path, source, expected):
     assert {f.line: [c.origin() for c in f.children] for f in findings} == expected
 
 
+@pytest.mark.parametrize("source, expected", [
+    # an element or property target of an inner plain = is written too
+    ("echo ($a['k'] = 'x');", {}),
+    ("echo ($o->p = 'x');", {}),
+    ("echo ($o->p['k'][0]->q = 'x');", {}),
+    # its index expressions are still read
+    ("echo ($a[$_GET['i']] = 'x');", {2: ["superglobal $_GET"]}),
+    # a compound assignment reads its target
+    ("echo ($a['k'] .= 'x');", {2: ["unresolved"]}),
+    # so does a plain read of the element
+    ("echo $o->p;", {2: ["unresolved"]}),
+], ids=["element", "property", "chain", "index-read", "compound-element", "property-read"])
+def test_inner_element_or_property_assignment_target_is_a_write(tmp_path, source, expected):
+    target = tmp_path / "a.php"
+    target.write_text(f"<?php\n{source}\n")
+    findings = scan_file(target, CHECKLIST)
+    assert {f.line: [c.origin() for c in f.children] for f in findings} == expected
+
+
 def test_sanitizer_only_clears_its_own_category(tmp_path):
     target = tmp_path / "s.php"
     target.write_text("<?php\n$v = htmlspecialchars($_GET['q']);\nmysql_query($v);\n")
