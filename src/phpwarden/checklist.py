@@ -44,29 +44,39 @@ class ChecklistError(ValueError):
 
 @dataclass
 class Checklist:
+    """The tables, and a name -> categories index of the sinks and of the
+    sanitizers built from them once, at construction."""
+
     sinks: dict[str, frozenset[str]] = field(default_factory=dict)
     sources: frozenset[str] = frozenset()
     sanitizers: dict[str, frozenset[str]] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        self._sink_index = _index(self.sinks)
+        self._sanitizer_index = {name: frozenset(cats) for name, cats in _index(self.sanitizers).items()}
+        self._sink_names = frozenset(self._sink_index)
+
     def sink_categories(self, name: str) -> list[str]:
         """Categories that list name as a sink, in canonical order."""
-        name = name.lower()
-        return [c for c in CATEGORIES if name in self.sinks.get(c, frozenset())]
+        return list(self._sink_index.get(name.lower(), ()))
 
     def sanitizer_categories(self, name: str) -> frozenset[str]:
-        name = name.lower()
-        return frozenset(
-            c for c in CATEGORIES if name in self.sanitizers.get(c, frozenset())
-        )
+        return self._sanitizer_index.get(name.lower(), frozenset())
 
     def is_source_function(self, name: str) -> bool:
         return name.lower() in self.sources
 
     def all_sink_names(self) -> frozenset[str]:
-        out: set[str] = set()
-        for names in self.sinks.values():
-            out |= names
-        return frozenset(out)
+        return self._sink_names
+
+
+def _index(table: dict[str, frozenset[str]]) -> dict[str, tuple[str, ...]]:
+    """Name -> the categories of table that list it, in canonical order."""
+    index: dict[str, tuple[str, ...]] = {}
+    for category in CATEGORIES:
+        for name in table.get(category, ()):
+            index[name] = index.get(name, ()) + (category,)
+    return index
 
 
 def load_checklist(text: str) -> Checklist:

@@ -8,18 +8,33 @@ operational error; 2 usage errors.
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 from pathlib import Path
 
 from . import __version__
 from .checklist import ChecklistError, default_checklist, load_checklist
 from .config_audit import audit, default_policy, load_policy, parse_ini
-from .crawler import CrawlError, crawl
-from .models import build_model, load_model, persist_model
-from .profile_store import ProfileStore
 from .report import build_report, parse_structured, render, write_report
 from .scanner import scan_project
+
+
+# The training and model layers are imported on first call, so a scan process
+# loads neither them nor xml.etree and csv; only enforce, the one command
+# that logs, loads logging.  These stay module globals, which
+# perfbench/spans.py replaces to time them.
+def crawl(*args, **kwargs):
+    from .crawler import crawl
+    return crawl(*args, **kwargs)
+
+
+def build_model(*args, **kwargs):
+    from .models import build_model
+    return build_model(*args, **kwargs)
+
+
+def load_model(*args, **kwargs):
+    from .models import load_model
+    return load_model(*args, **kwargs)
 
 
 def _parse_addr(text: str, default_host: str = "127.0.0.1") -> tuple[str, int]:
@@ -100,6 +115,9 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    from .crawler import CrawlError
+    from .profile_store import ProfileStore
+
     credentials = None
     if args.login_user or args.login_pass:
         if not (args.login_user and args.login_pass):
@@ -120,6 +138,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_build_model(args) -> int:
+    from .models import persist_model
+    from .profile_store import ProfileStore
+
     if not Path(args.store).is_dir():
         print(f"build-model: no store directory at {args.store}", file=sys.stderr)
         return 1
@@ -136,9 +157,12 @@ def _cmd_build_model(args) -> int:
 
 
 def _cmd_enforce(args) -> int:
+    import logging
+
     from .enforcer import DeviationLog, Enforcer, EnforcerConfig, load_bindings
     from .proxy import serve_proxy
 
+    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:
         model1, model2 = load_model(args.models)
         bindings = load_bindings(Path(args.bindings).read_text())
@@ -282,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     if args.command == "scenario" and not args.list and args.enforcer is None:
         print("scenario: --enforcer is required unless --list", file=sys.stderr)

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import os
 import re
+import time
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -126,6 +127,7 @@ _HEAD_LIMIT = 65536
 _PIECE = 65536
 # a line _split_head takes as blank: empty, or whitespace only in latin-1
 _BLANK_LINE = re.compile(rb"\n[\t\x0b\x0c\r\x1c-\x1f \x85\xa0]*\n")
+_LINE_SPACE = re.compile(rb"[\t\x0b\x0c\r\x1c-\x1f \x85\xa0]*")
 _STATUS_LINE = re.compile(r"HTTP/[0-9]\.[0-9] ([1-5][0-9][0-9])(?: |$)")
 
 
@@ -150,7 +152,7 @@ def parse_response_head(text: str, method: str) -> tuple[int, list[tuple[str, st
     return status, fields, declared_length(lengths) if lengths else None
 
 
-def read_head(sock, buf: bytes = b"") -> tuple[bytes, bytes]:
+def read_head(sock, buf: bytes = b"", deadline: float | None = None) -> tuple[bytes, bytes]:
     """(head, rest): the bytes up to and including the first blank line,
     and whatever arrived after them, reading from sock after the bytes in
     buf.  A blank line other than a bare CRLF (a bare LF, or whitespace in
@@ -159,15 +161,47 @@ def read_head(sock, buf: bytes = b"") -> tuple[bytes, bytes]:
     only at CRLF CRLF would read what follows, even bytes sent later, as
     more of the head.  A head cut off by the peer closing or by _HEAD_LIMIT
     comes back as it is, with no blank line and rest empty; it is empty
-    when the peer closes before sending a byte."""
-    while not (blank := _BLANK_LINE.search(buf)):
-        chunk = sock.recv(_PIECE) if len(buf) <= _HEAD_LIMIT else b""
+    when the peer closes before sending a byte.  With a deadline (a
+    time.monotonic() value) each read waits only until then, and a head
+    not complete by then raises TimeoutError.
+
+    Each byte received is searched about once: a blank line that ends in
+    bytes still to come can only begin at the last LF, and only while
+    blank-line whitespace alone follows it."""
+    buf = bytearray(buf)
+    # no blank line begins before begin, but one may have begun at lf (-1:
+    # none) with whitespace alone after it up to begin
+    begin, lf = 0, -1
+    while True:
+        if lf >= 0:
+            run = _LINE_SPACE.match(buf, begin).end()
+            if run < len(buf):
+                if buf[run] == 10:  # the LF that ends it
+                    start, end = lf, run + 1
+                    break
+                begin, lf = run, -1
+        if lf < 0:
+            if blank := _BLANK_LINE.search(buf, begin):
+                start, end = blank.span()
+                break
+            lf = buf.rfind(b"\n", begin)
+            if lf >= 0 and _LINE_SPACE.match(buf, lf + 1).end() < len(buf):
+                lf = -1
+        begin = len(buf)
+        if len(buf) > _HEAD_LIMIT:
+            return bytes(buf), b""
+        if deadline is not None:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError("head not complete by its deadline")
+            sock.settimeout(left)
+        chunk = sock.recv(_PIECE)
         if not chunk:
-            return buf, b""
+            return bytes(buf), b""
         buf += chunk
-    if buf[blank.start() - 1:blank.end()] != b"\r\n\r\n":
-        return buf[:blank.start() + 1], b""
-    return buf[:blank.end()], buf[blank.end():]
+    if buf[start - 1:end] != b"\r\n\r\n":
+        return bytes(buf[:start + 1]), b""
+    return bytes(buf[:end]), bytes(buf[end:])
 
 
 def read_response_head(sock, method: str,

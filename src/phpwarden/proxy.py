@@ -5,9 +5,10 @@ argument).  Each worker loops: a blocking accept() on the shared listening
 socket, then the whole request, so the kernel hands each connection to one
 idle worker, and no thread is started per connection.  When every worker
 is busy a connection waits in the listen backlog (_BACKLOG) until one
-frees: the overload policy is to wait.  A slow client holds its worker for
-up to _IO_TIMEOUT per read.  An exception in one request goes to
-handle_error, and neither it nor a failed accept ends the worker.
+frees: the overload policy is to wait.  A client has _IO_TIMEOUT in all to
+send its request head, however it drips it, and up to _IO_TIMEOUT per read
+after it.  An exception in one request goes to handle_error, and neither it
+nor a failed accept ends the worker.
 shutdown() wakes the blocked accepts and joins the workers once each has
 finished its request; a Ctrl-C in serve_forever does not wait for them.
 
@@ -135,9 +136,9 @@ class _ProxyHandler(socketserver.BaseRequestHandler):
 
     def handle(self):
         sock = self.request
-        sock.settimeout(_IO_TIMEOUT)
         try:
-            head_bytes, rest = read_head(sock)
+            head_bytes, rest = read_head(sock, deadline=time.monotonic() + _IO_TIMEOUT)
+            sock.settimeout(_IO_TIMEOUT)
         except OSError:
             return
         if not head_bytes:

@@ -105,3 +105,20 @@ def test_default_checklist_covers_all_categories():
     assert set(cl.sink_categories("exec")) == {"SqlInjection", "CommandInjection"}
     assert "CrossSiteScripting" in cl.sanitizer_categories("htmlspecialchars")
     assert "$_COOKIE" in cl.sources
+
+
+def test_lookups_read_one_index_built_with_the_checklist():
+    cl = load_checklist(
+        "CommandInjection: shell\nSqlInjection: Shell\n"
+        "CrossSiteScripting.sanitizers: clean\nSqlInjection.sanitizers: CLEAN\n"
+    )
+    # canonical CATEGORIES order, not file order, and any case of the name
+    assert cl.sink_categories("SHELL") == ["SqlInjection", "CommandInjection"]
+    assert cl.sanitizer_categories("Clean") == {"CrossSiteScripting", "SqlInjection"}
+    assert cl.sink_categories("clean") == [] and cl.sanitizer_categories("shell") == frozenset()
+    # built once: repeated lookups hand back the same objects
+    assert cl.all_sink_names() is cl.all_sink_names()
+    assert cl.sanitizer_categories("clean") is cl.sanitizer_categories("CLEAN")
+    # a caller that changes the list it got changes no later answer
+    cl.sink_categories("shell").clear()
+    assert cl.sink_categories("shell") == ["SqlInjection", "CommandInjection"]

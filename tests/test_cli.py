@@ -493,3 +493,14 @@ def test_trace_hook_points_are_module_globals(tmp_path, monkeypatch):
     assert main(["scan", "--root", str(tmp_path)]) == 1
     # b.php's include replays the walk a.php's include stored, through scan_file
     assert calls == ["a.php", "l.php", "m.php", "b.php", "l.php", "l.php", "m.php", "m.php"]
+
+
+def test_cli_import_leaves_out_the_training_and_model_code():
+    # scan processes import only the scanner side; train, build-model and
+    # enforce import the rest inside their commands
+    left_out = ("phpwarden.crawler", "phpwarden.profile_store", "phpwarden.models", "xml.etree", "csv",
+                "logging")
+    code = f"import sys, phpwarden.cli; print([m for m in {left_out!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -186,3 +186,30 @@ def test_tokens_tile_the_source(source):
             assert tok.lexeme and tok.line == _line_at(source, start)
             pos = start + len(tok.lexeme)
     assert unexpected == []
+
+
+@pytest.mark.parametrize("source", ["<?php $a;  \n\t ", "<?php ", "<?php\r\n \r\n"])
+def test_whitespace_tail_gives_no_diagnostic(source):
+    stream = tokenize(source)
+    assert stream.diagnostics == []
+    assert stream.tokens[0].kind == TokenKind.OPEN_TAG
+
+
+def test_stray_control_character_gives_one_diagnostic():
+    stream = tokenize("<?php \x01 ")
+    assert [(d.message, d.line) for d in stream.diagnostics] == [("unexpected character '\\x01'", 1)]
+    assert [t.kind for t in stream.tokens] == [TokenKind.OPEN_TAG]
+
+
+def test_tokens_compare_and_hash_by_value():
+    from phpwarden.lexer import Token
+
+    a = tokenize('<?php "$x";').tokens
+    b = tokenize('<?php "$x";').tokens
+    assert a == b and a is not b
+    assert len({*a, *b}) == len(a)
+    assert hash(a[1]) == hash(Token(TokenKind.STRING, '"$x"', 1, ("$x",)))
+    assert a[1] != Token(TokenKind.STRING, '"$x"', 1)  # interpolations differ
+    assert a[1] != Token(TokenKind.STRING, '"$x"', 2, ("$x",))
+    assert a[1] != (TokenKind.STRING, '"$x"', 1, ("$x",))
+    assert repr(a[1]) == "Token(StringLiteral, '\"$x\"', line=1)"

@@ -218,6 +218,51 @@ def test_head_parsers_are_total_on_latin1_text(text):
             pass
 
 
+class _PieceSocket:
+    """A peer that has sent data, handed over size bytes per recv, then
+    closes."""
+
+    def __init__(self, data: bytes, size: int):
+        self.data, self.size, self.pos = data, size, 0
+
+    def recv(self, limit: int) -> bytes:
+        piece = self.data[self.pos:self.pos + min(self.size, limit)]
+        self.pos += len(piece)
+        return piece
+
+
+def test_read_head_searches_each_byte_received_about_once(monkeypatch):
+    searched = []
+    blank_line = profile_store._BLANK_LINE
+
+    class CountingBlankLine:
+        def search(self, buf, pos=0):
+            searched.append(len(buf) - pos)
+            return blank_line.search(buf, pos)
+
+    monkeypatch.setattr(profile_store, "_BLANK_LINE", CountingBlankLine())
+    for lines in (10, 40, 160):
+        # short lines and one long one, dripped a byte at a time
+        head = (b"GET /a.php HTTP/1.1\r\n" + b"X-Pad: abc\r\n" * lines
+                + b"X-Long: " + b"v" * (100 * lines) + b"\r\n\r\n")
+        searched.clear()
+        assert profile_store.read_head(_PieceSocket(head + b"rest", 1)) == (head, b"")
+        assert sum(searched) <= 2 * len(head), (len(head), sum(searched))
+
+
+_WIRE_PIECES = st.sampled_from([b"\r\n", b"\n", b"\r", b" ", b"\t", b"\x85", b"a", b"GET / HTTP/1.1", b"H: v"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.lists(_WIRE_PIECES, max_size=20).map(b"".join), size=st.integers(1, 4))
+def test_read_head_ends_where_it_would_on_one_read(data, size):
+    # the search that resumes after each piece finds the blank line, and
+    # cuts the head, exactly where one search over all of it does
+    head, rest = profile_store.read_head(_PieceSocket(data, size))
+    assert head == profile_store.read_head(_PieceSocket(data, 1 << 20))[0]
+    assert data.startswith(head + rest)
+
+
 @pytest.mark.parametrize("status, expected", [
     (302, "abc"), (301, "abc"), (303, "abc"), (200, None), (307, None), (403, None),
 ])

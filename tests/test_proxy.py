@@ -989,3 +989,39 @@ def test_pool_under_more_clients_than_workers_loses_no_verdict(start_pool):
     assert all(got == [200, 403] * 5 for got in statuses.values()) and len(statuses) == 8
     assert enforcer.blocked_count == 40
     assert len(DeviationLog.read_records(enforcer.log.path)) == 40
+
+
+def test_a_dripped_head_is_cut_off_at_one_deadline_for_the_whole_head(start_pool, monkeypatch):
+    # _IO_TIMEOUT bounds the whole head, not each read: a client that sends
+    # a byte every 0.1 s is cut off, and frees its worker, after 0.5 s
+    monkeypatch.setattr("phpwarden.proxy._IO_TIMEOUT", 0.5)
+    proxy, _ = start_pool(2)
+    addr = proxy.server_address
+    cut_after = []
+
+    def drip():
+        with socket.create_connection(addr, timeout=5) as sock:
+            sock.settimeout(0.1)
+            started = time.monotonic()
+            for byte in POOL_REQUEST[:-2]:  # 51 bytes, never a blank line: 5 s
+                try:
+                    sock.sendall(bytes([byte]))
+                    if sock.recv(1) == b"":
+                        break
+                except socket.timeout:
+                    continue
+                except OSError:
+                    break
+            cut_after.append(time.monotonic() - started)
+
+    drippers = [threading.Thread(target=drip) for _ in range(2)]
+    for thread in drippers:
+        thread.start()
+    time.sleep(0.2)  # both workers now hold a dripping client
+    started = time.monotonic()
+    assert status_of(send_raw(addr, POOL_REQUEST)) == 200
+    served_after = time.monotonic() - started
+    for thread in drippers:
+        thread.join()
+    assert served_after < 2.0, served_after
+    assert len(cut_after) == 2 and all(0.4 < t < 2.0 for t in cut_after), cut_after
