@@ -14,9 +14,14 @@ the life of the store (reopening continues the counter).
 
 Only the newest trail ever grows: recording under a role other than the
 newest trail's starts a new trail, and so does the first recording after
-the store is reopened, so trail id ranges never overlap.  The store keeps the rendered text of every older (sealed) trail, so each
-exchange rewrites `trails` and its role's XML from that text plus one line,
-and the files are complete after every exchange.
+the store is reopened, so trail id ranges never overlap.  Only the newest
+trail's text in `trails` (its line) and in its role's XML (its `<Trail>`
+line and `</Sequences>`) thus ever changes, and it only grows.  The store
+keeps the byte length of every older (sealed) trail's text, and each
+exchange writes the newest trail's text at that offset, truncating nothing,
+so the files are complete after every exchange.  The first write of a file
+by a store writes it whole, replacing what the file held.  All text is
+UTF-8, and is read back with CRLF and a lone CR as LF.
 
 An exchange is written in a fixed order: `<id>_request`, `<id>_Srequest`,
 the role's XML, then the `trails` index.  A run interrupted part-way thus
@@ -366,6 +371,32 @@ class Trail:
 _REQUEST_FILE_RE = re.compile(r"^(\d+)_request$")
 
 
+def _write(path: Path, data: bytes, offset: int = 0) -> None:
+    """Write data into path at offset, looping over short writes.  Offset 0
+    writes the whole file, truncating it first; a later offset truncates
+    nothing, so the bytes before it stay as they were."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | (os.O_TRUNC if offset == 0 else 0), 0o666)
+    try:
+        while data:
+            written = os.pwrite(fd, data, offset)
+            data, offset = data[written:], offset + written
+    finally:
+        os.close(fd)
+
+
+def _read(path: Path) -> str:
+    """path's text as Path.read_text gives it: UTF-8, with CRLF and a lone
+    CR read as LF."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    return b"".join(chunks).decode().replace("\r\n", "\n").replace("\r", "\n")
+
+
 class ProfileStore:
     """Single-writer capture store over one directory.  All state is
     rebuilt from the files on open, so a store can be extended across runs.
@@ -376,10 +407,10 @@ class ProfileStore:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.session_cookie_name = session_cookie_name
         self.trails: list[Trail] = []
-        # rendered text of the sealed trails (all but the newest): the
-        # `trails` index lines, and per role its XML up to the newest trail
-        self._sealed_index = ""
-        self._sealed_xml: dict[str, str] = {}
+        # byte length of the sealed text (all but the newest trail) of each
+        # growing file this store has written: the `trails` index lines, and
+        # per role its XML up to the newest trail
+        self._sealed: dict[str, int] = {}
         self._open_pages = ""  # the newest trail's pages, joined and escaped
         self._open: Trail | None = None  # the newest trail, unless read from disk
         self._load()
@@ -400,7 +431,7 @@ class ProfileStore:
                 [p for p in (el.text or "").split(", ") if p] for el in root
             ]
         consumed: dict[str, int] = {}
-        for lineno, line in enumerate(index.read_text().splitlines(), start=1):
+        for lineno, line in enumerate(_read(index).splitlines(), start=1):
             if not line.strip():
                 continue
             fields = line.split("\t")
@@ -422,13 +453,14 @@ class ProfileStore:
         self._start(self._open)
 
     def _start(self, trail: Trail) -> None:
-        """Seal the newest trail, rendering its text once, and append trail."""
+        """Seal the newest trail, adding the byte length of its text to each
+        growing file this store has written, and append trail."""
         if self.trails:
             sealed = self.trails[-1]
             if sealed.first_id is not None:
-                self._sealed_index += self._index_line(sealed)
+                self._seal("trails", self._index_line(sealed))
             if sealed.pages:
-                self._sealed_xml[sealed.role] = self._xml_prefix(sealed.role) + self._xml_line()
+                self._seal(f"{sealed.role}.xml", self._xml_line(self._open_pages))
         self.trails.append(trail)
         self._open_pages = xml_escape(", ".join(trail.pages)) if trail.pages else ""
 
@@ -444,9 +476,9 @@ class ProfileStore:
         trail = self._open
         cid = self._next_id
         self._next_id += 1
-        (self.directory / f"{cid}_request").write_text(request_headers)
+        _write(self.directory / f"{cid}_request", request_headers.encode())
         self._ids.append(cid)
-        (self.directory / f"{cid}_Srequest").write_text(str(flag))
+        _write(self.directory / f"{cid}_Srequest", str(flag).encode())
         if trail.first_id is None:
             trail.first_id = cid
         trail.last_id = cid
@@ -454,24 +486,44 @@ class ProfileStore:
         escaped = xml_escape(page)
         self._open_pages = f"{self._open_pages}, {escaped}" if trail.pages else escaped
         trail.pages.append(page)
-        (self.directory / f"{role}.xml").write_text(
-            f"{self._xml_prefix(role)}{self._xml_line()}</Sequences>\n")
-        (self.directory / "trails").write_text(self._sealed_index + self._index_line(trail))
+        self._write_newest(f"{role}.xml", f"{self._xml_line(self._open_pages)}</Sequences>\n",
+                           lambda: self._render_xml(role))
+        self._write_newest("trails", self._index_line(trail), self._render_index)
         return cid
+
+    def _seal(self, name: str, text: str) -> None:
+        """Add text, a sealed trail's text in name, to name's sealed length."""
+        if name in self._sealed:
+            self._sealed[name] += len(text.encode())
+
+    def _write_newest(self, name: str, newest: str, render) -> None:
+        """Write newest, the newest trail's text, after name's sealed text,
+        which stays on disk as it is.  The first write of name by this store
+        writes the whole file as render() gives it, so a file on disk that
+        differs from the store's rendering is replaced."""
+        offset = self._sealed.get(name)
+        if offset is None:
+            whole = render().encode()
+            _write(self.directory / name, whole)
+            self._sealed[name] = len(whole) - len(newest.encode())
+        else:
+            _write(self.directory / name, newest.encode(), offset)
+
+    def _render_index(self) -> str:
+        return "".join(self._index_line(t) for t in self.trails if t.first_id is not None)
+
+    def _render_xml(self, role: str) -> str:
+        lines = "".join(self._xml_line(xml_escape(", ".join(t.pages)))
+                        for t in self.trails if t.role == role and t.pages)
+        return f'<Sequences role="{xml_escape(role, {chr(34): "&quot;"})}">\n{lines}</Sequences>\n'
 
     @staticmethod
     def _index_line(trail: Trail) -> str:
         return f"{trail.role}\t{trail.first_id}\t{trail.last_id}\n"
 
-    def _xml_line(self) -> str:
-        return f"  <Trail>{self._open_pages}</Trail>\n"
-
-    def _xml_prefix(self, role: str) -> str:
-        """role's XML up to the newest trail: the root tag, then its sealed trails."""
-        prefix = self._sealed_xml.get(role)
-        if prefix is None:
-            prefix = self._sealed_xml[role] = f'<Sequences role="{xml_escape(role, {chr(34): "&quot;"})}">\n'
-        return prefix
+    @staticmethod
+    def _xml_line(pages: str) -> str:
+        return f"  <Trail>{pages}</Trail>\n"
 
     # -- reading -----------------------------------------------------------
 
@@ -486,10 +538,10 @@ class ProfileStore:
         """(raw request text, session flag) for one communication id.
         A missing flag file is a corrupt store and is reported by id."""
         try:
-            flag = int((self.directory / f"{cid}_Srequest").read_text().strip())
+            flag = int(_read(self.directory / f"{cid}_Srequest").strip())
         except FileNotFoundError:
             raise ValueError(f"store {self.directory}: {cid}_request has no matching {cid}_Srequest") from None
-        return (self.directory / f"{cid}_request").read_text(), flag
+        return _read(self.directory / f"{cid}_request"), flag
 
     def recorded_ids(self) -> list[int]:
         """Ids with a `<id>_request` file: those listed on open, then those

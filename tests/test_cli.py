@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from phpwarden import __version__
+from phpwarden import __version__, profile_store
 from phpwarden.cli import main
 from phpwarden.profile_store import ProfileStore
 from phpwarden.scenarios import BUILTIN_SCENARIOS
@@ -228,14 +228,14 @@ def test_build_model_refuses_a_store_whose_index_write_failed(tmp_path, monkeypa
     store = ProfileStore(store_dir)
     store.begin_trail("0")
     store.record_exchange("GET /a.php HTTP/1.1\r\nHost: x\r\n\r\n", "0")
-    write_text = Path.write_text
+    write = profile_store._write
 
     def failing_index_write(path, *args, **kwargs):
         if path.name == "trails":
             raise OSError("no space left on device")
-        return write_text(path, *args, **kwargs)
+        return write(path, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "write_text", failing_index_write)
+    monkeypatch.setattr(profile_store, "_write", failing_index_write)
     if begin:
         store.begin_trail("0")
     with pytest.raises(OSError):

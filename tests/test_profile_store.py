@@ -1,3 +1,5 @@
+import errno
+import os
 import tempfile
 from pathlib import Path
 from xml.sax.saxutils import escape as xml_escape
@@ -488,6 +490,97 @@ def test_one_more_exchange_escapes_only_its_own_page(tmp_path, monkeypatch):
     store.record_exchange(head_text("/b.php"), "0")
     assert len(calls) <= 2
     assert (tmp_path / "0.xml").read_text().endswith("  <Trail>a.php, b.php</Trail>\n</Sequences>\n")
+
+
+def test_one_more_exchange_writes_only_the_newest_trail(tmp_path, monkeypatch):
+    store = ProfileStore(tmp_path)
+    for _ in range(2000):
+        store.begin_trail("0")
+        store.record_exchange(head_text("/a.php"), "0")
+    written = {}
+    write = profile_store._write
+
+    def counting_write(path, data, *args):
+        written[path.name] = written.get(path.name, 0) + len(data)
+        return write(path, data, *args)
+
+    monkeypatch.setattr(profile_store, "_write", counting_write)
+    store.begin_trail("0")
+    store.record_exchange(head_text("/b.php"), "0")
+    assert written["trails"] + written["0.xml"] < 200
+    assert (tmp_path / "trails").read_text() == render_index(store.trails)
+    assert (tmp_path / "0.xml").read_text() == render_role_xml(store.trails, "0")
+
+
+def test_newest_trail_is_written_at_its_byte_offset(tmp_path):
+    # sealed trails with multi-byte UTF-8 in both files: offsets count bytes
+    store = ProfileStore(tmp_path)
+    for role, target in [("r\xf4le", "/caf\xe9.php"), ("0", "/\xfc.php"), ("r\xf4le", "/a.php"), ("0", "/b.php")]:
+        store.begin_trail(role)
+        store.record_exchange(head_text(target), role)
+        assert (tmp_path / "trails").read_text(encoding="utf-8") == render_index(store.trails)
+        for name in ("0", "r\xf4le"):
+            if (tmp_path / f"{name}.xml").exists():
+                assert (tmp_path / f"{name}.xml").read_text(encoding="utf-8") == render_role_xml(store.trails, name)
+
+
+def test_first_write_after_reopen_rewrites_the_whole_file(tmp_path):
+    # blank lines that the reopened store skips, and so would not render:
+    # the store's first write of each file must replace them all
+    store = ProfileStore(tmp_path)
+    store.begin_trail("0")
+    store.record_exchange(head_text("/a.php"), "0")
+    store.record_exchange(head_text("/b.php"), "0")
+    store.begin_trail("manager")
+    store.record_exchange(head_text("/Home.php", cookie="PHPSESSID=aa"), "manager")
+    for name in ("trails", "0.xml"):
+        with open(tmp_path / name, "a") as fh:
+            fh.write("\n" * 40)
+    store = ProfileStore(tmp_path)
+    for target in ("/c.php", "/d.php"):
+        store.record_exchange(head_text(target), "0")
+        assert (tmp_path / "trails").read_text() == render_index(store.trails)
+        assert (tmp_path / "0.xml").read_text() == render_role_xml(store.trails, "0")
+
+
+@pytest.mark.parametrize("name", ["trails", "0.xml"])
+def test_failed_write_keeps_the_earlier_trails(tmp_path, monkeypatch, name):
+    # the write fails once the file is open: no earlier trail may be lost
+    store = ProfileStore(tmp_path)
+    for role, targets in [("0", ["/a.php", "/b.php"]), ("manager", ["/Home.php"]), ("0", ["/c.php", "/d.php"])]:
+        store.begin_trail(role)
+        for target in targets:
+            store.record_exchange(head_text(target), role)
+    before = [(role, first, last, list(pages)) for role, first, last, pages in persisted(store.trails)]
+    pwrite = os.pwrite
+
+    def failing_pwrite(fd, data, offset):
+        if os.path.samestat(os.fstat(fd), os.stat(tmp_path / name)):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return pwrite(fd, data, offset)
+
+    monkeypatch.setattr(os, "pwrite", failing_pwrite)
+    with pytest.raises(OSError):
+        store.record_exchange(head_text("/e.php"), "0")
+    monkeypatch.undo()
+    if name == "trails":
+        # the role's XML, written first, already holds the page that no id covers
+        before[-1][3].append("e.php")
+    assert persisted(ProfileStore(tmp_path).trails) == before
+
+
+@pytest.mark.parametrize("head, expected", [
+    ("GET /a.php HTTP/1.1\r\nHost: app.local\r\n\r\n", ("GET /a.php HTTP/1.1\nHost: app.local\n\n", 0)),
+    ("GET /b.php HTTP/1.1\r\nHost: app.local\r\nX-A: 1\r2\r\n\r\n",
+     ("GET /b.php HTTP/1.1\nHost: app.local\nX-A: 1\n2\n\n", 0)),
+    ("GET /caf\xe9.php HTTP/1.1\r\nHost: app.local\r\nCookie: PHPSESSID=\xfc\xff\r\n\r\n",
+     ("GET /caf\xe9.php HTTP/1.1\nHost: app.local\nCookie: PHPSESSID=\xfc\xff\n\n", 1)),
+])
+def test_read_exchange_reads_utf8_with_newlines_translated(tmp_path, head, expected):
+    cid = ProfileStore(tmp_path).record_exchange(head, "0")
+    assert (tmp_path / f"{cid}_request").read_bytes() == head.encode("utf-8")
+    assert ProfileStore(tmp_path).read_exchange(cid) == expected
+    assert expected[0] == (tmp_path / f"{cid}_request").read_text(encoding="utf-8")
 
 
 @settings(max_examples=300, deadline=None)
