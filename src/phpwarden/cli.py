@@ -12,16 +12,19 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .checklist import ChecklistError, default_checklist, load_checklist
-from .config_audit import audit, default_policy, load_policy, parse_ini
-from .report import build_report, parse_structured, render, write_report
-from .scanner import scan_project
 
 
-# The training and model layers are imported on first call, so a scan process
-# loads neither them nor xml.etree and csv; only enforce, the one command
-# that logs, loads logging.  These stay module globals, which
-# perfbench/spans.py replaces to time them.
+# Each command imports the modules it runs inside its own function, so a
+# process loads only what its command uses: a scan loads neither the training
+# and model layers nor xml.etree and csv, the gate's commands (serve-demo,
+# train, build-model, enforce) load no scanner, and only enforce, the one
+# command that logs, loads logging.  These hooks import on first call and
+# stay module globals, which perfbench/spans.py replaces to time them.
+def write_report(*args, **kwargs):
+    from .report import write_report
+    return write_report(*args, **kwargs)
+
+
 def crawl(*args, **kwargs):
     from .crawler import crawl
     return crawl(*args, **kwargs)
@@ -45,12 +48,16 @@ def _parse_addr(text: str, default_host: str = "127.0.0.1") -> tuple[str, int]:
 
 
 def _load_checklist_arg(value: str):
+    from .checklist import default_checklist, load_checklist
+
     if value == "default":
         return default_checklist()
     return load_checklist(Path(value).read_text())
 
 
 def _load_policy_arg(value: str):
+    from .config_audit import default_policy, load_policy
+
     if value == "default":
         return default_policy()
     return load_policy(Path(value).read_text())
@@ -59,10 +66,16 @@ def _load_policy_arg(value: str):
 def _audit_ini(ini: str, policy: str):
     """Misconfigurations of the php.ini at path ini under policy (a path,
     or 'default').  An unreadable file raises OSError or ValueError."""
+    from .config_audit import audit, parse_ini
+
     return audit(parse_ini(Path(ini).read_text()), _load_policy_arg(policy))
 
 
 def _cmd_scan(args) -> int:
+    from .checklist import ChecklistError
+    from .report import build_report, render
+    from .scanner import scan_project
+
     if not Path(args.root).is_dir():
         print(f"scan: --root {args.root} is not a directory", file=sys.stderr)
         return 2
@@ -105,6 +118,8 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .report import parse_structured, render
+
     try:
         report = parse_structured(Path(args.data).read_text())
     except (ValueError, OSError) as exc:

@@ -20,7 +20,8 @@ line and `</Sequences>`) thus ever changes, and it only grows.  The store
 keeps the byte length of every older (sealed) trail's text, and each
 exchange writes the newest trail's text at that offset, truncating nothing,
 so the files are complete after every exchange.  The first write of a file
-by a store writes it whole, replacing what the file held.  All text is
+by a store writes it whole to a temporary file and renames that over it,
+so a failed first write leaves the file as it was.  All text is
 UTF-8, and is read back with CRLF and a lone CR as LF.
 
 An exchange is written in a fixed order: `<id>_request`, `<id>_Srequest`,
@@ -86,9 +87,12 @@ def _split_head(text: str) -> tuple[str, list[tuple[str, str]]]:
     ends at the first empty or whitespace-only line, and a line break must
     end that line too.  Anything but blank lines after it is refused, not
     dropped: the proxy relays the raw bytes it framed, so a message hidden
-    behind a bare-LF blank line would otherwise pass unverified.  Raises
-    ValueError on a cut-off head or a line that is not `name: value` with a
-    name that neither starts nor ends with whitespace."""
+    behind a bare-LF blank line would otherwise pass unverified.  A bare CR
+    in the start line or a field line is refused too (RFC 9112 section
+    2.2): a peer that takes it as a line break would read fields this
+    parser never saw.  Raises ValueError on a cut-off head or a line that is
+    not `name: value` with a name that neither starts nor ends with
+    whitespace."""
     lines = text.replace("\r\n", "\n").split("\n")
     while lines and not lines[0].strip():
         lines.pop(0)
@@ -103,9 +107,13 @@ def _split_head(text: str) -> tuple[str, list[tuple[str, str]]]:
         # RFC 9112 sections 5.1 and 5.2: no whitespace before the colon, no obs-fold
         if not colon or not name or name != name.strip():
             raise ValueError(f"malformed header line: {line!r}")
+        if "\r" in line:
+            raise ValueError(f"bare CR in header line: {line!r}")
         fields.append((name, value.strip()))
     else:
         raise ValueError("head cut off before its blank line")
+    if "\r" in lines[0]:
+        raise ValueError(f"bare CR in start line: {lines[0]!r}")
     if any(extra.strip() for extra in rest) or lines[-1].strip():
         raise ValueError("text after the blank line that ends the head")
     return lines[0], fields
@@ -500,11 +508,16 @@ class ProfileStore:
         """Write newest, the newest trail's text, after name's sealed text,
         which stays on disk as it is.  The first write of name by this store
         writes the whole file as render() gives it, so a file on disk that
-        differs from the store's rendering is replaced."""
+        differs from the store's rendering is replaced.  It writes
+        `<name>.tmp` and renames it over name, so a failed write leaves name
+        as it was; the temporary name is neither a role's XML nor a
+        request file."""
         offset = self._sealed.get(name)
         if offset is None:
             whole = render().encode()
-            _write(self.directory / name, whole)
+            temporary = self.directory / f"{name}.tmp"
+            _write(temporary, whole)
+            os.replace(temporary, self.directory / name)
             self._sealed[name] = len(whole) - len(newest.encode())
         else:
             _write(self.directory / name, newest.encode(), offset)

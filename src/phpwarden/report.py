@@ -11,11 +11,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import datetime
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .checklist import DISPLAY_NAMES
-from .config_audit import Misconfiguration
 from .scanner import Finding, ScanResult, TaintedParam
+
+if TYPE_CHECKING:
+    from .config_audit import Misconfiguration
 
 STRUCTURED_FORMAT = "phpwarden-report"
 STRUCTURED_VERSION = 1
@@ -102,6 +104,8 @@ def _json_value(value):
 def parse_structured(text: str) -> Report:
     """Inverse of render_structured.  Raises ValueError on a bad header or
     unsupported version."""
+    from .config_audit import Misconfiguration  # a scan without --ini loads no config_audit
+
     header, _, body = text.partition("\n")
     parts = header.split()
     if len(parts) != 2 or parts[0] != STRUCTURED_FORMAT:

@@ -21,6 +21,13 @@ REPO = Path(__file__).resolve().parent.parent
 CREDENTIALS = {"manager": ("mark", "maplesyrup"), "employer": ("emma", "evergreen")}
 BINDINGS_TEXT = "mark,manager\nemma,employer\n"
 
+# a Content-Length behind a bare CR, which an upstream that takes the CR as
+# a line break reads first: the body of the real one is a second request
+BARE_CR_REQUEST = (
+    b"POST /Login.php HTTP/1.1\r\nHost: x\r\nUser-Agent: u\r\nX-Note: a\rContent-Length: 0\r\n"
+    b"Content-Length: 37\r\n\r\nGET /Secret.php HTTP/1.1\r\nHost: x\r\n\r\n"
+)
+
 
 def start_in_thread(server: socketserver.BaseServer) -> threading.Thread:
     """Serve from a daemon thread.  The short poll interval lets

@@ -504,3 +504,40 @@ def test_cli_import_leaves_out_the_training_and_model_code():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+SCAN_STACK = ("phpwarden.checklist", "phpwarden.config_audit", "phpwarden.report", "phpwarden.scanner",
+              "phpwarden.lexer")
+
+
+def _modules_loaded_by(argv: list[str], modules: tuple[str, ...]) -> tuple[int, list[str]]:
+    """(exit code of `phpwarden argv`, those of modules it loaded), run in a
+    fresh interpreter."""
+    code = ("import sys; from phpwarden.cli import main; rc = main(sys.argv[1:]); "
+            f"print(rc, *[m for m in {modules!r} if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    rc, *loaded = proc.stdout.splitlines()[-1].split()
+    return int(rc), loaded
+
+
+def test_cli_import_leaves_out_the_scan_stack():
+    code = f"import sys, phpwarden.cli; print([m for m in {SCAN_STACK!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_build_model_loads_no_scan_stack(tmp_path):
+    store = ProfileStore(tmp_path / "store")
+    store.begin_trail("0")
+    for target in ("/index.php", "/About.php"):
+        store.record_exchange(f"GET {target} HTTP/1.1\r\nHost: x\r\n\r\n", "0")
+    assert _modules_loaded_by(["build-model", "--store", str(tmp_path / "store"),
+                               "--out", str(tmp_path / "models")], SCAN_STACK) == (0, [])
+
+
+def test_scan_without_ini_loads_no_audit_training_or_model_code(tmp_path):
+    (tmp_path / "a.php").write_text("<?php\necho $_GET['a'];\n")
+    left_out = ("phpwarden.config_audit", "phpwarden.crawler", "phpwarden.profile_store", "phpwarden.models")
+    assert _modules_loaded_by(["scan", "--root", str(tmp_path)], left_out) == (1, [])

@@ -221,6 +221,19 @@ def test_response_the_proxy_would_refuse_is_a_crawl_error(keepalive_upstream, tm
     assert store.recorded_ids() == []
 
 
+def test_response_with_a_bare_cr_is_a_crawl_error(keepalive_upstream, tmp_path):
+    # a login whose Set-Cookie hides behind a bare CR: a browser that takes
+    # the CR as a line break would hold the session
+    keepalive_upstream.responses.append(
+        b"HTTP/1.1 302 Found\r\nLocation: /Home.php\r\nX-Note: a\rSet-Cookie: PHPSESSID=ck; Path=/\r\n"
+        b"Content-Length: 0\r\n\r\n")
+    store = ProfileStore(tmp_path / "store")
+    base = "http://%s:%d/" % keepalive_upstream.server_address
+    with pytest.raises(CrawlError, match="bare CR"):
+        crawl(base, "manager", ("mark", "maplesyrup"), store)
+    assert store.recorded_ids() == []
+
+
 def serve_once(response: bytes):
     """Base URL of a listener that answers one connection with response,
     then closes it, and the thread that does so."""

@@ -1,11 +1,13 @@
 import errno
+import io
 import os
 import tempfile
+from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 from xml.sax.saxutils import escape as xml_escape
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phpwarden import profile_store
@@ -22,6 +24,8 @@ from phpwarden.profile_store import (
     session_cookie_value,
     set_cookie_value,
 )
+
+from conftest import BARE_CR_REQUEST
 
 
 def head_text(target, cookie=None, method="GET"):
@@ -263,6 +267,85 @@ def test_read_head_ends_where_it_would_on_one_read(data, size):
     head, rest = profile_store.read_head(_PieceSocket(data, size))
     assert head == profile_store.read_head(_PieceSocket(data, 1 << 20))[0]
     assert data.startswith(head + rest)
+
+
+class _RecordingHandler(BaseHTTPRequestHandler):
+    """http.server's HTTP/1.1 parsing over bytes: each request line it reads
+    is recorded, as (method, target) or as None when it refuses the request,
+    and a request's body is read by Content-Length, as a keep-alive
+    upstream application reads it."""
+
+    protocol_version = "HTTP/1.1"
+
+    def __init__(self, data: bytes):  # no socket, no server
+        self.rfile, self.wfile = io.BytesIO(data), io.BytesIO()
+        self.client_address = ("127.0.0.1", 0)
+        self.parsed = []
+        self.handle()
+
+    def parse_request(self):
+        parsed = super().parse_request()
+        self.parsed.append((self.command, self.path) if parsed else None)
+        return parsed
+
+    def _read_body(self):
+        length = self.headers.get("Content-Length")
+        self.rfile.read(int(length) if length and length.isdigit() else 0)
+
+    do_GET = do_POST = do_HEAD = do_PUT = _read_body
+
+    def log_message(self, *args):
+        pass
+
+
+def proxy_forwards(data: bytes, size: int):
+    """(verified head, bytes sent upstream) for a client that sends data in
+    pieces of size bytes, framed as the proxy frames it (read_head, then
+    parse_header_block, then relay by Content-Length), with every parsed
+    head taken as passing; (None, b"") when nothing would be forwarded."""
+    sock = _PieceSocket(data, size)
+    head_bytes, rest = profile_store.read_head(sock)
+    try:
+        head = parse_header_block(head_bytes.decode("latin-1"))
+    except ValueError:
+        return None, b""
+    body = []
+    if not profile_store.relay(sock, rest, head.content_length, body.append):
+        return None, b""
+    return head, head_bytes + b"".join(body)
+
+
+# a head is a start line, then field lines, each after a line break, then
+# the break that ends the head and a body; each field line joins one to
+# three atoms, so a break or whitespace can fall inside one.  Repeats weight
+# the pieces toward well-formed heads, which the proxy forwards.
+_START_LINES = ["GET /a.php HTTP/1.1"] * 3 + ["POST /a.php HTTP/1.1"] * 3 + [
+    "GET /a.php HTTP/1.0", "GET /a.php", "\r\nGET /a.php HTTP/1.1", "GET /a.php HTTP/1.1\r"]
+_FIELD_ATOMS = ["Host: x", "X-Note: a", "Content-Length: 0", "Content-Length: 5", "Content-Length: 37"] * 3 + [
+    "Content-Length : 5", "Transfer-Encoding: chunked", "Connection: close", "Expect: 100-continue",
+    " X-Folded: 1", "\r", "\n", " ", "\t", "\x0b", "\x85", "\rContent-Length: 0", "\nContent-Length: 0"]
+_BREAKS = ["\r\n"] * 6 + ["\n", "\r", "\r\r\n", " \r\n"]
+_HEAD_ENDS = ["\r\n\r\n"] * 6 + ["\r\n\n", "\n\n", "\r\n \r\n", "\r\n\r\r\n", "\r\n\r", "\r\n"]
+_BODIES = ["", "hello", "GET /Secret.php HTTP/1.1\r\nHost: x\r\n\r\n", "0\r\n\r\n"]
+_field_line = st.tuples(st.sampled_from(_BREAKS),
+                        st.lists(st.sampled_from(_FIELD_ATOMS), min_size=1, max_size=3).map("".join)).map("".join)
+_framed_input = st.tuples(
+    st.sampled_from(_START_LINES), st.lists(_field_line, max_size=4).map("".join),
+    st.sampled_from(_HEAD_ENDS), st.lists(st.sampled_from(_BODIES), max_size=2).map("".join),
+).map(lambda parts: "".join(parts).encode("latin-1"))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=_framed_input, size=st.integers(1, 64))
+@example(data=BARE_CR_REQUEST, size=1 << 16)
+@example(data=BARE_CR_REQUEST, size=60)
+def test_upstream_parses_only_the_request_the_proxy_verified(data, size):
+    # the upstream reads no request line, or one: the verified request, or
+    # one it refuses; a second line read is a request never verified
+    head, forwarded = proxy_forwards(data, size)
+    if forwarded:
+        parsed = _RecordingHandler(forwarded).parsed
+        assert parsed in ([], [None], [(head.method, head.target)]), (forwarded, parsed)
 
 
 @pytest.mark.parametrize("status, expected", [
@@ -569,14 +652,55 @@ def test_failed_write_keeps_the_earlier_trails(tmp_path, monkeypatch, name):
     assert persisted(ProfileStore(tmp_path).trails) == before
 
 
+@pytest.mark.parametrize("name", ["trails", "0.xml"])
+def test_failed_first_write_after_a_reopen_keeps_the_earlier_trails(tmp_path, monkeypatch, name):
+    # a reopened store writes each growing file whole on its first exchange;
+    # a fault in that write must leave the file as it was, not emptied
+    store = ProfileStore(tmp_path)
+    for role, targets in [("0", ["/a.php", "/b.php"]), ("manager", ["/Home.php"])]:
+        store.begin_trail(role)
+        for target in targets:
+            store.record_exchange(head_text(target), role)
+    before = persisted(store.trails)
+    store = ProfileStore(tmp_path)
+    pwrite = os.pwrite
+
+    def failing_pwrite(fd, data, offset):
+        # the whole write of name, or of a temporary file named after it
+        if offset == 0 and any(path.name.startswith(name) and os.path.samestat(os.fstat(fd), path.stat())
+                               for path in tmp_path.iterdir()):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return pwrite(fd, data, offset)
+
+    monkeypatch.setattr(os, "pwrite", failing_pwrite)
+    with pytest.raises(OSError):
+        store.record_exchange(head_text("/c.php"), "0")
+    monkeypatch.undo()
+    reopened = ProfileStore(tmp_path)
+    assert persisted(reopened.trails) == before
+    # what the failed write left behind is no role and no exchange
+    assert reopened.roles() == ["0", "manager"]
+    assert reopened.recorded_ids() == [1, 2, 3, 4]
+    reopened.record_exchange(head_text("/d.php"), "0")
+    assert (tmp_path / "trails").read_text() == render_index(reopened.trails)
+    assert (tmp_path / "0.xml").read_text() == render_role_xml(reopened.trails, "0")
+
+
 @pytest.mark.parametrize("head, expected", [
     ("GET /a.php HTTP/1.1\r\nHost: app.local\r\n\r\n", ("GET /a.php HTTP/1.1\nHost: app.local\n\n", 0)),
+    # a bare CR is refused before anything is written: read back as LF, the
+    # `2` line would have no colon, and build-model could not parse the store
     ("GET /b.php HTTP/1.1\r\nHost: app.local\r\nX-A: 1\r2\r\n\r\n",
-     ("GET /b.php HTTP/1.1\nHost: app.local\nX-A: 1\n2\n\n", 0)),
+     pytest.raises(ValueError, match="bare CR")),
     ("GET /caf\xe9.php HTTP/1.1\r\nHost: app.local\r\nCookie: PHPSESSID=\xfc\xff\r\n\r\n",
      ("GET /caf\xe9.php HTTP/1.1\nHost: app.local\nCookie: PHPSESSID=\xfc\xff\n\n", 1)),
 ])
 def test_read_exchange_reads_utf8_with_newlines_translated(tmp_path, head, expected):
+    if not isinstance(expected, tuple):
+        with expected:
+            ProfileStore(tmp_path).record_exchange(head, "0")
+        assert list(tmp_path.iterdir()) == []
+        return
     cid = ProfileStore(tmp_path).record_exchange(head, "0")
     assert (tmp_path / f"{cid}_request").read_bytes() == head.encode("utf-8")
     assert ProfileStore(tmp_path).read_exchange(cid) == expected

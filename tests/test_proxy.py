@@ -13,7 +13,7 @@ from phpwarden.enforcer import DeviationLog, Enforcer, load_bindings
 from phpwarden.models import ModelRow, NavigationModel, RequestModel
 from phpwarden.proxy import serve_proxy
 
-from conftest import BINDINGS_TEXT, start_in_thread
+from conftest import BARE_CR_REQUEST, BINDINGS_TEXT, start_in_thread
 
 CANNED_RESPONSE = (
     b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nContent-Length: 2\r\n\r\nok"
@@ -145,6 +145,17 @@ def test_pipelined_second_request_is_not_forwarded(capture_rig):
 def test_request_hidden_behind_a_blank_line_is_blocked(capture_rig, payload):
     addr, upstream, enforcer, log_path = capture_rig
     response = send_raw(addr, payload)
+    head = response.split(b"\r\n\r\n", 1)[0].decode()
+    assert status_of(response) == 403
+    assert "X-Deviation-Reason: unknown_request" in head
+    assert upstream.captured == []
+    assert enforcer.blocked_count == 1
+    assert len(DeviationLog.read_records(log_path)) == 1
+
+
+def test_request_with_a_bare_cr_is_blocked(capture_rig):
+    addr, upstream, enforcer, log_path = capture_rig
+    response = send_raw(addr, BARE_CR_REQUEST)
     head = response.split(b"\r\n\r\n", 1)[0].decode()
     assert status_of(response) == 403
     assert "X-Deviation-Reason: unknown_request" in head
@@ -388,6 +399,16 @@ def test_response_with_bad_content_length_is_502(framing_rig, lengths):
 def test_response_with_malformed_field_lines_is_502(framing_rig, fields):
     addr, upstream, enforcer, _ = framing_rig
     upstream.responses.append(b"HTTP/1.1 200 OK\r\n" + fields + b"\r\nhello")
+    response = send_raw(addr, head_of("GET"))
+    assert response.startswith(b"HTTP/1.1 502 Bad Gateway")
+    assert b"hello" not in response
+    assert enforcer.blocked_count == 0
+
+
+def test_response_with_a_bare_cr_is_502(framing_rig):
+    # a client that takes the CR as a line break would read a body of 0 bytes
+    addr, upstream, enforcer, _ = framing_rig
+    upstream.responses.append(b"HTTP/1.1 200 OK\r\nX-Note: a\rContent-Length: 0\r\nContent-Length: 5\r\n\r\nhello")
     response = send_raw(addr, head_of("GET"))
     assert response.startswith(b"HTTP/1.1 502 Bad Gateway")
     assert b"hello" not in response
