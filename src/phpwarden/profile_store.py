@@ -90,14 +90,14 @@ def _split_head(text: str) -> tuple[str, list[tuple[str, str]]]:
     behind a bare-LF blank line would otherwise pass unverified.  A bare CR
     in the start line or a field line is refused too (RFC 9112 section
     2.2): a peer that takes it as a line break would read fields this
-    parser never saw.  Raises ValueError on a cut-off head or a line that is
-    not `name: value` with a name that neither starts nor ends with
+    parser never saw.  So is an empty or whitespace-only line before the
+    start line: http.server reads it as an empty request, not as the one
+    verified.  Raises ValueError on a cut-off head or a line that is not
+    `name: value` with a name that neither starts nor ends with
     whitespace."""
     lines = text.replace("\r\n", "\n").split("\n")
-    while lines and not lines[0].strip():
-        lines.pop(0)
-    if not lines:
-        raise ValueError("empty head")
+    if not lines[0].strip():
+        raise ValueError("head starts with an empty line")
     fields: list[tuple[str, str]] = []
     rest = iter(lines[1:-1])  # no line break ends lines[-1]
     for line in rest:
@@ -109,7 +109,7 @@ def _split_head(text: str) -> tuple[str, list[tuple[str, str]]]:
             raise ValueError(f"malformed header line: {line!r}")
         if "\r" in line:
             raise ValueError(f"bare CR in header line: {line!r}")
-        fields.append((name, value.strip()))
+        fields.append((name, value.strip(" \t")))  # RFC 9110 section 5.5: OWS is SP and HTAB
     else:
         raise ValueError("head cut off before its blank line")
     if "\r" in lines[0]:
@@ -221,12 +221,22 @@ def read_response_head(sock, method: str,
                        interim) -> tuple[bytes, bytes, int, list[tuple[str, str]], int | None]:
     """(head, rest, status, fields, body length) of the final response to
     method, read by read_head and parse_response_head, whose ValueError it
-    raises.  Each 1xx head before it but a 101 goes to interim."""
+    raises.  Each 1xx head before it but a 101 goes to interim.  A final
+    head raises ValueError too when a Transfer-Encoding is not all that
+    frames its body: beside a Content-Length, in a second field line, or on
+    a 204 or 304, which have none.  The head is passed on as it is, and a
+    client that frames the body by the length, by the first field alone or
+    by the coding (as http.client does) would read another body than the
+    one relayed; RFC 9112 section 6.3 has an intermediary drop the length."""
     rest = b""
     while True:
         head, rest = read_head(sock, rest)
         status, fields, length = parse_response_head(head.decode("latin-1"), method)
         if status >= 200 or status == 101:
+            framing = [name.lower() for name, _ in fields
+                       if name.lower() in ("transfer-encoding", "content-length")]
+            if "transfer-encoding" in framing and (len(framing) > 1 or status in (204, 304)):
+                raise ValueError("Transfer-Encoding beside other framing")
             return head, rest, status, fields, length
         interim(head)
 

@@ -24,8 +24,8 @@ the head verbatim (byte for byte); a client that sends Expect:
 100-continue gets 100 Continue before it is read.  Bytes past that body,
 such as a pipelined second request, were never verified and are dropped.
 The parser refuses a head cut off before its blank line, with a malformed
-field line, a bare CR or ambiguous framing, so such a request is blocked
-as unknown_request.
+field line, a bare CR, an empty line before its request line or ambiguous
+framing, so such a request is blocked as unknown_request.
 
 The socket-level reading is profile_store's, which the crawler shares.  The
 response head goes through profile_store.read_response_head, which frames

@@ -8,10 +8,19 @@ taint that no category-appropriate sanitizer has cleared.  A construct
 sink (echo, print, include, <?= ...) takes the whole expression up to the
 statement end, so  echo ('a') . $x;  is checked for $x as well.
 
-One walker, _arg_spans, splits the arguments of sink calls and includes and
-finds an assignment's right-hand side (its first span).  A sink call's
-arguments are evaluated once; each of the sink's categories then drops the
-taints sanitized for it.
+_walk reads a file's tokens once, with a stack of open nodes: groups ( [ {,
+assignments' right-hand sides and construct sinks' expressions.  A read
+resolves once, into the innermost node.  A closer ends the nodes above its
+group and the group, a ; those above the innermost group, a , the
+assignments on top, and ?> and the end of the file every node.  An ending
+node reports its sink's findings in the sink's place, binds its target and
+hands its reads down, so each expression is evaluated once.  So:
+
+* a read sees the assignments whose right-hand side ended before it (PHP's
+  left-to-right order), nested ones binding innermost first: in
+  $b = mysql_query($b) . fgets($f);  the query's $b carries no fgets;
+* on unbalanced input, ?> or the end of the file ends every open node, a
+  sink call's arguments included.
 """
 
 from __future__ import annotations
@@ -20,7 +29,6 @@ import os
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterator
 
 from .checklist import Checklist
 from .lexer import (CLOSE_TAG, COMMENT, IDENTIFIER, INLINE_HTML, KEYWORD, OPEN_TAG, OPERATOR,
@@ -200,6 +208,15 @@ def string_value(token: Token) -> str:
     return "".join(out)
 
 
+def _cleared(reads: list[tuple[str, TaintInfo]],
+             categories: frozenset[str]) -> list[tuple[str, TaintInfo]]:
+    """reads, each taint also sanitized for categories."""
+    if not categories:
+        return reads
+    return [(label, TaintInfo(ti.source_kind, ti.source_name, ti.line, ti.sanitized_for | categories))
+            for label, ti in reads]
+
+
 def _resolve_name(name: str, line: int, ctx: ScanContext, checklist: Checklist,
                   extra: frozenset[str]) -> list[tuple[str, TaintInfo]]:
     # a variable is a superglobal source when the checklist lists its
@@ -209,14 +226,14 @@ def _resolve_name(name: str, line: int, ctx: ScanContext, checklist: Checklist,
     bound = ctx.lookup(name)
     if bound is None:
         return [(name, TaintInfo("unresolved", name, line, extra))]
-    return [(name, replace(ti, sanitized_for=ti.sanitized_for | extra)) for ti in bound]
+    return _cleared([(name, ti) for ti in bound], extra)
 
 
 def _is_assigned(tokens: list[Token], j: int, hi: int, closers: dict[int, int | None]) -> bool:
     """Whether the variable before tokens[j] is the target of a plain =,
     itself or through a chain of [...] indexes and ->name properties.  The
     index expressions are left for the caller to read.  closers memoizes
-    _match_brackets for one span, so no token is scanned twice."""
+    _match_brackets for one file, so no token is scanned twice."""
     while j < hi:
         t = tokens[j]
         if t.kind is OPERATOR:
@@ -254,201 +271,183 @@ def _match_brackets(tokens: list[Token], j: int, hi: int, closers: dict[int, int
         closers[k] = None
 
 
-def _eval_span(tokens: list[Token], lo: int, hi: int, ctx: ScanContext,
-               checklist: Checklist) -> list[tuple[str, TaintInfo]]:
-    """Taint evaluation of an expression span.  Returns (label, taint)
-    pairs; sanitizer calls mark everything inside their parentheses as
-    clean for the sanitizer's categories."""
-    results: list[tuple[str, TaintInfo]] = []
-    # cleared[-1]: categories cleared by every sanitizer call open here
-    cleared: list[frozenset[str]] = [frozenset()]
-    pending: frozenset[str] = frozenset()
-    closers: dict[int, int | None] = {}
-    i = lo
-    while i < hi:
-        t = tokens[i]
-        current = cleared[-1]
-        if t.kind is PUNCTUATION:
-            if t.lexeme == "(":
-                cleared.append(current | pending)
-                pending = frozenset()
-            elif t.lexeme == ")":
-                if len(cleared) > 1:
-                    cleared.pop()
-        elif t.kind in (IDENTIFIER, KEYWORD):
-            nxt = tokens[i + 1] if i + 1 < hi else None
-            if nxt is not None and nxt.kind is PUNCTUATION and nxt.lexeme == "(":
-                cats = checklist.sanitizer_categories(t.lexeme)
-                if cats:
-                    pending = cats
-                if checklist.is_source_function(t.lexeme):
-                    results.append(
-                        (t.lexeme, TaintInfo("source function", t.lexeme, t.line, current))
-                    )
-        elif t.kind is VARIABLE:
-            # the target of a plain = is written, not read; .= and the rest read it
-            if not _is_assigned(tokens, i + 1, hi, closers):
-                results.extend(_resolve_name(t.lexeme, t.line, ctx, checklist, current))
-        elif t.kind is STRING and t.interpolations:
-            for name in t.interpolations:
-                results.extend(_resolve_name(name, t.line, ctx, checklist, current))
-        i += 1
-    return results
-
-
-def _arg_spans(tokens: list[Token], start: int, in_parens: bool) -> Iterator[tuple[int, int]]:
-    """Comma-separated spans from start up to the closer of the enclosing
-    group, yielded as found.  Outside parentheses a depth-0 ; or any ?>
-    also ends the list, as for an assignment's right-hand side or
-    echo $a, $b; ."""
-    depth = 0
-    i = start
-    while i < len(tokens):
-        t = tokens[i]
-        if t.kind is PUNCTUATION:
-            if t.lexeme in "([{":
-                depth += 1
-            elif t.lexeme in ")]}":
-                if depth == 0:
-                    break
-                depth -= 1
-            elif t.lexeme == "," and depth == 0:
-                yield start, i
-                start = i + 1
-            elif t.lexeme == ";" and depth == 0 and not in_parens:
-                break
-        elif t.kind is CLOSE_TAG and not in_parens:
-            break
-        i += 1
-    if i > start:
-        yield start, i
+# A node on _walk's stack is (kind, reads, cleared, down, sink, target).
+# Assignments, construct sinks and sink calls' groups collect their own
+# (label, taint) reads; other groups read into the list below them, the
+# root into none.  cleared: the categories of the sanitizer groups open up
+# to the collecting node, which a read here is cleared for; down: what a
+# collecting node's reads are cleared for as they pass below.  sink: the
+# (slot, token, name) that reports the reads; target: the variable bound.
+_GROUP, _ASSIGN, _CONSTRUCT = "group", "assign", "construct"
+_NO_CALL = (frozenset(), None)  # the categories and sink of a plain group
 
 
 def _walk(stream: TokenStream, lines: list[str], display_path: str,
           ctx: ScanContext, checklist: Checklist) -> list[Finding]:
     tokens = stream.tokens
-    findings: list[Finding] = []
+    count = len(tokens)
+    # one list of findings per sink and per followed include, in the order
+    # of their first tokens; a sink fills its own when its node ends
+    slots: list[list[Finding]] = []
+    nodes = [(_GROUP, None, frozenset(), None, None, None)]  # the root, which collects nothing
+    closers: dict[int, int | None] = {}
     sink_names = checklist.all_sink_names()
+    call = _NO_CALL  # what the ( after a call's name opens
     pending_scope: str | None = None
     prev_significant: Token | None = None
-    i = 0
 
-    def line_text(n: int) -> str:
-        return lines[n - 1] if 1 <= n <= len(lines) else ""
+    def open_node(kind: str, categories: frozenset[str] = frozenset(), sink: tuple | None = None,
+                  target: str | None = None) -> None:
+        _, reads, cleared, _, _, _ = nodes[-1]
+        if kind is _GROUP and sink is None:
+            nodes.append((kind, reads, cleared | categories, None, None, None))
+            return
+        if sink is not None:  # (token, name); a call's ( follows its name at once
+            slots.append([])
+            sink = (slots[-1], *sink)
+        nodes.append((kind, [], frozenset(), cleared | categories, sink, target))
 
-    def emit(call_site: int, name: str) -> None:
-        # arguments: a call's parenthesized list or, for a construct like
-        # echo (even one followed by a parenthesis), the expression up to
-        # the statement end; evaluated once, then filtered per category
-        if name in CONSTRUCT_SINKS:
-            spans = _arg_spans(tokens, call_site + 1, False)
-        else:  # a call: the name is followed by (
-            spans = _arg_spans(tokens, call_site + 2, True)
-        taints = [taint for lo, hi in spans for taint in _eval_span(tokens, lo, hi, ctx, checklist)]
-        tok = tokens[call_site]
-        for category in checklist.sink_categories(name):
-            children = dict.fromkeys(
-                TaintedParam(label, ti.source_kind, ti.source_name, ti.line)
-                for label, ti in taints if category not in ti.sanitized_for)
-            if children:
-                findings.append(Finding(
-                    number=0,
-                    file=display_path,
-                    line=tok.line,
-                    line_text=line_text(tok.line),
-                    category=category,
-                    children=tuple(children),
-                ))
+    def end_node() -> None:
+        kind, reads, _, down, sink, target = nodes.pop()
+        if down is None:  # a group, whose reads are already below
+            return
+        if sink is not None:
+            slot, tok, name = sink
+            text = lines[tok.line - 1] if 1 <= tok.line <= len(lines) else ""
+            # read once, then filtered per category
+            for category in checklist.sink_categories(name):
+                children = dict.fromkeys(
+                    TaintedParam(label, ti.source_kind, ti.source_name, ti.line)
+                    for label, ti in reads if category not in ti.sanitized_for)
+                if children:
+                    slot.append(Finding(0, display_path, tok.line, text, category, tuple(children)))
+        if kind is _ASSIGN:
+            ctx.assign(target, [ti for _, ti in reads])
+        if nodes[-1][1] is not None:
+            nodes[-1][1].extend(_cleared(reads, down))
 
-    while i < len(tokens):
-        t = tokens[i]
-        if t.kind is COMMENT:
-            i += 1
+    for i, t in enumerate(tokens):
+        kind = t.kind
+        if kind is COMMENT:
             continue
+        nxt = tokens[i + 1] if i + 1 < count else None
 
-        if t.kind is OPEN_TAG and t.lexeme.startswith("<?="):
-            # <?= expr ?> is an echo
-            emit(i, "echo")
+        if kind is VARIABLE:
+            _, reads, cleared, _, _, _ = nodes[-1]
+            if reads is not None and not _is_assigned(tokens, i + 1, count, closers):
+                reads.extend(_resolve_name(t.lexeme, t.line, ctx, checklist, cleared))
+            if nxt is not None and nxt.kind is OPERATOR and nxt.lexeme in ASSIGN_OPS:
+                open_node(_ASSIGN, target=t.lexeme)
 
-        elif t.kind is KEYWORD:
-            kw = t.lexeme.lower()
-            if kw in ("function", "fn"):
-                pending_scope = "function"
-            elif kw in ("class", "interface", "trait"):
-                pending_scope = "class"
-            elif kw in INCLUDE_KEYWORDS:
-                _handle_include(tokens, i, ctx, checklist, findings, display_path)
+        elif kind is PUNCTUATION:
+            lexeme = t.lexeme
+            if lexeme in "([{":
+                open_node(_GROUP, *call)
+                call = _NO_CALL
+                if lexeme == "{":
+                    ctx.push_scope(pending_scope or "block")
+                    pending_scope = None
+            elif lexeme == ",":
+                while nodes[-1][0] is _ASSIGN:
+                    end_node()
+            else:  # a closer or ;
+                while nodes[-1][0] is not _GROUP:
+                    end_node()
+                if lexeme == ";":
+                    pending_scope = None
+                elif len(nodes) > 1:
+                    end_node()
+                if lexeme == "}":
+                    ctx.pop_scope()
 
-        if t.kind is PUNCTUATION:
-            if t.lexeme == "{":
-                ctx.push_scope(pending_scope or "block")
-                pending_scope = None
-            elif t.lexeme == "}":
-                ctx.pop_scope()
-            elif t.lexeme == ";":
-                pending_scope = None
-        elif t.kind is OPERATOR and t.lexeme == "=>":
+        elif kind is STRING and t.interpolations:
+            _, reads, cleared, _, _, _ = nodes[-1]
+            if reads is not None:
+                for name in t.interpolations:
+                    reads.extend(_resolve_name(name, t.line, ctx, checklist, cleared))
+
+        elif kind is IDENTIFIER or kind is KEYWORD:
+            name = t.lexeme.lower()
+            if kind is KEYWORD:
+                if name in ("function", "fn"):
+                    pending_scope = "function"
+                elif name in ("class", "interface", "trait"):
+                    pending_scope = "class"
+                elif name in INCLUDE_KEYWORDS:
+                    slots.append(_handle_include(tokens, i, ctx, checklist, display_path))
+            paren = nxt is not None and nxt.kind is PUNCTUATION and nxt.lexeme == "("
+            if paren:
+                _, reads, cleared, _, _, _ = nodes[-1]
+                if reads is not None and checklist.is_source_function(name):
+                    reads.append((t.lexeme, TaintInfo("source function", t.lexeme, t.line, cleared)))
+                call = checklist.sanitizer_categories(name), None
+            if (name in sink_names and (paren or (kind is KEYWORD and name in CONSTRUCT_SINKS))
+                    and not (prev_significant is not None and prev_significant.kind is KEYWORD
+                             and prev_significant.lexeme.lower() == "function")):
+                # a construct like echo (even one followed by a parenthesis)
+                # takes the expression up to the statement end; a call, its
+                # parenthesized arguments
+                if name in CONSTRUCT_SINKS:
+                    open_node(_CONSTRUCT, sink=(t, name))
+                else:
+                    call = call[0], (t, name)
+
+        elif kind is OPEN_TAG:
+            if t.lexeme.startswith("<?="):  # <?= expr ?> is an echo
+                open_node(_CONSTRUCT, sink=(t, "echo"))
+
+        elif kind is CLOSE_TAG:
+            while len(nodes) > 1:
+                end_node()
+
+        elif kind is OPERATOR and t.lexeme == "=>":
             pending_scope = None
 
-        if t.kind is VARIABLE:
-            nxt = tokens[i + 1] if i + 1 < len(tokens) else None
-            if nxt is not None and nxt.kind is OPERATOR and nxt.lexeme in ASSIGN_OPS:
-                # the right-hand side is the first span; taking only that
-                # one keeps  f($a = 1, $b = 2, ...)  linear
-                lo, hi = next(_arg_spans(tokens, i + 2, False), (i + 2, i + 2))
-                ctx.assign(t.lexeme, [ti for _, ti in _eval_span(tokens, lo, hi, ctx, checklist)])
-
-        if t.kind in (IDENTIFIER, KEYWORD):
-            name = t.lexeme.lower()
-            if name in sink_names:
-                is_definition = (
-                    prev_significant is not None
-                    and prev_significant.kind is KEYWORD
-                    and prev_significant.lexeme.lower() == "function"
-                )
-                nxt = tokens[i + 1] if i + 1 < len(tokens) else None
-                call_style = (
-                    nxt is not None
-                    and nxt.kind is PUNCTUATION
-                    and nxt.lexeme == "("
-                )
-                construct_style = t.kind is KEYWORD and name in CONSTRUCT_SINKS
-                if not is_definition and (call_style or construct_style):
-                    emit(i, name)
-
-        if t.kind not in (COMMENT, INLINE_HTML):
+        if kind is not INLINE_HTML:
             prev_significant = t
-        i += 1
 
-    return findings
+    while len(nodes) > 1:
+        end_node()
+    return [f for slot in slots for f in slot]
 
 
 def _handle_include(tokens: list[Token], keyword_idx: int, ctx: ScanContext,
-                    checklist: Checklist, findings: list[Finding],
-                    display_path: str) -> None:
-    """Follow include/require with a string-literal argument.  Dynamic
-    includes are left to the FileInclusion sink check."""
-    spans = list(_arg_spans(tokens, keyword_idx + 1, False))
-    if len(spans) != 1:
-        return
-    lo, hi = spans[0]
-    span = [t for t in tokens[lo:hi]
-            if not (t.kind is PUNCTUATION and t.lexeme in "()")]
-    if len(span) != 1 or span[0].kind is not STRING:
-        return
-    if span[0].interpolations:
-        return
-    rel = string_value(span[0])
+                    checklist: Checklist, display_path: str) -> list[Finding]:
+    """Follow include/require whose argument is one plain string literal
+    among parentheses, and return the target's findings.  Dynamic includes
+    are left to the FileInclusion sink check."""
+    depth, literal, j = 0, None, keyword_idx + 1
+    while j < len(tokens):
+        t = tokens[j]
+        if t.kind is PUNCTUATION and t.lexeme == "(":
+            depth += 1
+        elif t.kind is PUNCTUATION and t.lexeme == ")" and depth:
+            depth -= 1
+        elif t.kind is STRING and literal is None:
+            literal = t
+        else:
+            break
+        j += 1
+
+    def ends(k: int) -> bool:  # ?> or the end of the file, or a ; or closer outside parentheses
+        return k >= len(tokens) or tokens[k].kind is CLOSE_TAG or (
+            not depth and tokens[k].kind is PUNCTUATION and tokens[k].lexeme in ";)]}")
+
+    # a trailing , starts no second argument when the list ends right after it
+    if literal is None or literal.interpolations or not (
+            ends(j) or not depth and tokens[j].lexeme == "," and ends(j + 1)):
+        return []
+    rel = string_value(literal)
     # the target keeps the includer's path form (relative or absolute), so
     # its findings match those of its own direct scan
     target = os.path.normpath(os.path.join(os.path.dirname(display_path), rel))
     if not os.path.isfile(target):
         ctx.diagnostics.append(f"{display_path}: include target not found: {rel}")
-        return
+        return []
     if os.path.abspath(target) in ctx.file_stack:
         ctx.diagnostics.append(f"{display_path}: include cycle cut at {rel}")
-        return
-    findings.extend(scan_file(target, checklist, ctx))
+        return []
+    return scan_file(target, checklist, ctx)
 
 
 def scan_file(path: str | os.PathLike, checklist: Checklist,

@@ -234,6 +234,15 @@ def test_response_with_a_bare_cr_is_a_crawl_error(keepalive_upstream, tmp_path):
     assert store.recorded_ids() == []
 
 
+def test_response_after_an_empty_line_is_a_crawl_error(keepalive_upstream, tmp_path):
+    keepalive_upstream.responses.append(b"\r\nHTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello")
+    store = ProfileStore(tmp_path / "store")
+    base = "http://%s:%d/" % keepalive_upstream.server_address
+    with pytest.raises(CrawlError, match="empty line"):
+        crawl(base, "0", None, store)
+    assert store.recorded_ids() == []
+
+
 def serve_once(response: bytes):
     """Base URL of a listener that answers one connection with response,
     then closes it, and the thread that does so."""

@@ -164,6 +164,18 @@ def test_request_with_a_bare_cr_is_blocked(capture_rig):
     assert len(DeviationLog.read_records(log_path)) == 1
 
 
+def test_request_after_an_empty_line_is_blocked(proxy_stack):
+    # http.server reads the empty line as an empty request and closes the
+    # connection unanswered, so a proxy that forwarded it would answer 502
+    request = b"\r\nGET /About.php HTTP/1.1\r\nHost: app.local\r\nUser-Agent: lead/1.0\r\n\r\n"
+    response = send_raw(proxy_stack.addr, request)
+    head = response.split(b"\r\n\r\n", 1)[0].decode()
+    assert status_of(response) == 403
+    assert "X-Deviation-Reason: unknown_request" in head
+    assert proxy_stack.enforcer.blocked_count == 1
+    assert len(DeviationLog.read_records(proxy_stack.log_path)) == 1
+
+
 def test_blocked_request_never_reaches_upstream(capture_rig):
     addr, upstream, enforcer, log_path = capture_rig
     request = (
@@ -409,6 +421,16 @@ def test_response_with_a_bare_cr_is_502(framing_rig):
     # a client that takes the CR as a line break would read a body of 0 bytes
     addr, upstream, enforcer, _ = framing_rig
     upstream.responses.append(b"HTTP/1.1 200 OK\r\nX-Note: a\rContent-Length: 0\r\nContent-Length: 5\r\n\r\nhello")
+    response = send_raw(addr, head_of("GET"))
+    assert response.startswith(b"HTTP/1.1 502 Bad Gateway")
+    assert b"hello" not in response
+    assert enforcer.blocked_count == 0
+
+
+def test_response_after_an_empty_line_is_502(framing_rig):
+    # http.client reads the empty line as a bad status line
+    addr, upstream, enforcer, _ = framing_rig
+    upstream.responses.append(b"\r\nHTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello")
     response = send_raw(addr, head_of("GET"))
     assert response.startswith(b"HTTP/1.1 502 Bad Gateway")
     assert b"hello" not in response

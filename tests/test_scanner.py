@@ -619,3 +619,89 @@ def test_shared_cache_scans_equal_fresh_scans(pages, libs):
             assert shared.dependency_stack == fresh.dependency_stack
             assert shared._scopes == fresh._scopes
         assert strip(scan_project(root, CHECKLIST).findings) == strip(independent_scans(root))
+
+
+def count_token_reads(monkeypatch):
+    """Token reads of the scans run after it, and the token count of the
+    last file lexed."""
+    reads = Counter()
+
+    class CountingList(list):
+        def __getitem__(self, index):
+            reads["reads"] += 1
+            return super().__getitem__(index)
+
+    def counting_tokenize(source, path="<source>"):
+        stream = tokenize(source, path)
+        stream.tokens = CountingList(stream.tokens)
+        reads["tokens"] = len(stream.tokens)
+        return stream
+
+    monkeypatch.setattr(scanner, "tokenize", counting_tokenize)
+    return reads
+
+
+@pytest.mark.parametrize("source", [
+    "".join(f"$a{i} = (" for i in range(2000)) + "$_GET['x']" + ")" * 2000 + ";\necho $a0;\n",
+    "".join(f"$a{i} = (\n" for i in range(2000)),
+    "echo (\n" * 2000,
+], ids=["nested-assignments", "unclosed-assignments", "unclosed-echo"])
+def test_each_token_is_read_a_bounded_number_of_times(tmp_path, monkeypatch, source):
+    # each expression is evaluated once, however deep its groups nest and
+    # whether or not they close
+    reads = count_token_reads(monkeypatch)
+    target = tmp_path / "deep.php"
+    target.write_text("<?php\n" + source)
+    scan_file(target, CHECKLIST)
+    assert reads["tokens"] > 4000
+    assert reads["reads"] < 10 * reads["tokens"]
+
+
+def children_of(findings):
+    return {f.line: [(c.variable, c.origin()) for c in f.children] for f in findings}
+
+
+@pytest.mark.parametrize("source, expected", [
+    # a read sees the assignments whose right-hand side ended before it
+    ("echo ($c = 'lit'), $c;", {}),
+    ("echo ($c = $_GET['a']), $c;", {2: [("$_GET", "superglobal $_GET"), ("$c", "superglobal $_GET")]}),
+    # nested assignments bind innermost first
+    ("$a = ($b = $_GET['x']) . $b;\necho $a;", {3: [("$a", "superglobal $_GET")]}),
+    # and a read before the assignment's right-hand side ends sees the
+    # target as it was: the query's $b carries no fgets
+    ("$b = mysql_query($b) . fgets($f);", {2: [("$b", "unresolved")]}),
+    ("$b = fgets($f) . mysql_query($b);", {2: [("$b", "unresolved")]}),
+], ids=["clean-then-read", "tainted-then-read", "innermost-first", "read-before-bind", "source-before-read"])
+def test_a_read_sees_the_assignments_that_ended_before_it(tmp_path, source, expected):
+    target = tmp_path / "s.php"
+    target.write_text(f"<?php\n{source}\n")
+    assert children_of(scan_file(target, CHECKLIST)) == expected
+
+
+@pytest.mark.parametrize("source, expected", [
+    # ?> ends every open node, a call sink's group included
+    ("mysql_query($x ?>\n<?php echo $_GET['a'];",
+     {2: [("$x", "unresolved")], 3: [("$_GET", "superglobal $_GET")]}),
+    ("$v = htmlspecialchars($_GET['a'] ?>\n<?php echo $v;", {}),
+    # and so does the end of the file
+    ("mysql_query(\n$_GET['q']", {2: [("$_GET", "superglobal $_GET")]}),
+    ("echo ($x . (\n$_POST['p']", {2: [("$x", "unresolved"), ("$_POST", "superglobal $_POST")]}),
+], ids=["close-tag-ends-call", "close-tag-binds", "eof-ends-call", "eof-ends-echo"])
+def test_close_tag_and_end_of_file_end_every_open_node(tmp_path, source, expected):
+    target = tmp_path / "u.php"
+    target.write_text(f"<?php\n{source}\n")
+    assert children_of(scan_file(target, CHECKLIST)) == expected
+
+
+@pytest.mark.parametrize("kind, seed", [("shared", 1), ("shared", 2), ("flat", 1), ("flat", 2)])
+def test_benchmark_corpus_scans_to_its_planted_findings(repo_root, tmp_path, monkeypatch, kind, seed):
+    # the benchmark's correctness check of its scan workloads, in process
+    monkeypatch.syspath_prepend(str(repo_root / "perfbench"))
+    import corpus
+
+    tree = corpus.generate(kind, seed)
+    tree.write(str(tmp_path))
+    found = {}
+    for f in scan_project(tmp_path, CHECKLIST).findings:
+        found.setdefault(Path(f.file).relative_to(tmp_path).as_posix(), set()).add((f.line, f.category))
+    assert corpus.check_scan(tree, found) == (len(tree.planted), 0)
