@@ -94,11 +94,12 @@ def _cmd_scan(args) -> int:
     result = scan_project(args.root, checklist)
     app_name = args.app_name or Path(args.root).name
     report = build_report(result, misconfigs, app_name)
-    print(render(report))
+    text = render(report)
+    print(text)
     for diag in result.diagnostics:
         print(f"note: {diag}", file=sys.stderr)
     if args.out:
-        text_path, data_path = write_report(report, args.out)
+        text_path, data_path = write_report(report, args.out, text)
         print(f"written: {text_path}, {data_path}", file=sys.stderr)
     return 1 if (report.findings or report.misconfigurations) else 0
 

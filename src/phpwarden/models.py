@@ -132,13 +132,19 @@ def build_model(store: ProfileStore) -> tuple[RequestModel, NavigationModel]:
             for cid in range(trail.first_id, trail.last_id + 1):
                 role_by_id.setdefault(cid, trail.role)
     rows: list[ModelRow] = []
+    # a store repeats heads: each distinct one is parsed once (and a
+    # malformed one raises on its first sight, as it would on every other)
+    reqresid_by_head: dict[str, str] = {}
     for sno, cid in enumerate(ids, start=1):
         raw, flag = store.read_exchange(cid)
-        head = parse_header_block(raw)
+        reqresid = reqresid_by_head.get(raw)
+        if reqresid is None:
+            head = parse_header_block(raw)
+            reqresid = reqresid_by_head[raw] = derive_request_id(head.method, head.target)
         rows.append(ModelRow(
             sno=sno,
             convid=cid,
-            reqresid=derive_request_id(head.method, head.target),
+            reqresid=reqresid,
             session_flag=flag,
             role=role_by_id[cid] if cid in role_by_id else store.role_of(cid),  # role_of raises
         ))

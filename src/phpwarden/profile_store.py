@@ -29,6 +29,9 @@ the role's XML, then the `trails` index.  A run interrupted part-way thus
 leaves at most ids that no trail covers; since a reopened store never
 extends a trail it read, no later recording covers them either.  The model
 builder refuses a store with such an id: an interrupted store fails closed.
+Each exchange adds one page to its trail, so a reopened store trims each
+trail's pages to its id range: the page of an exchange whose `trails`
+write failed after its XML write is dropped with it.
 
 This module is also the one HTTP/1.1 wire path, for the store, the
 enforcer, the proxy and the crawler alike.  read_head reads a head from a
@@ -389,7 +392,7 @@ class Trail:
 _REQUEST_FILE_RE = re.compile(r"^(\d+)_request$")
 
 
-def _write(path: Path, data: bytes, offset: int = 0) -> None:
+def _write(path: str, data: bytes, offset: int = 0) -> None:
     """Write data into path at offset, looping over short writes.  Offset 0
     writes the whole file, truncating it first; a later offset truncates
     nothing, so the bytes before it stay as they were."""
@@ -402,7 +405,7 @@ def _write(path: Path, data: bytes, offset: int = 0) -> None:
         os.close(fd)
 
 
-def _read(path: Path) -> str:
+def _read(path: str) -> str:
     """path's text as Path.read_text gives it: UTF-8, with CRLF and a lone
     CR read as LF."""
     fd = os.open(path, os.O_RDONLY)
@@ -423,6 +426,9 @@ class ProfileStore:
     def __init__(self, directory: str | Path, session_cookie_name: str = "PHPSESSID"):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        # every file path is this prefix and the file's name: no Path is
+        # built per exchange
+        self._prefix = os.path.join(self.directory, "")
         self.session_cookie_name = session_cookie_name
         self.trails: list[Trail] = []
         # byte length of the sealed text (all but the newest trail) of each
@@ -438,8 +444,8 @@ class ProfileStore:
             int(m.group(1)) for m in map(_REQUEST_FILE_RE.match, os.listdir(self.directory)) if m
         )
         self._next_id = (self._ids[-1] if self._ids else 0) + 1
-        index = self.directory / "trails"
-        if not index.exists():
+        index = self._prefix + "trails"
+        if not os.path.exists(index):
             return
         sequences: dict[str, list[list[str]]] = {}
         for role_file in sorted(self.directory.glob("*.xml")):
@@ -459,8 +465,11 @@ class ProfileStore:
             seq_index = consumed.get(role, 0)
             consumed[role] = seq_index + 1
             role_seqs = sequences.get(role, [])
-            pages = role_seqs[seq_index] if seq_index < len(role_seqs) else []
-            self._start(Trail(role=role, first_id=int(first), last_id=int(last), pages=pages))
+            first_id, last_id = int(first), int(last)
+            # each exchange adds one page; a page past the id range is one
+            # whose exchange failed before its index line was written
+            pages = role_seqs[seq_index][:last_id - first_id + 1] if seq_index < len(role_seqs) else []
+            self._start(Trail(role=role, first_id=first_id, last_id=last_id, pages=pages))
 
     # -- recording ---------------------------------------------------------
 
@@ -494,9 +503,9 @@ class ProfileStore:
         trail = self._open
         cid = self._next_id
         self._next_id += 1
-        _write(self.directory / f"{cid}_request", request_headers.encode())
+        _write(f"{self._prefix}{cid}_request", request_headers.encode())
         self._ids.append(cid)
-        _write(self.directory / f"{cid}_Srequest", str(flag).encode())
+        _write(f"{self._prefix}{cid}_Srequest", str(flag).encode())
         if trail.first_id is None:
             trail.first_id = cid
         trail.last_id = cid
@@ -522,15 +531,15 @@ class ProfileStore:
         `<name>.tmp` and renames it over name, so a failed write leaves name
         as it was; the temporary name is neither a role's XML nor a
         request file."""
+        path = self._prefix + name
         offset = self._sealed.get(name)
         if offset is None:
             whole = render().encode()
-            temporary = self.directory / f"{name}.tmp"
-            _write(temporary, whole)
-            os.replace(temporary, self.directory / name)
+            _write(path + ".tmp", whole)
+            os.replace(path + ".tmp", path)
             self._sealed[name] = len(whole) - len(newest.encode())
         else:
-            _write(self.directory / name, newest.encode(), offset)
+            _write(path, newest.encode(), offset)
 
     def _render_index(self) -> str:
         return "".join(self._index_line(t) for t in self.trails if t.first_id is not None)
@@ -561,10 +570,10 @@ class ProfileStore:
         """(raw request text, session flag) for one communication id.
         A missing flag file is a corrupt store and is reported by id."""
         try:
-            flag = int(_read(self.directory / f"{cid}_Srequest").strip())
+            flag = int(_read(f"{self._prefix}{cid}_Srequest").strip())
         except FileNotFoundError:
             raise ValueError(f"store {self.directory}: {cid}_request has no matching {cid}_Srequest") from None
-        return _read(self.directory / f"{cid}_request"), flag
+        return _read(f"{self._prefix}{cid}_request"), flag
 
     def recorded_ids(self) -> list[int]:
         """Ids with a `<id>_request` file: those listed on open, then those

@@ -47,7 +47,7 @@ import threading
 import time
 from urllib.parse import parse_qs
 
-from .enforcer import Enforcer
+from .enforcer import LEVEL_FOR_REASON, Enforcer
 from .profile_store import (CHUNKED, LOGIN_PAGE, LOGOUT_PAGE, RequestHead, login_succeeded, page_of,
                             read_head, read_response_head, relay, relay_chunked)
 
@@ -64,6 +64,13 @@ def _error_response(status: str, text: str, extra: str = "") -> bytes:
 
 
 _BAD_GATEWAY = _error_response("502 Bad Gateway", "Bad gateway")
+# the 403 for each block reason, which names only the reason: every blocked
+# verdict carries one of these, since the enforcer logs its level first
+_BLOCKED = {
+    reason: _error_response("403 Forbidden", "Request blocked: " + reason,
+                            f"X-Deviation-Reason: {reason}\r\n")
+    for reason in LEVEL_FOR_REASON
+}
 
 
 class EnforcementProxy(socketserver.TCPServer):
@@ -152,8 +159,7 @@ class _ProxyHandler(socketserver.BaseRequestHandler):
                 # back for a 100 Continue (RFC 9110 section 10.1.1), and
                 # half-closed so the client sees the end; whatever body it
                 # sends is then read, so closing sends no reset
-                sock.sendall(_error_response("403 Forbidden", "Request blocked: " + verdict.reason,
-                                             f"X-Deviation-Reason: {verdict.reason}\r\n"))
+                sock.sendall(_BLOCKED[verdict.reason])
                 sock.shutdown(socket.SHUT_WR)
                 relay(sock, rest, length, lambda piece: None)
                 return

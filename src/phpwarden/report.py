@@ -125,13 +125,14 @@ def parse_structured(text: str) -> Report:
     })
 
 
-def write_report(report: Report, out_path: str) -> tuple[str, str]:
+def write_report(report: Report, out_path: str, text: str | None = None) -> tuple[str, str]:
     """Write the text form at out_path and the structured form alongside it
-    (same name + `.data`).  Returns both paths."""
+    (same name + `.data`).  Returns both paths.  text, when given, is
+    render(report), already rendered by the caller."""
     text_path = out_path
     data_path = out_path + ".data"
     with open(text_path, "w", encoding="utf-8") as fh:
-        fh.write(render(report))
+        fh.write(render(report) if text is None else text)
     with open(data_path, "w", encoding="utf-8") as fh:
         fh.write(render_structured(report))
     return text_path, data_path

@@ -1,4 +1,5 @@
 import importlib
+import os
 import re
 import shutil
 import socket
@@ -231,7 +232,7 @@ def test_build_model_refuses_a_store_whose_index_write_failed(tmp_path, monkeypa
     write = profile_store._write
 
     def failing_index_write(path, *args, **kwargs):
-        if path.name == "trails":
+        if os.path.basename(path) == "trails":
             raise OSError("no space left on device")
         return write(path, *args, **kwargs)
 

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from phpwarden import models
 from phpwarden.models import (
     MODEL1_HEADER,
+    ModelRow,
     NavigationModel,
     _decode_page_name,
     _encode_page_name,
@@ -14,7 +16,7 @@ from phpwarden.models import (
     load_model,
     persist_model,
 )
-from phpwarden.profile_store import ProfileStore
+from phpwarden.profile_store import ProfileStore, derive_request_id, parse_header_block
 
 
 def head_text(target, cookie=None, method="GET"):
@@ -110,6 +112,60 @@ def test_build_model_empty_store_is_error(tmp_path):
     store = ProfileStore(tmp_path / "empty")
     with pytest.raises(ValueError, match="no recorded exchanges"):
         build_model(store)
+
+
+def test_build_model_parses_each_distinct_head_once(tmp_path, monkeypatch):
+    store = small_store(tmp_path)  # Home.php is recorded twice
+    for _ in range(3):
+        store.begin_trail("0")
+        store.record_exchange(head_text("/About.php"), "0")
+    distinct = {store.read_exchange(cid)[0] for cid in store.recorded_ids()}
+    calls = []
+    parse = models.parse_header_block
+
+    def counting_parse(text):
+        calls.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(models, "parse_header_block", counting_parse)
+    model1, _ = build_model(store)
+    assert len(model1.rows) == 9
+    assert sorted(calls) == sorted(distinct)
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize("repeat", [1, 2])
+def test_build_model_refuses_a_malformed_stored_head(tmp_path, repeat):
+    store = small_store(tmp_path)
+    for cid in range(2, 2 + repeat):
+        (tmp_path / "store" / f"{cid}_request").write_text("GET /Home.php HTTP/1.1\nno colon here\n\n")
+    with pytest.raises(ValueError, match="malformed header line"):
+        build_model(store)
+
+
+def test_build_model_rows_match_a_parse_per_exchange(repo_root, tmp_path, monkeypatch):
+    # the benchmark's large site, two roles of it: rows as a parse of every
+    # stored head, one by one, gives them
+    monkeypatch.syspath_prepend(str(repo_root / "perfbench"))
+    import sites
+
+    site = sites.large_site(1)
+    store = ProfileStore(tmp_path / "store")
+    for role in list(site.trails)[:2]:
+        for trail in site.trails[role]:
+            store.begin_trail(role)
+            for page in trail:
+                store.record_exchange(f"GET /{page} HTTP/1.1\r\nHost: 127.0.0.1:8080\r\n"
+                                      f"Cookie: PHPSESSID=trainer{role}\r\n\r\n", role)
+    expected = []
+    for sno, cid in enumerate(store.recorded_ids(), start=1):
+        raw, flag = store.read_exchange(cid)
+        head = parse_header_block(raw)
+        expected.append(ModelRow(sno, cid, derive_request_id(head.method, head.target), flag,
+                                 store.role_of(cid)))
+    model1, _ = build_model(store)
+    assert len({row.reqresid for row in expected}) < len(expected)
+    assert model1.rows == expected
 
 
 # -- persistence --------------------------------------------------------------

@@ -9,9 +9,9 @@ import time
 import pytest
 
 from phpwarden import profile_store
-from phpwarden.enforcer import DeviationLog, Enforcer, load_bindings
+from phpwarden.enforcer import LEVEL_FOR_REASON, DeviationLog, Enforcer, load_bindings
 from phpwarden.models import ModelRow, NavigationModel, RequestModel
-from phpwarden.proxy import serve_proxy
+from phpwarden.proxy import _BLOCKED, _error_response, serve_proxy
 
 from conftest import BARE_CR_REQUEST, BINDINGS_TEXT, start_in_thread
 
@@ -204,6 +204,13 @@ def test_block_page_carries_reason_but_no_model_detail(capture_rig):
     assert "session_flag_mismatch" in body
     # the trained-flag detail stays out of the client-visible page
     assert "trained" not in body
+
+
+def test_block_responses_are_built_once_per_reason():
+    assert _BLOCKED.keys() == LEVEL_FOR_REASON.keys()
+    for reason, response in _BLOCKED.items():
+        assert response == _error_response("403 Forbidden", "Request blocked: " + reason,
+                                           f"X-Deviation-Reason: {reason}\r\n")
 
 
 def test_upstream_down_is_502_not_deviation(trained, tmp_path):
