@@ -174,6 +174,7 @@ def _cmd_build_model(args) -> int:
 
 def _cmd_enforce(args) -> int:
     import logging
+    import socket
 
     from .enforcer import DeviationLog, Enforcer, EnforcerConfig, load_bindings
     from .proxy import serve_proxy
@@ -193,6 +194,11 @@ def _cmd_enforce(args) -> int:
     enforcer = Enforcer(model1, model2, bindings, log, config)
     try:
         proxy = serve_proxy(args.listen, args.upstream, enforcer)
+    except socket.gaierror as exc:
+        log.close()
+        print(f"enforce: cannot resolve upstream {args.upstream[0]}:{args.upstream[1]}: {exc}",
+              file=sys.stderr)
+        return 1
     except OSError as exc:
         log.close()
         print(f"enforce: cannot listen on {args.listen[0]}:{args.listen[1]}: {exc}", file=sys.stderr)

@@ -30,13 +30,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 
 from .models import NavigationModel, RequestModel, is_asset
-from .profile_store import (
-    RequestHead,
-    derive_request_id,
-    page_of,
-    parse_header_block,
-    session_cookie_value,
-)
+from .profile_store import RequestHead, cookie_value, page_of, parse_header_block
 
 logger = logging.getLogger(__name__)
 
@@ -80,11 +74,15 @@ class Verdict:
 
     @classmethod
     def ok(cls, detail: str = "") -> "Verdict":
-        return cls(DONT_BLOCK, OK, detail)
+        """A passing verdict; with no detail, the one shared instance."""
+        return cls(DONT_BLOCK, OK, detail) if detail else _OK
 
     @classmethod
     def block(cls, reason: str, detail: str = "") -> "Verdict":
         return cls(BLOCK, reason, detail)
+
+
+_OK = Verdict(DONT_BLOCK, OK)
 
 
 def verify_level1(reqres_id: str, session_flag: int, role: str, model1: RequestModel) -> Verdict:
@@ -158,39 +156,37 @@ class ClientState:
 
 class ClientTable:
     """Shared client-state map.  Cookie ownership pins on first sighting;
-    idle clients fall back to role 0 after the timeout.  Hold `lock` from
-    state_for through the update of the state it returns, so that two
-    requests of one client never interleave their read-verify-update."""
+    idle clients fall back to role 0 after the timeout.  Every method
+    expects the caller to hold `lock`, from state_for through the update of
+    the state it returns, so that two requests of one client never
+    interleave their read-verify-update."""
 
     def __init__(self, idle_timeout: float = 1800.0):
         self.idle_timeout = idle_timeout
         self._states: dict[ClientIdentity, ClientState] = {}
         self._cookie_owner: dict[str, ClientIdentity] = {}
-        self.lock = threading.RLock()
+        self.lock = threading.Lock()
 
     def state_for(self, identity: ClientIdentity, now: float) -> ClientState:
-        with self.lock:
-            state = self._states.get(identity)
-            if state is None:
-                state = ClientState(identity=identity, last_seen=now)
-                self._states[identity] = state
-            elif now - state.last_seen > self.idle_timeout:
-                state.role = "0"
-                state.last_page = None
-            state.last_seen = now
-            return state
+        state = self._states.get(identity)
+        if state is None:
+            state = ClientState(identity=identity, last_seen=now)
+            self._states[identity] = state
+        elif now - state.last_seen > self.idle_timeout:
+            state.role = "0"
+            state.last_page = None
+        state.last_seen = now
+        return state
 
     def cookie_owner(self, cookie: str, presenter: ClientIdentity) -> ClientIdentity:
-        with self.lock:
-            owner = self._cookie_owner.get(cookie)
-            if owner is None:
-                self._cookie_owner[cookie] = presenter
-                return presenter
-            return owner
+        owner = self._cookie_owner.get(cookie)
+        if owner is None:
+            self._cookie_owner[cookie] = presenter
+            return presenter
+        return owner
 
     def pin_cookie(self, cookie: str, identity: ClientIdentity) -> None:
-        with self.lock:
-            self._cookie_owner[cookie] = identity
+        self._cookie_owner[cookie] = identity
 
 
 def resolve_role(state: ClientState, login_username: str | None, bindings: dict[str, str]) -> str:
@@ -311,23 +307,34 @@ class Enforcer:
         """Verdict, carrying the parsed head, for one raw request head from
         client_ip.  Updates client state on success; logs exactly once on block."""
         now = self.clock()
-        cookie_name = self.config.session_cookie_name
         try:
             head = parse_header_block(raw_head)
-            reqres_id = derive_request_id(head.method, head.target)
         except ValueError as exc:
             identity = ClientIdentity(client_ip, "")
             first_line = raw_head.split("\n", 1)[0].strip()
             verdict = Verdict.block(UNKNOWN_REQUEST, f"unparseable request: {exc}")
             self._record_block(identity, first_line or "<empty>", verdict)
             return verdict
-
-        identity = ClientIdentity(client_ip, head.get("User-Agent") or "")
-        cookie = session_cookie_value(head, cookie_name)
         page = page_of(head.target)
-        with self.table.lock:
-            state = self.table.state_for(identity, now)
-            owner = identity if cookie is None else self.table.cookie_owner(cookie, identity)
+        # derive_request_id's id: a parsed head's method is never empty
+        reqres_id = f"{head.method.upper()}_{page}"
+        # the first User-Agent, and the session cookie as session_cookie_value
+        # finds it, in one pass over the fields
+        user_agent = cookie = None
+        cookie_name = self.config.session_cookie_name
+        for name, value in head.headers:
+            lname = name.lower()
+            if lname == "user-agent":
+                if user_agent is None:
+                    user_agent = value
+            elif lname == "cookie" and cookie is None:
+                cookie = cookie_value(value, cookie_name)
+        identity = ClientIdentity(client_ip, user_agent or "")
+
+        table = self.table
+        with table.lock:
+            state = table.state_for(identity, now)
+            owner = identity if cookie is None else table.cookie_owner(cookie, identity)
             if owner != identity:
                 verdict = Verdict.block(IDENTITY_MISMATCH,
                                         f"session cookie pinned to {owner.ip} / {owner.user_agent}")

@@ -78,7 +78,12 @@ class RequestHead:
     content_length: int = 0
 
     def get(self, name: str) -> str | None:
-        return next(iter(self.get_all(name)), None)
+        """The first field named name, in any letter case, else None."""
+        lname = name.lower()
+        for k, v in self.headers:
+            if k.lower() == lname:
+                return v
+        return None
 
     def get_all(self, name: str) -> list[str]:
         lname = name.lower()
@@ -132,9 +137,13 @@ def parse_header_block(text: str) -> RequestHead:
     parts = start.split()
     if len(parts) != 3 or not parts[2].startswith("HTTP/"):
         raise ValueError(f"malformed request line: {start!r}")
-    if any(name.lower() == "transfer-encoding" for name, _ in fields):
-        raise ValueError("Transfer-Encoding framing is refused")
-    lengths = [value for name, value in fields if name.lower() == "content-length"]
+    lengths = []
+    for name, value in fields:
+        lname = name.lower()
+        if lname == "transfer-encoding":
+            raise ValueError("Transfer-Encoding framing is refused")
+        if lname == "content-length":
+            lengths.append(value)
     return RequestHead(*parts, tuple(fields), declared_length(lengths) if lengths else 0)
 
 
@@ -153,19 +162,33 @@ def parse_response_head(text: str, method: str) -> tuple[int, list[tuple[str, st
     1xx, 204 or 304, CHUNKED for a final chunked coding, None (until close)
     for any other Transfer-Encoding or no Content-Length.  Raises ValueError
     as _split_head does and on a bad status line or Content-Length."""
+    return _frame_response(text, method)[:3]
+
+
+def _frame_response(text: str, method: str) -> tuple[int, list[tuple[str, str]], int | None, bool]:
+    """parse_response_head's (status, fields, body length), and whether a
+    Transfer-Encoding is not all that frames the body: beside a
+    Content-Length, in a second field line, or on a 204 or 304, which have
+    none.  One pass over the fields finds both."""
     start, fields = _split_head(text)
     match = _STATUS_LINE.match(start)
     if not match:
         raise ValueError(f"malformed status line: {start!r}")
     status = int(match[1])
+    codings, lengths = [], []
+    for name, value in fields:
+        lname = name.lower()
+        if lname == "transfer-encoding":
+            codings.append(value)
+        elif lname == "content-length":
+            lengths.append(value)
+    mixed = bool(codings) and (len(codings) + len(lengths) > 1 or status in (204, 304))
     if method == "HEAD" or status < 200 or status in (204, 304):
-        return status, fields, 0
-    codings = [value for name, value in fields if name.lower() == "transfer-encoding"]
+        return status, fields, 0, mixed
     if codings:  # only a final chunked coding frames the body
         final = codings[-1].rsplit(",", 1)[-1].strip().lower()
-        return status, fields, CHUNKED if final == "chunked" else None
-    lengths = [value for name, value in fields if name.lower() == "content-length"]
-    return status, fields, declared_length(lengths) if lengths else None
+        return status, fields, CHUNKED if final == "chunked" else None, mixed
+    return status, fields, declared_length(lengths) if lengths else None, mixed
 
 
 def read_head(sock, buf: bytes = b"", deadline: float | None = None) -> tuple[bytes, bytes]:
@@ -234,11 +257,9 @@ def read_response_head(sock, method: str,
     rest = b""
     while True:
         head, rest = read_head(sock, rest)
-        status, fields, length = parse_response_head(head.decode("latin-1"), method)
+        status, fields, length, mixed = _frame_response(head.decode("latin-1"), method)
         if status >= 200 or status == 101:
-            framing = [name.lower() for name, _ in fields
-                       if name.lower() in ("transfer-encoding", "content-length")]
-            if "transfer-encoding" in framing and (len(framing) > 1 or status in (204, 304)):
+            if mixed:
                 raise ValueError("Transfer-Encoding beside other framing")
             return head, rest, status, fields, length
         interim(head)

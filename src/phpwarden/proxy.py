@@ -27,16 +27,23 @@ The parser refuses a head cut off before its blank line, with a malformed
 field line, a bare CR, an empty line before its request line or ambiguous
 framing, so such a request is blocked as unknown_request.
 
-The socket-level reading is profile_store's, which the crawler shares.  The
-response head goes through profile_store.read_response_head, which frames
-it by RFC 9112 section 6.3; one it refuses is a 502, and so is an
-unreachable upstream.  A 1xx head other than 101 is relayed at once and the
-final head read after it.  The body is streamed to the client in pieces of
-at most 64 KiB: a chunked one up to its last chunk and trailer section, a
-101's or one with no length until the upstream closes.  A login (a redirect
-that sets the session cookie, see profile_store.login_succeeded) or logout
-response binds or clears the client's role once its final head arrives,
-before the client gets a byte of it.
+The upstream name is resolved once, when the proxy is built, and each
+request connects to its addresses in the order getaddrinfo gave them, as
+socket.create_connection would, with no lookup per request: an address
+that changes takes a restart, and a name that does not resolve stops the
+proxy from being built.  The socket-level reading is profile_store's,
+which the crawler shares.  The response head goes through
+profile_store.read_response_head, which frames it by RFC 9112 section 6.3;
+one it refuses is a 502, and so is an unreachable upstream.  A 1xx head
+other than 101 is relayed at once and the final head read after it.  The
+body is streamed to the client in pieces of at most 64 KiB: a chunked one
+up to its last chunk and trailer section, a 101's or one with no length
+until the upstream closes.  The client's side is then shut at once, so the
+client sees the response end before the upstream socket closes.  A login
+(a redirect that sets the session cookie, see
+profile_store.login_succeeded) or logout response binds or clears the
+client's role once its final head arrives, before the client gets a byte
+of it.  Only the responses to the login and logout pages are read for it.
 """
 
 from __future__ import annotations
@@ -84,8 +91,10 @@ class EnforcementProxy(socketserver.TCPServer):
                  workers: int = _WORKERS):
         if workers < 1:
             raise ValueError("the proxy needs at least one worker")
+        # resolved before the listening socket exists, so a name that does
+        # not resolve (socket.gaierror) leaves no socket behind
+        self._upstream_addresses = socket.getaddrinfo(*upstream, 0, socket.SOCK_STREAM)
         super().__init__(listen, _ProxyHandler)
-        self.upstream = upstream
         self.enforcer = enforcer
         self.workers = workers
         self.threads: list[threading.Thread] = []  # the pool, once serve_forever starts it
@@ -121,6 +130,20 @@ class EnforcementProxy(socketserver.TCPServer):
             self.socket.shutdown(socket.SHUT_RD)
         except OSError:
             pass  # already shut
+
+    def connect_upstream(self) -> socket.socket:
+        """A socket connected to the first upstream address that accepts,
+        tried in order; raises the last address's OSError when none does."""
+        for family, kind, proto, _, address in self._upstream_addresses:
+            up = socket.socket(family, kind, proto)
+            try:
+                up.settimeout(_IO_TIMEOUT)
+                up.connect(address)
+                return up
+            except OSError as exc:
+                up.close()
+                error = exc
+        raise error
 
     def _work(self, pause: float) -> None:
         while not self._stopping.is_set():
@@ -179,7 +202,7 @@ class _ProxyHandler(socketserver.BaseRequestHandler):
         """Send the verified request upstream and stream its response to the
         client, or answer 502 when no well-framed response head comes."""
         try:
-            up = socket.create_connection(self.server.upstream, timeout=_IO_TIMEOUT)
+            up = self.server.connect_upstream()
         except OSError:
             sock.sendall(_BAD_GATEWAY)
             return
@@ -203,22 +226,28 @@ class _ProxyHandler(socketserver.BaseRequestHandler):
             else:  # after a 101 the connection speaks another protocol, until close
                 end = None if length is None or status == 101 else len(response_head) + length
                 relay(up, response_head + rest, end, sock.sendall)
+            # the client sees the response end now, not after the upstream
+            # socket closes
+            sock.shutdown(socket.SHUT_WR)
 
     def _after_relay(self, head: RequestHead, body: bytes, status: int,
                      fields: list[tuple[str, str]]) -> None:
+        """Bind the client's role after a login, or clear it after a logout;
+        a response to any other page reads nothing more."""
+        page = page_of(head.target)
+        if page != LOGIN_PAGE and page != LOGOUT_PAGE:
+            return
         enforcer = self.server.enforcer
         client_ip = self.client_address[0]
-        config = enforcer.config
-        page = page_of(head.target)
         user_agent = head.get("User-Agent") or ""
-        if head.method.upper() == "POST" and page == LOGIN_PAGE:
-            cookie = login_succeeded(status, fields, config.session_cookie_name)
+        if page == LOGOUT_PAGE:
+            enforcer.note_logout(client_ip, user_agent)
+        elif head.method.upper() == "POST":
+            cookie = login_succeeded(status, fields, enforcer.config.session_cookie_name)
             if cookie:
                 form = parse_qs(body.decode("latin-1"))
                 username = (form.get("username") or [""])[0]
                 enforcer.note_login(client_ip, user_agent, username, cookie)
-        elif page == LOGOUT_PAGE:
-            enforcer.note_logout(client_ip, user_agent)
 
 
 def serve_proxy(listen: tuple[str, int], upstream: tuple[str, int], enforcer: Enforcer,

@@ -286,6 +286,27 @@ def test_enforce_unwritable_log_is_reported_at_start(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("enforce:")
 
 
+def test_enforce_unresolvable_upstream_is_reported_at_start(tmp_path, capsys, monkeypatch):
+    models = tmp_path / "models"
+    models.mkdir()
+    (models / "requests.csv").write_text("sno,convid,reqresid,sessionFlag,role\n1,1,GET_About.php,0,0\n")
+    (models / "0.xml").write_text('<Pages entry="About.php" />\n')
+    (tmp_path / "bindings.txt").write_text("mark,manager\n")
+
+    def unresolvable(host, *args, **kwargs):
+        raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+    monkeypatch.setattr(socket, "getaddrinfo", unresolvable)
+    rc = main([
+        "enforce", "--models", str(models),
+        "--listen", "127.0.0.1:0", "--upstream", "no-such-host.invalid:8008",
+        "--bindings", str(tmp_path / "bindings.txt"),
+        "--log", str(tmp_path / "deviations.log"),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("enforce: cannot resolve upstream no-such-host.invalid:8008: ")
+
+
 def test_scenario_list_names_builtins(capsys):
     rc = main(["scenario", "--list"])
     assert rc == 0

@@ -108,6 +108,53 @@ def test_parse_header_block_frames_the_body_by_one_content_length():
                 parse_header_block(text)
 
 
+@pytest.mark.parametrize("fields", [
+    "Transfer-Encoding: chunked\r\nContent-Length: 3",
+    "Content-Length: 3\r\nTransfer-Encoding: chunked",
+    "transfer-encoding: chunked\r\nContent-Length: 3",
+    "Content-Length: 3\r\nTRANSFER-ENCODING: identity",
+    "Content-Length: 3\r\nContent-Length: 3\r\nTransfer-Encoding: chunked",
+    "Content-Length: x\r\ntRaNsFeR-eNcOdInG: chunked",
+], ids=["te-before-cl", "te-after-cl", "lower-case-te-first", "upper-case-te-last",
+        "te-after-two-cls", "te-after-a-bad-cl"])
+def test_request_transfer_encoding_is_refused_wherever_it_sits(fields):
+    # whatever Content-Length fields come before it, the refusal names the
+    # Transfer-Encoding, so the deviation log reads the same
+    with pytest.raises(ValueError, match="Transfer-Encoding framing is refused"):
+        parse_header_block(f"POST /a.php HTTP/1.1\r\nHost: x\r\n{fields}\r\n\r\n")
+
+
+@pytest.mark.parametrize("fields", [
+    "Content-Length: 3\r\nContent-Length: 3",
+    "content-length: 3\r\nHost: x\r\nCONTENT-LENGTH: 4",
+], ids=["same-case", "mixed-case-apart"])
+def test_request_with_two_content_lengths_is_refused(fields):
+    with pytest.raises(ValueError, match="2 Content-Length fields"):
+        parse_header_block(f"POST /a.php HTTP/1.1\r\n{fields}\r\n\r\n")
+
+
+def test_request_head_get_is_first_match_in_any_case():
+    head = parse_header_block("GET /a.php HTTP/1.1\r\nuser-agent: first\r\nX-A: 1\r\n"
+                              "USER-AGENT: second\r\nUser-Agent: third\r\n\r\n")
+    assert head.get("User-Agent") == "first"
+    assert head.get("USER-agent") == "first"
+    assert head.get("x-a") == "1"
+    assert head.get("Cookie") is None
+    assert head.get_all("User-Agent") == ["first", "second", "third"]
+
+
+@pytest.mark.parametrize("fields", [
+    "Transfer-Encoding: chunked\r\nContent-Length: 5",
+    "Content-Length: 5\r\nTransfer-Encoding: chunked",
+    "content-length: 5\r\ntransfer-encoding: chunked",
+], ids=["te-first", "cl-first", "lower-case"])
+@pytest.mark.parametrize("status_line", ["200 OK", "101 Switching Protocols"])
+def test_response_transfer_encoding_beside_a_content_length_is_refused(fields, status_line):
+    response = f"HTTP/1.1 {status_line}\r\n{fields}\r\n\r\n5\r\nhello\r\n0\r\n\r\n".encode()
+    with pytest.raises(ValueError, match="beside other framing"):
+        profile_store.read_response_head(_PieceSocket(response, 7), "GET", lambda head: None)
+
+
 @pytest.mark.parametrize("line", [
     "Content-Length : 3", "Content-Length\t: 3", " Content-Length: 3", "\tX-Folded: 1", ": 3",
 ], ids=["space-before-colon", "tab-before-colon", "obs-fold", "obs-fold-tab", "empty-name"])

@@ -11,7 +11,7 @@ import pytest
 from phpwarden import profile_store
 from phpwarden.enforcer import LEVEL_FOR_REASON, DeviationLog, Enforcer, load_bindings
 from phpwarden.models import ModelRow, NavigationModel, RequestModel
-from phpwarden.proxy import _BLOCKED, _error_response, serve_proxy
+from phpwarden.proxy import _BLOCKED, EnforcementProxy, _error_response, serve_proxy
 
 from conftest import BARE_CR_REQUEST, BINDINGS_TEXT, start_in_thread
 
@@ -243,6 +243,72 @@ def test_upstream_down_is_502_not_deviation(trained, tmp_path):
         enforcer.log.close()
 
 
+def test_proxied_requests_look_up_no_address(capture_rig, monkeypatch):
+    # the upstream is resolved once, when the proxy is built
+    addr, upstream, _, _ = capture_rig
+    lookup = socket.getaddrinfo
+    lookups = []
+
+    def counted(*args, **kwargs):
+        if threading.current_thread().name.startswith("proxy worker"):
+            lookups.append(args)
+        return lookup(*args, **kwargs)
+
+    monkeypatch.setattr(socket, "getaddrinfo", counted)
+    requests = [f"GET /About.php HTTP/1.1\r\nHost: x\r\nUser-Agent: lookup-{i}\r\n\r\n".encode()
+                for i in range(5)]
+    statuses = [status_of(send_raw(addr, request)) for request in requests]
+    assert statuses == [200] * 5
+    assert len(upstream.captured) == 5
+    assert lookups == []
+
+
+def test_upstream_addresses_are_tried_in_order(trained, tmp_path, monkeypatch):
+    # a refused first address falls through to the next, as with
+    # socket.create_connection, and its socket is closed
+    upstream = CaptureUpstream()
+    start_in_thread(upstream)
+    dead = socket.socket()
+    dead.bind(("127.0.0.1", 0))
+    dead_addr = dead.getsockname()
+    dead.close()
+    stream = (socket.AF_INET, socket.SOCK_STREAM, socket.IPPROTO_TCP, "")
+    resolved = []
+
+    def resolve(host, port, *args, **kwargs):
+        resolved.append((host, port))
+        return [(*stream, dead_addr), (*stream, upstream.server_address)]
+
+    enforcer = Enforcer(trained.model1, trained.model2, load_bindings(BINDINGS_TEXT),
+                        DeviationLog(str(tmp_path / "deviations.log")))
+    with monkeypatch.context() as patch:
+        patch.setattr(socket, "getaddrinfo", resolve)
+        proxy = serve_proxy(("127.0.0.1", 0), ("upstream.test", 8008), enforcer)
+    assert resolved == [("upstream.test", 8008)]
+    connects = []
+
+    class Recorded(socket.socket):
+        def connect(self, address):
+            connects.append((address, self))
+            return super().connect(address)
+
+    monkeypatch.setattr(socket, "socket", Recorded)
+    start_in_thread(proxy)
+    try:
+        request = b"GET /About.php HTTP/1.1\r\nHost: x\r\nUser-Agent: order/1\r\n\r\n"
+        assert status_of(send_raw(("127.0.0.1", proxy.server_address[1]), request)) == 200
+        assert upstream.captured == [request]
+    finally:
+        proxy.shutdown()
+        proxy.server_close()
+        upstream.shutdown()
+        upstream.server_close()
+        enforcer.log.close()
+    refused = [sock for address, sock in connects if address == dead_addr]
+    assert len(refused) == 1
+    assert refused[0].fileno() == -1
+
+
 def test_login_hook_binds_role_through_proxy(proxy_stack):
     addr = proxy_stack.addr
     body = b"username=mark&password=maplesyrup"
@@ -378,6 +444,41 @@ def test_response_without_a_body_is_relayed_at_once(framing_rig, method, respons
     upstream.responses.append(response)
     assert send_raw(addr, head_of(method)) == response
     assert upstream.received == [head_of(method)]
+
+
+def test_client_sees_the_response_end_before_the_upstream_socket_closes(framing_rig, monkeypatch):
+    # the upstream socket's close waits until the client has read to the end
+    # of the response; a proxy that shut the client's side only after that
+    # close would keep the client waiting until the wait timed out
+    addr, upstream, _, _ = framing_rig
+    upstream.responses.append(CANNED_RESPONSE)
+    ended = threading.Event()
+    closes = []
+
+    class HeldClose(socket.socket):
+        def close(self):
+            if not closes:
+                closes.append(ended.wait(2))
+            super().close()
+
+    connect = EnforcementProxy.connect_upstream
+
+    def held_connect(proxy):
+        up = connect(proxy)
+        held = HeldClose(up.family, up.type, up.proto, fileno=up.detach())
+        held.settimeout(5)
+        return held
+
+    monkeypatch.setattr(EnforcementProxy, "connect_upstream", held_connect)
+    with socket.create_connection(addr, timeout=5) as sock:
+        sock.sendall(head_of("GET"))
+        response = read_to_close(sock)
+        ended.set()
+    assert response == CANNED_RESPONSE
+    deadline = time.monotonic() + 5
+    while not closes and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert closes == [True]
 
 
 def test_chunked_response_reaches_the_client_at_once(framing_rig):
@@ -779,14 +880,14 @@ def test_request_smuggled_behind_a_whitespace_content_length_is_blocked(framing_
 @pytest.fixture
 def login_rig(keepalive_upstream, tmp_path):
     """Proxy in front of the keep-alive upstream, with a toy model in which
-    role 0 may POST /Login.php and only a manager may GET /Home.php with a
-    session."""
-    model1 = RequestModel(rows=[
-        ModelRow(sno=1, convid=1, reqresid="POST_Login.php", session_flag=0, role="0"),
-        ModelRow(sno=2, convid=2, reqresid="GET_Home.php", session_flag=1, role="manager"),
-    ])
-    model2 = NavigationModel(graphs={"0": {"Login.php": []}, "manager": {"Home.php": []}},
-                             entries={"0": ["Login.php"], "manager": ["Home.php"]})
+    role 0 may POST /Login.php and /Signin.php and GET /Login.php, and only
+    a manager may GET /Home.php with a session."""
+    triples = [("POST_Login.php", 0, "0"), ("POST_Signin.php", 0, "0"), ("GET_Login.php", 0, "0"),
+               ("GET_Home.php", 1, "manager")]
+    model1 = RequestModel(rows=[ModelRow(sno=i, convid=i, reqresid=reqresid, session_flag=flag, role=role)
+                                for i, (reqresid, flag, role) in enumerate(triples, start=1)])
+    model2 = NavigationModel(graphs={"0": {"Login.php": [], "Signin.php": []}, "manager": {"Home.php": []}},
+                             entries={"0": ["Login.php", "Signin.php"], "manager": ["Home.php"]})
     enforcer = Enforcer(model1, model2, load_bindings(BINDINGS_TEXT),
                         DeviationLog(str(tmp_path / "deviations.log")))
     proxy = serve_proxy(("127.0.0.1", 0), keepalive_upstream.server_address, enforcer)
@@ -835,6 +936,24 @@ def test_failed_login_that_sets_a_cookie_binds_no_role(login_rig):
     head = home.split(b"\r\n\r\n", 1)[0].decode()
     assert status_of(home) == 403
     assert "X-Deviation-Reason: role_mismatch" in head
+    assert len(upstream.received) == 1
+    assert enforcer.blocked_count == 1
+
+
+@pytest.mark.parametrize("method, page", [("POST", "Signin.php"), ("GET", "Login.php")])
+def test_redirect_that_sets_the_cookie_binds_no_role_but_on_a_login_post(login_rig, method, page):
+    addr, upstream, enforcer = login_rig
+    upstream.responses += [b"HTTP/1.1 302 Found\r\nLocation: /Home.php\r\nSet-Cookie: PHPSESSID=ck; Path=/\r\n"
+                           b"Content-Length: 0\r\n\r\n"]
+    # the body a login POST would carry, on the GET too
+    body = b"username=mark&password=maplesyrup"
+    request = (f"{method} /{page} HTTP/1.1\r\nHost: x\r\nUser-Agent: login/1\r\n"
+               f"Content-Length: {len(body)}\r\n\r\n").encode() + body
+    assert status_of(send_raw(addr, request)) == 302
+    home = send_raw(addr, b"GET /Home.php HTTP/1.1\r\nHost: x\r\nUser-Agent: login/1\r\n"
+                          b"Cookie: PHPSESSID=ck\r\n\r\n")
+    assert status_of(home) == 403
+    assert "X-Deviation-Reason: role_mismatch" in home.split(b"\r\n\r\n", 1)[0].decode()
     assert len(upstream.received) == 1
     assert enforcer.blocked_count == 1
 
@@ -1075,3 +1194,70 @@ def test_a_dripped_head_is_cut_off_at_one_deadline_for_the_whole_head(start_pool
         thread.join()
     assert served_after < 2.0, served_after
     assert len(cut_after) == 2 and all(0.4 < t < 2.0 for t in cut_after), cut_after
+
+
+_PROXY_TRACE_SCRIPT = """
+import json, os, socket, socketserver, sys, tempfile, threading
+sys.path[:0] = sys.argv[1:3]
+import spans
+from phpwarden.enforcer import DeviationLog, Enforcer
+from phpwarden.models import ModelRow, NavigationModel, RequestModel
+from phpwarden.proxy import serve_proxy
+
+
+class Upstream(socketserver.BaseRequestHandler):
+    def handle(self):
+        data = b""
+        while b"\\r\\n\\r\\n" not in data:
+            data += self.request.recv(65536)
+        self.request.sendall(b"HTTP/1.1 200 OK\\r\\nContent-Length: 2\\r\\n\\r\\nok")
+
+
+def get(addr, page):
+    with socket.create_connection(addr, timeout=5) as sock:
+        sock.sendall(f"GET /{page} HTTP/1.1\\r\\nUser-Agent: trace-check\\r\\n\\r\\n".encode())
+        sock.shutdown(socket.SHUT_WR)
+        response = b""
+        while chunk := sock.recv(65536):
+            response += chunk
+    return int(response.split()[1])
+
+
+recorder = spans.Recorder(None)
+spans.instrument(recorder)
+upstream = socketserver.TCPServer(("127.0.0.1", 0), Upstream)
+threading.Thread(target=upstream.serve_forever, daemon=True).start()
+model1 = RequestModel(rows=[ModelRow(1, 1, "GET_About.php", 0, "0")])
+model2 = NavigationModel(graphs={}, entries={"0": ["About.php"]})
+with tempfile.TemporaryDirectory() as tmp:
+    log = DeviationLog(os.path.join(tmp, "deviations.log"))
+    proxy = serve_proxy(("127.0.0.1", 0), upstream.server_address, Enforcer(model1, model2, {}, log))
+    threading.Thread(target=proxy.serve_forever, daemon=True).start()
+    statuses = [get(proxy.server_address, page) for page in ("About.php", "Secret.php")]
+    proxy.shutdown()  # joins the workers, so every span is recorded
+    proxy.server_close()
+    upstream.shutdown()
+    upstream.server_close()
+    log.close()
+print(json.dumps({"statuses": statuses, "spans": [s[1] for s in recorder.spans]}))
+"""
+
+
+def test_trace_hooks_reach_the_proxy_and_the_deviation_log(repo_root):
+    # perfbench/spans.py wraps EnforcementProxy.finish_request and
+    # DeviationLog.record as class attributes; a refactor that serves or
+    # logs another way leaves the traced benchmark without these spans
+    import json
+    import subprocess
+
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROXY_TRACE_SCRIPT,
+         str(repo_root / "perfbench"), str(repo_root / "src")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["statuses"] == [200, 403]
+    assert result["spans"].count("proxy.finish_request") == 2
+    assert result["spans"].count("enforcer.deviation_log_record") == 1
+    assert result["spans"].count("enforcer.evaluate") == 2
