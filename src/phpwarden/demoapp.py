@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 import threading
-from dataclasses import dataclass, field
+from collections import namedtuple
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs
 
@@ -31,13 +31,12 @@ USERS = {
 }
 
 
-@dataclass(frozen=True)
-class PageSpec:
-    requires_session: bool
-    # role -> ordered link list; key None is the any-role default
-    links: dict = field(default_factory=dict)
-    # documentation of intent only; the app does not enforce it
-    roles_allowed: frozenset = frozenset()
+class PageSpec(namedtuple("PageSpec", "requires_session links roles_allowed")):
+    """A route: whether it needs a session; links, role -> ordered link
+    list, where key None is the any-role default; and roles_allowed, which
+    documents intent only: the app does not enforce it."""
+
+    __slots__ = ()
 
     def links_for(self, role: str | None) -> list[str]:
         if role in self.links:

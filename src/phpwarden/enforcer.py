@@ -26,7 +26,7 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from datetime import datetime
 
 from .models import NavigationModel, RequestModel, is_asset
@@ -56,17 +56,28 @@ LEVEL_FOR_REASON = {
 }
 
 
-@dataclass(frozen=True)
-class Verdict:
-    status: str
-    reason: str
-    detail: str = ""
-    # the head evaluate() parsed (None if it did not), so no caller parses it twice
-    head: RequestHead | None = field(default=None, compare=False, repr=False)
+class Verdict(namedtuple("Verdict", "status reason detail head")):
+    """status and reason, with a detail for the log.  head is the
+    RequestHead evaluate() parsed (None if it did not), so no caller parses
+    it twice; equality and hashing ignore it."""
 
-    def __post_init__(self):
-        if (self.status == DONT_BLOCK) != (self.reason == OK):
-            raise ValueError(f"inconsistent verdict: {self.status}/{self.reason}")
+    __slots__ = ()
+
+    def __new__(cls, status: str, reason: str, detail: str = "", head: RequestHead | None = None):
+        if (status == DONT_BLOCK) != (reason == OK):
+            raise ValueError(f"inconsistent verdict: {status}/{reason}")
+        return tuple.__new__(cls, (status, reason, detail, head))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:3] == other[:3]
+
+    def __ne__(self, other):  # tuple's own would compare head too
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:3])
 
     @property
     def blocked(self) -> bool:
@@ -140,18 +151,22 @@ def verify_request(
 # -- per-client state --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClientIdentity:
-    ip: str
-    user_agent: str
+# a client-table key: who presents a request
+ClientIdentity = namedtuple("ClientIdentity", "ip user_agent")
 
 
-@dataclass
 class ClientState:
-    identity: ClientIdentity
-    role: str = "0"
-    last_page: str | None = None
-    last_seen: float = 0.0
+    """One client's role, last page and the time it was last seen; changed
+    only under ClientTable.lock."""
+
+    __slots__ = ("identity", "role", "last_page", "last_seen")
+
+    def __init__(self, identity: ClientIdentity, role: str = "0", last_page: str | None = None,
+                 last_seen: float = 0.0):
+        self.identity = identity
+        self.role = role
+        self.last_page = last_page
+        self.last_seen = last_seen
 
 
 class ClientTable:
@@ -261,10 +276,8 @@ class DeviationLog:
 # -- the engine ---------------------------------------------------------------
 
 
-@dataclass
-class EnforcerConfig:
-    session_cookie_name: str = "PHPSESSID"
-    idle_timeout: float = 1800.0
+EnforcerConfig = namedtuple("EnforcerConfig", "session_cookie_name idle_timeout",
+                            defaults=("PHPSESSID", 1800.0))
 
 
 class Enforcer:

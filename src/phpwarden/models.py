@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 from pathlib import Path
 
@@ -43,22 +43,22 @@ def is_asset(page: str) -> bool:
     return dot >= 0 and page[dot:].lower() in ASSET_EXTENSIONS
 
 
-@dataclass(frozen=True)
-class ModelRow:
-    sno: int
-    convid: int
-    reqresid: str
-    session_flag: int
-    role: str
+# one line of requests.csv
+ModelRow = namedtuple("ModelRow", "sno convid reqresid session_flag role")
 
 
-@dataclass
 class RequestModel:
     """The trained request relation, one row per recorded request.  Read-only
     after build_model or load_model returns: roles_by_request is compiled
     from rows once and never rebuilt."""
 
-    rows: list[ModelRow] = field(default_factory=list)
+    def __init__(self, rows: list[ModelRow] | None = None):
+        self.rows = [] if rows is None else rows
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rows == other.rows
 
     def triples(self) -> list[tuple[str, int, str]]:
         """Deduplicated (reqresid, sessionFlag, role) relation, first
@@ -84,7 +84,6 @@ class RequestModel:
         }
 
 
-@dataclass
 class NavigationModel:
     """Per-role page graphs.  graphs[role] maps page -> ordered successor
     list and only contains pages with at least one successor (the canonical
@@ -93,8 +92,15 @@ class NavigationModel:
     build_model or load_model returns: nodes_by_role is compiled from the
     graphs and entries once and never rebuilt."""
 
-    graphs: dict[str, dict[str, list[str]]] = field(default_factory=dict)
-    entries: dict[str, list[str]] = field(default_factory=dict)
+    def __init__(self, graphs: dict[str, dict[str, list[str]]] | None = None,
+                 entries: dict[str, list[str]] | None = None):
+        self.graphs = {} if graphs is None else graphs
+        self.entries = {} if entries is None else entries
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.graphs == other.graphs and self.entries == other.entries
 
     @cached_property
     def nodes_by_role(self) -> dict[str, frozenset[str]]:

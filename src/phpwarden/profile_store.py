@@ -52,8 +52,7 @@ from __future__ import annotations
 import os
 import re
 import time
-import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from collections import namedtuple
 from pathlib import Path
 
 
@@ -67,15 +66,13 @@ def xml_escape(data: str, entities: dict[str, str] | None = None) -> str:
     return data
 
 
-@dataclass(frozen=True)
-class RequestHead:
-    """Parsed request head: request line, ordered header fields, declared body length."""
+class RequestHead(namedtuple("RequestHead", "method target version headers content_length",
+                             defaults=(0,))):
+    """Parsed request head: request line, ordered header fields (a tuple of
+    (name, value) pairs), declared body length.  A tuple, so it is
+    immutable, and cheap to build once per request."""
 
-    method: str
-    target: str
-    version: str
-    headers: tuple[tuple[str, str], ...]
-    content_length: int = 0
+    __slots__ = ()
 
     def get(self, name: str) -> str | None:
         """The first field named name, in any letter case, else None."""
@@ -402,12 +399,18 @@ def page_of(url_path: str, index_page: str = "index.php") -> str:
     return page or index_page
 
 
-@dataclass
 class Trail:
-    role: str
-    first_id: int | None = None
-    last_id: int | None = None
-    pages: list[str] = field(default_factory=list)
+    """One walk recorded under role: the communication ids it covers, first
+    to last (None until its first exchange), and its pages in order."""
+
+    __slots__ = ("role", "first_id", "last_id", "pages")
+
+    def __init__(self, role: str, first_id: int | None = None, last_id: int | None = None,
+                 pages: list[str] | None = None):
+        self.role = role
+        self.first_id = first_id
+        self.last_id = last_id
+        self.pages = [] if pages is None else pages
 
 
 _REQUEST_FILE_RE = re.compile(r"^(\d+)_request$")
@@ -468,6 +471,8 @@ class ProfileStore:
         index = self._prefix + "trails"
         if not os.path.exists(index):
             return
+        import xml.etree.ElementTree as ET  # only a reopened store parses XML
+
         sequences: dict[str, list[list[str]]] = {}
         for role_file in sorted(self.directory.glob("*.xml")):
             root = ET.parse(role_file).getroot()

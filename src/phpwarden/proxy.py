@@ -153,16 +153,27 @@ class EnforcementProxy(socketserver.TCPServer):
                 if not self._stopping.is_set():
                     time.sleep(pause)
                 continue
+            answered = False
             try:
-                self.finish_request(request, client_address)
+                answered = self.finish_request(request, client_address)
             except Exception:
                 self.handle_error(request, client_address)
             finally:
-                self.shutdown_request(request)
+                # an answered connection's write side is shut already
+                if answered:
+                    self.close_request(request)
+                else:
+                    self.shutdown_request(request)
+
+    def finish_request(self, request, client_address) -> bool:
+        """Handle one connection; True when the handler answered it and shut
+        its write side."""
+        return self.RequestHandlerClass(request, client_address, self).answered
 
 
 class _ProxyHandler(socketserver.BaseRequestHandler):
     server: EnforcementProxy
+    answered = False  # set once the answer is sent and the write side shut
 
     def handle(self):
         sock = self.request
@@ -184,6 +195,7 @@ class _ProxyHandler(socketserver.BaseRequestHandler):
                 # sends is then read, so closing sends no reset
                 sock.sendall(_BLOCKED[verdict.reason])
                 sock.shutdown(socket.SHUT_WR)
+                self.answered = True
                 relay(sock, rest, length, lambda piece: None)
                 return
             if (length and head.version == "HTTP/1.1"
@@ -229,6 +241,7 @@ class _ProxyHandler(socketserver.BaseRequestHandler):
             # the client sees the response end now, not after the upstream
             # socket closes
             sock.shutdown(socket.SHUT_WR)
+            self.answered = True
 
     def _after_relay(self, head: RequestHead, body: bytes, status: int,
                      fields: list[tuple[str, str]]) -> None:

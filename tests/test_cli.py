@@ -559,6 +559,43 @@ def test_build_model_loads_no_scan_stack(tmp_path):
                                "--out", str(tmp_path / "models")], SCAN_STACK) == (0, [])
 
 
+# the modules each gate command imports, beside phpwarden.cli, and whether
+# it reads or writes XML
+GATE_COMMAND_MODULES = {
+    "train": (("phpwarden.crawler", "phpwarden.profile_store"), False),
+    "build-model": (("phpwarden.models", "phpwarden.profile_store"), True),
+    "enforce": (("logging", "socket", "phpwarden.enforcer", "phpwarden.proxy", "phpwarden.models"), True),
+    "serve-demo": (("phpwarden.demoapp",), False),
+}
+
+
+def _newly_loaded(code: str, modules: tuple[str, ...]) -> list[str]:
+    """Those of modules that running code in a fresh interpreter loads,
+    beyond what the interpreter loaded before it (site hooks, say)."""
+    script = (f"import sys\nbefore = set(sys.modules)\nimport phpwarden.cli\n{code}\n"
+              f"print(*[m for m in {modules!r} if m in sys.modules and m not in before])")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+@pytest.mark.parametrize("command", GATE_COMMAND_MODULES)
+def test_gate_commands_load_no_dataclasses(command):
+    modules, xml = GATE_COMMAND_MODULES[command]
+    left_out = ("dataclasses", "inspect", "typing") + (() if xml else ("xml.etree",))
+    assert _newly_loaded("".join(f"import {m}\n" for m in modules), left_out) == []
+
+
+def test_training_into_a_fresh_store_loads_no_xml(tmp_path):
+    code = ("import phpwarden.crawler\n"
+            "from phpwarden.profile_store import ProfileStore\n"
+            f"store = ProfileStore({str(tmp_path / 'store')!r})\n"
+            "store.record_exchange('GET /index.php HTTP/1.1\\r\\nHost: x\\r\\n\\r\\n', '0')\n"
+            "store.record_exchange('GET /About.php HTTP/1.1\\r\\nHost: x\\r\\n\\r\\n', '0')")
+    assert _newly_loaded(code, ("xml.etree",)) == []
+    assert len(ProfileStore(tmp_path / "store").trails[0].pages) == 2
+
+
 def test_scan_without_ini_loads_no_audit_training_or_model_code(tmp_path):
     (tmp_path / "a.php").write_text("<?php\necho $_GET['a'];\n")
     left_out = ("phpwarden.config_audit", "phpwarden.crawler", "phpwarden.profile_store", "phpwarden.models")

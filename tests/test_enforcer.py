@@ -29,6 +29,7 @@ from phpwarden.enforcer import (
     verify_request,
 )
 from phpwarden.models import ModelRow, NavigationModel, RequestModel
+from phpwarden.profile_store import parse_header_block
 
 from conftest import BINDINGS_TEXT
 
@@ -77,6 +78,43 @@ def test_verdict_status_reason_consistency():
         Verdict(BLOCK, OK)
     with pytest.raises(ValueError):
         Verdict(DONT_BLOCK, SEQUENCE_VIOLATION)
+
+
+def test_verdict_equality_ignores_the_head():
+    head = parse_header_block("GET /a.php HTTP/1.1\r\nHost: x\r\n\r\n")
+    assert Verdict(DONT_BLOCK, OK, "", head) == Verdict.ok()
+    assert not Verdict(DONT_BLOCK, OK, "", head) != Verdict.ok()
+    assert Verdict(BLOCK, ROLE_MISMATCH, "d", head) == Verdict.block(ROLE_MISMATCH, "d")
+    assert Verdict.block(ROLE_MISMATCH, "d") != Verdict.block(ROLE_MISMATCH, "e")
+    assert hash(Verdict(DONT_BLOCK, OK, "", head)) == hash(Verdict.ok())
+
+
+def test_verdict_unknown_request_must_block():
+    with pytest.raises(ValueError):
+        Verdict(DONT_BLOCK, UNKNOWN_REQUEST)
+
+
+def test_passing_verdict_without_detail_is_shared():
+    assert Verdict.ok() is Verdict.ok()
+    assert Verdict.ok("why") is not Verdict.ok("why")
+
+
+@pytest.mark.parametrize("value, attribute", [
+    (Verdict.ok(), "reason"),
+    (ClientIdentity("1.1.1.1", "ua"), "ip"),
+    (parse_header_block("GET /a.php HTTP/1.1\r\nHost: x\r\n\r\n"), "target"),
+    (ModelRow(1, 1, "GET_a.php", 0, "0"), "role"),
+], ids=["verdict", "identity", "head", "row"])
+def test_shared_values_are_immutable(value, attribute):
+    with pytest.raises(AttributeError):
+        setattr(value, attribute, "changed")
+
+
+def test_equal_client_identities_hash_alike():
+    a, b = ClientIdentity("1.1.1.1", "ua"), ClientIdentity("1.1.1.1", "ua")
+    assert a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    assert ClientIdentity("1.1.1.1", "ub") != a
 
 
 # -- level 1 ----------------------------------------------------------------------

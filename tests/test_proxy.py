@@ -5,6 +5,7 @@ import socketserver
 import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -1131,6 +1132,36 @@ def test_shutdown_leaves_no_worker_and_no_socket(start_pool):
     assert not serving.is_alive()
     assert not any(worker.is_alive() for worker in proxy.threads)
     assert proxy.socket.fileno() == -1
+
+
+def test_each_connection_is_shut_once(start_pool, monkeypatch):
+    # the handler shuts the write side of a connection it answers, so that
+    # the client sees the end at once; shutdown_request shuts only the rest
+    proxy, _ = start_pool(1)
+    addr = proxy.server_address
+    shut = []
+    shutdown = socket.socket.shutdown
+
+    def counted(sock, how):
+        try:
+            accepted = how == socket.SHUT_WR and sock.getsockname()[1] == addr[1]
+        except OSError:
+            accepted = False
+        if accepted:
+            shut.append(sock)  # kept alive, so no two sockets share an id
+        shutdown(sock, how)
+
+    monkeypatch.setattr(socket.socket, "shutdown", counted)
+    assert status_of(send_raw(addr, POOL_REQUEST)) == 200
+    assert status_of(send_raw(addr, POOL_REQUEST.replace(b"/a.php", b"/b.php"))) == 403
+
+    def unreachable():
+        raise ConnectionRefusedError("upstream down")
+
+    monkeypatch.setattr(proxy, "connect_upstream", unreachable)
+    assert status_of(send_raw(addr, POOL_REQUEST)) == 502
+    proxy.shutdown()  # joins the worker, so every connection has been closed
+    assert sorted(Counter(map(id, shut)).values()) == [1, 1, 1]
 
 
 def test_pool_under_more_clients_than_workers_loses_no_verdict(start_pool):
