@@ -6,7 +6,10 @@ Every intercepted request passes three gates, cheapest suspicion first:
               first presented it; any other client showing the same cookie
               is a hijack.
   level 1   - the (request id, session flag, role) triple must exist in
-              the trained request relation.
+              the trained request relation, and the path must end at the
+              script it names: one that goes on past a script segment
+              (Secret.php/About.php, Secret.php/) is an unknown request,
+              since the upstream would run Secret.php.
   level 2   - the page must be reachable for the client's role: an entry
               page when the client has no history, otherwise a trained
               transition from the previous page.  Asset fetches skip this
@@ -30,7 +33,7 @@ from collections import namedtuple
 from datetime import datetime
 
 from .models import NavigationModel, RequestModel, is_asset
-from .profile_store import RequestHead, cookie_value, page_of, parse_header_block
+from .profile_store import RequestHead, cookie_value, goes_past_script, page_of, parse_header_block
 
 logger = logging.getLogger(__name__)
 
@@ -351,6 +354,8 @@ class Enforcer:
             if owner != identity:
                 verdict = Verdict.block(IDENTITY_MISMATCH,
                                         f"session cookie pinned to {owner.ip} / {owner.user_agent}")
+            elif goes_past_script(head.target):
+                verdict = Verdict.block(UNKNOWN_REQUEST, f"{head.target} goes on past a script segment")
             else:
                 verdict = verify_request(
                     reqres_id, page, int(cookie is not None), state.role, state.last_page,

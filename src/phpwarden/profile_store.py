@@ -45,6 +45,8 @@ relay passes a body by its length or until close, and relay_chunked frames
 a chunked one; each reports whether the peer cut the body short.
 set_cookie_value and login_succeeded read what a response grants;
 LOGIN_PAGE and LOGOUT_PAGE name the pages where a session starts and ends.
+page_of names the page a request target asks for, and goes_past_script
+tells when a PHP upstream would run another one.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ import re
 import time
 from collections import namedtuple
 from pathlib import Path
+from urllib.parse import unquote
 
 
 def xml_escape(data: str, entities: dict[str, str] | None = None) -> str:
@@ -397,6 +400,23 @@ def page_of(url_path: str, index_page: str = "index.php") -> str:
     path = url_path.split("?", 1)[0].split("#", 1)[0]
     page = path.rsplit("/", 1)[-1]
     return page or index_page
+
+
+def goes_past_script(target: str) -> bool:
+    """Whether target's path has a segment after one that names a PHP
+    script.  A PHP upstream runs that script and passes the rest as
+    PATH_INFO (RFC 3875 section 4.1.5), while page_of names the last
+    segment, so the enforcer blocks such a target.  The path, up to any
+    `?` or `#`, is percent-decoded once and split at `/` and at `\\`, so
+    %2f, %5c and %2e count as what they decode to; a segment names a script
+    when it contains `.ph` in any case (.php, .php7, .phtml, .phar, and
+    .php;x or .php. with whatever a server may strip after it).  `.` and
+    `..` are segments like any other, so Secret.php/../About.php is
+    blocked, and in an absolute-form target the scheme and host are
+    segments too."""
+    path = unquote(target.split("?", 1)[0].split("#", 1)[0]).replace("\\", "/").lower()
+    script = path.find(".ph")
+    return script >= 0 and "/" in path[script:]
 
 
 class Trail:

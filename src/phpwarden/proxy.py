@@ -9,8 +9,11 @@ frees: the overload policy is to wait.  A client has _IO_TIMEOUT in all to
 send its request head, however it drips it, and up to _IO_TIMEOUT per read
 after it.  An exception in one request goes to handle_error, and neither it
 nor a failed accept ends the worker.
-shutdown() wakes the blocked accepts and joins the workers once each has
-finished its request; a Ctrl-C in serve_forever does not wait for them.
+shutdown() wakes the blocked accepts, cuts off every client still sending
+its head, and joins the workers once each has finished its request: a head
+not yet read has not been verified either, so it is dropped unanswered,
+while a request past its head goes on to its end.  A Ctrl-C in
+serve_forever does not wait for the workers.
 
 One request per connection.  Its head is read up to the first blank line,
 empty or whitespace only; one whose blank line is not a bare CRLF is
@@ -99,6 +102,9 @@ class EnforcementProxy(socketserver.TCPServer):
         self.workers = workers
         self.threads: list[threading.Thread] = []  # the pool, once serve_forever starts it
         self._stopping = threading.Event()
+        # the connections whose heads are being read, which shutdown() cuts off
+        self._reading: set[socket.socket] = set()
+        self._reading_lock = threading.Lock()
 
     def serve_forever(self, poll_interval: float = 0.5) -> None:
         """Start the workers and wait until shutdown().  No worker polls,
@@ -117,10 +123,31 @@ class EnforcementProxy(socketserver.TCPServer):
             self._stop_accepting()
 
     def shutdown(self) -> None:
-        """Stop serve_forever, once every worker has finished its request."""
+        """Stop serve_forever, once every worker has finished its request;
+        a connection still sending its head is cut off first."""
         self._stop_accepting()
+        with self._reading_lock:
+            for sock in self._reading:
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)  # wakes its worker's recv
+                except OSError:
+                    pass  # the client has gone already
         for worker in self.threads:
             worker.join()
+
+    def _read_head(self, sock: socket.socket) -> tuple[bytes, bytes]:
+        """read_head within _IO_TIMEOUT, cut off by shutdown(): (b"", b"")
+        once the proxy is stopping, whatever arrived."""
+        with self._reading_lock:
+            if self._stopping.is_set():
+                return b"", b""
+            self._reading.add(sock)
+        try:
+            got = read_head(sock, deadline=time.monotonic() + _IO_TIMEOUT)
+        finally:
+            with self._reading_lock:
+                self._reading.discard(sock)
+        return (b"", b"") if self._stopping.is_set() else got
 
     def _stop_accepting(self) -> None:
         self._stopping.set()
@@ -178,7 +205,7 @@ class _ProxyHandler(socketserver.BaseRequestHandler):
     def handle(self):
         sock = self.request
         try:
-            head_bytes, rest = read_head(sock, deadline=time.monotonic() + _IO_TIMEOUT)
+            head_bytes, rest = self.server._read_head(sock)
             sock.settimeout(_IO_TIMEOUT)
         except OSError:
             return

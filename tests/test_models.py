@@ -1,3 +1,4 @@
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -9,6 +10,7 @@ from phpwarden.models import (
     MODEL1_HEADER,
     ModelRow,
     NavigationModel,
+    RequestModel,
     _decode_page_name,
     _encode_page_name,
     build_model,
@@ -293,3 +295,54 @@ def test_monotonicity_more_training_never_removes(tmp_path):
         for page, nexts in nav_a.graphs[role].items():
             for n in nexts:
                 assert nav_b.has_edge(role, page, n)
+
+
+def test_loaded_model_holds_each_equal_value_once(tmp_path):
+    model1, nav = build_model(small_store(tmp_path))
+    persist_model(model1, nav, tmp_path / "models")
+    loaded1, loaded2 = load_model(tmp_path / "models")
+    homes = [row.reqresid for row in loaded1.rows if row.reqresid == "GET_Home.php"]
+    managers = [row.role for row in loaded1.rows if row.role == "manager"]
+    assert len(homes) == 2 and len(managers) == 5
+    assert all(value is homes[0] for value in homes)
+    assert all(value is managers[0] for value in managers)
+    # a role's file name and its rows' role, and a page as an entry, a key
+    # and a successor, are one string each
+    assert next(role for role in loaded2.graphs if role == "manager") is managers[0]
+    entry = loaded2.entries["manager"][0]
+    assert next(page for page in loaded2.graphs["manager"] if page == "Home.php") is entry
+    assert next(page for page in loaded2.nodes_by_role["manager"] if page == "Home.php") is entry
+
+
+def test_request_ids_with_equal_role_sets_share_them():
+    rows = [ModelRow(sno, sno, reqresid, 0, role) for sno, (reqresid, role) in enumerate([
+        ("GET_a.php", "r1"), ("GET_b.php", "r1"), ("GET_a.php", "r2"), ("GET_b.php", "r2"),
+        ("GET_c.php", "r1"), ("GET_a.php", "r1")], start=1)]
+    index = RequestModel(rows=rows).roles_by_request
+    assert index == {"GET_a.php": {0: {"r1", "r2"}}, "GET_b.php": {0: {"r1", "r2"}}, "GET_c.php": {0: {"r1"}}}
+    assert index["GET_a.php"][0] is index["GET_b.php"][0]
+    assert index["GET_a.php"] is index["GET_b.php"]
+    assert isinstance(index["GET_c.php"][0], frozenset)
+
+
+# tracemalloc bytes per row to load and index a table of many rows over few
+# ids and roles: about 275 when each row holds its own strings and each id
+# its own role sets, about 130 when equal values are shared
+LOAD_BYTES_PER_ROW = 200
+
+
+def test_loading_many_rows_over_few_values_holds_them_once(tmp_path):
+    rows = 4000
+    with open(tmp_path / "requests.csv", "w") as fh:
+        fh.write(",".join(MODEL1_HEADER) + "\n")
+        for sno in range(1, rows + 1):
+            fh.write(f"{sno},{sno},GET_page{sno % 40}.php,{sno % 2},role{sno % 4 // 2}\n")
+    tracemalloc.start()
+    try:
+        model1, _ = load_model(tmp_path)
+        model1.roles_by_request
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(model1.rows) == rows and len(model1.roles_by_request) == 40
+    assert peak / rows < LOAD_BYTES_PER_ROW, (live / rows, peak / rows)

@@ -509,6 +509,20 @@ def test_derive_request_id_examples():
     assert derive_request_id("GET", "/a/b/c.php#frag") == "GET_c.php"
 
 
+@pytest.mark.parametrize("target, goes_past", [
+    ("/About.php", False), ("/admin/Delete.php", False), ("/", False), ("/x/", False),
+    ("/a/./About.php", False), ("/a/../About.php", False), ("/About.php?next=/Secret.php/x", False),
+    ("http://app.local/About.php", False), ("/About.php;x", False), ("/About%2ephp", False),
+    ("/Secret.php/About.php", True), ("/admin/Secret.php/x/About.php", True), ("/Secret.php/", True),
+    ("/Secret.php/.", True), ("/Secret.php/../About.php", True), ("/SECRET.PHP/About.php", True),
+    ("/Secret%2ephp/About.php", True), ("/Secret.php%2fAbout.php", True), ("/Secret.php%5cAbout.php", True),
+    ("/Secret.php\\About.php", True), ("/Secret.php;x/About.php", True), ("/Secret.phtml/About.php", True),
+    ("http://app.local/Secret.php/About.php", True), ("http://app.photos/About.php", True),
+])
+def test_goes_past_script(target, goes_past):
+    assert profile_store.goes_past_script(target) is goes_past
+
+
 def test_derive_request_id_empty_method_rejected():
     with pytest.raises(ValueError):
         derive_request_id("", "/Home.php")

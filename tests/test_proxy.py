@@ -1,13 +1,19 @@
 import errno
+import gc
 import http.client
 import socket
 import socketserver
 import sys
 import threading
 import time
+import warnings
 from collections import Counter
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import unquote
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from phpwarden import profile_store
 from phpwarden.enforcer import LEVEL_FOR_REASON, DeviationLog, Enforcer, load_bindings
@@ -175,6 +181,101 @@ def test_request_after_an_empty_line_is_blocked(proxy_stack):
     assert "X-Deviation-Reason: unknown_request" in head
     assert proxy_stack.enforcer.blocked_count == 1
     assert len(DeviationLog.read_records(proxy_stack.log_path)) == 1
+
+
+class _PathInfoUpstream(BaseHTTPRequestHandler):
+    """Which script a PHP upstream runs for a target, permissively: the
+    path is percent-decoded once and split at / and at \\, and the first
+    segment that ends in .php in any case, after anything from a ; on is
+    dropped, runs with the rest as PATH_INFO.  With none, a path that ends
+    in / runs index.php and any other runs nothing.  Each script run is
+    recorded."""
+
+    def do_GET(self):
+        path = unquote(self.path.split("?", 1)[0]).replace("\\", "/")
+        scripts = [seg.split(";", 1)[0] for seg in path.split("/")]
+        script = next((seg for seg in scripts if seg.lower().endswith(".php")),
+                      "index.php" if path.endswith("/") else None)
+        if script is not None:
+            self.server.ran.append(script)
+        self.send_response(200 if script else 404)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def path_info_rig(tmp_path):
+    """A proxy in front of a _PathInfoUpstream, under a model where About.php
+    and index.php are role 0's entry pages and each follows the other, so
+    level 2 passes them whatever came before; yields the proxy's address,
+    the upstream and the deviation log's path."""
+    pages = ["About.php", "index.php"]
+    model1 = RequestModel(rows=[ModelRow(n, n, f"GET_{page}", 0, "0") for n, page in enumerate(pages, start=1)])
+    model2 = NavigationModel(graphs={"0": {page: pages for page in pages}}, entries={"0": pages})
+    upstream = ThreadingHTTPServer(("127.0.0.1", 0), _PathInfoUpstream)
+    upstream.daemon_threads = True
+    upstream.ran = []
+    start_in_thread(upstream)
+    log_path = str(tmp_path / "deviations.log")
+    enforcer = Enforcer(model1, model2, {}, DeviationLog(log_path))
+    proxy = serve_proxy(("127.0.0.1", 0), upstream.server_address, enforcer, 2)
+    start_in_thread(proxy)
+    yield proxy.server_address, upstream, log_path
+    proxy.shutdown()
+    proxy.server_close()
+    upstream.shutdown()
+    upstream.server_close()
+    enforcer.log.close()
+
+
+def get_path(addr, target: str) -> bytes:
+    return send_raw(addr, f"GET {target} HTTP/1.1\r\nHost: app.local\r\nUser-Agent: path-info/1.0\r\n\r\n"
+                    .encode("latin-1"))
+
+
+@pytest.mark.parametrize("target", ["/Secret.php/About.php", "/admin/Secret.php/x/About.php", "/Secret.php/"])
+def test_path_that_goes_on_past_a_script_is_blocked(path_info_rig, target):
+    # the upstream runs Secret.php for each, passing the rest as PATH_INFO,
+    # while the last segment names a trained entry page (About.php, or
+    # index.php after the slash)
+    addr, upstream, log_path = path_info_rig
+    response = get_path(addr, target)
+    head = response.split(b"\r\n\r\n", 1)[0].decode()
+    assert status_of(response) == 403
+    assert "X-Deviation-Reason: unknown_request" in head
+    assert upstream.ran == []
+    assert [record[2:5] for record in DeviationLog.read_records(log_path)] == [
+        (profile_store.derive_request_id("GET", target), "1", "unknown_request")]
+    assert status_of(get_path(addr, "/About.php")) == 200 and upstream.ran == ["About.php"]
+
+
+# path segments: trained pages, an untrained script, dot segments, escapes
+# that decode to a dot, a slash or a backslash, case, and ; parameters
+_SEGMENTS = ["About.php", "index.php", "Secret.php", "x", "", ".", "..", "%2e%2e", "Secret%2ephp", "Secret.PHP",
+             "Secret.php%2fAbout.php", "x%5cSecret.php", "Secret.php\\About.php", "Secret.php;x", "About.php;x"]
+_path_info_targets = st.tuples(
+    st.sampled_from(["", "", "http://app.local"]),
+    st.lists(st.sampled_from(_SEGMENTS), min_size=1, max_size=4).map("/".join),
+    st.sampled_from(["", "", "?next=/Secret.php/About.php"]),
+).map(lambda parts: f"{parts[0]}/{parts[1]}{parts[2]}")
+
+
+def test_upstream_runs_no_script_but_the_page_the_proxy_verified(path_info_rig):
+    addr, upstream, _ = path_info_rig
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(target=_path_info_targets)
+    @example(target="/Secret.php/About.php")
+    @example(target="/Secret.php/")
+    def check(target):
+        upstream.ran.clear()
+        status = status_of(get_path(addr, target))
+        assert upstream.ran in ([], [profile_store.page_of(target)]), (target, status, upstream.ran)
+
+    check()
 
 
 def test_blocked_request_never_reaches_upstream(capture_rig):
@@ -1132,6 +1233,25 @@ def test_shutdown_leaves_no_worker_and_no_socket(start_pool):
     assert not serving.is_alive()
     assert not any(worker.is_alive() for worker in proxy.threads)
     assert proxy.socket.fileno() == -1
+
+
+def test_shutdown_cuts_off_a_client_still_sending_its_head(start_pool):
+    proxy, serving = start_pool(2)
+    with socket.create_connection(proxy.server_address, timeout=5) as slow:
+        slow.sendall(POOL_REQUEST[:20])  # half a head, and then nothing
+        time.sleep(0.2)  # a worker now holds it
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            started = time.monotonic()
+            proxy.shutdown()
+            took = time.monotonic() - started
+            gc.collect()
+        assert took < 2.0, took
+        assert slow.recv(1) == b""  # closed unanswered: nothing was verified
+    serving.join(2)
+    assert not any(worker.is_alive() for worker in proxy.threads)
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    assert proxy.enforcer.blocked_count == 0
 
 
 def test_each_connection_is_shut_once(start_pool, monkeypatch):
