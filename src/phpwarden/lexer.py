@@ -8,17 +8,25 @@ are all treated as line terminators.
 
 PHP mode is one compiled pattern with a named alternative per token class
 (the "Writing a Tokenizer" recipe of the re module docs).  The pattern skips
-the whitespace before a token itself, so each token costs one match; only a
-heredoc needs a second, label-specific search for its terminator.  Tokens
-are plain slotted objects, which build several times faster than frozen
-dataclasses.
+the whitespace before a token itself, so each token costs one match, and the
+lexer walks the matches with one finditer, dispatching on the index of the
+group that matched: a punctuation, variable, operator, number, string or
+comment token is its matched text, a name is a keyword or an identifier,
+and only the rare groups (other strings, close tags, unterminated forms,
+stray characters) take a longer path.  A token's line comes from a cursor
+over the line table, which is searched only when a token starts past the
+current line's end.  Only a heredoc needs a second, label-specific search
+for its terminator: a line of optional indentation and the label, followed
+by any character that cannot continue a name (PHP 7.3's flexible closer),
+so  [<<<EOT ... EOT];  ends at EOT.  Tokens are plain slotted objects, which
+build several times faster than frozen dataclasses.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 
 
@@ -113,6 +121,13 @@ _PHP_RE = re.compile(
     "[ \t\r\n]*(?:" + "|".join(f"(?P<{group}>{pattern})" for group, _, pattern in _PHP_TOKENS) + ")"
 )
 _KINDS = {group: kind for group, kind, _ in _PHP_TOKENS}
+_GROUP_AT = {index: group for group, index in _PHP_RE.groupindex.items()}
+# By group index: the kind of each group whose token is its matched text and
+# nothing more, None for the others.
+_PLAIN = {_PHP_RE.groupindex[group]: _KINDS[group]
+          for group in ("punctuation", "variable", "operator", "number", "string", "comment")}
+_PLAIN_KINDS = tuple(_PLAIN.get(index) for index in range(_PHP_RE.groups + 1))
+_NAME_INDEX = _PHP_RE.groupindex["name"]
 _UNTERMINATED = {
     "open_comment": "unterminated block comment",
     "open_string": "unterminated string literal",
@@ -155,23 +170,32 @@ class Token:
         return f"Token({self.kind.value}, {self.lexeme!r}, line={self.line})"
 
 
-@dataclass(frozen=True)
-class LexDiagnostic:
-    message: str
-    line: int
+LexDiagnostic = namedtuple("LexDiagnostic", "message line")
 
 
-@dataclass
 class TokenStream:
-    tokens: list[Token] = field(default_factory=list)
-    source_path: str = "<source>"
-    diagnostics: list[LexDiagnostic] = field(default_factory=list)
+    """A file's tokens and diagnostics, and its line table: line_ends holds
+    the offset just past each line terminator, in order."""
+
+    __slots__ = ("tokens", "source_path", "diagnostics", "line_ends")
+
+    def __init__(self, tokens: list[Token] | None = None, source_path: str = "<source>",
+                 diagnostics: list[LexDiagnostic] | None = None,
+                 line_ends: list[int] | None = None) -> None:
+        self.tokens = [] if tokens is None else tokens
+        self.source_path = source_path
+        self.diagnostics = [] if diagnostics is None else diagnostics
+        self.line_ends = [] if line_ends is None else line_ends
 
 
-def split_lines(source: str) -> list[str]:
-    """Split on LF, CR or CRLF.  Shared by the scanner and report code so
-    everyone agrees on what "line N" means."""
-    return _NEWLINE_RE.split(source)
+def line_text(source: str, line_ends: list[int], line: int) -> str:
+    """The text of 1-based line `line` of source, without its terminator;
+    "" for a line source does not have.  line_ends is source's line table."""
+    if not 1 <= line <= len(line_ends) + 1:
+        return ""
+    start = line_ends[line - 2] if line > 1 else 0
+    end = line_ends[line - 1] if line <= len(line_ends) else len(source)
+    return source[start:end].rstrip("\r\n")  # a line's text holds no CR or LF
 
 
 def extract_interpolations(body: str) -> tuple[str, ...]:
@@ -188,43 +212,56 @@ def _lex_php(src: str, pos: int, line_ends: list[int], stream: TokenStream) -> i
     """Tokenize PHP mode from pos up to and including ?> (or the end of
     input); returns the position where inline HTML resumes."""
     tokens, diagnostics = stream.tokens, stream.diagnostics
-    while (m := _PHP_RE.match(src, pos)) is not None:
-        group, end = m.lastgroup, m.end()
-        start = m.start(group)
-        line = bisect_right(line_ends, start) + 1
-        pos = end
-        if group == "punctuation":
-            tokens.append(Token(PUNCTUATION, src[start:end], line))
-            continue
-        if group == "unexpected":
-            diagnostics.append(LexDiagnostic(f"unexpected character {m[group]!r}", line))
-            continue
-        kind = _KINDS[group]
-        if kind is IDENTIFIER and m[group].lower() in KEYWORDS:
-            kind = KEYWORD
-        if group in _UNTERMINATED:
-            diagnostics.append(LexDiagnostic(_UNTERMINATED[group], line))
-        interpolations: tuple[str, ...] = ()
-        if group == "dq_string":
-            interpolations = extract_interpolations(src[start + 1 : end - 1])
-        elif group == "open_dq_string":
-            interpolations = extract_interpolations(src[start + 1 : end])
-        elif group == "heredoc":
-            # terminator: a line of optional indentation, the label, and an
-            # optional statement tail (; or ,)
-            term = re.compile(
-                r"(?:\r\n|\r|\n)[ \t]*" + re.escape(m["label"]) + r"(?=[;,) \t]|\r|\n|$)"
-            )
-            t = term.search(src, end - 1)
-            if t is None:
-                diagnostics.append(LexDiagnostic("unterminated heredoc", line))
-            body_end, pos = (t.start(), t.end()) if t else (len(src), len(src))
-            if m["quote"] != "'":
-                interpolations = extract_interpolations(src[end : body_end])
-        tokens.append(Token(kind, src[start:pos], line, interpolations))
-        if kind is CLOSE_TAG:
-            return pos
-    return len(src)  # nothing but whitespace was left
+    append, plain_kinds = tokens.append, _PLAIN_KINDS
+    # a token starting before next_end is on line `line`
+    index = bisect_right(line_ends, pos)
+    line, next_end = index + 1, line_ends[index] if index < len(line_ends) else len(src)
+    while True:
+        for m in _PHP_RE.finditer(src, pos):
+            index = m.lastindex
+            start, end = m.span(index)
+            if start >= next_end:
+                ends_before = bisect_right(line_ends, start)
+                line = ends_before + 1
+                next_end = line_ends[ends_before] if ends_before < len(line_ends) else len(src)
+            kind = plain_kinds[index]
+            if kind is not None:
+                append(Token(kind, src[start:end], line))
+                continue
+            lexeme = src[start:end]
+            if index == _NAME_INDEX:
+                append(Token(KEYWORD if lexeme.lower() in KEYWORDS else IDENTIFIER, lexeme, line))
+                continue
+            group = _GROUP_AT[index]
+            if group == "unexpected":
+                diagnostics.append(LexDiagnostic(f"unexpected character {lexeme!r}", line))
+                continue
+            if group in _UNTERMINATED:
+                diagnostics.append(LexDiagnostic(_UNTERMINATED[group], line))
+            interpolations: tuple[str, ...] = ()
+            if group == "dq_string":
+                interpolations = extract_interpolations(src[start + 1 : end - 1])
+            elif group == "open_dq_string":
+                interpolations = extract_interpolations(src[start + 1 : end])
+            elif group == "heredoc":
+                # terminator: a line of optional indentation, then the label
+                # and a character that cannot continue it (or the end)
+                term = re.compile(
+                    r"(?:\r\n|\r|\n)[ \t]*" + re.escape(m["label"]) + r"(?![A-Za-z0-9_\x80-\xff])"
+                )
+                t = term.search(src, end - 1)
+                if t is None:
+                    diagnostics.append(LexDiagnostic("unterminated heredoc", line))
+                body_end, pos = (t.start(), t.end()) if t else (len(src), len(src))
+                if m["quote"] != "'":
+                    interpolations = extract_interpolations(src[end : body_end])
+                append(Token(STRING, src[start:pos], line, interpolations))
+                break  # lex on after the terminator
+            append(Token(_KINDS[group], lexeme, line, interpolations))
+            if group == "close_tag":
+                return end
+        else:
+            return len(src)  # nothing but whitespace was left
 
 
 def tokenize(source: str | bytes, path: str = "<source>") -> TokenStream:
@@ -235,10 +272,10 @@ def tokenize(source: str | bytes, path: str = "<source>") -> TokenStream:
     """
     if isinstance(source, bytes):
         source = source.decode("latin-1")
-    stream = TokenStream(source_path=path)
     # a token's line is 1 + the number of line terminators ending at or
     # before its start
     line_ends = [m.end() for m in _NEWLINE_RE.finditer(source)]
+    stream = TokenStream(source_path=path, line_ends=line_ends)
     pos = 0
     while pos < len(source):
         m = _OPEN_TAG_RE.search(source, pos)

@@ -12,13 +12,19 @@ _walk reads a file's tokens once, with a stack of open nodes: groups ( [ {,
 assignments' right-hand sides and construct sinks' expressions.  A read
 resolves once, into the innermost node.  A closer ends the nodes above its
 group and the group, a ; those above the innermost group, a , the
-assignments on top, and ?> and the end of the file every node.  An ending
-node reports its sink's findings in the sink's place, binds its target and
-hands its reads down, so each expression is evaluated once.  So:
+assignments and one-operand constructs on top, and ?> and the end of the
+file every node.  Every construct but echo (and <?=, its short form) takes
+one operand, so a , ends it as it ends an assignment, while echo's operands
+are a comma list.  An ending node reports its sink's findings in the sink's
+place, binds its target and hands its reads down, so each expression is
+evaluated once.  So:
 
 * a read sees the assignments whose right-hand side ended before it (PHP's
   left-to-right order), nested ones binding innermost first: in
   $b = mysql_query($b) . fgets($f);  the query's $b carries no fgets;
+* in  f($x = print $a, $b)  print's operand, and so $x's right-hand side,
+  end at the , and neither reads $b; in  echo $a = print $b, $c;  the ,
+  ends print and the assignment, and echo reads $c as its next operand;
 * on unbalanced input, ?> or the end of the file ends every open node, a
   sink call's arguments included.
 """
@@ -27,12 +33,13 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .checklist import Checklist
 from .lexer import (CLOSE_TAG, COMMENT, IDENTIFIER, INLINE_HTML, KEYWORD, OPEN_TAG, OPERATOR,
-                    PUNCTUATION, STRING, VARIABLE, Token, TokenStream, split_lines, tokenize)
+                    PUNCTUATION, STRING, VARIABLE, Token, TokenStream, line_text, tokenize)
 
 # Language constructs that take arguments without parentheses.
 CONSTRUCT_SINKS = frozenset({
@@ -48,12 +55,11 @@ _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "v": "\v", "f": "\f",
             "\\": "\\", "'": "'", '"': '"', "$": "$", "`": "`", "0": "\0"}
 
 
-@dataclass(frozen=True)
-class TaintInfo:
-    source_kind: str          # "superglobal" | "source function" | "unresolved"
-    source_name: str
-    line: int
-    sanitized_for: frozenset[str] = frozenset()
+# source_kind: "superglobal" | "source function" | "unresolved".  One is
+# built for every read, and a namedtuple builds in about 0.6 of a frozen
+# dataclass's time (0.73 against 1.26 us, timeit, 2-CPU x86-64 VM).
+TaintInfo = namedtuple("TaintInfo", "source_kind source_name line sanitized_for",
+                       defaults=(frozenset(),))
 
 
 @dataclass(frozen=True)
@@ -85,25 +91,22 @@ class Finding:
         return (self.file, self.line, self.category, self.children)
 
 
-@dataclass(frozen=True)
-class _Walk:
-    """One walk of an include target: its findings, the ScanContext
-    snapshot it left, and the absolute paths it entered through nested
-    includes."""
-
-    findings: tuple[Finding, ...]
-    exit: tuple
-    entered: frozenset[str]
+# One walk of an include target: its findings (a tuple), the ScanContext
+# snapshot it left, and the frozenset of absolute paths it entered through
+# nested includes.
+_Walk = namedtuple("_Walk", "findings exit entered")
 
 
-@dataclass
 class IncludeTarget:
-    """A read include target: its tokens and lines, and its walks keyed by
+    """A read include target: its source and tokens, and its walks keyed by
     display path and entering snapshot."""
 
-    stream: TokenStream
-    lines: list[str]
-    walks: dict[tuple, _Walk] = field(default_factory=dict)
+    __slots__ = ("source", "stream", "walks")
+
+    def __init__(self, source: str, stream: TokenStream) -> None:
+        self.source = source
+        self.stream = stream
+        self.walks: dict[tuple, _Walk] = {}
 
 
 class ScanContext:
@@ -276,15 +279,16 @@ def _match_brackets(tokens: list[Token], j: int, hi: int, closers: dict[int, int
 # (label, taint) reads; other groups read into the list below them, the
 # root into none.  cleared: the categories of the sanitizer groups open up
 # to the collecting node, which a read here is cleared for; down: what a
-# collecting node's reads are cleared for as they pass below.  sink: the
-# (slot, token, name) that reports the reads; target: the variable bound.
+# collecting node's reads are cleared for as they pass below, None for a
+# group that collects nothing.  sink: the (slot, token, name) that reports
+# the reads; target: the variable bound.
 _GROUP, _ASSIGN, _CONSTRUCT = "group", "assign", "construct"
 _NO_CALL = (frozenset(), None)  # the categories and sink of a plain group
 
 
-def _walk(stream: TokenStream, lines: list[str], display_path: str,
+def _walk(stream: TokenStream, source: str, display_path: str,
           ctx: ScanContext, checklist: Checklist) -> list[Finding]:
-    tokens = stream.tokens
+    tokens, line_ends = stream.tokens, stream.line_ends
     count = len(tokens)
     # one list of findings per sink and per followed include, in the order
     # of their first tokens; a sink fills its own when its node ends
@@ -298,14 +302,11 @@ def _walk(stream: TokenStream, lines: list[str], display_path: str,
 
     def open_node(kind: str, categories: frozenset[str] = frozenset(), sink: tuple | None = None,
                   target: str | None = None) -> None:
-        _, reads, cleared, _, _, _ = nodes[-1]
-        if kind is _GROUP and sink is None:
-            nodes.append((kind, reads, cleared | categories, None, None, None))
-            return
+        """Push a node that collects its own reads."""
         if sink is not None:  # (token, name); a call's ( follows its name at once
             slots.append([])
             sink = (slots[-1], *sink)
-        nodes.append((kind, [], frozenset(), cleared | categories, sink, target))
+        nodes.append((kind, [], frozenset(), nodes[-1][2] | categories, sink, target))
 
     def end_node() -> None:
         kind, reads, _, down, sink, target = nodes.pop()
@@ -313,7 +314,7 @@ def _walk(stream: TokenStream, lines: list[str], display_path: str,
             return
         if sink is not None:
             slot, tok, name = sink
-            text = lines[tok.line - 1] if 1 <= tok.line <= len(lines) else ""
+            text = line_text(source, line_ends, tok.line)
             # read once, then filtered per category
             for category in checklist.sink_categories(name):
                 children = dict.fromkeys(
@@ -328,27 +329,22 @@ def _walk(stream: TokenStream, lines: list[str], display_path: str,
 
     for i, t in enumerate(tokens):
         kind = t.kind
-        if kind is COMMENT:
-            continue
-        nxt = tokens[i + 1] if i + 1 < count else None
-
-        if kind is VARIABLE:
-            _, reads, cleared, _, _, _ = nodes[-1]
-            if reads is not None and not _is_assigned(tokens, i + 1, count, closers):
-                reads.extend(_resolve_name(t.lexeme, t.line, ctx, checklist, cleared))
-            if nxt is not None and nxt.kind is OPERATOR and nxt.lexeme in ASSIGN_OPS:
-                open_node(_ASSIGN, target=t.lexeme)
-
-        elif kind is PUNCTUATION:
+        if kind is PUNCTUATION:
             lexeme = t.lexeme
             if lexeme in "([{":
-                open_node(_GROUP, *call)
+                categories, sink = call
                 call = _NO_CALL
+                if sink is None:  # a plain or sanitizer group, read into the node below
+                    _, reads, cleared, _, _, _ = nodes[-1]
+                    nodes.append((_GROUP, reads, cleared | categories, None, None, None))
+                else:
+                    open_node(_GROUP, categories, sink)
                 if lexeme == "{":
                     ctx.push_scope(pending_scope or "block")
                     pending_scope = None
-            elif lexeme == ",":
-                while nodes[-1][0] is _ASSIGN:
+            elif lexeme == ",":  # ends the assignments and one-operand constructs on top
+                while (nodes[-1][0] is _ASSIGN
+                       or nodes[-1][0] is _CONSTRUCT and nodes[-1][4][2] != "echo"):
                     end_node()
             else:  # a closer or ;
                 while nodes[-1][0] is not _GROUP:
@@ -356,15 +352,21 @@ def _walk(stream: TokenStream, lines: list[str], display_path: str,
                 if lexeme == ";":
                     pending_scope = None
                 elif len(nodes) > 1:
-                    end_node()
+                    if nodes[-1][3] is None:
+                        nodes.pop()  # a group that collects nothing
+                    else:
+                        end_node()
                 if lexeme == "}":
                     ctx.pop_scope()
 
-        elif kind is STRING and t.interpolations:
+        elif kind is VARIABLE:
             _, reads, cleared, _, _, _ = nodes[-1]
-            if reads is not None:
-                for name in t.interpolations:
-                    reads.extend(_resolve_name(name, t.line, ctx, checklist, cleared))
+            if reads is not None and not _is_assigned(tokens, i + 1, count, closers):
+                reads.extend(_resolve_name(t.lexeme, t.line, ctx, checklist, cleared))
+            if i + 1 < count:
+                nxt = tokens[i + 1]
+                if nxt.kind is OPERATOR and nxt.lexeme in ASSIGN_OPS:
+                    open_node(_ASSIGN, target=t.lexeme)
 
         elif kind is IDENTIFIER or kind is KEYWORD:
             name = t.lexeme.lower()
@@ -375,6 +377,7 @@ def _walk(stream: TokenStream, lines: list[str], display_path: str,
                     pending_scope = "class"
                 elif name in INCLUDE_KEYWORDS:
                     slots.append(_handle_include(tokens, i, ctx, checklist, display_path))
+            nxt = tokens[i + 1] if i + 1 < count else None
             paren = nxt is not None and nxt.kind is PUNCTUATION and nxt.lexeme == "("
             if paren:
                 _, reads, cleared, _, _, _ = nodes[-1]
@@ -392,6 +395,20 @@ def _walk(stream: TokenStream, lines: list[str], display_path: str,
                 else:
                     call = call[0], (t, name)
 
+        elif kind is COMMENT or kind is INLINE_HTML:
+            continue
+
+        elif kind is STRING:
+            if t.interpolations:
+                _, reads, cleared, _, _, _ = nodes[-1]
+                if reads is not None:
+                    for name in t.interpolations:
+                        reads.extend(_resolve_name(name, t.line, ctx, checklist, cleared))
+
+        elif kind is OPERATOR:
+            if t.lexeme == "=>":
+                pending_scope = None
+
         elif kind is OPEN_TAG:
             if t.lexeme.startswith("<?="):  # <?= expr ?> is an echo
                 open_node(_CONSTRUCT, sink=(t, "echo"))
@@ -400,11 +417,7 @@ def _walk(stream: TokenStream, lines: list[str], display_path: str,
             while len(nodes) > 1:
                 end_node()
 
-        elif kind is OPERATOR and t.lexeme == "=>":
-            pending_scope = None
-
-        if kind is not INLINE_HTML:
-            prev_significant = t
+        prev_significant = t
 
     while len(nodes) > 1:
         end_node()
@@ -472,7 +485,7 @@ def scan_file(path: str | os.PathLike, checklist: Checklist,
         except OSError as exc:
             target = exc
         else:
-            target = IncludeTarget(tokenize(source, str(path)), split_lines(source))
+            target = IncludeTarget(source, tokenize(source, str(path)))
         if ctx.file_stack:  # reached through an include
             ctx.include_cache[abspath] = target
     elif isinstance(target, OSError) and ctx.file_stack:
@@ -491,7 +504,7 @@ def scan_file(path: str | os.PathLike, checklist: Checklist,
     entered, noted = len(ctx._entered), len(ctx.diagnostics)
     ctx.file_stack.append(abspath)
     try:
-        findings = _walk(target.stream, target.lines, str(path), ctx, checklist)
+        findings = _walk(target.stream, target.source, str(path), ctx, checklist)
     finally:
         ctx.file_stack.pop()
     if key is not None and len(ctx.diagnostics) == noted:
@@ -503,12 +516,15 @@ def scan_file(path: str | os.PathLike, checklist: Checklist,
     return findings
 
 
-@dataclass
 class ScanResult:
-    findings: list[Finding]
-    files_scanned: int
-    elapsed: float
-    diagnostics: list[str] = field(default_factory=list)
+    __slots__ = ("findings", "files_scanned", "elapsed", "diagnostics")
+
+    def __init__(self, findings: list[Finding], files_scanned: int, elapsed: float,
+                 diagnostics: list[str] | None = None) -> None:
+        self.findings = findings
+        self.files_scanned = files_scanned
+        self.elapsed = elapsed
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
 
 def scan_project(root: str | os.PathLike, checklist: Checklist) -> ScanResult:

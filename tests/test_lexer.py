@@ -213,3 +213,72 @@ def test_tokens_compare_and_hash_by_value():
     assert a[1] != Token(TokenKind.STRING, '"$x"', 2, ("$x",))
     assert a[1] != (TokenKind.STRING, '"$x"', 1, ("$x",))
     assert repr(a[1]) == "Token(StringLiteral, '\"$x\"', line=1)"
+
+
+# PHP >= 7.3 ends a heredoc or nowdoc at its label when the next character
+# cannot continue a name
+HEREDOC_CLOSERS = ["]", ".", ":", "-", ";", ",", ")", " ", "\t", "\n", "\r", "\r\n", ""]
+
+
+@pytest.mark.parametrize("opener", ["<<<EOT", "<<<'EOT'", '<<<"EOT"'], ids=["heredoc", "nowdoc", "quoted"])
+@pytest.mark.parametrize("closer", HEREDOC_CLOSERS)
+def test_heredoc_ends_at_a_label_no_name_character_follows(opener, closer):
+    stream = tokenize(f"<?php $a = [{opener}\n$x\n  EOT{closer} $b;")
+    lit = next(t for t in stream.tokens if t.kind == TokenKind.STRING)
+    assert lit.lexeme == f"{opener}\n$x\n  EOT"
+    assert lit.interpolations == (() if "'" in opener else ("$x",))
+    assert stream.diagnostics == []
+    assert [t.lexeme for t in stream.tokens if t.kind == TokenKind.VARIABLE] == ["$a", "$b"]
+    assert next(t for t in stream.tokens if t.lexeme == "$b").line == 3 + closer.count("\n") + (closer == "\r")
+
+
+@pytest.mark.parametrize("follower", ["X", "1", "_", "\xe9"])
+def test_heredoc_label_followed_by_a_name_character_does_not_end_it(follower):
+    stream = tokenize(f"<?php $a = <<<EOT\nEOT{follower};\nEOT;\n$b;")
+    lit = next(t for t in stream.tokens if t.kind == TokenKind.STRING)
+    assert lit.lexeme == f"<<<EOT\nEOT{follower};\nEOT"
+    assert stream.diagnostics == []
+
+
+def test_sink_after_a_heredoc_closed_by_a_bracket_is_lexed():
+    stream = tokenize("<?php\n$a = [<<<EOT\nx\nEOT];\necho $a;\n")
+    assert stream.diagnostics == []
+    assert [(t.lexeme, t.line) for t in stream.tokens if t.kind == TokenKind.KEYWORD] == [("echo", 5)]
+
+
+heredoc_bodies = st.lists(
+    st.sampled_from(["x", " ", "$y", "{$z}", "EOTX", "EOT1", "EOT_", "\n", "\r", "\r\n", "];", "'", '"', "\\"]),
+    max_size=8,
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    opener=st.sampled_from(["<<<EOT", "<<<'EOT'", '<<<"EOT"', "<<< EOT"]),
+    newline=st.sampled_from(["\n", "\r", "\r\n"]),
+    body=heredoc_bodies,
+    indent=st.sampled_from(["", " ", "\t  "]),
+    closer=st.sampled_from(HEREDOC_CLOSERS),
+    tail=st.lists(st.sampled_from(PHP_FRAGMENTS), max_size=10).map("".join),
+)
+def test_heredocs_tile_the_source(opener, newline, body, indent, closer, tail):
+    # the invariants of test_tokens_tile_the_source, on heredoc and nowdoc
+    # bodies closed by each kind of closer
+    source = f"<?php $a = [{opener}{newline}{body}{newline}{indent}EOT{closer}{tail}"
+    stream = tokenize(source)
+    unexpected = [(d.message, d.line) for d in stream.diagnostics
+                  if d.message.startswith("unexpected character")]
+    pos = 0
+    for tok in stream.tokens + [None]:
+        start = len(source) if tok is None else source.find(tok.lexeme, pos)
+        assert start >= 0
+        for gap_pos in range(pos, start):
+            ch = source[gap_pos]
+            if ch not in " \t\r\n":
+                unexpected.remove((f"unexpected character {ch!r}", _line_at(source, gap_pos)))
+        if tok is not None:
+            assert tok.lexeme and tok.line == _line_at(source, start)
+            pos = start + len(tok.lexeme)
+    assert unexpected == []
+    heredoc = next(t for t in stream.tokens if t.lexeme.startswith("<<<"))
+    assert heredoc.lexeme.endswith("EOT") and heredoc.line == 1

@@ -705,3 +705,42 @@ def test_benchmark_corpus_scans_to_its_planted_findings(repo_root, tmp_path, mon
     for f in scan_project(tmp_path, CHECKLIST).findings:
         found.setdefault(Path(f.file).relative_to(tmp_path).as_posix(), set()).add((f.line, f.category))
     assert corpus.check_scan(tree, found) == (len(tree.planted), 0)
+
+
+def findings_of(findings):
+    return [(f.line, f.category, [(c.variable, c.origin()) for c in f.children]) for f in findings]
+
+
+@pytest.mark.parametrize("source, expected", [
+    # a , ends a one-operand construct, as it ends an assignment
+    ("<?php\nf($x = print $a, $b);\necho $x;\n",
+     [(2, "CrossSiteScripting", [("$a", "unresolved")]), (3, "CrossSiteScripting", [("$x", "unresolved")])]),
+    ("<?php\nf(include $a, $b);\n", [(2, "FileInclusion", [("$a", "unresolved")])]),
+    ("<?php\nf(require_once $a, $b);\n", [(2, "FileInclusion", [("$a", "unresolved")])]),
+    # echo keeps its comma list, past a print that the , ends
+    ("<?php\necho $a = print $b, $c;\n",
+     [(2, "CrossSiteScripting", [("$b", "unresolved"), ("$c", "unresolved")]),
+      (2, "CrossSiteScripting", [("$b", "unresolved")])]),
+    ("<?php\necho $a, $b;\n", [(2, "CrossSiteScripting", [("$a", "unresolved"), ("$b", "unresolved")])]),
+    ("<p><?= $a, $b ?></p>\n", [(1, "CrossSiteScripting", [("$a", "unresolved"), ("$b", "unresolved")])]),
+], ids=["print-in-call", "include-in-call", "require-in-call", "print-in-echo", "echo-list", "short-echo-list"])
+def test_a_comma_ends_a_one_operand_construct(tmp_path, source, expected):
+    target = tmp_path / "c.php"
+    target.write_text(source)
+    assert findings_of(scan_file(target, CHECKLIST)) == expected
+
+
+def test_sink_after_a_heredoc_closed_by_a_bracket_is_found(tmp_path):
+    target = tmp_path / "h.php"
+    target.write_text("<?php\n$a = [<<<EOT\nx\nEOT];\necho $_GET['a'];\n")
+    assert findings_of(scan_file(target, CHECKLIST)) == [
+        (5, "CrossSiteScripting", [("$_GET", "superglobal $_GET")])]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+@pytest.mark.parametrize("ending", ["", "\n"], ids=["unterminated-last-line", "terminated-last-line"])
+def test_finding_line_text_is_its_line_without_terminator(tmp_path, newline, ending):
+    lines = ["<?php", "", "  echo $_GET['a'];  // one", "$b = 1;", "print $_POST['p'];"]
+    target = tmp_path / "t.php"
+    target.write_bytes((newline.join(lines) + ending.replace("\n", newline)).encode())
+    assert [(f.line, f.line_text) for f in scan_file(target, CHECKLIST)] == [(3, lines[2]), (5, lines[4])]
