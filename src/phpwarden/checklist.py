@@ -45,23 +45,25 @@ class ChecklistError(ValueError):
 @dataclass
 class Checklist:
     """The tables, and a name -> categories index of the sinks and of the
-    sanitizers built from them once, at construction."""
+    sanitizers built from them once, at construction.  The indexes are keyed
+    by lowercase name, for a caller that has lowered the name already; the
+    methods lower it themselves."""
 
     sinks: dict[str, frozenset[str]] = field(default_factory=dict)
     sources: frozenset[str] = frozenset()
     sanitizers: dict[str, frozenset[str]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self._sink_index = _index(self.sinks)
-        self._sanitizer_index = {name: frozenset(cats) for name, cats in _index(self.sanitizers).items()}
-        self._sink_names = frozenset(self._sink_index)
+        self.sink_index = _index(self.sinks)
+        self.sanitizer_index = {name: frozenset(cats) for name, cats in _index(self.sanitizers).items()}
+        self._sink_names = frozenset(self.sink_index)
 
     def sink_categories(self, name: str) -> list[str]:
         """Categories that list name as a sink, in canonical order."""
-        return list(self._sink_index.get(name.lower(), ()))
+        return list(self.sink_index.get(name.lower(), ()))
 
     def sanitizer_categories(self, name: str) -> frozenset[str]:
-        return self._sanitizer_index.get(name.lower(), frozenset())
+        return self.sanitizer_index.get(name.lower(), frozenset())
 
     def is_source_function(self, name: str) -> bool:
         return name.lower() in self.sources

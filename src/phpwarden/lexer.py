@@ -109,7 +109,7 @@ _PHP_TOKENS = (
     ("open_string", STRING, r"['`][\s\S]*"),
     ("open_dq_string", STRING, r'"[\s\S]*'),
     ("heredoc", STRING,
-     r"<<<[ \t]*(?P<quote>['\"]?)(?P<label>[A-Za-z_][A-Za-z0-9_]*)(?P=quote)[ \t]*(?:\r\n|\r|\n)"),
+     r"<<<[ \t]*(?P<quote>['\"]?)(?P<label>" + _NAME + r")(?P=quote)[ \t]*(?:\r\n|\r|\n)"),
     ("number", NUMBER,
      r"0[xX][0-9a-fA-F_]+|0[bB][01_]+|[0-9][0-9_]*(?:\.[0-9_]+)?(?:[eE][+-]?[0-9]+)?"
      r"|\.[0-9][0-9_]*(?:[eE][+-]?[0-9]+)?"),

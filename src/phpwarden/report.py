@@ -9,8 +9,9 @@ byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 from datetime import datetime
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Callable
 
 from .checklist import DISPLAY_NAMES
@@ -84,21 +85,41 @@ def render(report: Report) -> str:
 
 
 def render_structured(report: Report) -> str:
-    """Machine-readable form: `phpwarden-report 1` header line, then JSON."""
-    header = f"{STRUCTURED_FORMAT} {STRUCTURED_VERSION}"
-    return header + "\n" + json.dumps(_json_value(report), indent=2) + "\n"
+    """Machine-readable form: `phpwarden-report 1` header line, then JSON:
+    each dataclass an object of its fields in order, the timestamp its ISO
+    form.  Written directly, equal byte for byte to json.dumps(..., indent=2)
+    of that value, whose indented encoder runs in pure Python: strings go
+    through the C encode_basestring_ascii, numbers (elapsed is finite)
+    through their repr, as json writes them."""
+    q = encode_basestring_ascii
+    findings = [
+        f'    {{\n      "number": {f.number!r},\n      "file": {q(f.file)},\n'
+        f'      "line": {f.line!r},\n      "line_text": {q(f.line_text)},\n'
+        f'      "category": {q(f.category)},\n      "children": '
+        + _array([f'        {{\n          "variable": {q(c.variable)},\n'
+                  f'          "source_kind": {q(c.source_kind)},\n'
+                  f'          "source_name": {q(c.source_name)},\n'
+                  f'          "line": {c.line!r}\n        }}' for c in f.children], "      ")
+        + "\n    }"
+        for f in report.findings]
+    misconfigurations = [
+        f'    {{\n      "name": {q(m.name)},\n      "current": {q(m.current)},\n'
+        f'      "recommended": {q(m.recommended)},\n      "rationale": {q(m.rationale)}\n    }}'
+        for m in report.misconfigurations]
+    return (f'{STRUCTURED_FORMAT} {STRUCTURED_VERSION}\n{{\n'
+            f'  "application_name": {q(report.application_name)},\n'
+            f'  "scan_timestamp": {q(report.scan_timestamp.isoformat())},\n'
+            f'  "files_scanned": {report.files_scanned!r},\n  "elapsed": {report.elapsed!r},\n'
+            f'  "findings": {_array(findings, "  ")},\n'
+            f'  "misconfigurations": {_array(misconfigurations, "  ")}\n}}\n')
 
 
-def _json_value(value):
-    """value as JSON data: each dataclass a dict of its fields in order, a
-    datetime its ISO form.  Leaves are shared, not copied as `asdict` would."""
-    if isinstance(value, (list, tuple)):
-        return [_json_value(v) for v in value]
-    if isinstance(value, datetime):
-        return value.isoformat()
-    if is_dataclass(value):
-        return {f.name: _json_value(getattr(value, f.name)) for f in fields(value)}
-    return value
+def _array(items: list[str], indent: str) -> str:
+    """A JSON array of encoded items, laid out as json.dumps(indent=2) lays
+    out one whose closing bracket stands at indent."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
 
 
 def parse_structured(text: str) -> Report:

@@ -34,7 +34,7 @@ from __future__ import annotations
 import os
 import time
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .checklist import Checklist
@@ -90,6 +90,9 @@ class Finding:
     def key(self) -> tuple:
         return (self.file, self.line, self.category, self.children)
 
+    def copy(self) -> Finding:
+        return Finding(self.number, self.file, self.line, self.line_text, self.category, self.children)
+
 
 # One walk of an include target: its findings (a tuple), the ScanContext
 # snapshot it left, and the frozenset of absolute paths it entered through
@@ -120,14 +123,21 @@ class ScanContext:
     read to its IncludeTarget, or to the OSError its read raised;
     scan_project shares one across its pages.  The walks it keeps hold for
     one checklist.
+
+    drop_replays is for a caller that keeps one finding per key, as
+    scan_project does: a replayed walk then returns no findings, since each
+    repeats a finding of the walk it replays, which reached that caller
+    first.  Otherwise a replay returns copies.
     """
 
-    def __init__(self, include_cache: dict[str, IncludeTarget | OSError] | None = None) -> None:
+    def __init__(self, include_cache: dict[str, IncludeTarget | OSError] | None = None,
+                 drop_replays: bool = False) -> None:
         self.declared_variables: dict[str, list[TaintInfo]] = {}
         self.dependency_stack: list[dict[str, list[TaintInfo]]] = []
         self.file_stack: list[str] = []
         self.diagnostics: list[str] = []
         self.include_cache = {} if include_cache is None else include_cache
+        self.drop_replays = drop_replays
         self._scopes: list[str] = []  # brace kinds: function | class | block
         self._entered: list[str] = []  # absolute path of every file scan_file entered
 
@@ -283,7 +293,8 @@ def _match_brackets(tokens: list[Token], j: int, hi: int, closers: dict[int, int
 # group that collects nothing.  sink: the (slot, token, name) that reports
 # the reads; target: the variable bound.
 _GROUP, _ASSIGN, _CONSTRUCT = "group", "assign", "construct"
-_NO_CALL = (frozenset(), None)  # the categories and sink of a plain group
+_NO_CATEGORIES = frozenset()
+_NO_CALL = (_NO_CATEGORIES, None)  # the categories and sink of a plain group
 
 
 def _walk(stream: TokenStream, source: str, display_path: str,
@@ -295,7 +306,8 @@ def _walk(stream: TokenStream, source: str, display_path: str,
     slots: list[list[Finding]] = []
     nodes = [(_GROUP, None, frozenset(), None, None, None)]  # the root, which collects nothing
     closers: dict[int, int | None] = {}
-    sink_names = checklist.all_sink_names()
+    # keyed by lowercase name, as the names looked up here are
+    sink_index, sanitizer_index, sources = checklist.sink_index, checklist.sanitizer_index, checklist.sources
     call = _NO_CALL  # what the ( after a call's name opens
     pending_scope: str | None = None
     prev_significant: Token | None = None
@@ -316,7 +328,7 @@ def _walk(stream: TokenStream, source: str, display_path: str,
             slot, tok, name = sink
             text = line_text(source, line_ends, tok.line)
             # read once, then filtered per category
-            for category in checklist.sink_categories(name):
+            for category in sink_index.get(name, ()):
                 children = dict.fromkeys(
                     TaintedParam(label, ti.source_kind, ti.source_name, ti.line)
                     for label, ti in reads if category not in ti.sanitized_for)
@@ -381,10 +393,10 @@ def _walk(stream: TokenStream, source: str, display_path: str,
             paren = nxt is not None and nxt.kind is PUNCTUATION and nxt.lexeme == "("
             if paren:
                 _, reads, cleared, _, _, _ = nodes[-1]
-                if reads is not None and checklist.is_source_function(name):
+                if reads is not None and name in sources:
                     reads.append((t.lexeme, TaintInfo("source function", t.lexeme, t.line, cleared)))
-                call = checklist.sanitizer_categories(name), None
-            if (name in sink_names and (paren or (kind is KEYWORD and name in CONSTRUCT_SINKS))
+                call = sanitizer_index.get(name, _NO_CATEGORIES), None
+            if (name in sink_index and (paren or (kind is KEYWORD and name in CONSTRUCT_SINKS))
                     and not (prev_significant is not None and prev_significant.kind is KEYWORD
                              and prev_significant.lexeme.lower() == "function")):
                 # a construct like echo (even one followed by a parenthesis)
@@ -471,11 +483,13 @@ def scan_file(path: str | os.PathLike, checklist: Checklist,
     ctx.include_cache, and walked once per distinct state it is entered
     with: a later entry in the same state replays that walk's findings and
     exit state, unless the walk noted anything or entered a file now on the
-    include stack.  A failed read is noted once as an include target and
-    again by the file's own scan."""
+    include stack.  A stored walk holds copies of its findings, so numbering
+    what a scan returns changes no stored walk.  A failed read is noted once
+    as an include target and again by the file's own scan."""
     top_level = ctx is None
     if ctx is None:
         ctx = ScanContext()
+    path = os.fspath(path)
     abspath = os.path.abspath(path)
     ctx._entered.append(abspath)
     target = ctx.include_cache.get(abspath)
@@ -485,7 +499,7 @@ def scan_file(path: str | os.PathLike, checklist: Checklist,
         except OSError as exc:
             target = exc
         else:
-            target = IncludeTarget(source, tokenize(source, str(path)))
+            target = IncludeTarget(source, tokenize(source, path))
         if ctx.file_stack:  # reached through an include
             ctx.include_cache[abspath] = target
     elif isinstance(target, OSError) and ctx.file_stack:
@@ -495,20 +509,20 @@ def scan_file(path: str | os.PathLike, checklist: Checklist,
         return []
     key = None
     if ctx.file_stack:
-        key = str(path), ctx.snapshot()
+        key = path, ctx.snapshot()
         walk = target.walks.get(key)
         if walk is not None and walk.entered.isdisjoint(ctx.file_stack):
             ctx.restore(walk.exit)
             ctx._entered.extend(walk.entered)
-            return [replace(f) for f in walk.findings]
+            return [] if ctx.drop_replays else [f.copy() for f in walk.findings]
     entered, noted = len(ctx._entered), len(ctx.diagnostics)
     ctx.file_stack.append(abspath)
     try:
-        findings = _walk(target.stream, target.source, str(path), ctx, checklist)
+        findings = _walk(target.stream, target.source, path, ctx, checklist)
     finally:
         ctx.file_stack.pop()
     if key is not None and len(ctx.diagnostics) == noted:
-        target.walks[key] = _Walk(tuple(replace(f) for f in findings), ctx.snapshot(),
+        target.walks[key] = _Walk(tuple(f.copy() for f in findings), ctx.snapshot(),
                                   frozenset(ctx._entered[entered:]))
     if top_level:
         for n, f in enumerate(findings, start=1):
@@ -528,31 +542,31 @@ class ScanResult:
 
 
 def scan_project(root: str | os.PathLike, checklist: Checklist) -> ScanResult:
-    """Scan every *.php file under root (recursive, lexicographic order).
+    """Scan every *.php file under root (recursive, lexicographic order of
+    the root-relative paths).
 
     Findings discovered both via include-following and via a direct file
     scan are reported once; numbering is global across the project.
     """
     started = time.perf_counter()
-    root_path = Path(root)
-    files = sorted(root_path.rglob("*.php"), key=lambda p: p.relative_to(root_path).as_posix())
-    findings: list[Finding] = []
-    seen: set[tuple] = set()
+    top = str(Path(root))  # the root's display form: no trailing /, no ./
+    prefix = "" if top == "." else os.path.join(top, "")
+    kept: dict[tuple, Finding] = {}
     diagnostics: list[str] = []
     include_cache: dict[str, IncludeTarget | OSError] = {}
     scanned = 0
-    for php_file in files:
-        ctx = ScanContext(include_cache)
-        file_findings = scan_file(php_file, checklist, ctx)
+    for rel in _php_files(top):
+        page = prefix + rel
+        ctx = ScanContext(include_cache, True)  # drop_replays
+        file_findings = scan_file(page, checklist, ctx)
         # a page whose own read failed stops at that one diagnostic; one
         # that failed to read an include target was still scanned
-        if not ctx.diagnostics or not ctx.diagnostics[0].startswith(f"skipped {php_file}:"):
+        if not ctx.diagnostics or not ctx.diagnostics[0].startswith(f"skipped {page}:"):
             scanned += 1
         diagnostics.extend(ctx.diagnostics)
         for f in file_findings:
-            if f.key() not in seen:
-                seen.add(f.key())
-                findings.append(f)
+            kept.setdefault(f.key(), f)
+    findings = list(kept.values())
     for n, f in enumerate(findings, start=1):
         f.number = n
     return ScanResult(
@@ -561,3 +575,28 @@ def scan_project(root: str | os.PathLike, checklist: Checklist) -> ScanResult:
         elapsed=time.perf_counter() - started,
         diagnostics=diagnostics,
     )
+
+
+def _php_files(top: str) -> list[str]:
+    """The sorted top-relative paths of the entries under directory top
+    whose names end in .php, as Path(top).rglob("*.php") finds them: a
+    directory or a symlink so named is listed too (its read fails later if
+    it holds no file), and a symlinked directory is not entered."""
+    if not os.path.isdir(top):
+        return []
+    files: list[str] = []
+    pending = [""]
+    while pending:
+        rel_dir = pending.pop()
+        try:
+            with os.scandir(os.path.join(top, rel_dir)) as entries:
+                for entry in entries:
+                    rel = rel_dir + entry.name
+                    if rel.endswith(".php"):
+                        files.append(rel)
+                    if entry.is_dir(follow_symlinks=False):
+                        pending.append(rel + "/")
+        except PermissionError:
+            continue
+    files.sort()
+    return files

@@ -240,6 +240,20 @@ def test_heredoc_label_followed_by_a_name_character_does_not_end_it(follower):
     assert stream.diagnostics == []
 
 
+@pytest.mark.parametrize("opener", ["<<<\xc9T", "<<<'\xc9T'", '<<<"\xc9T"', "<<<T\xe9"],
+                         ids=["heredoc", "nowdoc", "quoted", "high-byte-after-first"])
+def test_heredoc_label_may_hold_bytes_0x80_to_0xff(opener):
+    # the opener's label is a PHP name, as its closer is
+    label = opener.strip("<'\"")
+    source = f"<?php $a = {opener}\n$_GET x\n{label};"
+    for stream in (tokenize(source), tokenize(source.encode("latin-1"))):
+        assert [(t.kind, t.lexeme, t.line) for t in stream.tokens] == [
+            (TokenKind.OPEN_TAG, "<?php", 1), (TokenKind.VARIABLE, "$a", 1), (TokenKind.OPERATOR, "=", 1),
+            (TokenKind.STRING, f"{opener}\n$_GET x\n{label}", 1), (TokenKind.PUNCTUATION, ";", 3)]
+        assert stream.tokens[3].interpolations == (() if "'" in opener else ("$_GET",))
+        assert stream.diagnostics == []
+
+
 def test_sink_after_a_heredoc_closed_by_a_bracket_is_lexed():
     stream = tokenize("<?php\n$a = [<<<EOT\nx\nEOT];\necho $a;\n")
     assert stream.diagnostics == []

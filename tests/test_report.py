@@ -1,8 +1,10 @@
 import json
 from dataclasses import asdict
-from datetime import datetime
+from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phpwarden.checklist import default_checklist
 from phpwarden.config_audit import Misconfiguration
@@ -140,6 +142,46 @@ def test_structured_body_is_the_json_of_asdict():
     doc = asdict(report)
     doc["scan_timestamp"] = report.scan_timestamp.isoformat()
     assert render_structured(report) == "phpwarden-report 1\n" + json.dumps(doc, indent=2) + "\n"
+
+
+def json_of_asdict(report):
+    doc = asdict(report)
+    doc["scan_timestamp"] = report.scan_timestamp.isoformat()
+    return "phpwarden-report 1\n" + json.dumps(doc, indent=2) + "\n"
+
+
+# quotes, backslashes, control, non-ASCII, non-BMP and lone surrogate code points
+texts = st.text(st.one_of(st.characters(), st.sampled_from(
+    ['"', "\\", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028", "\U0001f600", "\ud800", "\udfff"])), max_size=12)
+lines = st.integers(min_value=0, max_value=10**12)
+children = st.builds(TaintedParam, texts, st.sampled_from(["superglobal", "source function", "unresolved"]),
+                     texts, lines)
+findings = st.builds(Finding, lines, texts, lines, texts, st.sampled_from(["CrossSiteScripting", "SqlInjection"]),
+                     st.lists(children, max_size=4).map(tuple))
+reports = st.builds(
+    Report, texts, st.datetimes(timezones=st.sampled_from([None, timezone.utc])), lines,
+    st.one_of(st.sampled_from([0.0, 1e-07, 123456.789, 0.1 + 0.2, 1e22]),
+              st.floats(allow_nan=False, allow_infinity=False)),
+    st.lists(findings, max_size=4),
+    st.lists(st.builds(Misconfiguration, texts, texts, texts, texts), max_size=3))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(reports)
+def test_structured_body_is_the_json_of_asdict_for_any_report(report):
+    assert render_structured(report) == json_of_asdict(report)
+
+
+def test_structured_form_is_not_written_by_the_pure_python_json_encoder(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder was called")
+
+    report = sample_report()
+    expected = json_of_asdict(report)
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    with pytest.raises(AssertionError, match="pure-Python"):
+        json.dumps({"a": 1}, indent=2)
+    assert render_structured(report) == expected
 
 
 def test_parse_structured_rejects_bad_header():

@@ -744,3 +744,84 @@ def test_finding_line_text_is_its_line_without_terminator(tmp_path, newline, end
     target = tmp_path / "t.php"
     target.write_bytes((newline.join(lines) + ending.replace("\n", newline)).encode())
     assert [(f.line, f.line_text) for f in scan_file(target, CHECKLIST)] == [(3, lines[2]), (5, lines[4])]
+
+
+def file_list_tree(root):
+    """Every page echoes one superglobal, so each page scanned gives one
+    finding under its display path."""
+    page = "<?php\necho $_GET['k'];\n"
+    write_tree(root, {rel: page for rel in (
+        "a.php", "a-b/x.php", "a/y.php", "sub/c.php", "sub/deeper/d.php", "x.php/inner.php",
+        ".hidden.php")})
+    write_tree(root, {"sub/Z.PHP": page, "b.php.txt": page, "notes.txt": "x"})
+    (root / "link.php").symlink_to("a.php")
+    (root / "linkdir").symlink_to("sub", target_is_directory=True)
+    (root / "linkdir.php").symlink_to("sub", target_is_directory=True)
+    (root / "dangling.php").symlink_to("missing.php")
+
+
+# in the order of the root-relative path strings, so a-b/ sorts before a/;
+# a directory named *.php and a symlink named *.php are scanned as files,
+# and a symlinked directory is not entered
+FILE_LIST = [".hidden.php", "a-b/x.php", "a.php", "a/y.php", "dangling.php", "link.php",
+             "linkdir.php", "sub/c.php", "sub/deeper/d.php", "x.php", "x.php/inner.php"]
+UNREADABLE = {"dangling.php": "[Errno 2] No such file or directory",
+              "linkdir.php": "[Errno 21] Is a directory", "x.php": "[Errno 21] Is a directory"}
+
+
+@pytest.mark.parametrize("root_form, prefix", [
+    ("absolute", "{abs}/"), ("absolute/", "{abs}/"), ("path", "{abs}/"),
+    ("root", "root/"), ("root/", "root/"), ("./root", "root/"), ("root//", "root/"), (".", ""),
+])
+def test_scan_project_file_list(tmp_path, monkeypatch, root_form, prefix):
+    root = tmp_path / "root"
+    file_list_tree(root)
+    monkeypatch.chdir(root if root_form == "." else tmp_path)
+    arg = {"absolute": str(root), "absolute/": f"{root}/", "path": root}.get(root_form, root_form)
+    prefix = prefix.format(abs=root)
+    pages = []
+    scan = scanner.scan_file
+
+    def recording_scan_file(path, checklist, ctx=None):
+        if not ctx.file_stack:
+            pages.append(str(path))
+        return scan(path, checklist, ctx)
+
+    monkeypatch.setattr(scanner, "scan_file", recording_scan_file)
+    result = scan_project(arg, CHECKLIST)
+    assert pages == [prefix + rel for rel in FILE_LIST]
+    readable = [prefix + rel for rel in FILE_LIST if rel not in UNREADABLE]
+    assert [(f.number, f.file, f.line) for f in result.findings] == [
+        (n, path, 2) for n, path in enumerate(readable, start=1)]
+    assert result.files_scanned == len(readable)
+    assert result.diagnostics == [
+        f"skipped {prefix}{rel}: {UNREADABLE[rel]}: '{prefix}{rel}'" for rel in FILE_LIST if rel in UNREADABLE]
+
+
+def test_scan_project_runs_agree_and_keep_stored_walks(tmp_path, monkeypatch):
+    # the library binds nothing, so every page enters it in one state: the
+    # first walk is stored and the other pages replay it
+    write_tree(tmp_path, {"zlib.php": "<?php\necho $_GET['a'];\necho $x;\n"})
+    write_tree(tmp_path, {f"p{i}.php": "<?php\ninclude 'zlib.php';\necho $_POST['p'];\n" for i in range(4)})
+    targets = []
+
+    class RecordingTarget(scanner.IncludeTarget):
+        def __init__(self, *args):
+            super().__init__(*args)
+            targets.append(self)
+
+    monkeypatch.setattr(scanner, "IncludeTarget", RecordingTarget)
+    first = scan_project(tmp_path, CHECKLIST)
+    walks = [walk for target in targets for walk in target.walks.values()]
+    stored = [(f.number, f.file, f.line, f.line_text, f.category, f.children) for walk in walks for f in walk.findings]
+    second = scan_project(tmp_path, CHECKLIST)
+    strip = lambda r: [(f.number, f.file, f.line, f.line_text, f.category, f.children) for f in r.findings]
+    assert strip(first) == strip(second)
+    assert [(n, os.path.basename(file)) for n, file, *_ in strip(first)] == [
+        (1, "zlib.php"), (2, "zlib.php"), (3, "p0.php"), (4, "p1.php"), (5, "p2.php"), (6, "p3.php")]
+    # the stored walk was made before the first run numbered its results,
+    # and neither run changed it
+    assert [(n, os.path.basename(file), line) for n, file, line, *_ in stored] == [
+        (0, "zlib.php", 2), (0, "zlib.php", 3)]
+    assert [(f.number, f.file, f.line, f.line_text, f.category, f.children)
+            for walk in walks for f in walk.findings] == stored
