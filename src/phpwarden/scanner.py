@@ -123,21 +123,14 @@ class ScanContext:
     read to its IncludeTarget, or to the OSError its read raised;
     scan_project shares one across its pages.  The walks it keeps hold for
     one checklist.
-
-    drop_replays is for a caller that keeps one finding per key, as
-    scan_project does: a replayed walk then returns no findings, since each
-    repeats a finding of the walk it replays, which reached that caller
-    first.  Otherwise a replay returns copies.
     """
 
-    def __init__(self, include_cache: dict[str, IncludeTarget | OSError] | None = None,
-                 drop_replays: bool = False) -> None:
+    def __init__(self, include_cache: dict[str, IncludeTarget | OSError] | None = None) -> None:
         self.declared_variables: dict[str, list[TaintInfo]] = {}
         self.dependency_stack: list[dict[str, list[TaintInfo]]] = []
         self.file_stack: list[str] = []
         self.diagnostics: list[str] = []
         self.include_cache = {} if include_cache is None else include_cache
-        self.drop_replays = drop_replays
         self._scopes: list[str] = []  # brace kinds: function | class | block
         self._entered: list[str] = []  # absolute path of every file scan_file entered
 
@@ -514,7 +507,7 @@ def scan_file(path: str | os.PathLike, checklist: Checklist,
         if walk is not None and walk.entered.isdisjoint(ctx.file_stack):
             ctx.restore(walk.exit)
             ctx._entered.extend(walk.entered)
-            return [] if ctx.drop_replays else [f.copy() for f in walk.findings]
+            return [f.copy() for f in walk.findings]
     entered, noted = len(ctx._entered), len(ctx.diagnostics)
     ctx.file_stack.append(abspath)
     try:
@@ -557,7 +550,7 @@ def scan_project(root: str | os.PathLike, checklist: Checklist) -> ScanResult:
     scanned = 0
     for rel in _php_files(top):
         page = prefix + rel
-        ctx = ScanContext(include_cache, True)  # drop_replays
+        ctx = ScanContext(include_cache)
         file_findings = scan_file(page, checklist, ctx)
         # a page whose own read failed stops at that one diagnostic; one
         # that failed to read an include target was still scanned
