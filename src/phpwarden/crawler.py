@@ -16,10 +16,10 @@ surface.  The exception is the unauthenticated probe of the login form
 signing in is part of the public surface.
 
 Each request goes out on a fresh connection as the exact head the store
-records.  Its response is read with profile_store's wire helpers, by the
-same rules as the proxy: a response the proxy would answer 502 for, or
-one cut short of its length or last chunk, is a CrawlError, and a chunked
-page is decoded before its links are read.
+records.  Its response is read through an http1.Connection, by the same
+rules as the proxy: a response the proxy would answer 502 for, or one cut
+short of its length or last chunk, is a CrawlError, and a chunked page is
+decoded before its links are read.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ import re
 from collections import deque
 from urllib.parse import urlencode, urlsplit
 
-from .profile_store import (CHUNKED, LOGIN_PAGE, LOGOUT_PAGE, ProfileStore, login_succeeded, page_of,
-                            read_response_head, relay, relay_chunked)
+from .http1 import LOGIN_PAGE, LOGOUT_PAGE, Connection, login_succeeded, page_of
+from .profile_store import ProfileStore
 
 # a target with whitespace or a control character would break the request line
 _HREF_RE = re.compile(r'href="([^"#\x00-\x20\x7f]+)"')
@@ -72,12 +72,10 @@ def send_request(addr: tuple[str, int], method: str, path: str, user_agent: str,
     import socket  # loaded on first use: a scan sends nothing
     with socket.create_connection(addr, timeout=10) as sock:
         sock.sendall(raw_head.encode("latin-1") + body)
-        _, rest, status, fields, length = read_response_head(sock, method, lambda head: None)
+        conn = Connection(sock)
+        _, status, fields, length = conn.read_response_head(method, lambda head: None)
         data: list[bytes] = []
-        if length == CHUNKED:
-            whole = relay_chunked(sock, rest, 0, lambda piece: None, data.append)
-        else:
-            whole = relay(sock, rest, length, data.append)
+        whole = conn.relay(length, lambda piece: None, on_data=data.append)
     if not whole:
         raise ValueError("response body cut short")
     return status, fields, b"".join(data), raw_head

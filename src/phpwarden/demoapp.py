@@ -19,7 +19,7 @@ from collections import namedtuple
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs
 
-from .profile_store import LOGIN_PAGE, LOGOUT_PAGE, cookie_value, page_of
+from .http1 import LOGIN_PAGE, LOGOUT_PAGE, cookie_value, page_of
 
 SESSION_COOKIE = "PHPSESSID"
 HOME_PAGE = "Home.php"

@@ -33,7 +33,7 @@ from collections import namedtuple
 from datetime import datetime
 
 from .models import NavigationModel, RequestModel, is_asset
-from .profile_store import RequestHead, cookie_value, goes_past_script, page_of, parse_header_block
+from .http1 import RequestHead, cookie_value, goes_past_script, page_of, parse_header_block
 
 logger = logging.getLogger(__name__)
 

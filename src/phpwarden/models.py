@@ -34,7 +34,7 @@ from collections import namedtuple
 from functools import cached_property
 from pathlib import Path
 
-from .profile_store import ProfileStore, derive_request_id, page_of, parse_header_block
+from .http1 import derive_request_id, parse_header_block
 
 MODEL1_HEADER = ["sno", "convid", "reqresid", "sessionFlag", "role"]
 

@@ -34,23 +34,25 @@ The upstream name is resolved once, when the proxy is built, and each
 request connects to its addresses in the order getaddrinfo gave them, as
 socket.create_connection would, with no lookup per request: an address
 that changes takes a restart, and a name that does not resolve stops the
-proxy from being built.  The socket-level reading is profile_store's,
-which the crawler shares.  The response head goes through
-profile_store.read_response_head, which frames it by RFC 9112 section 6.3;
-one it refuses is a 502, and so is an unreachable upstream.  A 1xx head
-other than 101 is relayed at once and the final head read after it.  The
-body is streamed to the client in pieces of at most 64 KiB: a chunked one
-up to its last chunk and trailer section, a 101's or one with no length
-until the upstream closes.  The client's side is then shut at once, so the
-client sees the response end before the upstream socket closes.  A login
-(a redirect that sets the session cookie, see
-profile_store.login_succeeded) or logout response binds or clears the
-client's role once its final head arrives, before the client gets a byte
-of it.  Only the responses to the login and logout pages are read for it.
+proxy from being built.  Both sides of a connection are read through an
+http1.Connection, which the crawler shares.  The response head is framed
+by RFC 9112 section 6.3; one that http1 refuses is a 502, and so is an
+unreachable upstream, and each 502 is logged as a warning with its cause
+(connect, timeout or malformed response), the request id and the error,
+never the head.  A 1xx head other than 101 is relayed at once and the
+final head read after it.  The body is streamed to the client in pieces of
+at most 64 KiB: a chunked one up to its last chunk and trailer section, a
+101's or one with no length until the upstream closes.  The client's side
+is then shut at once, so the client sees the response end before the
+upstream socket closes.  A login (a redirect that sets the session cookie,
+see http1.login_succeeded) or logout response binds or clears the client's
+role once its final head arrives, before the client gets a byte of it.
+Only the responses to the login and logout pages are read for it.
 """
 
 from __future__ import annotations
 
+import logging
 import socket
 import socketserver
 import threading
@@ -58,8 +60,10 @@ import time
 from urllib.parse import parse_qs
 
 from .enforcer import LEVEL_FOR_REASON, Enforcer
-from .profile_store import (CHUNKED, LOGIN_PAGE, LOGOUT_PAGE, RequestHead, login_succeeded, page_of,
-                            read_head, read_response_head, relay, relay_chunked)
+from .http1 import (LOGIN_PAGE, LOGOUT_PAGE, Connection, RequestHead, derive_request_id, login_succeeded,
+                    page_of)
+
+logger = logging.getLogger(__name__)
 
 _IO_TIMEOUT = 15.0
 _WORKERS = 8
@@ -97,7 +101,7 @@ class EnforcementProxy(socketserver.TCPServer):
         # resolved before the listening socket exists, so a name that does
         # not resolve (socket.gaierror) leaves no socket behind
         self._upstream_addresses = socket.getaddrinfo(*upstream, 0, socket.SOCK_STREAM)
-        super().__init__(listen, _ProxyHandler)
+        super().__init__(listen, None)  # finish_request handles each connection
         self.enforcer = enforcer
         self.workers = workers
         self.threads: list[threading.Thread] = []  # the pool, once serve_forever starts it
@@ -135,19 +139,19 @@ class EnforcementProxy(socketserver.TCPServer):
         for worker in self.threads:
             worker.join()
 
-    def _read_head(self, sock: socket.socket) -> tuple[bytes, bytes]:
-        """read_head within _IO_TIMEOUT, cut off by shutdown(): (b"", b"")
+    def _read_head(self, conn: Connection) -> bytes:
+        """conn.read_head within _IO_TIMEOUT, cut off by shutdown(): b""
         once the proxy is stopping, whatever arrived."""
         with self._reading_lock:
             if self._stopping.is_set():
-                return b"", b""
-            self._reading.add(sock)
+                return b""
+            self._reading.add(conn.sock)
         try:
-            got = read_head(sock, deadline=time.monotonic() + _IO_TIMEOUT)
+            head = conn.read_head(time.monotonic() + _IO_TIMEOUT)
         finally:
             with self._reading_lock:
-                self._reading.discard(sock)
-        return (b"", b"") if self._stopping.is_set() else got
+                self._reading.discard(conn.sock)
+        return b"" if self._stopping.is_set() else head
 
     def _stop_accepting(self) -> None:
         self._stopping.set()
@@ -192,28 +196,21 @@ class EnforcementProxy(socketserver.TCPServer):
                 else:
                     self.shutdown_request(request)
 
-    def finish_request(self, request, client_address) -> bool:
-        """Handle one connection; True when the handler answered it and shut
-        its write side."""
-        return self.RequestHandlerClass(request, client_address, self).answered
-
-
-class _ProxyHandler(socketserver.BaseRequestHandler):
-    server: EnforcementProxy
-    answered = False  # set once the answer is sent and the write side shut
-
-    def handle(self):
-        sock = self.request
+    def finish_request(self, sock, client_address) -> bool:
+        """Handle one connection; True when it was answered and its write
+        side shut."""
+        conn = Connection(sock)
         try:
-            head_bytes, rest = self.server._read_head(sock)
+            head_bytes = self._read_head(conn)
             sock.settimeout(_IO_TIMEOUT)
         except OSError:
-            return
+            return False
         if not head_bytes:
-            return
-        verdict = self.server.enforcer.evaluate(head_bytes.decode("latin-1"), self.client_address[0])
+            return False
+        verdict = self.enforcer.evaluate(head_bytes.decode("latin-1"), client_address[0])
         head = verdict.head
         length = head.content_length if head else 0
+        answered = False
         try:
             if verdict.blocked:
                 # answered before the body is read, which the client may hold
@@ -222,9 +219,9 @@ class _ProxyHandler(socketserver.BaseRequestHandler):
                 # sends is then read, so closing sends no reset
                 sock.sendall(_BLOCKED[verdict.reason])
                 sock.shutdown(socket.SHUT_WR)
-                self.answered = True
-                relay(sock, rest, length, lambda piece: None)
-                return
+                answered = True
+                conn.relay(length, lambda piece: None)
+                return True
             if (length and head.version == "HTTP/1.1"
                     and (head.get("Expect") or "").lower() == "100-continue"):
                 sock.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
@@ -232,53 +229,53 @@ class _ProxyHandler(socketserver.BaseRequestHandler):
             # were never verified, so they are never forwarded; nor is a body
             # the client cut short
             body: list[bytes] = []
-            if relay(sock, rest, length, body.append):
-                self._forward(sock, head, head_bytes, b"".join(body))
+            if conn.relay(length, body.append):
+                answered = self._forward(sock, client_address[0], head, head_bytes, b"".join(body))
         except OSError:
             pass  # a peer went away mid-message
+        return answered
 
-    def _forward(self, sock: socket.socket, head: RequestHead, head_bytes: bytes, body: bytes) -> None:
+    def _forward(self, sock: socket.socket, client_ip: str, head: RequestHead, head_bytes: bytes,
+                 body: bytes) -> bool:
         """Send the verified request upstream and stream its response to the
-        client, or answer 502 when no well-framed response head comes."""
+        client, or answer 502 when no well-framed response head comes.  True
+        once the response is relayed and the client's write side shut."""
         try:
-            up = self.server.connect_upstream()
-        except OSError:
-            sock.sendall(_BAD_GATEWAY)
-            return
+            up = self.connect_upstream()
+        except OSError as exc:
+            return _bad_gateway(sock, head, "connect", exc)
         with up:
+            upstream = Connection(up)
             try:
                 up.sendall(head_bytes + body)
-                response_head, rest, status, fields, length = read_response_head(up, head.method, sock.sendall)
-            except (OSError, ValueError):
-                sock.sendall(_BAD_GATEWAY)
-                return
+                response_head, status, fields, length = upstream.read_response_head(head.method, sock.sendall)
+            except ValueError as exc:
+                return _bad_gateway(sock, head, "malformed response", exc)
+            except OSError as exc:
+                return _bad_gateway(sock, head, "timeout" if isinstance(exc, TimeoutError) else "connect", exc)
             # bind/clear the session before the client can act on the response,
             # otherwise its next request races the bookkeeping
-            self._after_relay(head, body, status, fields)
-            # the head and the body bytes that came with it go in one write:
-            # a small head sent alone waits on Nagle's algorithm
-            if length == CHUNKED:
-                try:
-                    relay_chunked(up, response_head + rest, len(response_head), sock.sendall)
-                except ValueError:
-                    return  # broken chunked framing: both connections close
-            else:  # after a 101 the connection speaks another protocol, until close
-                end = None if length is None or status == 101 else len(response_head) + length
-                relay(up, response_head + rest, end, sock.sendall)
+            self._after_relay(client_ip, head, body, status, fields)
+            # the head goes in one write with the body bytes that came with
+            # it: a small head sent alone waits on Nagle's algorithm.  After a
+            # 101 the connection speaks another protocol, until close.
+            try:
+                upstream.relay(None if status == 101 else length, sock.sendall, response_head)
+            except ValueError:
+                return False  # broken chunked framing: both connections close
             # the client sees the response end now, not after the upstream
             # socket closes
             sock.shutdown(socket.SHUT_WR)
-            self.answered = True
+            return True
 
-    def _after_relay(self, head: RequestHead, body: bytes, status: int,
+    def _after_relay(self, client_ip: str, head: RequestHead, body: bytes, status: int,
                      fields: list[tuple[str, str]]) -> None:
         """Bind the client's role after a login, or clear it after a logout;
         a response to any other page reads nothing more."""
         page = page_of(head.target)
         if page != LOGIN_PAGE and page != LOGOUT_PAGE:
             return
-        enforcer = self.server.enforcer
-        client_ip = self.client_address[0]
+        enforcer = self.enforcer
         user_agent = head.get("User-Agent") or ""
         if page == LOGOUT_PAGE:
             enforcer.note_logout(client_ip, user_agent)
@@ -288,6 +285,15 @@ class _ProxyHandler(socketserver.BaseRequestHandler):
                 form = parse_qs(body.decode("latin-1"))
                 username = (form.get("username") or [""])[0]
                 enforcer.note_login(client_ip, user_agent, username, cookie)
+
+
+def _bad_gateway(sock: socket.socket, head: RequestHead, cause: str, exc: Exception) -> bool:
+    """Log the 502 with its cause, the request id and the exception text
+    (never the head, which carries cookies), then send it; False, since the
+    connection is shut whole, not half-closed."""
+    logger.warning("502 Bad Gateway for %s: %s: %s", derive_request_id(head.method, head.target), cause, exc)
+    sock.sendall(_BAD_GATEWAY)
+    return False
 
 
 def serve_proxy(listen: tuple[str, int], upstream: tuple[str, int], enforcer: Enforcer,

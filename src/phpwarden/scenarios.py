@@ -26,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .crawler import send_request
-from .profile_store import LOGIN_PAGE, LOGOUT_PAGE, ProfileStore, parse_header_block, set_cookie_value
+from .http1 import LOGIN_PAGE, LOGOUT_PAGE, parse_header_block, set_cookie_value
+from .profile_store import ProfileStore
 
 
 class ScenarioError(ValueError):

@@ -583,6 +583,8 @@ def _newly_loaded(code: str, modules: tuple[str, ...]) -> list[str]:
 def test_gate_commands_load_no_dataclasses(command):
     modules, xml = GATE_COMMAND_MODULES[command]
     left_out = ("dataclasses", "inspect", "typing") + (() if xml else ("xml.etree",))
+    # the gate serves and the demo app answers with no training-store code
+    left_out += () if "phpwarden.profile_store" in modules else ("phpwarden.profile_store",)
     assert _newly_loaded("".join(f"import {m}\n" for m in modules), left_out) == []
 
 
@@ -598,5 +600,6 @@ def test_training_into_a_fresh_store_loads_no_xml(tmp_path):
 
 def test_scan_without_ini_loads_no_audit_training_or_model_code(tmp_path):
     (tmp_path / "a.php").write_text("<?php\necho $_GET['a'];\n")
-    left_out = ("phpwarden.config_audit", "phpwarden.crawler", "phpwarden.profile_store", "phpwarden.models")
+    left_out = ("phpwarden.config_audit", "phpwarden.crawler", "phpwarden.profile_store", "phpwarden.models",
+                "phpwarden.http1")
     assert _modules_loaded_by(["scan", "--root", str(tmp_path)], left_out) == (1, [])

@@ -5,7 +5,8 @@ import pytest
 
 from phpwarden.crawler import CrawlError, crawl, extract_links
 from phpwarden.demoapp import serve_app
-from phpwarden.profile_store import ProfileStore, parse_header_block
+from phpwarden.http1 import parse_header_block
+from phpwarden.profile_store import ProfileStore
 
 from conftest import start_in_thread
 

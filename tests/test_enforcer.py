@@ -29,7 +29,7 @@ from phpwarden.enforcer import (
     verify_request,
 )
 from phpwarden.models import ModelRow, NavigationModel, RequestModel
-from phpwarden.profile_store import parse_header_block
+from phpwarden.http1 import parse_header_block
 
 from conftest import BINDINGS_TEXT
 

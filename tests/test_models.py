@@ -18,7 +18,8 @@ from phpwarden.models import (
     load_model,
     persist_model,
 )
-from phpwarden.profile_store import ProfileStore, derive_request_id, parse_header_block
+from phpwarden.http1 import derive_request_id, parse_header_block
+from phpwarden.profile_store import ProfileStore
 
 
 def head_text(target, cookie=None, method="GET"):

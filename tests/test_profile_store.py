@@ -11,11 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from phpwarden import profile_store
-from phpwarden.models import build_model
-from phpwarden.profile_store import (
+from phpwarden import http1, profile_store
+from phpwarden.http1 import (
     CHUNKED,
-    ProfileStore,
+    Connection,
     derive_request_id,
     extract_session_flag,
     login_succeeded,
@@ -25,6 +24,8 @@ from phpwarden.profile_store import (
     session_cookie_value,
     set_cookie_value,
 )
+from phpwarden.models import build_model
+from phpwarden.profile_store import ProfileStore
 
 from conftest import BARE_CR_REQUEST
 
@@ -152,7 +153,7 @@ def test_request_head_get_is_first_match_in_any_case():
 def test_response_transfer_encoding_beside_a_content_length_is_refused(fields, status_line):
     response = f"HTTP/1.1 {status_line}\r\n{fields}\r\n\r\n5\r\nhello\r\n0\r\n\r\n".encode()
     with pytest.raises(ValueError, match="beside other framing"):
-        profile_store.read_response_head(_PieceSocket(response, 7), "GET", lambda head: None)
+        Connection(_PieceSocket(response, 7)).read_response_head("GET", lambda head: None)
 
 
 @pytest.mark.parametrize("line", [
@@ -287,20 +288,21 @@ class _PieceSocket:
 
 def test_read_head_searches_each_byte_received_about_once(monkeypatch):
     searched = []
-    blank_line = profile_store._BLANK_LINE
+    blank_line = http1._BLANK_LINE
 
     class CountingBlankLine:
         def search(self, buf, pos=0):
             searched.append(len(buf) - pos)
             return blank_line.search(buf, pos)
 
-    monkeypatch.setattr(profile_store, "_BLANK_LINE", CountingBlankLine())
+    monkeypatch.setattr(http1, "_BLANK_LINE", CountingBlankLine())
     for lines in (10, 40, 160):
         # short lines and one long one, dripped a byte at a time
         head = (b"GET /a.php HTTP/1.1\r\n" + b"X-Pad: abc\r\n" * lines
                 + b"X-Long: " + b"v" * (100 * lines) + b"\r\n\r\n")
         searched.clear()
-        assert profile_store.read_head(_PieceSocket(head + b"rest", 1)) == (head, b"")
+        conn = Connection(_PieceSocket(head + b"rest", 1))
+        assert (conn.read_head(), conn.buf) == (head, b"")
         assert sum(searched) <= 2 * len(head), (len(head), sum(searched))
 
 
@@ -312,9 +314,51 @@ _WIRE_PIECES = st.sampled_from([b"\r\n", b"\n", b"\r", b" ", b"\t", b"\x85", b"a
 def test_read_head_ends_where_it_would_on_one_read(data, size):
     # the search that resumes after each piece finds the blank line, and
     # cuts the head, exactly where one search over all of it does
-    head, rest = profile_store.read_head(_PieceSocket(data, size))
-    assert head == profile_store.read_head(_PieceSocket(data, 1 << 20))[0]
+    conn = Connection(_PieceSocket(data, size))
+    head, rest = conn.read_head(), conn.buf
+    assert head == Connection(_PieceSocket(data, 1 << 20)).read_head()
     assert data.startswith(head + rest)
+
+
+@st.composite
+def _message(draw):
+    """(head, body length as relay takes it, body bytes, body data): a
+    request with a Content-Length body, or a response with a length, a
+    chunked or an empty body."""
+    kind = draw(st.sampled_from(["request", "length", "chunked", "empty"]))
+    data = draw(st.binary(max_size=40))
+    if kind == "request":
+        head = b"POST /a.php HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n" % len(data)
+        return head, len(data), data, data
+    if kind == "length":
+        return b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(data), len(data), data, data
+    if kind == "empty":
+        return b"HTTP/1.1 204 No Content\r\n\r\n", 0, b"", b""
+    chunks = draw(st.lists(st.binary(min_size=1, max_size=20), max_size=3))
+    trailer = draw(st.sampled_from([b"", b"X-T: 1\r\n"]))
+    body = b"".join(b"%x\r\n%s\r\n" % (len(chunk), chunk) for chunk in chunks) + b"0\r\n" + trailer + b"\r\n"
+    return b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n", CHUNKED, body, b"".join(chunks)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(messages=st.lists(_message(), min_size=1, max_size=3), size=st.integers(1, 64),
+       prefix=st.booleans())
+def test_connection_hands_on_each_message_once_and_keeps_the_next_in_buf(messages, size, prefix):
+    # read_head and relay, in turn, hand on exactly their message's bytes;
+    # what was read past them is in buf, where the next message starts
+    stream = b"".join(head + body for head, _, body, _ in messages)
+    sock = _PieceSocket(stream, size)
+    conn, at = Connection(sock), 0
+    for head, length, body, data in messages:
+        assert conn.read_head() == head
+        at += len(head)
+        assert stream.startswith(conn.buf, at) and sock.pos - len(conn.buf) == at
+        sent, got = [], []
+        assert conn.relay(length, sent.append, head if prefix else b"", got.append)
+        assert (b"".join(sent), b"".join(got)) == ((head if prefix else b"") + body, data)
+        at += len(body)
+        assert stream.startswith(conn.buf, at) and sock.pos - len(conn.buf) == at
+    assert (conn.buf, sock.pos) == (b"", len(stream))
 
 
 class _RecordingHandler(BaseHTTPRequestHandler):
@@ -348,17 +392,18 @@ class _RecordingHandler(BaseHTTPRequestHandler):
 
 def proxy_forwards(data: bytes, size: int):
     """(verified head, bytes sent upstream) for a client that sends data in
-    pieces of size bytes, framed as the proxy frames it (read_head, then
-    parse_header_block, then relay by Content-Length), with every parsed
-    head taken as passing; (None, b"") when nothing would be forwarded."""
-    sock = _PieceSocket(data, size)
-    head_bytes, rest = profile_store.read_head(sock)
+    pieces of size bytes, framed as the proxy frames it (Connection.read_head,
+    then parse_header_block, then Connection.relay by Content-Length), with
+    every parsed head taken as passing; (None, b"") when nothing would be
+    forwarded."""
+    conn = Connection(_PieceSocket(data, size))
+    head_bytes = conn.read_head()
     try:
         head = parse_header_block(head_bytes.decode("latin-1"))
     except ValueError:
         return None, b""
     body = []
-    if not profile_store.relay(sock, rest, head.content_length, body.append):
+    if not conn.relay(head.content_length, body.append):
         return None, b""
     return head, head_bytes + b"".join(body)
 
@@ -429,17 +474,13 @@ def test_upstream_parses_only_the_verified_request_of_a_head_with_a_body_drawn_f
 def proxy_relays(data: bytes, size: int, method: str):
     """(status, bytes sent to the client) for an upstream that sends data in
     pieces of size bytes in answer to method, framed as the proxy frames a
-    response (read_response_head, then relay or relay_chunked); None when
-    the proxy answers 502, or closes the client's connection on broken
-    chunked framing or a body the upstream cut short."""
-    sock, sent = _PieceSocket(data, size), []
+    response (Connection.read_response_head, then one Connection.relay);
+    None when the proxy answers 502, or closes the client's connection on
+    broken chunked framing or a body the upstream cut short."""
+    conn, sent = Connection(_PieceSocket(data, size)), []
     try:
-        head, rest, status, _, length = profile_store.read_response_head(sock, method, sent.append)
-        if length == CHUNKED:
-            whole = profile_store.relay_chunked(sock, head + rest, len(head), sent.append)
-        else:
-            whole = profile_store.relay(sock, head + rest, None if length is None else len(head) + length,
-                                        sent.append)
+        head, status, _, length = conn.read_response_head(method, sent.append)
+        whole = conn.relay(None if status == 101 else length, sent.append, head)
     except ValueError:
         return None
     return (status, b"".join(sent)) if whole else None
@@ -520,7 +561,7 @@ def test_derive_request_id_examples():
     ("http://app.local/Secret.php/About.php", True), ("http://app.photos/About.php", True),
 ])
 def test_goes_past_script(target, goes_past):
-    assert profile_store.goes_past_script(target) is goes_past
+    assert http1.goes_past_script(target) is goes_past
 
 
 def test_derive_request_id_empty_method_rejected():

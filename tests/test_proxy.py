@@ -1,6 +1,7 @@
 import errno
 import gc
 import http.client
+import logging
 import socket
 import socketserver
 import sys
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from phpwarden import profile_store
+from phpwarden import http1, profile_store
 from phpwarden.enforcer import LEVEL_FOR_REASON, DeviationLog, Enforcer, load_bindings
 from phpwarden.models import ModelRow, NavigationModel, RequestModel
 from phpwarden.proxy import _BLOCKED, EnforcementProxy, _error_response, serve_proxy
@@ -248,7 +249,7 @@ def test_path_that_goes_on_past_a_script_is_blocked(path_info_rig, target):
     assert "X-Deviation-Reason: unknown_request" in head
     assert upstream.ran == []
     assert [record[2:5] for record in DeviationLog.read_records(log_path)] == [
-        (profile_store.derive_request_id("GET", target), "1", "unknown_request")]
+        (http1.derive_request_id("GET", target), "1", "unknown_request")]
     assert status_of(get_path(addr, "/About.php")) == 200 and upstream.ran == ["About.php"]
 
 
@@ -273,7 +274,7 @@ def test_upstream_runs_no_script_but_the_page_the_proxy_verified(path_info_rig):
     def check(target):
         upstream.ran.clear()
         status = status_of(get_path(addr, target))
-        assert upstream.ran in ([], [profile_store.page_of(target)]), (target, status, upstream.ran)
+        assert upstream.ran in ([], [http1.page_of(target)]), (target, status, upstream.ran)
 
     check()
 
@@ -645,6 +646,33 @@ def test_response_after_an_empty_line_is_502(framing_rig):
     assert response.startswith(b"HTTP/1.1 502 Bad Gateway")
     assert b"hello" not in response
     assert enforcer.blocked_count == 0
+
+
+@pytest.mark.parametrize("cause", ["connect", "malformed response"])
+def test_each_502_is_logged_once_with_its_cause(keepalive_upstream, caplog, cause):
+    # a refused upstream port, or a head with two Content-Length fields: one
+    # warning names the cause and the request id, never the cookie
+    address = keepalive_upstream.server_address
+    if cause == "connect":
+        dead = socket.socket()
+        dead.bind(("127.0.0.1", 0))
+        address = dead.getsockname()
+        dead.close()
+    keepalive_upstream.responses.append(b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello")
+    model1 = RequestModel(rows=[ModelRow(sno=1, convid=1, reqresid="GET_a.php", session_flag=1, role="0")])
+    model2 = NavigationModel(graphs={"0": {}}, entries={"0": ["a.php"]})
+    proxy = serve_proxy(("127.0.0.1", 0), address, Enforcer(model1, model2, {}, None))
+    start_in_thread(proxy)
+    try:
+        with caplog.at_level(logging.WARNING, logger="phpwarden.proxy"):
+            response = send_raw(proxy.server_address, head_of("GET", b"Cookie: PHPSESSID=s3cret\r\n"))
+    finally:
+        proxy.shutdown()
+        proxy.server_close()
+    assert response.startswith(b"HTTP/1.1 502 Bad Gateway")
+    records = [record.getMessage() for record in caplog.records if record.name == "phpwarden.proxy"]
+    assert len(records) == 1, records
+    assert f"GET_a.php: {cause}: " in records[0] and "s3cret" not in records[0]
 
 
 def test_large_response_streams_before_the_upstream_finishes(framing_rig):
