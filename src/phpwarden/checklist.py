@@ -46,8 +46,7 @@ class ChecklistError(ValueError):
 class Checklist:
     """The tables, and a name -> categories index of the sinks and of the
     sanitizers built from them once, at construction.  The indexes are keyed
-    by lowercase name, for a caller that has lowered the name already; the
-    methods lower it themselves."""
+    by lowercase name, for a caller that has lowered the name already."""
 
     sinks: dict[str, frozenset[str]] = field(default_factory=dict)
     sources: frozenset[str] = frozenset()
@@ -56,20 +55,6 @@ class Checklist:
     def __post_init__(self) -> None:
         self.sink_index = _index(self.sinks)
         self.sanitizer_index = {name: frozenset(cats) for name, cats in _index(self.sanitizers).items()}
-        self._sink_names = frozenset(self.sink_index)
-
-    def sink_categories(self, name: str) -> list[str]:
-        """Categories that list name as a sink, in canonical order."""
-        return list(self.sink_index.get(name.lower(), ()))
-
-    def sanitizer_categories(self, name: str) -> frozenset[str]:
-        return self.sanitizer_index.get(name.lower(), frozenset())
-
-    def is_source_function(self, name: str) -> bool:
-        return name.lower() in self.sources
-
-    def all_sink_names(self) -> frozenset[str]:
-        return self._sink_names
 
 
 def _index(table: dict[str, frozenset[str]]) -> dict[str, tuple[str, ...]]:

@@ -8,6 +8,7 @@ operational error; 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -92,7 +93,7 @@ def _cmd_scan(args) -> int:
             print(f"scan: {exc}", file=sys.stderr)
             return 1
     result = scan_project(args.root, checklist)
-    app_name = args.app_name or Path(args.root).name
+    app_name = args.app_name or os.path.basename(os.path.abspath(args.root))
     report = build_report(result, misconfigs, app_name)
     text = render(report)
     print(text)

@@ -22,7 +22,6 @@ from urllib.parse import parse_qs
 from .http1 import LOGIN_PAGE, LOGOUT_PAGE, cookie_value, page_of
 
 SESSION_COOKIE = "PHPSESSID"
-HOME_PAGE = "Home.php"
 
 # username -> (password, role)
 USERS = {

@@ -87,9 +87,9 @@ class Verdict(namedtuple("Verdict", "status reason detail head")):
         return self.status == BLOCK
 
     @classmethod
-    def ok(cls, detail: str = "") -> "Verdict":
-        """A passing verdict; with no detail, the one shared instance."""
-        return cls(DONT_BLOCK, OK, detail) if detail else _OK
+    def ok(cls) -> "Verdict":
+        """The one shared passing verdict."""
+        return _OK
 
     @classmethod
     def block(cls, reason: str, detail: str = "") -> "Verdict":
@@ -266,15 +266,6 @@ class DeviationLog:
         with self._lock:
             self._fh.close()
 
-    @staticmethod
-    def read_records(path: str) -> list[tuple[str, ...]]:
-        records = []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    records.append(tuple(line.rstrip("\n").split("\t")))
-        return records
-
 
 # -- the engine ---------------------------------------------------------------
 
@@ -334,7 +325,7 @@ class Enforcer:
         page = page_of(head.target)
         # derive_request_id's id: a parsed head's method is never empty
         reqres_id = f"{head.method.upper()}_{page}"
-        # the first User-Agent, and the session cookie as session_cookie_value
+        # the first User-Agent, and the session cookie as extract_session_flag
         # finds it, in one pass over the fields
         user_agent = cookie = None
         cookie_name = self.config.session_cookie_name

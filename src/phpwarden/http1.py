@@ -113,20 +113,16 @@ _LINE_SPACE = re.compile(rb"[\t\x0b\x0c\r\x1c-\x1f \x85\xa0]*")
 _STATUS_LINE = re.compile(r"HTTP/[0-9]\.[0-9] ([1-5][0-9][0-9])(?: |$)")
 
 
-def parse_response_head(text: str, method: str) -> tuple[int, list[tuple[str, str]], int | None]:
-    """(status, fields, body length) of a raw response head to method, split
-    by _split_head and framed by RFC 9112 section 6.3: 0 after HEAD or for a
-    1xx, 204 or 304, CHUNKED for a final chunked coding, None (until close)
-    for any other Transfer-Encoding or no Content-Length.  Raises ValueError
-    as _split_head does and on a bad status line or Content-Length."""
-    return _frame_response(text, method)[:3]
-
-
-def _frame_response(text: str, method: str) -> tuple[int, list[tuple[str, str]], int | None, bool]:
-    """parse_response_head's (status, fields, body length), and whether a
-    Transfer-Encoding is not all that frames the body: beside a
-    Content-Length, in a second field line, or on a 204 or 304, which have
-    none.  One pass over the fields finds both."""
+def parse_response_head(text: str, method: str) -> tuple[int, list[tuple[str, str]], int | None, bool]:
+    """(status, fields, body length, mixed) of a raw response head to
+    method, split by _split_head and framed by RFC 9112 section 6.3: the
+    length is 0 after HEAD or for a 1xx, 204 or 304, CHUNKED for a final
+    chunked coding, None (until close) for any other Transfer-Encoding or no
+    Content-Length.  mixed tells whether a Transfer-Encoding is not all that
+    frames the body: beside a Content-Length, in a second field line, or on
+    a 204 or 304, which have none.  One pass over the fields finds both.
+    Raises ValueError as _split_head does and on a bad status line or
+    Content-Length."""
     start, fields = _split_head(text)
     match = _STATUS_LINE.match(start)
     if not match:
@@ -226,7 +222,7 @@ class Connection:
         intermediary drop the length."""
         while True:
             head = self.read_head()
-            status, fields, length, mixed = _frame_response(head.decode("latin-1"), method)
+            status, fields, length, mixed = parse_response_head(head.decode("latin-1"), method)
             if status >= 200 or status == 101:
                 if mixed:
                     raise ValueError("Transfer-Encoding beside other framing")
@@ -328,18 +324,11 @@ def cookie_value(cookie_header: str, name: str) -> str | None:
     return None
 
 
-def session_cookie_value(head: RequestHead, session_cookie_name: str = "PHPSESSID") -> str | None:
-    for cookie_header in head.get_all("Cookie"):
-        value = cookie_value(cookie_header, session_cookie_name)
-        if value is not None:
-            return value
-    return None
-
-
 def extract_session_flag(head: RequestHead, session_cookie_name: str = "PHPSESSID") -> int:
     """1 iff some Cookie header carries a non-empty pair named
     session_cookie_name, else 0."""
-    return int(session_cookie_value(head, session_cookie_name) is not None)
+    return int(any(cookie_value(cookie_header, session_cookie_name) is not None
+                   for cookie_header in head.get_all("Cookie")))
 
 
 def set_cookie_value(headers, session_cookie_name: str = "PHPSESSID") -> str | None:
@@ -366,19 +355,19 @@ def login_succeeded(status: int, headers, session_cookie_name: str = "PHPSESSID"
     return set_cookie_value(headers, session_cookie_name) if status in (301, 302, 303) else None
 
 
-def derive_request_id(method: str, url_path: str, index_page: str = "index.php") -> str:
+def derive_request_id(method: str, url_path: str) -> str:
     """`METHOD_page`: uppercased method, final path segment with the query
-    string dropped.  The bare root path maps to index_page."""
+    string dropped.  The bare root path maps to index.php."""
     if not method:
         raise ValueError("empty method")
-    return f"{method.upper()}_{page_of(url_path, index_page)}"
+    return f"{method.upper()}_{page_of(url_path)}"
 
 
-def page_of(url_path: str, index_page: str = "index.php") -> str:
-    """Final path segment with query dropped; root maps to index_page."""
+def page_of(url_path: str) -> str:
+    """Final path segment with query dropped; root maps to index.php."""
     path = url_path.split("?", 1)[0].split("#", 1)[0]
     page = path.rsplit("/", 1)[-1]
-    return page or index_page
+    return page or "index.php"
 
 
 def goes_past_script(target: str) -> bool:

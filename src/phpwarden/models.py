@@ -78,9 +78,6 @@ class RequestModel:
             seen.setdefault((row.reqresid, row.session_flag, row.role), None)
         return list(seen)
 
-    def triple_set(self) -> frozenset[tuple[str, int, str]]:
-        return frozenset(self.triples())
-
     @cached_property
     def roles_by_request(self) -> dict[str, dict[int, frozenset[str]]]:
         """reqresid -> session flag -> the roles trained with that pair:
@@ -124,8 +121,8 @@ class NavigationModel:
     @cached_property
     def nodes_by_role(self) -> dict[str, frozenset[str]]:
         """role -> every page of its graph: entries, pages with successors
-        and the successors themselves.  Holds exactly the roles has_role
-        knows."""
+        and the successors themselves.  Holds every role of entries or
+        graphs."""
         index: dict[str, frozenset[str]] = {}
         for role in self.entries.keys() | self.graphs.keys():
             nodes: set[str] = set(self.entries.get(role, ()))
@@ -140,9 +137,6 @@ class NavigationModel:
 
     def is_entry(self, role: str, page: str) -> bool:
         return page in self.entries.get(role, ())
-
-    def has_role(self, role: str) -> bool:
-        return role in self.entries or role in self.graphs
 
 
 def build_model(store: ProfileStore) -> tuple[RequestModel, NavigationModel]:

@@ -117,7 +117,7 @@ class ScanContext:
 
     declared_variables holds file-scope bindings; dependency_stack carries
     one frame per open function body.  Both registers pair with braces, so
-    in_function/in_class are false once a file scan completes.
+    no function or class scope is open once a file scan completes.
 
     include_cache maps the absolute path of each include target already
     read to its IncludeTarget, or to the OSError its read raised;
@@ -133,14 +133,6 @@ class ScanContext:
         self.include_cache = {} if include_cache is None else include_cache
         self._scopes: list[str] = []  # brace kinds: function | class | block
         self._entered: list[str] = []  # absolute path of every file scan_file entered
-
-    @property
-    def in_function(self) -> bool:
-        return "function" in self._scopes
-
-    @property
-    def in_class(self) -> bool:
-        return "class" in self._scopes
 
     def push_scope(self, kind: str) -> None:
         self._scopes.append(kind)
@@ -462,14 +454,15 @@ def _handle_include(tokens: list[Token], keyword_idx: int, ctx: ScanContext,
     if not os.path.isfile(target):
         ctx.diagnostics.append(f"{display_path}: include target not found: {rel}")
         return []
-    if os.path.abspath(target) in ctx.file_stack:
+    absolute = os.path.abspath(target)
+    if absolute in ctx.file_stack:
         ctx.diagnostics.append(f"{display_path}: include cycle cut at {rel}")
         return []
-    return scan_file(target, checklist, ctx)
+    return scan_file(target, checklist, ctx, absolute)
 
 
 def scan_file(path: str | os.PathLike, checklist: Checklist,
-              ctx: ScanContext | None = None) -> list[Finding]:
+              ctx: ScanContext | None = None, abspath: str | None = None) -> list[Finding]:
     """Scan one PHP file, following string-literal includes.  Returns
     findings in discovery order; a fresh (top-level) scan numbers them
     1..n.  A file reached through an include is read and lexed once per
@@ -478,21 +471,26 @@ def scan_file(path: str | os.PathLike, checklist: Checklist,
     exit state, unless the walk noted anything or entered a file now on the
     include stack.  A stored walk holds copies of its findings, so numbering
     what a scan returns changes no stored walk.  A failed read is noted once
-    as an include target and again by the file's own scan."""
+    as an include target and again by the file's own scan; the lexer's
+    diagnostics are noted once per lex, before the walk.  abspath is path's
+    absolute form, if the caller has computed it."""
     top_level = ctx is None
     if ctx is None:
         ctx = ScanContext()
     path = os.fspath(path)
-    abspath = os.path.abspath(path)
+    if abspath is None:
+        abspath = os.path.abspath(path)
     ctx._entered.append(abspath)
     target = ctx.include_cache.get(abspath)
     if target is None:
         try:
-            source = Path(path).read_bytes().decode("latin-1")
+            with open(path, "rb") as fh:
+                source = fh.read().decode("latin-1")
         except OSError as exc:
             target = exc
         else:
             target = IncludeTarget(source, tokenize(source, path))
+            ctx.diagnostics.extend(f"{path}:{d.line}: {d.message}" for d in target.stream.diagnostics)
         if ctx.file_stack:  # reached through an include
             ctx.include_cache[abspath] = target
     elif isinstance(target, OSError) and ctx.file_stack:

@@ -29,6 +29,17 @@ BARE_CR_REQUEST = (
 )
 
 
+def read_records(path) -> list[tuple[str, ...]]:
+    """The records of a deviation log: the 6 tab-separated fields of each
+    non-blank line."""
+    records = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                records.append(tuple(line.rstrip("\n").split("\t")))
+    return records
+
+
 def start_in_thread(server: socketserver.BaseServer) -> threading.Thread:
     """Serve from a daemon thread.  The short poll interval lets
     `server.shutdown()` return within 0.05 s, not the default 0.5 s."""

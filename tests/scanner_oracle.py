@@ -31,17 +31,17 @@ def _danger_of(expr: str, taint: dict[str, frozenset], checklist: Checklist) -> 
     wrap = _WRAP_RE.match(expr)
     if wrap:
         name = wrap.group(1).lower()
-        sanitized = checklist.sanitizer_categories(name)
+        sanitized = checklist.sanitizer_index.get(name)
         if sanitized:
             return _danger_of(wrap.group(2), taint, checklist) - sanitized
-        if checklist.is_source_function(name):
+        if name in checklist.sources:
             return ALL
     danger: frozenset[str] = frozenset()
     for sg in _superglobals(checklist):
         if sg in expr:
             danger = ALL
     for m in re.finditer(r"\b([A-Za-z_]\w*)\s*\(", expr):
-        if checklist.is_source_function(m.group(1).lower()):
+        if m.group(1).lower() in checklist.sources:
             danger = ALL
     for var in _VAR_RE.findall(expr):
         if var.startswith("$_"):
@@ -87,7 +87,7 @@ def expected_findings(source: str, checklist: Checklist) -> set[tuple[int, str]]
                 name, args = m.group(1).lower(), m.group(2)
         if name is None or args is None:
             continue
-        for cat in checklist.sink_categories(name):
+        for cat in checklist.sink_index.get(name, ()):
             if cat in _danger_of(args, taint, checklist):
                 findings.add((lineno, cat))
     return findings

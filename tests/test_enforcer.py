@@ -31,7 +31,7 @@ from phpwarden.enforcer import (
 from phpwarden.models import ModelRow, NavigationModel, RequestModel
 from phpwarden.http1 import parse_header_block
 
-from conftest import BINDINGS_TEXT
+from conftest import BINDINGS_TEXT, read_records
 
 
 def raw_head(target, ua="test-agent", cookie=None, method="GET"):
@@ -96,7 +96,6 @@ def test_verdict_unknown_request_must_block():
 
 def test_passing_verdict_without_detail_is_shared():
     assert Verdict.ok() is Verdict.ok()
-    assert Verdict.ok("why") is not Verdict.ok("why")
 
 
 @pytest.mark.parametrize("value, attribute", [
@@ -587,7 +586,7 @@ def test_unknown_url_blocked_as_unknown_request(engine):
 def test_malformed_head_blocked_and_logged(engine, tmp_path):
     verdict = engine.evaluate("NOT A REQUEST\r\n\r\n", "10.9.9.9")
     assert verdict.reason == UNKNOWN_REQUEST
-    records = DeviationLog.read_records(str(tmp_path / "deviations.log"))
+    records = read_records(str(tmp_path / "deviations.log"))
     assert len(records) == 1
     assert records[0][2] == "NOT A REQUEST"
 
@@ -630,7 +629,7 @@ def test_unknown_login_username_is_not_a_deviation(engine, tmp_path, caplog):
         engine.note_login("10.0.0.2", "browser-x", "stranger", "cookie-x")
     assert caplog.records  # warned through the logging module
     log_path = tmp_path / "deviations.log"
-    assert not log_path.exists() or DeviationLog.read_records(str(log_path)) == []
+    assert not log_path.exists() or read_records(str(log_path)) == []
     verdict = engine.evaluate(raw_head("/About.php", ua="browser-x"), "10.0.0.2")
     assert verdict.status == DONT_BLOCK  # bound as role 0, public page fine
 
@@ -646,14 +645,14 @@ def test_every_block_writes_exactly_one_record(engine, tmp_path):
     ]
     for head in heads:
         engine.evaluate(head, "10.0.0.1" if "browser-a" in head else "7.7.7.7")
-    records = DeviationLog.read_records(str(tmp_path / "deviations.log"))
+    records = read_records(str(tmp_path / "deviations.log"))
     assert engine.blocked_count == 3
     assert len(records) == 3
 
 
 def test_deviation_record_fields(engine, tmp_path):
     engine.evaluate(raw_head("/Home.php", ua="nobody"), "10.9.9.9")
-    (record,) = DeviationLog.read_records(str(tmp_path / "deviations.log"))
+    (record,) = read_records(str(tmp_path / "deviations.log"))
     assert len(record) == 6
     timestamp, identity, request_text, level, reason, detail = record
     from datetime import datetime
@@ -670,7 +669,7 @@ def test_deviation_log_flattens_tabs_and_newlines(tmp_path):
     log = DeviationLog(str(tmp_path / "d.log"))
     log.record(0.0, ClientIdentity("1.1.1.1", "ua\twith\ttabs"), "id\nwith\nnewlines", "1", "x", "d")
     log.close()
-    (record,) = DeviationLog.read_records(str(tmp_path / "d.log"))
+    (record,) = read_records(str(tmp_path / "d.log"))
     assert len(record) == 6
     assert record[1] == "1.1.1.1 ua with tabs"
     assert record[2] == "id with newlines"
@@ -682,9 +681,9 @@ def test_deviation_log_record_is_on_disk_when_record_returns(tmp_path):
     try:
         identity = ClientIdentity("1.1.1.1", "ua")
         log.record(0.0, identity, "GET_a.php", "1", UNKNOWN_REQUEST, "first")
-        assert [r[5] for r in DeviationLog.read_records(path)] == ["first"]
+        assert [r[5] for r in read_records(path)] == ["first"]
         log.record(1.0, identity, "GET_b.php", "1", UNKNOWN_REQUEST, "second")
-        assert [r[5] for r in DeviationLog.read_records(path)] == ["first", "second"]
+        assert [r[5] for r in read_records(path)] == ["first", "second"]
     finally:
         log.close()
 

@@ -21,7 +21,7 @@ from phpwarden.enforcer import LEVEL_FOR_REASON, DeviationLog, Enforcer, load_bi
 from phpwarden.models import ModelRow, NavigationModel, RequestModel
 from phpwarden.proxy import _BLOCKED, EnforcementProxy, _error_response, serve_proxy
 
-from conftest import BARE_CR_REQUEST, BINDINGS_TEXT, start_in_thread
+from conftest import BARE_CR_REQUEST, BINDINGS_TEXT, read_records, start_in_thread
 
 CANNED_RESPONSE = (
     b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nContent-Length: 2\r\n\r\nok"
@@ -158,7 +158,7 @@ def test_request_hidden_behind_a_blank_line_is_blocked(capture_rig, payload):
     assert "X-Deviation-Reason: unknown_request" in head
     assert upstream.captured == []
     assert enforcer.blocked_count == 1
-    assert len(DeviationLog.read_records(log_path)) == 1
+    assert len(read_records(log_path)) == 1
 
 
 def test_request_with_a_bare_cr_is_blocked(capture_rig):
@@ -169,7 +169,7 @@ def test_request_with_a_bare_cr_is_blocked(capture_rig):
     assert "X-Deviation-Reason: unknown_request" in head
     assert upstream.captured == []
     assert enforcer.blocked_count == 1
-    assert len(DeviationLog.read_records(log_path)) == 1
+    assert len(read_records(log_path)) == 1
 
 
 def test_request_after_an_empty_line_is_blocked(proxy_stack):
@@ -181,7 +181,7 @@ def test_request_after_an_empty_line_is_blocked(proxy_stack):
     assert status_of(response) == 403
     assert "X-Deviation-Reason: unknown_request" in head
     assert proxy_stack.enforcer.blocked_count == 1
-    assert len(DeviationLog.read_records(proxy_stack.log_path)) == 1
+    assert len(read_records(proxy_stack.log_path)) == 1
 
 
 class _PathInfoUpstream(BaseHTTPRequestHandler):
@@ -248,7 +248,7 @@ def test_path_that_goes_on_past_a_script_is_blocked(path_info_rig, target):
     assert status_of(response) == 403
     assert "X-Deviation-Reason: unknown_request" in head
     assert upstream.ran == []
-    assert [record[2:5] for record in DeviationLog.read_records(log_path)] == [
+    assert [record[2:5] for record in read_records(log_path)] == [
         (http1.derive_request_id("GET", target), "1", "unknown_request")]
     assert status_of(get_path(addr, "/About.php")) == 200 and upstream.ran == ["About.php"]
 
@@ -294,7 +294,7 @@ def test_blocked_request_never_reaches_upstream(capture_rig):
     assert b"session_flag_mismatch" in response
     assert upstream.captured == []
     assert enforcer.blocked_count == 1
-    assert len(DeviationLog.read_records(log_path)) == 1
+    assert len(read_records(log_path)) == 1
 
 
 def test_block_page_carries_reason_but_no_model_detail(capture_rig):
@@ -339,7 +339,7 @@ def test_upstream_down_is_502_not_deviation(trained, tmp_path):
         assert enforcer.blocked_count == 0
         import os
 
-        assert not os.path.exists(log_path) or DeviationLog.read_records(log_path) == []
+        assert not os.path.exists(log_path) or read_records(log_path) == []
     finally:
         proxy.shutdown()
         proxy.server_close()
@@ -958,7 +958,7 @@ def test_truncated_request_head_is_blocked(framing_rig, payload, keep_open):
     assert "X-Deviation-Reason: unknown_request" in head
     assert upstream.received == []
     assert enforcer.blocked_count == 1
-    records = DeviationLog.read_records(log_path)
+    records = read_records(log_path)
     assert len(records) == 1
     assert "cut off" in records[0][5]
 
@@ -981,7 +981,7 @@ def test_ambiguous_request_framing_is_blocked(framing_rig, framing, body, cause)
     assert "X-Deviation-Reason: unknown_request" in head
     assert upstream.received == []
     assert enforcer.blocked_count == 1
-    records = DeviationLog.read_records(log_path)
+    records = read_records(log_path)
     assert len(records) == 1 and len(records[0]) == 6
     assert records[0][4] == "unknown_request"
     assert cause in records[0][5]
@@ -1004,7 +1004,7 @@ def test_request_smuggled_behind_a_whitespace_content_length_is_blocked(framing_
     assert "X-Deviation-Reason: unknown_request" in head
     assert upstream.received == []
     assert enforcer.blocked_count == 1
-    assert len(DeviationLog.read_records(log_path)) == 1
+    assert len(read_records(log_path)) == 1
 
 
 @pytest.fixture
@@ -1336,7 +1336,7 @@ def test_pool_under_more_clients_than_workers_loses_no_verdict(start_pool):
     assert not any(client.is_alive() for client in clients)
     assert all(got == [200, 403] * 5 for got in statuses.values()) and len(statuses) == 8
     assert enforcer.blocked_count == 40
-    assert len(DeviationLog.read_records(enforcer.log.path)) == 40
+    assert len(read_records(enforcer.log.path)) == 40
 
 
 def test_a_dripped_head_is_cut_off_at_one_deadline_for_the_whole_head(start_pool, monkeypatch):

@@ -151,8 +151,8 @@ def test_function_definitions_keep_scopes_paired(tmp_path):
     ctx = ScanContext()
     findings = scan_file(target, CHECKLIST, ctx)
     assert findings_set(findings) == {(6, "CrossSiteScripting")}
-    assert not ctx.in_function
-    assert not ctx.in_class
+    assert "function" not in ctx._scopes
+    assert "class" not in ctx._scopes
 
 
 def test_unreadable_file_records_diagnostic(tmp_path):
@@ -232,7 +232,7 @@ def test_comma_separated_assignments_are_walked_once(tmp_path, monkeypatch):
 
 
 def test_every_finding_line_names_a_sink(repo_root):
-    sink_names = CHECKLIST.all_sink_names()
+    sink_names = CHECKLIST.sink_index.keys()
     for app in TABLE_CATEGORY_SETS:
         for f in scan_project(repo_root / "fixtures" / app, CHECKLIST).findings:
             low = f.line_text.lower()
@@ -362,14 +362,14 @@ def test_relative_root_reports_include_findings_once(tmp_path, monkeypatch):
 def test_page_with_unreadable_include_is_counted(tmp_path, monkeypatch):
     (tmp_path / "lib.php").write_text("<?php\n$a = 1;\n")
     (tmp_path / "main.php").write_text("<?php\ninclude 'lib.php';\necho $_GET['q'];\n")
-    read_bytes = Path.read_bytes
+    real_open = open
 
-    def failing_read(self):
-        if self.name == "lib.php":
+    def failing_open(path, mode):
+        if os.path.basename(path) == "lib.php":
             raise PermissionError("denied")
-        return read_bytes(self)
+        return real_open(path, mode)
 
-    monkeypatch.setattr(Path, "read_bytes", failing_read)
+    monkeypatch.setattr(scanner, "open", failing_open, raising=False)
     result = scan_project(tmp_path, CHECKLIST)
     assert findings_set(result.findings) == {(3, "CrossSiteScripting")}
     # lib.php fails as a page of its own and as main.php's include target;
@@ -384,15 +384,15 @@ def test_unreadable_include_target_is_read_once_per_scan(tmp_path, monkeypatch, 
     for page in ("m1.php", "m2.php", "m3.php"):
         (tmp_path / page).write_text(f"<?php\ninclude '{lib_name}';\necho $_GET['q'];\n")
     reads = Counter()
-    read_bytes = Path.read_bytes
+    real_open = open
 
-    def failing_read(self):
-        reads[self.name] += 1
-        if self.name == lib_name:
+    def failing_open(path, mode):
+        reads[os.path.basename(path)] += 1
+        if os.path.basename(path) == lib_name:
             raise PermissionError("denied")
-        return read_bytes(self)
+        return real_open(path, mode)
 
-    monkeypatch.setattr(Path, "read_bytes", failing_read)
+    monkeypatch.setattr(scanner, "open", failing_open, raising=False)
     result = scan_project(tmp_path, CHECKLIST)
     assert len(result.findings) == 3
     # one note as an include target, one for the library's own page scan
@@ -418,6 +418,37 @@ def test_include_target_is_lexed_once_per_scan(tmp_path, monkeypatch, lib_dir, l
     library = str(tmp_path / lib_dir / "shared.php")
     assert lexed.pop(library) == lib_lexes
     assert sorted(lexed.values()) == [1] * 6
+
+
+def test_a_followed_include_takes_one_abspath(tmp_path, monkeypatch):
+    shared_library_tree(tmp_path, "lib", pages=5)
+    calls = Counter()
+    abspath = os.path.abspath
+
+    def counting_abspath(path):
+        calls[path] += 1
+        return abspath(path)
+
+    monkeypatch.setattr(os.path, "abspath", counting_abspath)
+    scan_project(tmp_path, CHECKLIST)
+    # one for the library's own page scan, and one per page that includes it
+    assert calls[str(tmp_path / "lib" / "shared.php")] == 1 + 5
+
+
+def test_lexer_diagnostics_are_noted_once_per_lex(tmp_path):
+    page = tmp_path / "heredoc.php"
+    page.write_text('<?php\n$a = <<<EOT\nhello\necho $_GET["x"];\n')
+    ctx = ScanContext()
+    assert scan_file(page, CHECKLIST, ctx) == []
+    assert ctx.diagnostics == [f"{page}:2: unterminated heredoc"]
+    # a library after its includers is lexed once, and noted once; its walk
+    # noted nothing, so later pages replay it
+    write_tree(tmp_path / "app", {"zlib/open.php": "<?php\n$v = 'x';\necho 'open;\n"})
+    for n in range(3):
+        write_tree(tmp_path / "app", {f"pages/p{n}.php": "<?php\ninclude '../zlib/open.php';\n"})
+    result = scan_project(tmp_path / "app", CHECKLIST)
+    assert result.files_scanned == 4
+    assert result.diagnostics == [f"{tmp_path / 'app' / 'zlib' / 'open.php'}:3: unterminated string literal"]
 
 
 def test_include_cache_holds_include_targets_only(tmp_path, monkeypatch):
