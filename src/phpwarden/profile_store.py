@@ -241,13 +241,6 @@ class ProfileStore:
 
     # -- reading -----------------------------------------------------------
 
-    def roles(self) -> list[str]:
-        seen: list[str] = []
-        for trail in self.trails:
-            if trail.role not in seen:
-                seen.append(trail.role)
-        return seen
-
     def read_exchange(self, cid: int) -> tuple[str, int]:
         """(raw request text, session flag) for one communication id.
         A missing flag file is a corrupt store and is reported by id."""

@@ -34,6 +34,7 @@ from __future__ import annotations
 import os
 import time
 from collections import namedtuple
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -78,7 +79,7 @@ class TaintedParam:
         return f"{self.source_kind} {self.source_name}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Finding:
     number: int
     file: str
@@ -89,9 +90,6 @@ class Finding:
 
     def key(self) -> tuple:
         return (self.file, self.line, self.category, self.children)
-
-    def copy(self) -> Finding:
-        return Finding(self.number, self.file, self.line, self.line_text, self.category, self.children)
 
 
 # One walk of an include target: its findings (a tuple), the ScanContext
@@ -115,9 +113,10 @@ class IncludeTarget:
 class ScanContext:
     """Mutable scan state: variable bindings, scope registers, include stack.
 
-    declared_variables holds file-scope bindings; dependency_stack carries
-    one frame per open function body.  Both registers pair with braces, so
-    no function or class scope is open once a file scan completes.
+    frames[0] holds file-scope bindings, and each open function body adds a
+    frame; a name maps to a tuple of its taints.  _scopes holds, for each
+    open brace, whether it opened a function body.  Both registers pair
+    with braces, so no function scope is open once a file scan completes.
 
     include_cache maps the absolute path of each include target already
     read to its IncludeTarget, or to the OSError its read raised;
@@ -126,60 +125,48 @@ class ScanContext:
     """
 
     def __init__(self, include_cache: dict[str, IncludeTarget | OSError] | None = None) -> None:
-        self.declared_variables: dict[str, list[TaintInfo]] = {}
-        self.dependency_stack: list[dict[str, list[TaintInfo]]] = []
+        self.frames: list[dict[str, tuple[TaintInfo, ...]]] = [{}]
         self.file_stack: list[str] = []
         self.diagnostics: list[str] = []
         self.include_cache = {} if include_cache is None else include_cache
-        self._scopes: list[str] = []  # brace kinds: function | class | block
+        self._scopes: list[bool] = []  # per open brace: whether it opened a function body
         self._entered: list[str] = []  # absolute path of every file scan_file entered
 
-    def push_scope(self, kind: str) -> None:
-        self._scopes.append(kind)
-        if kind == "function":
-            self.dependency_stack.append({})
+    def push_scope(self, function: bool) -> None:
+        self._scopes.append(function)
+        if function:
+            self.frames.append({})
 
     def pop_scope(self) -> None:
-        if not self._scopes:
-            return
-        kind = self._scopes.pop()
-        if kind == "function" and self.dependency_stack:
-            self.dependency_stack.pop()
+        if self._scopes and self._scopes.pop():
+            self.frames.pop()
 
     def snapshot(self) -> tuple:
-        """Scope kinds and every frame's bindings, in order, as one hashable
+        """Scopes and every frame's bindings, in order, as one hashable
         value that no later assignment changes."""
-        frames = (self.declared_variables, *self.dependency_stack)
-        bindings = tuple(tuple((name, tuple(taints)) for name, taints in frame.items()) for frame in frames)
-        return tuple(self._scopes), bindings
+        return tuple(self._scopes), tuple(tuple(frame.items()) for frame in self.frames)
 
     def restore(self, snapshot: tuple) -> None:
-        """Take the state a snapshot holds, in lists of this context's own."""
+        """Take the state a snapshot holds, in dicts of this context's own."""
         scopes, frames = snapshot
         self._scopes = list(scopes)
-        self.declared_variables, *self.dependency_stack = (
-            {name: list(taints) for name, taints in frame} for frame in frames)
+        self.frames = [dict(frame) for frame in frames]
 
-    def current_frame(self) -> dict[str, list[TaintInfo]]:
-        if self.dependency_stack:
-            return self.dependency_stack[-1]
-        return self.declared_variables
-
-    def lookup(self, name: str) -> list[TaintInfo] | None:
-        for frame in reversed(self.dependency_stack):
+    def lookup(self, name: str) -> tuple[TaintInfo, ...] | None:
+        for frame in reversed(self.frames):
             if name in frame:
                 return frame[name]
-        return self.declared_variables.get(name)
+        return None
 
     def assign(self, name: str, taints: list[TaintInfo]) -> None:
-        frame = self.current_frame()
+        """Bind a new name to taints as given; a bound name gains each
+        taint not yet bound, in order, once."""
+        frame = self.frames[-1]
         bound = frame.get(name)
         if bound is None:
-            frame[name] = list(taints)
-            return
-        for t in taints:
-            if t not in bound:
-                bound.append(t)
+            frame[name] = tuple(taints)
+        else:
+            frame[name] = bound + tuple(t for t in dict.fromkeys(taints) if t not in bound)
 
 
 def string_value(token: Token) -> str:
@@ -294,7 +281,7 @@ def _walk(stream: TokenStream, source: str, display_path: str,
     # keyed by lowercase name, as the names looked up here are
     sink_index, sanitizer_index, sources = checklist.sink_index, checklist.sanitizer_index, checklist.sources
     call = _NO_CALL  # what the ( after a call's name opens
-    pending_scope: str | None = None
+    pending_function = False  # whether the next { opens a function body
     prev_significant: Token | None = None
 
     def open_node(kind: str, categories: frozenset[str] = frozenset(), sink: tuple | None = None,
@@ -337,8 +324,8 @@ def _walk(stream: TokenStream, source: str, display_path: str,
                 else:
                     open_node(_GROUP, categories, sink)
                 if lexeme == "{":
-                    ctx.push_scope(pending_scope or "block")
-                    pending_scope = None
+                    ctx.push_scope(pending_function)
+                    pending_function = False
             elif lexeme == ",":  # ends the assignments and one-operand constructs on top
                 while (nodes[-1][0] is _ASSIGN
                        or nodes[-1][0] is _CONSTRUCT and nodes[-1][4][2] != "echo"):
@@ -347,7 +334,7 @@ def _walk(stream: TokenStream, source: str, display_path: str,
                 while nodes[-1][0] is not _GROUP:
                     end_node()
                 if lexeme == ";":
-                    pending_scope = None
+                    pending_function = False
                 elif len(nodes) > 1:
                     if nodes[-1][3] is None:
                         nodes.pop()  # a group that collects nothing
@@ -369,9 +356,7 @@ def _walk(stream: TokenStream, source: str, display_path: str,
             name = t.lexeme.lower()
             if kind is KEYWORD:
                 if name in ("function", "fn"):
-                    pending_scope = "function"
-                elif name in ("class", "interface", "trait"):
-                    pending_scope = "class"
+                    pending_function = True
                 elif name in INCLUDE_KEYWORDS:
                     slots.append(_handle_include(tokens, i, ctx, checklist, display_path))
             nxt = tokens[i + 1] if i + 1 < count else None
@@ -404,7 +389,7 @@ def _walk(stream: TokenStream, source: str, display_path: str,
 
         elif kind is OPERATOR:
             if t.lexeme == "=>":
-                pending_scope = None
+                pending_function = False
 
         elif kind is OPEN_TAG:
             if t.lexeme.startswith("<?="):  # <?= expr ?> is an echo
@@ -469,8 +454,8 @@ def scan_file(path: str | os.PathLike, checklist: Checklist,
     ctx.include_cache, and walked once per distinct state it is entered
     with: a later entry in the same state replays that walk's findings and
     exit state, unless the walk noted anything or entered a file now on the
-    include stack.  A stored walk holds copies of its findings, so numbering
-    what a scan returns changes no stored walk.  A failed read is noted once
+    include stack.  Findings are frozen and bindings are tuples, so a stored
+    walk and its replays share them.  A failed read is noted once
     as an include target and again by the file's own scan; the lexer's
     diagnostics are noted once per lex, before the walk.  abspath is path's
     absolute form, if the caller has computed it."""
@@ -505,7 +490,7 @@ def scan_file(path: str | os.PathLike, checklist: Checklist,
         if walk is not None and walk.entered.isdisjoint(ctx.file_stack):
             ctx.restore(walk.exit)
             ctx._entered.extend(walk.entered)
-            return [f.copy() for f in walk.findings]
+            return list(walk.findings)
     entered, noted = len(ctx._entered), len(ctx.diagnostics)
     ctx.file_stack.append(abspath)
     try:
@@ -513,11 +498,9 @@ def scan_file(path: str | os.PathLike, checklist: Checklist,
     finally:
         ctx.file_stack.pop()
     if key is not None and len(ctx.diagnostics) == noted:
-        target.walks[key] = _Walk(tuple(f.copy() for f in findings), ctx.snapshot(),
-                                  frozenset(ctx._entered[entered:]))
+        target.walks[key] = _Walk(tuple(findings), ctx.snapshot(), frozenset(ctx._entered[entered:]))
     if top_level:
-        for n, f in enumerate(findings, start=1):
-            f.number = n
+        return _numbered(findings)
     return findings
 
 
@@ -557,15 +540,18 @@ def scan_project(root: str | os.PathLike, checklist: Checklist) -> ScanResult:
         diagnostics.extend(ctx.diagnostics)
         for f in file_findings:
             kept.setdefault(f.key(), f)
-    findings = list(kept.values())
-    for n, f in enumerate(findings, start=1):
-        f.number = n
     return ScanResult(
-        findings=findings,
+        findings=_numbered(kept.values()),
         files_scanned=scanned,
         elapsed=time.perf_counter() - started,
         diagnostics=diagnostics,
     )
+
+
+def _numbered(findings: Iterable[Finding]) -> list[Finding]:
+    """findings, numbered 1..n in order."""
+    return [Finding(n, f.file, f.line, f.line_text, f.category, f.children)
+            for n, f in enumerate(findings, start=1)]
 
 
 def _php_files(top: str) -> list[str]:

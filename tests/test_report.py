@@ -1,5 +1,5 @@
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 
 import pytest
@@ -119,7 +119,7 @@ def test_fixed_clock_renders_are_byte_identical():
 def test_distinct_findings_render_distinctly():
     base = sample_report()
     other = sample_report()
-    other.findings[0].line = 8
+    other.findings[0] = replace(other.findings[0], line=8)
     assert render(base) != render(other)
 
 

@@ -1,6 +1,7 @@
 import os
 import tempfile
 from collections import Counter
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
@@ -151,8 +152,20 @@ def test_function_definitions_keep_scopes_paired(tmp_path):
     ctx = ScanContext()
     findings = scan_file(target, CHECKLIST, ctx)
     assert findings_set(findings) == {(6, "CrossSiteScripting")}
-    assert "function" not in ctx._scopes
-    assert "class" not in ctx._scopes
+    assert ctx._scopes == []
+    assert len(ctx.frames) == 1
+
+
+@pytest.mark.parametrize("default", ["1", "Foo::class"])
+def test_class_constant_in_a_signature_keeps_the_function_scope(tmp_path, default):
+    # the keyword class in ::class opens no class scope, so $x stays local to f
+    target = tmp_path / "f.php"
+    target.write_text(f'<?php\nfunction f($a = {default}) {{ $x = $_GET["a"]; }}\necho $x;\n')
+    ctx = ScanContext()
+    [finding] = scan_file(target, CHECKLIST, ctx)
+    assert [(c.variable, c.origin(), c.line) for c in finding.children] == [("$x", "unresolved", 3)]
+    assert ctx._scopes == []
+    assert len(ctx.frames) == 1
 
 
 def test_unreadable_file_records_diagnostic(tmp_path):
@@ -534,10 +547,11 @@ def test_replayed_include_findings_are_distinct_and_numbered(tmp_path):
     assert [f.number for f in findings] == [1, 2, 3, 4, 5, 6]
     assert len({id(f) for f in findings}) == 6
     assert [f.key() for f in findings] == [f.key() for f in findings[:2]] * 3
-    # with a shared cache, a replay is unaffected by numbering an earlier result
+    # with a shared cache, a replay shares findings that no caller can renumber
     cache = {}
     for f in scan_file(tmp_path / "page.php", CHECKLIST, ScanContext(cache)):
-        f.number = 7
+        with pytest.raises(FrozenInstanceError):
+            f.number = 7
     assert [f.number for f in scan_file(tmp_path / "page.php", CHECKLIST, ScanContext(cache))] == [0] * 6
 
 
@@ -588,8 +602,7 @@ def test_walks_are_kept_apart_by_entering_state(tmp_path, monkeypatch, first, se
     for page in ("a.php", "b.php"):
         shared, fresh = ScanContext(cache), ScanContext()
         assert scan_file(tmp_path / page, CHECKLIST, shared) == scan_file(tmp_path / page, CHECKLIST, fresh)
-        assert (shared.declared_variables, shared.dependency_stack, shared._scopes) == (
-            fresh.declared_variables, fresh.dependency_stack, fresh._scopes)
+        assert shared.snapshot() == fresh.snapshot()
     # each state walked once with the shared cache and once with a fresh context
     assert walks[str(tmp_path / "lib.php")] == 4
 
@@ -646,9 +659,7 @@ def test_shared_cache_scans_equal_fresh_scans(pages, libs):
             shared, fresh = ScanContext(cache), ScanContext()
             assert scan_file(path, CHECKLIST, shared) == scan_file(path, CHECKLIST, fresh)
             assert shared.diagnostics == fresh.diagnostics
-            assert list(shared.declared_variables.items()) == list(fresh.declared_variables.items())
-            assert shared.dependency_stack == fresh.dependency_stack
-            assert shared._scopes == fresh._scopes
+            assert shared.snapshot() == fresh.snapshot()
         assert strip(scan_project(root, CHECKLIST).findings) == strip(independent_scans(root))
 
 
