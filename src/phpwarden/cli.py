@@ -41,6 +41,11 @@ def load_model(*args, **kwargs):
     return load_model(*args, **kwargs)
 
 
+def _session_cookie(args) -> str:
+    from .http1 import SESSION_COOKIE  # imported here: a scan loads no http1
+    return SESSION_COOKIE if args.session_cookie is None else args.session_cookie
+
+
 def _parse_addr(text: str, default_host: str = "127.0.0.1") -> tuple[str, int]:
     host, _, port = text.rpartition(":")
     if not port.isdigit():
@@ -66,10 +71,14 @@ def _load_policy_arg(value: str):
 
 def _audit_ini(ini: str, policy: str):
     """Misconfigurations of the php.ini at path ini under policy (a path,
-    or 'default').  An unreadable file raises OSError or ValueError."""
+    or 'default'), each line the ini parser skipped noted on stderr.  An
+    unreadable file raises OSError or ValueError."""
     from .config_audit import audit, parse_ini
 
-    return audit(parse_ini(Path(ini).read_text()), _load_policy_arg(policy))
+    settings = parse_ini(Path(ini).read_text())
+    for diag in settings.diagnostics:
+        print(f"note: {ini}: {diag}", file=sys.stderr)
+    return audit(settings, _load_policy_arg(policy))
 
 
 def _cmd_scan(args) -> int:
@@ -141,7 +150,7 @@ def _cmd_train(args) -> int:
             print("train: --login-user and --login-pass go together", file=sys.stderr)
             return 2
         credentials = (args.login_user, args.login_pass)
-    store = ProfileStore(args.store, session_cookie_name=args.session_cookie)
+    store = ProfileStore(args.store, session_cookie_name=_session_cookie(args))
     try:
         visited = crawl(args.base, args.role, credentials, store)
     except CrawlError as exc:
@@ -189,7 +198,7 @@ def _cmd_enforce(args) -> int:
         print(f"enforce: {exc}", file=sys.stderr)
         return 1
     config = EnforcerConfig(
-        session_cookie_name=args.session_cookie,
+        session_cookie_name=_session_cookie(args),
         idle_timeout=args.idle_timeout,
     )
     enforcer = Enforcer(model1, model2, bindings, log, config)
@@ -295,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store", required=True, help="profile store directory")
     p.add_argument("--login-user")
     p.add_argument("--login-pass")
-    p.add_argument("--session-cookie", default="PHPSESSID")
+    p.add_argument("--session-cookie")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("build-model", help="build and persist models from a profile store")
@@ -308,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--listen", required=True, type=_parse_addr)
     p.add_argument("--upstream", required=True, type=_parse_addr)
     p.add_argument("--bindings", required=True, help="file of username,role lines")
-    p.add_argument("--session-cookie", default="PHPSESSID")
+    p.add_argument("--session-cookie")
     p.add_argument("--idle-timeout", type=float, default=1800.0)
     p.add_argument("--log", default="deviations.log", help="deviation log path")
     p.set_defaults(func=_cmd_enforce)

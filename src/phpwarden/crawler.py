@@ -28,7 +28,7 @@ import re
 from collections import deque
 from urllib.parse import urlencode, urlsplit
 
-from .http1 import LOGIN_PAGE, LOGOUT_PAGE, Connection, login_succeeded, page_of
+from .http1 import LOGIN_FIELDS, LOGIN_PAGE, LOGOUT_PAGE, SESSION_COOKIE, Connection, login_succeeded, page_of
 from .profile_store import ProfileStore
 
 # a target with whitespace or a control character would break the request line
@@ -55,7 +55,7 @@ def extract_links(html: str) -> list[str]:
 
 def send_request(addr: tuple[str, int], method: str, path: str, user_agent: str,
                  cookie: str | None = None, form: dict | None = None,
-                 cookie_name: str = "PHPSESSID"):
+                 cookie_name: str = SESSION_COOKIE):
     """One request on a fresh connection.  Returns (status, headers, body
     bytes, the exact header block sent), so a recorder can capture the
     request verbatim.  The response is read as the proxy reads it: one it
@@ -81,6 +81,17 @@ def send_request(addr: tuple[str, int], method: str, path: str, user_agent: str,
     return status, fields, b"".join(data), raw_head
 
 
+def log_in(addr: tuple[str, int], user_agent: str, username: str, password: str,
+           cookie: str | None = None, cookie_name: str = SESSION_COOKIE):
+    """POST the login form for username and password with send_request.
+    Returns (status, headers, the session cookie granted or None), judged
+    by http1.login_succeeded as the gate judges it: only a redirect that
+    sets the session cookie logs in.  Raises as send_request does."""
+    status, headers, _, _ = send_request(addr, "POST", f"/{LOGIN_PAGE}", user_agent, cookie,
+                                         dict(zip(LOGIN_FIELDS, (username, password))), cookie_name)
+    return status, headers, login_succeeded(status, headers, cookie_name)
+
+
 def crawl(
     base_url: str,
     role: str,
@@ -98,14 +109,18 @@ def crawl(
     port = split.port or 80
     cookie: str | None = None
 
-    def fetch(method: str, path: str, form: dict | None = None):
+    def reach(send, path: str, *args, **kwargs):
+        """send((host, port), ...) for path, its failures as CrawlError."""
         try:
-            status, headers, body, raw_head = send_request(
-                (host, port), method, path, user_agent, cookie, form, store.session_cookie_name)
+            return send((host, port), *args, **kwargs)
         except OSError as exc:
             raise CrawlError(f"cannot reach http://{host}:{port}{path}: {exc}") from None
         except ValueError as exc:  # one the proxy would answer 502 for, or cut short
             raise CrawlError(f"http://{host}:{port}{path}: bad response: {exc}") from None
+
+    def fetch(method: str, path: str, form: dict | None = None):
+        status, headers, body, raw_head = reach(
+            send_request, path, method, path, user_agent, cookie, form, store.session_cookie_name)
         return status, headers, body.decode("latin-1"), raw_head
 
     discovered: list[str] = []
@@ -124,11 +139,8 @@ def crawl(
     else:
         if credentials is None:
             raise CrawlError(f"role {role} requires credentials")
-        username, password = credentials
-        status, resp_headers, _, _ = fetch(
-            "POST", f"/{LOGIN_PAGE}", form={"username": username, "password": password}
-        )
-        cookie = login_succeeded(status, resp_headers, store.session_cookie_name)
+        _, resp_headers, cookie = reach(log_in, f"/{LOGIN_PAGE}", user_agent, *credentials,
+                                        cookie_name=store.session_cookie_name)
         if cookie is None:
             raise CrawlError(f"login failed for role {role}")
         location = next((v for k, v in resp_headers if k.lower() == "location"), "/")
@@ -155,7 +167,7 @@ def crawl(
         leaf = trail[-1]
         if role == "0" and leaf == LOGIN_PAGE:
             # unauthenticated form probe: public surface, recorded
-            _, _, _, raw_head = fetch("POST", f"/{LOGIN_PAGE}", form={"username": "", "password": ""})
+            _, _, _, raw_head = fetch("POST", f"/{LOGIN_PAGE}", form=dict.fromkeys(LOGIN_FIELDS, ""))
             store.record_exchange(raw_head, role)
         else:
             for link in extract_links(body):

@@ -17,11 +17,8 @@ import random
 import threading
 from collections import namedtuple
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs
 
-from .http1 import LOGIN_PAGE, LOGOUT_PAGE, cookie_value, page_of
-
-SESSION_COOKIE = "PHPSESSID"
+from .http1 import LOGIN_FIELDS, LOGIN_PAGE, LOGOUT_PAGE, SESSION_COOKIE, cookie_value, page_of, read_login_form
 
 # username -> (password, role)
 USERS = {
@@ -117,7 +114,7 @@ class _Handler(BaseHTTPRequestHandler):
         if page == LOGIN_PAGE:
             links = (
                 f'<form method="post" action="{LOGIN_PAGE}">'
-                '<input name="username"><input name="password" type="password">'
+                f'<input name="{LOGIN_FIELDS[0]}"><input name="{LOGIN_FIELDS[1]}" type="password">'
                 '<input type="submit" value="Sign in"></form>'
             )
         self._send_page(page, links)
@@ -148,9 +145,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         length = int(self.headers.get("Content-Length", "0") or 0)
         body = self.rfile.read(length).decode("latin-1") if length else ""
-        form = parse_qs(body)
-        username = (form.get("username") or [""])[0]
-        password = (form.get("password") or [""])[0]
+        username, password = read_login_form(body)
         known = USERS.get(username)
         if known is None or known[0] != password:
             self._send_page(LOGIN_PAGE, "<p>Login failed.</p>")

@@ -33,7 +33,7 @@ from collections import namedtuple
 from datetime import datetime
 
 from .models import NavigationModel, RequestModel, is_asset
-from .http1 import RequestHead, cookie_value, goes_past_script, page_of, parse_header_block
+from .http1 import SESSION_COOKIE, RequestHead, goes_past_script, parse_header_block, request_key
 
 logger = logging.getLogger(__name__)
 
@@ -271,7 +271,7 @@ class DeviationLog:
 
 
 EnforcerConfig = namedtuple("EnforcerConfig", "session_cookie_name idle_timeout",
-                            defaults=("PHPSESSID", 1800.0))
+                            defaults=(SESSION_COOKIE, 1800.0))
 
 
 class Enforcer:
@@ -322,21 +322,8 @@ class Enforcer:
             verdict = Verdict.block(UNKNOWN_REQUEST, f"unparseable request: {exc}")
             self._record_block(identity, first_line or "<empty>", verdict)
             return verdict
-        page = page_of(head.target)
-        # derive_request_id's id: a parsed head's method is never empty
-        reqres_id = f"{head.method.upper()}_{page}"
-        # the first User-Agent, and the session cookie as extract_session_flag
-        # finds it, in one pass over the fields
-        user_agent = cookie = None
-        cookie_name = self.config.session_cookie_name
-        for name, value in head.headers:
-            lname = name.lower()
-            if lname == "user-agent":
-                if user_agent is None:
-                    user_agent = value
-            elif lname == "cookie" and cookie is None:
-                cookie = cookie_value(value, cookie_name)
-        identity = ClientIdentity(client_ip, user_agent or "")
+        reqres_id, page, cookie, user_agent = request_key(head, self.config.session_cookie_name)
+        identity = ClientIdentity(client_ip, user_agent)
 
         table = self.table
         with table.lock:

@@ -1,6 +1,7 @@
-"""HTTP/1.1 on the wire, in one module: the proxy, the crawler, the
-enforcer, the training store, the model builder and the demo app parse and
-read messages with nothing else.
+"""HTTP/1.1 on the wire, and the session rules read from it: the proxy and
+the clients read messages with nothing else; the enforcer, the training
+store and the model builder key requests by request_key; the demo app reads
+with http.server and takes its cookie, page and login rules from here.
 
 _split_head splits a head into its start line and fields;
 parse_header_block frames a request (any Transfer-Encoding refused, no
@@ -12,10 +13,11 @@ response head past any interim ones; relay passes a body by its length,
 until close, or chunked (RFC 9112 section 7.1), and reports whether the
 peer cut it short.  The bytes a Connection reads past a head or a body stay
 in its buf, where the next message starts.
-set_cookie_value and login_succeeded read what a response grants;
-LOGIN_PAGE and LOGOUT_PAGE name the pages where a session starts and ends.
-page_of names the page a request target asks for, and goes_past_script
-tells when a PHP upstream would run another one.
+SESSION_COOKIE names the session cookie by default; set_cookie_value and
+login_succeeded read what a response grants; LOGIN_PAGE and LOGOUT_PAGE
+name the pages where a session starts and ends, and LOGIN_FIELDS the login
+form's fields.  page_of names the page a request target asks for, and
+goes_past_script tells when a PHP upstream would run another one.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import re
 import time
 from collections import namedtuple
-from urllib.parse import unquote
+from urllib.parse import parse_qs, unquote
 
 
 class RequestHead(namedtuple("RequestHead", "method target version headers content_length",
@@ -41,10 +43,6 @@ class RequestHead(namedtuple("RequestHead", "method target version headers conte
             if k.lower() == lname:
                 return v
         return None
-
-    def get_all(self, name: str) -> list[str]:
-        lname = name.lower()
-        return [v for k, v in self.headers if k.lower() == lname]
 
 
 def _split_head(text: str) -> tuple[str, list[tuple[str, str]]]:
@@ -314,6 +312,14 @@ def declared_length(values: list[str]) -> int:
     return int(values[0])
 
 
+SESSION_COOKIE = "PHPSESSID"  # the session cookie's name unless another is given
+LOGIN_PAGE = "Login.php"  # a POST here with LOGIN_FIELDS logs in
+LOGOUT_PAGE = "Logout.php"
+LOGIN_FIELDS = ("username", "password")  # the login form's field names
+# what the gate checks a request by and training records it under
+RequestKey = namedtuple("RequestKey", "request_id page cookie user_agent")
+
+
 def cookie_value(cookie_header: str, name: str) -> str | None:
     """Value of the first non-empty `name=value` pair in one Cookie header
     (or one Set-Cookie pair), else None."""
@@ -324,14 +330,24 @@ def cookie_value(cookie_header: str, name: str) -> str | None:
     return None
 
 
-def extract_session_flag(head: RequestHead, session_cookie_name: str = "PHPSESSID") -> int:
-    """1 iff some Cookie header carries a non-empty pair named
-    session_cookie_name, else 0."""
-    return int(any(cookie_value(cookie_header, session_cookie_name) is not None
-                   for cookie_header in head.get_all("Cookie")))
+def request_key(head: RequestHead, session_cookie_name: str = SESSION_COOKIE) -> RequestKey:
+    """head's request id (`METHOD_page`, the method uppercased), page,
+    session cookie value (None unless a Cookie field carries a non-empty
+    one) and first User-Agent ("" if none), read in one pass over its
+    fields.  A parsed head's method is never empty."""
+    page = page_of(head.target)
+    user_agent = cookie = None
+    for name, value in head.headers:
+        lname = name.lower()
+        if lname == "user-agent":
+            if user_agent is None:
+                user_agent = value
+        elif lname == "cookie" and cookie is None:
+            cookie = cookie_value(value, session_cookie_name)
+    return RequestKey(f"{head.method.upper()}_{page}", page, cookie, user_agent or "")
 
 
-def set_cookie_value(headers, session_cookie_name: str = "PHPSESSID") -> str | None:
+def set_cookie_value(headers, session_cookie_name: str = SESSION_COOKIE) -> str | None:
     """The session cookie a response grants: the value of the first
     Set-Cookie field among (name, value) header pairs whose leading pair
     names session_cookie_name with a non-empty value, else None."""
@@ -343,24 +359,18 @@ def set_cookie_value(headers, session_cookie_name: str = "PHPSESSID") -> str | N
     return None
 
 
-LOGIN_PAGE = "Login.php"  # a POST here with username and password logs in
-LOGOUT_PAGE = "Logout.php"
+def read_login_form(body: str) -> tuple[str, str]:
+    """(username, password) of a urlencoded login POST body, "" if absent."""
+    form = parse_qs(body)
+    return tuple((form.get(name) or [""])[0] for name in LOGIN_FIELDS)
 
 
-def login_succeeded(status: int, headers, session_cookie_name: str = "PHPSESSID") -> str | None:
+def login_succeeded(status: int, headers, session_cookie_name: str = SESSION_COOKIE) -> str | None:
     """The session cookie a login response grants, or None: a login
     succeeded only when its response is a 301, 302 or 303 redirect that sets
     the session cookie.  An app that starts a session on its login page
     sets the cookie on a failed login too, and answers that with a 200."""
     return set_cookie_value(headers, session_cookie_name) if status in (301, 302, 303) else None
-
-
-def derive_request_id(method: str, url_path: str) -> str:
-    """`METHOD_page`: uppercased method, final path segment with the query
-    string dropped.  The bare root path maps to index.php."""
-    if not method:
-        raise ValueError("empty method")
-    return f"{method.upper()}_{page_of(url_path)}"
 
 
 def page_of(url_path: str) -> str:

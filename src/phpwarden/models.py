@@ -34,7 +34,7 @@ from collections import namedtuple
 from functools import cached_property
 from pathlib import Path
 
-from .http1 import derive_request_id, parse_header_block
+from .http1 import parse_header_block, request_key
 
 MODEL1_HEADER = ["sno", "convid", "reqresid", "sessionFlag", "role"]
 
@@ -158,8 +158,7 @@ def build_model(store: ProfileStore) -> tuple[RequestModel, NavigationModel]:
         raw, flag = store.read_exchange(cid)
         reqresid = reqresid_by_head.get(raw)
         if reqresid is None:
-            head = parse_header_block(raw)
-            reqresid = reqresid_by_head[raw] = derive_request_id(head.method, head.target)
+            reqresid = reqresid_by_head[raw] = request_key(parse_header_block(raw)).request_id
         rows.append(ModelRow(
             sno=sno,
             convid=cid,

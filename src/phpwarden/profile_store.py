@@ -33,7 +33,7 @@ Each exchange adds one page to its trail, so a reopened store trims each
 trail's pages to its id range: the page of an exchange whose `trails`
 write failed after its XML write is dropped with it.
 
-A recorded head is parsed, and its page named, by http1, the wire module.
+A recorded head is parsed, and keyed, by http1, as the enforcer keys it.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import os
 import re
 from pathlib import Path
 
-from .http1 import extract_session_flag, page_of, parse_header_block
+from .http1 import SESSION_COOKIE, parse_header_block, request_key
 
 
 def xml_escape(data: str, entities: dict[str, str] | None = None) -> str:
@@ -103,7 +103,7 @@ class ProfileStore:
     rebuilt from the files on open, so a store can be extended across runs.
     Page names must not contain ", " (the sequence separator)."""
 
-    def __init__(self, directory: str | Path, session_cookie_name: str = "PHPSESSID"):
+    def __init__(self, directory: str | Path, session_cookie_name: str = SESSION_COOKIE):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         # every file path is this prefix and the file's name: no Path is
@@ -178,8 +178,7 @@ class ProfileStore:
         append its page to the newest trail.  A new trail starts when the
         newest one belongs to another role or was read from disk.  Write
         failures propagate and abort the run."""
-        head = parse_header_block(request_headers)
-        flag = extract_session_flag(head, self.session_cookie_name)
+        key = request_key(parse_header_block(request_headers), self.session_cookie_name)
         if self._open is None or self._open.role != role:
             self.begin_trail(role)
         trail = self._open
@@ -187,14 +186,13 @@ class ProfileStore:
         self._next_id += 1
         _write(f"{self._prefix}{cid}_request", request_headers.encode())
         self._ids.append(cid)
-        _write(f"{self._prefix}{cid}_Srequest", str(flag).encode())
+        _write(f"{self._prefix}{cid}_Srequest", str(int(key.cookie is not None)).encode())
         if trail.first_id is None:
             trail.first_id = cid
         trail.last_id = cid
-        page = page_of(head.target)
-        escaped = xml_escape(page)
+        escaped = xml_escape(key.page)
         self._open_pages = f"{self._open_pages}, {escaped}" if trail.pages else escaped
-        trail.pages.append(page)
+        trail.pages.append(key.page)
         self._write_newest(f"{role}.xml", f"{self._xml_line(self._open_pages)}</Sequences>\n",
                            lambda: self._render_xml(role))
         self._write_newest("trails", self._index_line(trail), self._render_index)

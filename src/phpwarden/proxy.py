@@ -57,11 +57,10 @@ import socket
 import socketserver
 import threading
 import time
-from urllib.parse import parse_qs
 
 from .enforcer import LEVEL_FOR_REASON, Enforcer
-from .http1 import (LOGIN_PAGE, LOGOUT_PAGE, Connection, RequestHead, derive_request_id, login_succeeded,
-                    page_of)
+from .http1 import (LOGIN_PAGE, LOGOUT_PAGE, Connection, RequestHead, login_succeeded, page_of,
+                    read_login_form, request_key)
 
 logger = logging.getLogger(__name__)
 
@@ -276,14 +275,13 @@ class EnforcementProxy(socketserver.TCPServer):
         if page != LOGIN_PAGE and page != LOGOUT_PAGE:
             return
         enforcer = self.enforcer
-        user_agent = head.get("User-Agent") or ""
+        user_agent = request_key(head).user_agent  # the identity evaluate checked
         if page == LOGOUT_PAGE:
             enforcer.note_logout(client_ip, user_agent)
         elif head.method.upper() == "POST":
             cookie = login_succeeded(status, fields, enforcer.config.session_cookie_name)
             if cookie:
-                form = parse_qs(body.decode("latin-1"))
-                username = (form.get("username") or [""])[0]
+                username, _ = read_login_form(body.decode("latin-1"))
                 enforcer.note_login(client_ip, user_agent, username, cookie)
 
 
@@ -291,7 +289,7 @@ def _bad_gateway(sock: socket.socket, head: RequestHead, cause: str, exc: Except
     """Log the 502 with its cause, the request id and the exception text
     (never the head, which carries cookies), then send it; False, since the
     connection is shut whole, not half-closed."""
-    logger.warning("502 Bad Gateway for %s: %s: %s", derive_request_id(head.method, head.target), cause, exc)
+    logger.warning("502 Bad Gateway for %s: %s: %s", request_key(head).request_id, cause, exc)
     sock.sendall(_BAD_GATEWAY)
     return False
 

@@ -356,7 +356,9 @@ def _walk(stream: TokenStream, source: str, display_path: str,
             name = t.lexeme.lower()
             if kind is KEYWORD:
                 if name in ("function", "fn"):
-                    pending_function = True
+                    # a member or constant so named ($o->fn, Foo::function) opens no body
+                    if prev_significant is None or prev_significant.lexeme not in ("->", "?->", "::"):
+                        pending_function = True
                 elif name in INCLUDE_KEYWORDS:
                     slots.append(_handle_include(tokens, i, ctx, checklist, display_path))
             nxt = tokens[i + 1] if i + 1 < count else None

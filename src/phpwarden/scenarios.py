@@ -7,8 +7,8 @@ ignored.  Directives:
         Define a client.  Each client is a distinct (ip, user-agent)
         identity as the proxy sees it (same ip, distinct agent).
     login <client> <username> <password>
-        POST the login form through the proxy; must be forwarded, and the
-        response must grant a session cookie, which the client keeps.
+        POST the login form through the proxy; must be forwarded, and be
+        answered by a redirect setting a session cookie, which the client keeps.
     logout <client>
         Fetch the logout page through the proxy (no assertion).
     request <client> <METHOD> <path> [expect=block|don't_block] [reason=a|b]
@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .crawler import send_request
-from .http1 import LOGIN_PAGE, LOGOUT_PAGE, parse_header_block, set_cookie_value
+from .crawler import log_in, send_request
+from .http1 import LOGIN_FIELDS, LOGOUT_PAGE, parse_header_block
 from .profile_store import ProfileStore
 
 
@@ -69,13 +69,9 @@ class _Client:
     cookie: str | None = None
 
 
-def _send(addr: tuple[str, int], method: str, path: str, user_agent: str,
-          cookie: str | None = None, form: dict | None = None):
-    """One request through the proxy.  Returns (status, headers, deviation
-    reason or None)."""
-    status, headers, _, _ = send_request(addr, method, path, user_agent, cookie, form)
-    reason = next((v for k, v in headers if k.lower() == "x-deviation-reason"), None)
-    return status, headers, reason
+def _reason(headers) -> str | None:
+    """The deviation reason a response from the proxy names, else None."""
+    return next((v for k, v in headers if k.lower() == "x-deviation-reason"), None)
 
 
 def run_scenario(script: str, enforcer_addr: tuple[str, int], name: str = "scenario") -> ScenarioResult:
@@ -118,17 +114,15 @@ def run_scenario(script: str, enforcer_addr: tuple[str, int], name: str = "scena
                 raise ScenarioError(f"line {lineno}: login <client> <username> <password>")
             client = clients[args[0]]
             try:
-                status, headers, reason = _send(
-                    enforcer_addr, "POST", f"/{LOGIN_PAGE}", client.user_agent,
-                    cookie=client.cookie, form={"username": args[1], "password": args[2]},
-                )
+                status, headers, cookie = log_in(enforcer_addr, client.user_agent, args[1], args[2],
+                                                 client.cookie)
             except (OSError, ValueError) as exc:
                 fail(lineno, f"no usable response: {exc}")
                 continue
+            reason = _reason(headers)
             if reason is not None:
                 fail(lineno, f"login blocked ({reason})")
                 continue
-            cookie = set_cookie_value(headers)
             if cookie is None:
                 fail(lineno, f"login as {args[1]} got no session cookie (status {status})")
                 continue
@@ -141,7 +135,7 @@ def run_scenario(script: str, enforcer_addr: tuple[str, int], name: str = "scena
                 raise ScenarioError(f"line {lineno}: logout <client>")
             client = clients[args[0]]
             try:
-                _send(enforcer_addr, "GET", f"/{LOGOUT_PAGE}", client.user_agent, cookie=client.cookie)
+                send_request(enforcer_addr, "GET", f"/{LOGOUT_PAGE}", client.user_agent, client.cookie)
             except (OSError, ValueError) as exc:
                 fail(lineno, f"no usable response: {exc}")
                 continue
@@ -165,10 +159,11 @@ def run_scenario(script: str, enforcer_addr: tuple[str, int], name: str = "scena
                 else:
                     raise ScenarioError(f"line {lineno}: bad option {option!r}")
             try:
-                status, _, reason = _send(enforcer_addr, method, path, client.user_agent, cookie=client.cookie)
+                status, headers, _, _ = send_request(enforcer_addr, method, path, client.user_agent, client.cookie)
             except (OSError, ValueError) as exc:
                 fail(lineno, f"no usable response: {exc}")
                 continue
+            reason = _reason(headers)
             observed = "block" if reason is not None else "don't_block"
             note = f"{args[0]} {method} {path} -> {observed}" + (f" ({reason})" if reason else f" [{status}]")
             if expect is not None and observed != expect:
@@ -253,25 +248,19 @@ def replay_training(
         if role != "0":
             username, password = credentials_by_role[role]
             total += 1
-            _, headers, reason = _send(
-                enforcer_addr, "POST", f"/{LOGIN_PAGE}", agent,
-                form={"username": username, "password": password},
-            )
-            if reason is not None:
+            _, headers, cookie = log_in(enforcer_addr, agent, username, password)
+            if _reason(headers) is not None:
                 blocks += 1
                 continue
-            cookie = set_cookie_value(headers)
         for _, raw, flag in records:
             head = parse_header_block(raw)
-            form = None
-            if head.method.upper() == "POST":
-                # the only trained POST is the unauthenticated form probe
-                form = {"username": "", "password": ""}
+            # the only trained POST is the unauthenticated form probe
+            form = dict.fromkeys(LOGIN_FIELDS, "") if head.method.upper() == "POST" else None
             total += 1
-            _, _, reason = _send(
+            _, headers, _, _ = send_request(
                 enforcer_addr, head.method.upper(), head.target, agent,
                 cookie=cookie if flag else None, form=form,
             )
-            if reason is not None:
+            if _reason(headers) is not None:
                 blocks += 1
     return blocks, total

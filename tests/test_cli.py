@@ -164,6 +164,18 @@ def test_audit_vulnerable_ini_lists_violations_in_policy_order(capsys):
         assert re.fullmatch(r"\S+ = \S+ \(recommended: \S+\) - .+", line)
 
 
+@pytest.mark.parametrize("command", ["audit", "scan"])
+def test_ini_lines_the_parser_skipped_are_noted(tmp_path, capsys, command):
+    ini = tmp_path / "php.ini"
+    ini.write_text("display_errors Off\n= On\nexpose_php = Off\n")
+    argv = ["--ini", str(ini)] + (["--root", str(tmp_path)] if command == "scan" else [])
+    assert main([command, *argv]) == 1  # display_errors stays at its default, On
+    captured = capsys.readouterr()
+    assert f"note: {ini}: line 1: not a key = value entry\n" in captured.err
+    assert f"note: {ini}: line 2: empty setting name\n" in captured.err
+    assert "display_errors" in captured.out and "expose_php" not in captured.out
+
+
 def test_audit_hardened_ini_is_clean(capsys):
     rc = main(["audit", "--ini", str(FIXTURES / "php_ini" / "hardened.ini")])
     assert rc == 0

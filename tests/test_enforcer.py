@@ -1,10 +1,11 @@
 import itertools
 import logging
+import tempfile
 import threading
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phpwarden import enforcer as enforcer_module
@@ -21,6 +22,7 @@ from phpwarden.enforcer import (
     ClientIdentity,
     DeviationLog,
     Enforcer,
+    EnforcerConfig,
     Verdict,
     load_bindings,
     resolve_role,
@@ -28,8 +30,9 @@ from phpwarden.enforcer import (
     verify_level2,
     verify_request,
 )
-from phpwarden.models import ModelRow, NavigationModel, RequestModel
-from phpwarden.http1 import parse_header_block
+from phpwarden.models import ModelRow, NavigationModel, RequestModel, build_model
+from phpwarden.http1 import SESSION_COOKIE, parse_header_block
+from phpwarden.profile_store import ProfileStore
 
 from conftest import BINDINGS_TEXT, read_records
 
@@ -599,6 +602,50 @@ def test_verdict_carries_the_head_evaluate_parsed(engine):
     # the head takes no part in a verdict's equality
     assert allowed == Verdict.ok()
     assert engine.evaluate("NOT A REQUEST\r\n\r\n", "10.9.9.8").head is None
+
+
+def _mixed_case(word):
+    return st.lists(st.booleans(), min_size=len(word), max_size=len(word)).map(
+        lambda upper: "".join(c.upper() if u else c for c, u in zip(word, upper)))
+
+
+@st.composite
+def keyed_heads(draw):
+    """(raw head, session cookie name): a mixed-case method; a target with
+    a query, a fragment or a bare /, and no segment past a script; 0-3
+    Cookie fields whose session pair is present, empty, misnamed or
+    padded."""
+    name = draw(st.sampled_from([SESSION_COOKIE, "MYSESS"]))
+    method = draw(st.sampled_from(["get", "post", "head"]).flatmap(_mixed_case))
+    dirs = draw(st.lists(st.sampled_from(["app", "Admin", "v2", "a.b"]), max_size=2))
+    page = draw(st.sampled_from(["", "Home.php", "About.PHP", "index.php", "style.css", "x"]))
+    suffix = draw(st.sampled_from(["", "?q=1", "?next=/Secret.php/x", "#top", "?a=1#b/c.php/d"]))
+    target = "/" + "".join(f"{d}/" for d in dirs) + page + suffix
+    session_pair = st.sampled_from([f"{name}=abc", f"{name}=", f" {name} = abc ", f"{name}x=abc",
+                                    f"x{name}=abc", f"{name.lower()}=abc", f"{name}=  "])
+    other_pair = st.sampled_from(["theme=dark", "a=", "=b", "flag"])
+    fields = draw(st.lists(st.lists(st.one_of(session_pair, other_pair), min_size=1, max_size=3)
+                           .map("; ".join), max_size=3))
+    lines = [f"{method} {target} HTTP/1.1", "Host: app.local"]
+    lines += draw(st.sampled_from([[], ["User-Agent: agent/1"], ["user-agent: a", "User-Agent: b"]]))
+    lines += [f"Cookie: {value}" for value in fields]
+    return "\r\n".join(lines) + "\r\n\r\n", name
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(keyed_heads())
+def test_training_and_the_gate_key_a_head_alike(case):
+    # a head recorded in training and built into the model passes the gate
+    # sent as it was recorded: both read its request id, page and session
+    # flag by one rule
+    head, name = case
+    with tempfile.TemporaryDirectory() as directory:
+        store = ProfileStore(directory, session_cookie_name=name)
+        store.record_exchange(head, "0")
+        model1, model2 = build_model(store)
+    engine = Enforcer(model1, model2, {}, config=EnforcerConfig(session_cookie_name=name))
+    verdict = engine.evaluate(head, "10.0.0.1")
+    assert not verdict.blocked, verdict
 
 
 def test_idle_timeout_reverts_role(trained, tmp_path):

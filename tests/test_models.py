@@ -18,7 +18,7 @@ from phpwarden.models import (
     load_model,
     persist_model,
 )
-from phpwarden.http1 import derive_request_id, parse_header_block
+from phpwarden.http1 import parse_header_block, request_key
 from phpwarden.profile_store import ProfileStore
 
 
@@ -164,7 +164,7 @@ def test_build_model_rows_match_a_parse_per_exchange(repo_root, tmp_path, monkey
     for sno, cid in enumerate(store.recorded_ids(), start=1):
         raw, flag = store.read_exchange(cid)
         head = parse_header_block(raw)
-        expected.append(ModelRow(sno, cid, derive_request_id(head.method, head.target), flag,
+        expected.append(ModelRow(sno, cid, request_key(head).request_id, flag,
                                  store.role_of(cid)))
     model1, _ = build_model(store)
     assert len({row.reqresid for row in expected}) < len(expected)

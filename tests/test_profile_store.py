@@ -15,13 +15,13 @@ from phpwarden import http1, profile_store
 from phpwarden.http1 import (
     CHUNKED,
     Connection,
+    SESSION_COOKIE,
     cookie_value,
-    derive_request_id,
-    extract_session_flag,
     login_succeeded,
     page_of,
     parse_header_block,
     parse_response_head,
+    request_key,
     set_cookie_value,
 )
 from phpwarden.models import build_model
@@ -37,6 +37,15 @@ def head_text(target, cookie=None, method="GET"):
     return "\r\n".join(lines) + "\r\n\r\n"
 
 
+def session_flag(head, session_cookie_name=SESSION_COOKIE):
+    """The session flag record_exchange writes for head."""
+    return int(request_key(head, session_cookie_name).cookie is not None)
+
+
+def request_id(method, target):
+    return request_key(parse_header_block(head_text(target, method=method))).request_id
+
+
 # -- header parsing ---------------------------------------------------------
 
 
@@ -46,7 +55,7 @@ def test_parse_header_block_round_trip_fields():
     assert head.target == "/Home.php?x=1"
     assert head.version == "HTTP/1.1"
     assert head.get("host") == "app.local"
-    assert head.get_all("Cookie") == ["PHPSESSID=abc"]
+    assert [v for k, v in head.headers if k.lower() == "cookie"] == ["PHPSESSID=abc"]
     assert head.get("absent") is None
 
 
@@ -141,7 +150,7 @@ def test_request_head_get_is_first_match_in_any_case():
     assert head.get("USER-agent") == "first"
     assert head.get("x-a") == "1"
     assert head.get("Cookie") is None
-    assert head.get_all("User-Agent") == ["first", "second", "third"]
+    assert [v for k, v in head.headers if k.lower() == "user-agent"] == ["first", "second", "third"]
 
 
 @pytest.mark.parametrize("fields", [
@@ -169,25 +178,25 @@ def test_field_names_with_whitespace_are_refused(line):
 
 
 def test_session_flag_extraction():
-    assert extract_session_flag(parse_header_block(head_text("/a.php"))) == 0
+    assert session_flag(parse_header_block(head_text("/a.php"))) == 0
     flagged = parse_header_block(head_text("/a.php", cookie="PHPSESSID=deadbeef"))
-    assert extract_session_flag(flagged) == 1
+    assert session_flag(flagged) == 1
     # empty value is no session
     empty = parse_header_block(head_text("/a.php", cookie="PHPSESSID="))
-    assert extract_session_flag(empty) == 0
+    assert session_flag(empty) == 0
     # other cookies do not count
     other = parse_header_block(head_text("/a.php", cookie="theme=dark"))
-    assert extract_session_flag(other) == 0
+    assert session_flag(other) == 0
     # multi-pair header
     multi = parse_header_block(head_text("/a.php", cookie="theme=dark; PHPSESSID=x"))
-    assert extract_session_flag(multi) == 1
-    assert [cookie_value(c, "PHPSESSID") for c in multi.get_all("Cookie")] == ["x"]
+    assert session_flag(multi) == 1
+    assert [cookie_value(c, "PHPSESSID") for k, c in multi.headers if k.lower() == "cookie"] == ["x"]
 
 
 def test_session_flag_respects_cookie_name():
     head = parse_header_block(head_text("/a.php", cookie="MYSESS=x"))
-    assert extract_session_flag(head) == 0
-    assert extract_session_flag(head, "MYSESS") == 1
+    assert session_flag(head) == 0
+    assert session_flag(head, "MYSESS") == 1
 
 
 @pytest.mark.parametrize("headers, expected", [
@@ -542,11 +551,11 @@ def test_login_succeeded_only_on_a_redirect_that_sets_the_cookie(status, expecte
 
 
 def test_derive_request_id_examples():
-    assert derive_request_id("GET", "/app/Home.php") == "GET_Home.php"
-    assert derive_request_id("post", "/Login.php") == "POST_Login.php"
-    assert derive_request_id("GET", "/Home.php?id=3&x=1") == "GET_Home.php"
-    assert derive_request_id("GET", "/") == "GET_index.php"
-    assert derive_request_id("GET", "/a/b/c.php#frag") == "GET_c.php"
+    assert request_id("GET", "/app/Home.php") == "GET_Home.php"
+    assert request_id("post", "/Login.php") == "POST_Login.php"
+    assert request_id("GET", "/Home.php?id=3&x=1") == "GET_Home.php"
+    assert request_id("GET", "/") == "GET_index.php"
+    assert request_id("GET", "/a/b/c.php#frag") == "GET_c.php"
 
 
 @pytest.mark.parametrize("target, goes_past", [
@@ -565,7 +574,7 @@ def test_goes_past_script(target, goes_past):
 
 def test_derive_request_id_empty_method_rejected():
     with pytest.raises(ValueError):
-        derive_request_id("", "/Home.php")
+        request_id("", "/Home.php")
 
 
 def test_page_of():

@@ -20,6 +20,7 @@ from phpwarden import http1, profile_store
 from phpwarden.enforcer import LEVEL_FOR_REASON, DeviationLog, Enforcer, load_bindings
 from phpwarden.models import ModelRow, NavigationModel, RequestModel
 from phpwarden.proxy import _BLOCKED, EnforcementProxy, _error_response, serve_proxy
+from phpwarden.scenarios import run_scenario
 
 from conftest import BARE_CR_REQUEST, BINDINGS_TEXT, read_records, start_in_thread
 
@@ -249,7 +250,8 @@ def test_path_that_goes_on_past_a_script_is_blocked(path_info_rig, target):
     assert "X-Deviation-Reason: unknown_request" in head
     assert upstream.ran == []
     assert [record[2:5] for record in read_records(log_path)] == [
-        (http1.derive_request_id("GET", target), "1", "unknown_request")]
+        (http1.request_key(http1.parse_header_block(f"GET {target} HTTP/1.1\r\n\r\n")).request_id, "1",
+         "unknown_request")]
     assert status_of(get_path(addr, "/About.php")) == 200 and upstream.ran == ["About.php"]
 
 
@@ -1086,6 +1088,25 @@ def test_redirect_that_sets_the_cookie_binds_no_role_but_on_a_login_post(login_r
     assert "X-Deviation-Reason: role_mismatch" in home.split(b"\r\n\r\n", 1)[0].decode()
     assert len(upstream.received) == 1
     assert enforcer.blocked_count == 1
+
+
+@pytest.mark.parametrize("response, passed", [
+    (b"HTTP/1.1 200 OK\r\nSet-Cookie: PHPSESSID=ck; Path=/\r\nContent-Length: 5\r\n\r\nretry", False),
+    (b"HTTP/1.1 302 Found\r\nLocation: /Home.php\r\nSet-Cookie: PHPSESSID=ck; Path=/\r\n"
+     b"Content-Length: 0\r\n\r\n", True),
+], ids=["200-that-sets-the-cookie", "redirect-that-sets-the-cookie"])
+def test_scripted_login_follows_the_gates_login_rule(login_rig, response, passed):
+    # the gate binds no role on a 200 that sets the cookie, so the scenario
+    # login step must not take that for a login either
+    addr, upstream, enforcer = login_rig
+    upstream.responses += [response, CANNED_RESPONSE]
+    script = "client c login/1\nlogin c mark maplesyrup\nrequest c GET /Home.php expect=don't_block\n"
+    result = run_scenario(script, addr, name="login")
+    assert result.passed is passed, result.transcript
+    if not passed:
+        assert "FAIL line 2: login as mark got no session cookie (status 200)" in result.transcript
+    assert [head.split(b" ", 2)[:2] for head in upstream.received] == (
+        [[b"POST", b"/Login.php"], [b"GET", b"/Home.php"]] if passed else [[b"POST", b"/Login.php"]])
 
 
 def test_each_proxied_request_is_parsed_once(proxy_stack, monkeypatch):

@@ -168,6 +168,19 @@ def test_class_constant_in_a_signature_keeps_the_function_scope(tmp_path, defaul
     assert len(ctx.frames) == 1
 
 
+@pytest.mark.parametrize("condition", ["$o->function", "$o?->function", "$o->fn()", "Foo::function"])
+def test_a_member_named_function_opens_no_function_scope(tmp_path, condition):
+    # function and fn after ->, ?-> or :: name a member or constant, so the
+    # brace after them opens no function body and $y stays at file scope
+    target = tmp_path / "f.php"
+    target.write_text(f'<?php\nif ({condition}) {{ $y = $_GET["a"]; }}\necho $y;\n')
+    ctx = ScanContext()
+    [finding] = scan_file(target, CHECKLIST, ctx)
+    assert [(c.variable, c.origin(), c.line) for c in finding.children] == [("$y", "superglobal $_GET", 2)]
+    assert ctx._scopes == []
+    assert len(ctx.frames) == 1
+
+
 def test_unreadable_file_records_diagnostic(tmp_path):
     ctx = ScanContext()
     assert scan_file(tmp_path / "nope.php", CHECKLIST, ctx) == []
