@@ -31,7 +31,6 @@ def normalize_value(value: str) -> str:
 @dataclass
 class SettingsMap:
     entries: dict[str, str] = field(default_factory=dict)  # lowercased name -> normalized value
-    source_lines: dict[str, int] = field(default_factory=dict)
     diagnostics: list[str] = field(default_factory=list)
 
     def get(self, name: str) -> str | None:
@@ -59,7 +58,6 @@ def parse_ini(text: str) -> SettingsMap:
             continue
         value = value.split(";", 1)[0].strip()  # trailing comment
         settings.entries[key.lower()] = normalize_value(value)
-        settings.source_lines[key.lower()] = lineno
     return settings
 
 

@@ -22,6 +22,10 @@ Both levels read indexes compiled once from the read-only models
 (`RequestModel.roles_by_request`, `NavigationModel.nodes_by_role`), so a
 verdict is a few dict and set lookups however large the trained model is.
 The Enforcer compiles them when it is built, before the first request.
+
+The Enforcer is the one owner of session state (each client's role, last
+page and idle reset, and the cookie pins, under one lock) and of the rule
+that reads a login or logout response for it: see note_response.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ from collections import namedtuple
 from datetime import datetime
 
 from .models import NavigationModel, RequestModel, is_asset
-from .http1 import SESSION_COOKIE, RequestHead, goes_past_script, parse_header_block, request_key
+from .http1 import (LOGIN_PAGE, LOGOUT_PAGE, SESSION_COOKIE, RequestHead, goes_past_script,
+                    login_succeeded, page_of, parse_header_block, read_login_form, request_key)
 
 logger = logging.getLogger(__name__)
 
@@ -59,32 +64,31 @@ LEVEL_FOR_REASON = {
 }
 
 
-class Verdict(namedtuple("Verdict", "status reason detail head")):
-    """status and reason, with a detail for the log.  head is the
-    RequestHead evaluate() parsed (None if it did not), so no caller parses
-    it twice; equality and hashing ignore it."""
+class Verdict(namedtuple("Verdict", "reason detail head", defaults=("", None))):
+    """OK or a block reason, with a detail for the log; the status follows
+    from the reason.  head is the RequestHead evaluate() parsed (None if it
+    did not), so no caller parses it twice; equality and hashing ignore it."""
 
     __slots__ = ()
-
-    def __new__(cls, status: str, reason: str, detail: str = "", head: RequestHead | None = None):
-        if (status == DONT_BLOCK) != (reason == OK):
-            raise ValueError(f"inconsistent verdict: {status}/{reason}")
-        return tuple.__new__(cls, (status, reason, detail, head))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self[:3] == other[:3]
+        return self[:2] == other[:2]
 
     def __ne__(self, other):  # tuple's own would compare head too
         return not self == other
 
     def __hash__(self):
-        return hash(self[:3])
+        return hash(self[:2])
 
     @property
     def blocked(self) -> bool:
-        return self.status == BLOCK
+        return self.reason != OK
+
+    @property
+    def status(self) -> str:
+        return BLOCK if self.blocked else DONT_BLOCK
 
     @classmethod
     def ok(cls) -> "Verdict":
@@ -93,10 +97,10 @@ class Verdict(namedtuple("Verdict", "status reason detail head")):
 
     @classmethod
     def block(cls, reason: str, detail: str = "") -> "Verdict":
-        return cls(BLOCK, reason, detail)
+        return cls(reason, detail)
 
 
-_OK = Verdict(DONT_BLOCK, OK)
+_OK = Verdict(OK)
 
 
 def verify_level1(reqres_id: str, session_flag: int, role: str, model1: RequestModel) -> Verdict:
@@ -154,69 +158,20 @@ def verify_request(
 # -- per-client state --------------------------------------------------------
 
 
-# a client-table key: who presents a request
+# whose session state a request reads: who presents it
 ClientIdentity = namedtuple("ClientIdentity", "ip user_agent")
 
 
 class ClientState:
     """One client's role, last page and the time it was last seen; changed
-    only under ClientTable.lock."""
+    only under the Enforcer's lock."""
 
-    __slots__ = ("identity", "role", "last_page", "last_seen")
+    __slots__ = ("role", "last_page", "last_seen")
 
-    def __init__(self, identity: ClientIdentity, role: str = "0", last_page: str | None = None,
-                 last_seen: float = 0.0):
-        self.identity = identity
-        self.role = role
-        self.last_page = last_page
+    def __init__(self, last_seen: float):
+        self.role = "0"
+        self.last_page: str | None = None
         self.last_seen = last_seen
-
-
-class ClientTable:
-    """Shared client-state map.  Cookie ownership pins on first sighting;
-    idle clients fall back to role 0 after the timeout.  Every method
-    expects the caller to hold `lock`, from state_for through the update of
-    the state it returns, so that two requests of one client never
-    interleave their read-verify-update."""
-
-    def __init__(self, idle_timeout: float = 1800.0):
-        self.idle_timeout = idle_timeout
-        self._states: dict[ClientIdentity, ClientState] = {}
-        self._cookie_owner: dict[str, ClientIdentity] = {}
-        self.lock = threading.Lock()
-
-    def state_for(self, identity: ClientIdentity, now: float) -> ClientState:
-        state = self._states.get(identity)
-        if state is None:
-            state = ClientState(identity=identity, last_seen=now)
-            self._states[identity] = state
-        elif now - state.last_seen > self.idle_timeout:
-            state.role = "0"
-            state.last_page = None
-        state.last_seen = now
-        return state
-
-    def cookie_owner(self, cookie: str, presenter: ClientIdentity) -> ClientIdentity:
-        owner = self._cookie_owner.get(cookie)
-        if owner is None:
-            self._cookie_owner[cookie] = presenter
-            return presenter
-        return owner
-
-    def pin_cookie(self, cookie: str, identity: ClientIdentity) -> None:
-        self._cookie_owner[cookie] = identity
-
-
-def resolve_role(state: ClientState, login_username: str | None, bindings: dict[str, str]) -> str:
-    """Role after an optional login event: bindings decide, unknown users
-    stay unauthenticated (and are logged, but not as a deviation)."""
-    if login_username is None:
-        return state.role
-    role = bindings.get(login_username)
-    if role is None:
-        logger.warning("login by unknown username %r: treating as role 0", login_username)
-        return "0"
-    return role
 
 
 def load_bindings(text: str) -> dict[str, str]:
@@ -275,9 +230,9 @@ EnforcerConfig = namedtuple("EnforcerConfig", "session_cookie_name idle_timeout"
 
 
 class Enforcer:
-    """Stateful verifier: owns the client table and writes the deviation
-    log.  evaluate() is the one entry point on the request path; the proxy
-    calls note_login/note_logout after relaying the matching responses."""
+    """Stateful verifier and session owner; writes the deviation log.
+    evaluate() is the one entry point on the request path, and
+    note_response() reads each passed request's final response head."""
 
     def __init__(
         self,
@@ -297,12 +252,27 @@ class Enforcer:
         self.log = deviation_log
         self.config = config or EnforcerConfig()
         self.clock = clock
-        self.table = ClientTable(idle_timeout=self.config.idle_timeout)
+        # held from _state_for through the update of the state it returns,
+        # so two requests of one client never interleave read-verify-update
+        self._lock = threading.Lock()
+        self._clients: dict[ClientIdentity, ClientState] = {}
+        self._cookie_owners: dict[str, ClientIdentity] = {}
         self.blocked_count = 0
-        self._count_lock = threading.Lock()
+
+    def _state_for(self, identity: ClientIdentity, now: float) -> ClientState:
+        """identity's state, seen at now; one idle past the timeout falls
+        back to role 0 with no page history.  The caller holds _lock."""
+        state = self._clients.get(identity)
+        if state is None:
+            state = self._clients[identity] = ClientState(now)
+        elif now - state.last_seen > self.config.idle_timeout:
+            state.role = "0"
+            state.last_page = None
+        state.last_seen = now
+        return state
 
     def _record_block(self, identity: ClientIdentity, request_text: str, verdict: Verdict) -> None:
-        with self._count_lock:
+        with self._lock:
             self.blocked_count += 1
         if self.log is not None:
             self.log.record(
@@ -325,10 +295,9 @@ class Enforcer:
         reqres_id, page, cookie, user_agent = request_key(head, self.config.session_cookie_name)
         identity = ClientIdentity(client_ip, user_agent)
 
-        table = self.table
-        with table.lock:
-            state = table.state_for(identity, now)
-            owner = identity if cookie is None else table.cookie_owner(cookie, identity)
+        with self._lock:
+            state = self._state_for(identity, now)
+            owner = identity if cookie is None else self._cookie_owners.setdefault(cookie, identity)
             if owner != identity:
                 verdict = Verdict.block(IDENTITY_MISMATCH,
                                         f"session cookie pinned to {owner.ip} / {owner.user_agent}")
@@ -343,22 +312,45 @@ class Enforcer:
                     state.last_page = page
         if verdict.blocked:
             self._record_block(identity, reqres_id, verdict)
-        return Verdict(verdict.status, verdict.reason, verdict.detail, head)
+        return Verdict(verdict.reason, verdict.detail, head)
+
+    def note_response(self, client_ip: str, head: RequestHead, body: bytes, status: int,
+                      fields: list[tuple[str, str]]) -> None:
+        """Apply the session rule to the final response head of a request
+        evaluate() passed, before the client gets a byte of it, so its next
+        request cannot race it: a logout clears the client's role, and a
+        login (a POST of the form in body, answered by a redirect that sets
+        the session cookie: http1.login_succeeded) binds its user's role."""
+        page = page_of(head.target)
+        if page != LOGIN_PAGE and page != LOGOUT_PAGE:
+            return
+        user_agent = request_key(head).user_agent  # the identity evaluate checked
+        if page == LOGOUT_PAGE:
+            self.note_logout(client_ip, user_agent)
+        elif head.method.upper() == "POST":
+            cookie = login_succeeded(status, fields, self.config.session_cookie_name)
+            if cookie:
+                username, _ = read_login_form(body.decode("latin-1"))
+                self.note_login(client_ip, user_agent, username, cookie)
 
     def note_login(self, client_ip: str, user_agent: str, username: str, session_cookie: str) -> None:
-        """Called after a successful login response was relayed: bind the
-        role, pin the fresh cookie, and clear page history so the session
-        starts from an entry page."""
+        """Bind username's role (role 0, with a warning but no deviation, for
+        an unknown username), pin the fresh cookie to the client, and clear
+        its page history so the session starts from an entry page."""
+        role = self.bindings.get(username)
+        if role is None:
+            logger.warning("login by unknown username %r: treating as role 0", username)
+            role = "0"
         identity = ClientIdentity(client_ip, user_agent)
-        with self.table.lock:
-            state = self.table.state_for(identity, self.clock())
-            state.role = resolve_role(state, username, self.bindings)
+        with self._lock:
+            state = self._state_for(identity, self.clock())
+            state.role = role
             state.last_page = None
-            self.table.pin_cookie(session_cookie, identity)
+            self._cookie_owners[session_cookie] = identity
 
     def note_logout(self, client_ip: str, user_agent: str) -> None:
         identity = ClientIdentity(client_ip, user_agent)
-        with self.table.lock:
-            state = self.table.state_for(identity, self.clock())
+        with self._lock:
+            state = self._state_for(identity, self.clock())
             state.role = "0"
             state.last_page = None

@@ -177,13 +177,12 @@ class TokenStream:
     """A file's tokens and diagnostics, and its line table: line_ends holds
     the offset just past each line terminator, in order."""
 
-    __slots__ = ("tokens", "source_path", "diagnostics", "line_ends")
+    __slots__ = ("tokens", "diagnostics", "line_ends")
 
-    def __init__(self, tokens: list[Token] | None = None, source_path: str = "<source>",
+    def __init__(self, tokens: list[Token] | None = None,
                  diagnostics: list[LexDiagnostic] | None = None,
                  line_ends: list[int] | None = None) -> None:
         self.tokens = [] if tokens is None else tokens
-        self.source_path = source_path
         self.diagnostics = [] if diagnostics is None else diagnostics
         self.line_ends = [] if line_ends is None else line_ends
 
@@ -264,7 +263,7 @@ def _lex_php(src: str, pos: int, line_ends: list[int], stream: TokenStream) -> i
             return len(src)  # nothing but whitespace was left
 
 
-def tokenize(source: str | bytes, path: str = "<source>") -> TokenStream:
+def tokenize(source: str | bytes) -> TokenStream:
     """Tokenize PHP source.  Total: never raises on malformed input.
 
     Bytes are accepted as-is (decoded 1:1 so lexemes stay exact substrings
@@ -275,7 +274,7 @@ def tokenize(source: str | bytes, path: str = "<source>") -> TokenStream:
     # a token's line is 1 + the number of line terminators ending at or
     # before its start
     line_ends = [m.end() for m in _NEWLINE_RE.finditer(source)]
-    stream = TokenStream(source_path=path, line_ends=line_ends)
+    stream = TokenStream(line_ends=line_ends)
     pos = 0
     while pos < len(source):
         m = _OPEN_TAG_RE.search(source, pos)

@@ -44,10 +44,9 @@ final head read after it.  The body is streamed to the client in pieces of
 at most 64 KiB: a chunked one up to its last chunk and trailer section, a
 101's or one with no length until the upstream closes.  The client's side
 is then shut at once, so the client sees the response end before the
-upstream socket closes.  A login (a redirect that sets the session cookie,
-see http1.login_succeeded) or logout response binds or clears the client's
-role once its final head arrives, before the client gets a byte of it.
-Only the responses to the login and logout pages are read for it.
+upstream socket closes.  Each final response head goes to
+Enforcer.note_response before the client gets a byte of it: the Enforcer
+owns the session and decides which response logs a client in or out.
 """
 
 from __future__ import annotations
@@ -59,8 +58,7 @@ import threading
 import time
 
 from .enforcer import LEVEL_FOR_REASON, Enforcer
-from .http1 import (LOGIN_PAGE, LOGOUT_PAGE, Connection, RequestHead, login_succeeded, page_of,
-                    read_login_form, request_key)
+from .http1 import Connection, RequestHead, request_key
 
 logger = logging.getLogger(__name__)
 
@@ -254,7 +252,7 @@ class EnforcementProxy(socketserver.TCPServer):
                 return _bad_gateway(sock, head, "timeout" if isinstance(exc, TimeoutError) else "connect", exc)
             # bind/clear the session before the client can act on the response,
             # otherwise its next request races the bookkeeping
-            self._after_relay(client_ip, head, body, status, fields)
+            self.enforcer.note_response(client_ip, head, body, status, fields)
             # the head goes in one write with the body bytes that came with
             # it: a small head sent alone waits on Nagle's algorithm.  After a
             # 101 the connection speaks another protocol, until close.
@@ -266,23 +264,6 @@ class EnforcementProxy(socketserver.TCPServer):
             # socket closes
             sock.shutdown(socket.SHUT_WR)
             return True
-
-    def _after_relay(self, client_ip: str, head: RequestHead, body: bytes, status: int,
-                     fields: list[tuple[str, str]]) -> None:
-        """Bind the client's role after a login, or clear it after a logout;
-        a response to any other page reads nothing more."""
-        page = page_of(head.target)
-        if page != LOGIN_PAGE and page != LOGOUT_PAGE:
-            return
-        enforcer = self.enforcer
-        user_agent = request_key(head).user_agent  # the identity evaluate checked
-        if page == LOGOUT_PAGE:
-            enforcer.note_logout(client_ip, user_agent)
-        elif head.method.upper() == "POST":
-            cookie = login_succeeded(status, fields, enforcer.config.session_cookie_name)
-            if cookie:
-                username, _ = read_login_form(body.decode("latin-1"))
-                enforcer.note_login(client_ip, user_agent, username, cookie)
 
 
 def _bad_gateway(sock: socket.socket, head: RequestHead, cause: str, exc: Exception) -> bool:

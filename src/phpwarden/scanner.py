@@ -476,7 +476,7 @@ def scan_file(path: str | os.PathLike, checklist: Checklist,
         except OSError as exc:
             target = exc
         else:
-            target = IncludeTarget(source, tokenize(source, path))
+            target = IncludeTarget(source, tokenize(source))
             ctx.diagnostics.extend(f"{path}:{d.line}: {d.message}" for d in target.stream.diagnostics)
         if ctx.file_stack:  # reached through an include
             ctx.include_cache[abspath] = target

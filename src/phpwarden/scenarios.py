@@ -248,7 +248,8 @@ def replay_training(
         if role != "0":
             username, password = credentials_by_role[role]
             total += 1
-            _, headers, cookie = log_in(enforcer_addr, agent, username, password)
+            _, headers, cookie = log_in(enforcer_addr, agent, username, password,
+                                        cookie_name=store.session_cookie_name)
             if _reason(headers) is not None:
                 blocks += 1
                 continue
@@ -259,7 +260,7 @@ def replay_training(
             total += 1
             _, headers, _, _ = send_request(
                 enforcer_addr, head.method.upper(), head.target, agent,
-                cookie=cookie if flag else None, form=form,
+                cookie=cookie if flag else None, form=form, cookie_name=store.session_cookie_name,
             )
             if _reason(headers) is not None:
                 blocks += 1

@@ -33,7 +33,6 @@ def test_parse_ini_key_lookup_case_insensitive():
 def test_parse_ini_later_duplicate_wins():
     settings = parse_ini("expose_php = On\nexpose_php = Off\n")
     assert settings.get("expose_php") == "Off"
-    assert settings.source_lines["expose_php"] == 2
 
 
 def test_parse_ini_strips_trailing_comment_and_quotes():

@@ -25,7 +25,6 @@ from phpwarden.enforcer import (
     EnforcerConfig,
     Verdict,
     load_bindings,
-    resolve_role,
     verify_level1,
     verify_level2,
     verify_request,
@@ -37,10 +36,10 @@ from phpwarden.profile_store import ProfileStore
 from conftest import BINDINGS_TEXT, read_records
 
 
-def raw_head(target, ua="test-agent", cookie=None, method="GET"):
+def raw_head(target, ua="test-agent", cookie=None, method="GET", cookie_name=SESSION_COOKIE):
     lines = [f"{method} {target} HTTP/1.1", "Host: app.local", f"User-Agent: {ua}"]
     if cookie:
-        lines.append(f"Cookie: PHPSESSID={cookie}")
+        lines.append(f"Cookie: {cookie_name}={cookie}")
     return "\r\n".join(lines) + "\r\n\r\n"
 
 
@@ -77,24 +76,15 @@ def toy_models():
 def test_verdict_status_reason_consistency():
     assert Verdict.ok().status == DONT_BLOCK
     assert Verdict.block(SEQUENCE_VIOLATION).blocked
-    with pytest.raises(ValueError):
-        Verdict(BLOCK, OK)
-    with pytest.raises(ValueError):
-        Verdict(DONT_BLOCK, SEQUENCE_VIOLATION)
 
 
 def test_verdict_equality_ignores_the_head():
     head = parse_header_block("GET /a.php HTTP/1.1\r\nHost: x\r\n\r\n")
-    assert Verdict(DONT_BLOCK, OK, "", head) == Verdict.ok()
-    assert not Verdict(DONT_BLOCK, OK, "", head) != Verdict.ok()
-    assert Verdict(BLOCK, ROLE_MISMATCH, "d", head) == Verdict.block(ROLE_MISMATCH, "d")
+    assert Verdict(OK, "", head) == Verdict.ok()
+    assert not Verdict(OK, "", head) != Verdict.ok()
+    assert Verdict(ROLE_MISMATCH, "d", head) == Verdict.block(ROLE_MISMATCH, "d")
     assert Verdict.block(ROLE_MISMATCH, "d") != Verdict.block(ROLE_MISMATCH, "e")
-    assert hash(Verdict(DONT_BLOCK, OK, "", head)) == hash(Verdict.ok())
-
-
-def test_verdict_unknown_request_must_block():
-    with pytest.raises(ValueError):
-        Verdict(DONT_BLOCK, UNKNOWN_REQUEST)
+    assert hash(Verdict(OK, "", head)) == hash(Verdict.ok())
 
 
 def test_passing_verdict_without_detail_is_shared():
@@ -475,27 +465,6 @@ def test_load_bindings_bad_line_numbered():
         load_bindings("mark,manager\nnonsense\n")
 
 
-def test_resolve_role_known_and_none():
-    from phpwarden.enforcer import ClientState
-
-    state = ClientState(identity=ClientIdentity("1.1.1.1", "ua"))
-    bindings = load_bindings(BINDINGS_TEXT)
-    assert resolve_role(state, "mark", bindings) == "manager"
-    assert resolve_role(state, None, bindings) == "0"
-    state.role = "employer"
-    assert resolve_role(state, None, bindings) == "employer"
-
-
-def test_resolve_role_unknown_username_warns(caplog):
-    from phpwarden.enforcer import ClientState
-
-    state = ClientState(identity=ClientIdentity("1.1.1.1", "ua"))
-    with caplog.at_level(logging.WARNING, logger="phpwarden.enforcer"):
-        role = resolve_role(state, "stranger", load_bindings(BINDINGS_TEXT))
-    assert role == "0"
-    assert any("stranger" in rec.getMessage() for rec in caplog.records)
-
-
 # -- the stateful engine ------------------------------------------------------------
 
 
@@ -669,6 +638,46 @@ def test_note_logout_resets_role(engine):
     engine.note_logout("10.0.0.1", "browser-a")
     verdict = engine.evaluate(raw_head("/Home.php", ua="browser-a", cookie="cookie-1"), "10.0.0.1")
     assert verdict.reason == ROLE_MISMATCH
+
+
+# -- the login/logout response rule, under a custom cookie name ------------------
+
+
+def mysess_engine():
+    model1, model2 = toy_models()
+    return Enforcer(model1, model2, load_bindings(BINDINGS_TEXT),
+                    config=EnforcerConfig(session_cookie_name="MYSESS"))
+
+
+def log_in_by_response(engine, method="POST", set_cookie="MYSESS=fresh; path=/"):
+    login = parse_header_block(raw_head("/Login.php", ua="browser-a", method=method))
+    engine.note_response("10.0.0.1", login, b"username=mark&password=maplesyrup", 302,
+                         [("Location", "Home.php"), ("Set-Cookie", set_cookie)])
+
+
+MYSESS_HOME = raw_head("/Home.php", ua="browser-a", cookie="fresh", cookie_name="MYSESS")
+
+
+@pytest.mark.parametrize("method, set_cookie, reason", [
+    ("POST", "MYSESS=fresh; path=/", OK),
+    ("POST", "PHPSESSID=fresh; path=/", ROLE_MISMATCH),
+    ("GET", "MYSESS=fresh; path=/", ROLE_MISMATCH),
+], ids=["post-sets-the-configured-cookie", "post-sets-another-cookie", "get"])
+def test_login_response_binds_the_role_by_the_configured_cookie_name(method, set_cookie, reason):
+    engine = mysess_engine()
+    log_in_by_response(engine, method, set_cookie)
+    # Home.php is trained for the manager with a session only; role 0 misses it
+    assert engine.evaluate(MYSESS_HOME, "10.0.0.1").reason == reason
+
+
+def test_logout_response_clears_the_role_under_a_custom_cookie_name():
+    engine = mysess_engine()
+    log_in_by_response(engine)
+    assert engine.evaluate(MYSESS_HOME, "10.0.0.1").reason == OK
+    logout = parse_header_block(raw_head("/Logout.php", ua="browser-a", cookie="fresh",
+                                         cookie_name="MYSESS"))
+    engine.note_response("10.0.0.1", logout, b"", 302, [("Location", "index.php")])
+    assert engine.evaluate(MYSESS_HOME, "10.0.0.1").reason == ROLE_MISMATCH
 
 
 def test_unknown_login_username_is_not_a_deviation(engine, tmp_path, caplog):

@@ -1,5 +1,9 @@
 import pytest
 
+from phpwarden.enforcer import Enforcer, EnforcerConfig, load_bindings
+from phpwarden.models import build_model
+from phpwarden.profile_store import ProfileStore
+from phpwarden.proxy import serve_proxy
 from phpwarden.scenarios import (
     BUILTIN_SCENARIOS,
     ScenarioError,
@@ -8,7 +12,7 @@ from phpwarden.scenarios import (
     run_scenario,
 )
 
-from conftest import CREDENTIALS
+from conftest import BINDINGS_TEXT, CREDENTIALS, start_in_thread
 
 
 # -- tokenizer ------------------------------------------------------------------
@@ -147,6 +151,36 @@ def test_replay_training_is_block_free(trained, proxy_stack):
     assert (recorded, authenticated_trails) == (36, 13)
     # replay produced no deviation records either
     assert proxy_stack.enforcer.blocked_count == 0
+
+
+def test_replay_training_speaks_the_store_cookie_name(tmp_path, keepalive_upstream):
+    # a hand-made store of an app whose session cookie is MYSESS: the login
+    # form probe, then a manager trail that presents the session cookie
+    store = ProfileStore(tmp_path / "store", "MYSESS")
+    store.record_exchange("POST /Login.php HTTP/1.1\r\nHost: app\r\nUser-Agent: crawler\r\n"
+                          "Content-Length: 19\r\n\r\n", "0")
+    for page in ("Home.php", "View.php"):
+        store.record_exchange(f"GET /{page} HTTP/1.1\r\nHost: app\r\nUser-Agent: crawler\r\n"
+                              "Cookie: MYSESS=trained\r\n\r\n", "manager")
+    model1, model2 = build_model(store)
+    enforcer = Enforcer(model1, model2, load_bindings(BINDINGS_TEXT),
+                        config=EnforcerConfig(session_cookie_name="MYSESS"))
+    page = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+    keepalive_upstream.responses += [
+        page,  # the probe's empty form fails
+        b"HTTP/1.1 302 Found\r\nLocation: Home.php\r\nSet-Cookie: MYSESS=fresh; path=/\r\n"
+        b"Content-Length: 0\r\n\r\n",  # the manager's login
+        page, page,
+    ]
+    proxy = serve_proxy(("127.0.0.1", 0), keepalive_upstream.server_address, enforcer)
+    start_in_thread(proxy)
+    try:
+        blocks, total = replay_training(store, ("127.0.0.1", proxy.server_address[1]), CREDENTIALS)
+    finally:
+        proxy.shutdown()
+        proxy.server_close()
+    assert (blocks, total) == (0, 4)
+    assert b"Cookie: MYSESS=fresh" in keepalive_upstream.received[-1]
 
 
 def test_request_answered_with_a_malformed_response_fails(keepalive_upstream):
