@@ -142,8 +142,13 @@ def _cmd_report(args) -> int:
 
 def _cmd_train(args) -> int:
     from .crawler import CrawlError
-    from .profile_store import ProfileStore
+    from .profile_store import ProfileStore, check_role
 
+    try:
+        check_role(args.role)
+    except ValueError as exc:
+        print(f"train: {exc}", file=sys.stderr)
+        return 2
     credentials = None
     if args.login_user or args.login_pass:
         if not (args.login_user and args.login_pass):

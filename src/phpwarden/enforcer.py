@@ -213,7 +213,7 @@ class DeviationLog:
             reason,
             detail,
         ]
-        line = "\t".join(f.replace("\t", " ").replace("\n", " ") for f in fields)
+        line = "\t".join(f.replace("\t", " ").replace("\n", " ").replace("\r", " ") for f in fields)
         with self._lock:
             self._fh.write(line + "\n")
 

@@ -140,55 +140,45 @@ class NavigationModel:
 
 
 def build_model(store: ProfileStore) -> tuple[RequestModel, NavigationModel]:
-    """Deterministic given the store.  Empty store is an error; so is a
-    request file with no session-flag twin (reported by id)."""
-    ids = store.recorded_ids()
-    if not ids:
-        raise ValueError(f"store {store.directory}: no recorded exchanges")
-    role_by_id: dict[int, str] = {}
-    for trail in store.trails:  # the first trail covering an id wins, as in role_of
-        if trail.first_id is not None:
-            for cid in range(trail.first_id, trail.last_id + 1):
-                role_by_id.setdefault(cid, trail.role)
+    """Deterministic given the store: rows follow the trails' id ranges,
+    each id under its trail's role.  Empty store is an error; so is an id
+    that no trail covers, or one whose files are missing (reported by id)."""
     rows: list[ModelRow] = []
     # a store repeats heads: each distinct one is parsed once (and a
     # malformed one raises on its first sight, as it would on every other)
     reqresid_by_head: dict[str, str] = {}
-    for sno, cid in enumerate(ids, start=1):
-        raw, flag = store.read_exchange(cid)
-        reqresid = reqresid_by_head.get(raw)
-        if reqresid is None:
-            reqresid = reqresid_by_head[raw] = request_key(parse_header_block(raw)).request_id
-        rows.append(ModelRow(
-            sno=sno,
-            convid=cid,
-            reqresid=reqresid,
-            session_flag=flag,
-            role=role_by_id[cid] if cid in role_by_id else store.role_of(cid),  # role_of raises
-        ))
-    model1 = RequestModel(rows=rows)
-
     nav = NavigationModel()
     for trail in store.trails:
-        if trail.first_id is None:
-            continue
-        nav.graphs.setdefault(trail.role, {})
-        nav.entries.setdefault(trail.role, [])
+        for cid in range(trail.first_id, trail.last_id + 1):
+            raw, flag = store.read_exchange(cid)
+            reqresid = reqresid_by_head.get(raw)
+            if reqresid is None:
+                reqresid = reqresid_by_head[raw] = request_key(parse_header_block(raw)).request_id
+            rows.append(ModelRow(
+                sno=len(rows) + 1,
+                convid=cid,
+                reqresid=reqresid,
+                session_flag=flag,
+                role=trail.role,
+            ))
+        entries = nav.entries.setdefault(trail.role, [])
+        graph = nav.graphs.setdefault(trail.role, {})
         pages = [p for p in trail.pages if not is_asset(p)]
-        if not pages:
-            continue
-        entries = nav.entries[trail.role]
-        if pages[0] not in entries:
+        if pages and pages[0] not in entries:
             entries.append(pages[0])
-        graph = nav.graphs[trail.role]
         for prev, nxt in zip(pages, pages[1:]):
             nexts = graph.setdefault(prev, [])
             if nxt not in nexts:
                 nexts.append(nxt)
+    orphans = set(store.recorded_ids()).difference(row.convid for row in rows)
+    if orphans:
+        raise ValueError(f"store {store.directory}: communication id {min(orphans)} not covered by any trail")
+    if not rows:
+        raise ValueError(f"store {store.directory}: no recorded exchanges")
     # canonical form: drop pages that picked up no successors
     for role in list(nav.graphs):
         nav.graphs[role] = {p: n for p, n in nav.graphs[role].items() if n}
-    return model1, nav
+    return RequestModel(rows=rows), nav
 
 
 # -- XML element naming ----------------------------------------------------

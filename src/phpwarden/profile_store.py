@@ -5,33 +5,35 @@ files, `<id>_request` (the raw request header block) and `<id>_Srequest`
 (the session flag).  Page order is kept per role in `<role>.xml` as a list
 of trails: each trail is one root-to-leaf walk of the crawl, so adjacent
 pages within a trail are real observed transitions.  A `trails` index file
-maps each trail to its role and communication-id range, which is what lets
-the model builder attribute ids to roles and a replay harness walk the
-exact training traffic again.
+maps each trail to its role and communication-id range, in id order, which
+is what lets the model builder attribute ids to roles and a replay harness
+walk the exact training traffic again.
 
 Communication ids are unique positive integers, strictly increasing across
 the life of the store (reopening continues the counter).
 
-Only the newest trail ever grows: recording under a role other than the
-newest trail's starts a new trail, and so does the first recording after
-the store is reopened, so trail id ranges never overlap.  Only the newest
-trail's text in `trails` (its line) and in its role's XML (its `<Trail>`
-line and `</Sequences>`) thus ever changes, and it only grows.  The store
-keeps the byte length of every older (sealed) trail's text, and each
-exchange writes the newest trail's text at that offset, truncating nothing,
-so the files are complete after every exchange.  The first write of a file
-by a store writes it whole to a temporary file and renames that over it,
-so a failed first write leaves the file as it was.  All text is
+A trail is made by its first exchange.  Only the newest trail ever grows:
+recording under a role other than the newest trail's starts a new trail,
+and so does the first recording after begin_trail or a reopen, so trail id
+ranges never overlap (a reopened store refuses an index where they do).  Only
+the newest trail's text in `trails` (its line) and in its role's XML (its
+`<Trail>` line and `</Sequences>`) thus ever changes, and it only grows.
+The store keeps the byte length of every older (sealed) trail's text, and
+each exchange writes the newest trail's text at that offset, truncating
+nothing, so the files are complete after every exchange.  The first write
+of a file by a store writes it whole to a temporary file and renames that
+over it, so a failed first write leaves the file as it was.  All text is
 UTF-8, and is read back with CRLF and a lone CR as LF.
 
 An exchange is written in a fixed order: `<id>_request`, `<id>_Srequest`,
 the role's XML, then the `trails` index.  A run interrupted part-way thus
 leaves at most ids that no trail covers; since a reopened store never
 extends a trail it read, no later recording covers them either.  The model
-builder refuses a store with such an id: an interrupted store fails closed.
-Each exchange adds one page to its trail, so a reopened store trims each
-trail's pages to its id range: the page of an exchange whose `trails`
-write failed after its XML write is dropped with it.
+builder refuses a store with such an id, or with a covered id whose files
+are gone: an interrupted store fails closed.  Each exchange adds one page
+to its trail, so a reopened store trims each trail's pages to its id
+range: the page of an exchange whose `trails` write failed after its XML
+write is dropped with it.
 
 A recorded head is parsed, and keyed, by http1, as the enforcer keys it.
 """
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import os
 import re
+from collections.abc import Iterator
 from pathlib import Path
 
 from .http1 import SESSION_COOKIE, parse_header_block, request_key
@@ -55,21 +58,29 @@ def xml_escape(data: str, entities: dict[str, str] | None = None) -> str:
     return data
 
 
+def check_role(role: str) -> str:
+    """role, unless it could not name a file in the store or a field of
+    `trails`: empty, `.`, `..`, or holding `/`, `\\` or a control character."""
+    if role in ("", ".", "..") or _BAD_ROLE_RE.search(role):
+        raise ValueError(f"role {role!r} is empty, . or .., or holds /, \\ or a control character")
+    return role
+
+
 class Trail:
     """One walk recorded under role: the communication ids it covers, first
-    to last (None until its first exchange), and its pages in order."""
+    to last, and its pages in order.  It is made by its first exchange."""
 
     __slots__ = ("role", "first_id", "last_id", "pages")
 
-    def __init__(self, role: str, first_id: int | None = None, last_id: int | None = None,
-                 pages: list[str] | None = None):
+    def __init__(self, role: str, first_id: int, last_id: int, pages: list[str]):
         self.role = role
         self.first_id = first_id
         self.last_id = last_id
-        self.pages = [] if pages is None else pages
+        self.pages = pages
 
 
 _REQUEST_FILE_RE = re.compile(r"^(\d+)_request$")
+_BAD_ROLE_RE = re.compile(r"[\x00-\x1f\x7f-\x9f/\\]")
 
 
 def _write(path: str, data: bytes, offset: int = 0) -> None:
@@ -115,8 +126,8 @@ class ProfileStore:
         # growing file this store has written: the `trails` index lines, and
         # per role its XML up to the newest trail
         self._sealed: dict[str, int] = {}
-        self._open_pages = ""  # the newest trail's pages, joined and escaped
-        self._open: Trail | None = None  # the newest trail, unless read from disk
+        self._open_pages = ""  # the newest recorded trail's pages, joined and escaped
+        self._open: Trail | None = None  # the newest trail, unless read or ended
         self._load()
 
     def _load(self) -> None:
@@ -129,66 +140,59 @@ class ProfileStore:
             return
         import xml.etree.ElementTree as ET  # only a reopened store parses XML
 
-        sequences: dict[str, list[list[str]]] = {}
+        # per role, its trails' pages, each taken by the role's next index line
+        sequences: dict[str, Iterator[list[str]]] = {}
         for role_file in sorted(self.directory.glob("*.xml")):
             root = ET.parse(role_file).getroot()
             role = root.get("role", role_file.stem)
-            sequences[role] = [
-                [p for p in (el.text or "").split(", ") if p] for el in root
-            ]
-        consumed: dict[str, int] = {}
-        for lineno, line in enumerate(_read(index).splitlines(), start=1):
+            sequences[role] = ([p for p in (el.text or "").split(", ") if p] for el in root)
+        # lines end at LF alone: splitlines would also end one at a U+2028 in a role
+        for lineno, line in enumerate(_read(index).split("\n"), start=1):
             if not line.strip():
                 continue
             fields = line.split("\t")
-            if len(fields) != 3:
-                raise ValueError(f"{index}: line {lineno}: expected role, first, last")
-            role, first, last = fields
-            seq_index = consumed.get(role, 0)
-            consumed[role] = seq_index + 1
-            role_seqs = sequences.get(role, [])
-            first_id, last_id = int(first), int(last)
+            try:
+                if len(fields) != 3:
+                    raise ValueError("expected role, first, last")
+                role, first_id, last_id = check_role(fields[0]), int(fields[1]), int(fields[2])
+                if not (self.trails[-1].last_id if self.trails else 0) < first_id <= last_id:
+                    raise ValueError(f"ids {first_id}-{last_id} are empty, or overlap or precede the line before")
+            except ValueError as exc:
+                raise ValueError(f"{index}: line {lineno}: {exc}") from None
             # each exchange adds one page; a page past the id range is one
             # whose exchange failed before its index line was written
-            pages = role_seqs[seq_index][:last_id - first_id + 1] if seq_index < len(role_seqs) else []
-            self._start(Trail(role=role, first_id=first_id, last_id=last_id, pages=pages))
+            pages = next(sequences.get(role, iter(())), [])[:last_id - first_id + 1]
+            self.trails.append(Trail(role, first_id, last_id, pages))
 
     # -- recording ---------------------------------------------------------
 
     def begin_trail(self, role: str) -> None:
-        """Start a new page sequence for role; subsequent exchanges recorded
-        under that role extend it."""
-        self._open = Trail(role=role)
-        self._start(self._open)
-
-    def _start(self, trail: Trail) -> None:
-        """Seal the newest trail, adding the byte length of its text to each
-        growing file this store has written, and append trail."""
-        if self.trails:
-            sealed = self.trails[-1]
-            if sealed.first_id is not None:
-                self._seal("trails", self._index_line(sealed))
-            if sealed.pages:
-                self._seal(f"{sealed.role}.xml", self._xml_line(self._open_pages))
-        self.trails.append(trail)
-        self._open_pages = xml_escape(", ".join(trail.pages)) if trail.pages else ""
+        """End the newest trail: the next exchange makes a new one."""
+        self._open = None
 
     def record_exchange(self, request_headers: str, role: str) -> int:
         """Persist one captured request under the next communication id and
-        append its page to the newest trail.  A new trail starts when the
-        newest one belongs to another role or was read from disk.  Write
-        failures propagate and abort the run."""
+        append its page to the newest trail.  A new trail starts after
+        begin_trail or a reopen, or when the newest belongs to another role.
+        Write failures propagate and abort the run."""
         key = request_key(parse_header_block(request_headers), self.session_cookie_name)
-        if self._open is None or self._open.role != role:
-            self.begin_trail(role)
-        trail = self._open
         cid = self._next_id
+        trail = self._open
+        if trail is None or trail.role != role:
+            trail = Trail(check_role(role), cid, cid, [])
         self._next_id += 1
         _write(f"{self._prefix}{cid}_request", request_headers.encode())
         self._ids.append(cid)
         _write(f"{self._prefix}{cid}_Srequest", str(int(key.cookie is not None)).encode())
-        if trail.first_id is None:
-            trail.first_id = cid
+        if trail is not self._open:
+            if self.trails:
+                # seal the newest trail, adding the byte length of its text to each
+                # growing file this store has written (none, if it was read on open)
+                sealed = self.trails[-1]
+                self._seal("trails", self._index_line(sealed))
+                self._seal(f"{sealed.role}.xml", self._xml_line(self._open_pages))
+            self._open = trail
+            self.trails.append(trail)
         trail.last_id = cid
         escaped = xml_escape(key.page)
         self._open_pages = f"{self._open_pages}, {escaped}" if trail.pages else escaped
@@ -222,7 +226,7 @@ class ProfileStore:
             _write(path, newest.encode(), offset)
 
     def _render_index(self) -> str:
-        return "".join(self._index_line(t) for t in self.trails if t.first_id is not None)
+        return "".join(map(self._index_line, self.trails))
 
     def _render_xml(self, role: str) -> str:
         lines = "".join(self._xml_line(xml_escape(", ".join(t.pages)))
@@ -240,32 +244,22 @@ class ProfileStore:
     # -- reading -----------------------------------------------------------
 
     def read_exchange(self, cid: int) -> tuple[str, int]:
-        """(raw request text, session flag) for one communication id.
-        A missing flag file is a corrupt store and is reported by id."""
+        """(raw request text, session flag) for one communication id.  A
+        missing request or flag file is a corrupt store, reported by id."""
         try:
-            flag = int(_read(f"{self._prefix}{cid}_Srequest").strip())
-        except FileNotFoundError:
-            raise ValueError(f"store {self.directory}: {cid}_request has no matching {cid}_Srequest") from None
-        return _read(f"{self._prefix}{cid}_request"), flag
+            return _read(f"{self._prefix}{cid}_request"), int(_read(f"{self._prefix}{cid}_Srequest").strip())
+        except FileNotFoundError as exc:
+            missing = os.path.basename(exc.filename)
+            raise ValueError(f"store {self.directory}: communication id {cid} has no {missing}") from None
 
     def recorded_ids(self) -> list[int]:
         """Ids with a `<id>_request` file: those listed on open, then those
         recorded since."""
         return list(self._ids)
 
-    def role_of(self, cid: int) -> str:
-        for trail in self.trails:
-            if trail.first_id is not None and trail.first_id <= cid <= trail.last_id:
-                return trail.role
-        raise ValueError(f"store {self.directory}: communication id {cid} not covered by any trail")
-
     def trail_records(self) -> list[tuple[str, list[tuple[int, str, int]]]]:
         """Per trail, in recording order: (role, [(cid, raw request, flag)]).
         This is the replay view of the store."""
-        out = []
-        for trail in self.trails:
-            if trail.first_id is None:
-                continue
-            records = [(cid, *self.read_exchange(cid)) for cid in range(trail.first_id, trail.last_id + 1)]
-            out.append((trail.role, records))
-        return out
+        return [(trail.role, [(cid, *self.read_exchange(cid))
+                              for cid in range(trail.first_id, trail.last_id + 1)])
+                for trail in self.trails]

@@ -281,7 +281,7 @@ def _walk(stream: TokenStream, source: str, display_path: str,
     # keyed by lowercase name, as the names looked up here are
     sink_index, sanitizer_index, sources = checklist.sink_index, checklist.sanitizer_index, checklist.sources
     call = _NO_CALL  # what the ( after a call's name opens
-    pending_function = False  # whether the next { opens a function body
+    pending_function = ""  # function or fn, if the next { opens its body
     prev_significant: Token | None = None
 
     def open_node(kind: str, categories: frozenset[str] = frozenset(), sink: tuple | None = None,
@@ -324,8 +324,8 @@ def _walk(stream: TokenStream, source: str, display_path: str,
                 else:
                     open_node(_GROUP, categories, sink)
                 if lexeme == "{":
-                    ctx.push_scope(pending_function)
-                    pending_function = False
+                    ctx.push_scope(pending_function != "")
+                    pending_function = ""
             elif lexeme == ",":  # ends the assignments and one-operand constructs on top
                 while (nodes[-1][0] is _ASSIGN
                        or nodes[-1][0] is _CONSTRUCT and nodes[-1][4][2] != "echo"):
@@ -334,7 +334,7 @@ def _walk(stream: TokenStream, source: str, display_path: str,
                 while nodes[-1][0] is not _GROUP:
                     end_node()
                 if lexeme == ";":
-                    pending_function = False
+                    pending_function = ""
                 elif len(nodes) > 1:
                     if nodes[-1][3] is None:
                         nodes.pop()  # a group that collects nothing
@@ -358,7 +358,7 @@ def _walk(stream: TokenStream, source: str, display_path: str,
                 if name in ("function", "fn"):
                     # a member or constant so named ($o->fn, Foo::function) opens no body
                     if prev_significant is None or prev_significant.lexeme not in ("->", "?->", "::"):
-                        pending_function = True
+                        pending_function = name
                 elif name in INCLUDE_KEYWORDS:
                     slots.append(_handle_include(tokens, i, ctx, checklist, display_path))
             nxt = tokens[i + 1] if i + 1 < count else None
@@ -390,8 +390,8 @@ def _walk(stream: TokenStream, source: str, display_path: str,
                         reads.extend(_resolve_name(name, t.line, ctx, checklist, cleared))
 
         elif kind is OPERATOR:
-            if t.lexeme == "=>":
-                pending_function = False
+            if t.lexeme == "=>" and pending_function == "fn":  # fn's body, not a default's ['k' => 1]
+                pending_function = ""
 
         elif kind is OPEN_TAG:
             if t.lexeme.startswith("<?="):  # <?= expr ?> is an echo

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from phpwarden import __version__, profile_store
+from phpwarden import __version__, cli, profile_store
 from phpwarden.cli import main
 from phpwarden.profile_store import ProfileStore
 from phpwarden.scenarios import BUILTIN_SCENARIOS
@@ -189,6 +189,19 @@ def test_train_rejects_half_credentials(tmp_path, capsys):
     ])
     assert rc == 2
     assert "--login-user and --login-pass go together" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("role", ["", "..", "../escaped", "a\tb"])
+def test_train_refuses_a_role_that_cannot_name_a_file(tmp_path, monkeypatch, capsys, role):
+    crawled = []
+    monkeypatch.setattr(cli, "crawl", lambda *args: crawled.append(args) or [])
+    store = tmp_path / "store"
+    rc = main(["train", "--role", role, "--base", "http://127.0.0.1:1", "--store", str(store)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"train: role {role!r} ") and err.count("\n") == 1
+    assert crawled == []
+    assert not store.exists()
 
 
 def test_train_unreachable_target(tmp_path, capsys):

@@ -563,6 +563,15 @@ def test_malformed_head_blocked_and_logged(engine, tmp_path):
     assert records[0][2] == "NOT A REQUEST"
 
 
+def test_a_bare_cr_in_an_unparseable_head_forges_no_log_line(engine, tmp_path):
+    # a universal-newline reader ends a line at a bare CR too
+    verdict = engine.evaluate("GET /a.php\rForged\tline HTTP/1.1\r\nHost: x\r\n\r\n", "10.0.0.1")
+    assert verdict.reason == UNKNOWN_REQUEST
+    (record,) = read_records(str(tmp_path / "deviations.log"))
+    assert len(record) == 6
+    assert record[2] == "GET /a.php Forged line HTTP/1.1"
+
+
 def test_verdict_carries_the_head_evaluate_parsed(engine):
     allowed = engine.evaluate(raw_head("/About.php", ua="head-a"), "10.9.9.8")
     assert allowed.head.target == "/About.php" and allowed.head.get("User-Agent") == "head-a"
@@ -723,12 +732,13 @@ def test_deviation_record_fields(engine, tmp_path):
 
 def test_deviation_log_flattens_tabs_and_newlines(tmp_path):
     log = DeviationLog(str(tmp_path / "d.log"))
-    log.record(0.0, ClientIdentity("1.1.1.1", "ua\twith\ttabs"), "id\nwith\nnewlines", "1", "x", "d")
+    log.record(0.0, ClientIdentity("1.1.1.1", "ua\twith\ttabs"), "id\nwith\nnewlines", "1", "x", "d\rwith\rCRs")
     log.close()
     (record,) = read_records(str(tmp_path / "d.log"))
     assert len(record) == 6
     assert record[1] == "1.1.1.1 ua with tabs"
     assert record[2] == "id with newlines"
+    assert record[5] == "d with CRs"
 
 
 def test_deviation_log_record_is_on_disk_when_record_returns(tmp_path):

@@ -160,12 +160,13 @@ def test_build_model_rows_match_a_parse_per_exchange(repo_root, tmp_path, monkey
             for page in trail:
                 store.record_exchange(f"GET /{page} HTTP/1.1\r\nHost: 127.0.0.1:8080\r\n"
                                       f"Cookie: PHPSESSID=trainer{role}\r\n\r\n", role)
+    role_by_id = {cid: role for role, records in store.trail_records() for cid, _, _ in records}
     expected = []
     for sno, cid in enumerate(store.recorded_ids(), start=1):
         raw, flag = store.read_exchange(cid)
         head = parse_header_block(raw)
         expected.append(ModelRow(sno, cid, request_key(head).request_id, flag,
-                                 store.role_of(cid)))
+                                 role_by_id[cid]))
     model1, _ = build_model(store)
     assert len({row.reqresid for row in expected}) < len(expected)
     assert model1.rows == expected

@@ -628,8 +628,9 @@ def test_trails_and_roles_survive_reload(tmp_path):
         ("manager", ["Home.php", "View.php"]),
         ("manager", ["Home.php"]),
     ]
-    assert reopened.role_of(1) == "0"
-    assert reopened.role_of(3) == "manager"
+    role_by_id = {cid: role for role, records in reopened.trail_records() for cid, _, _ in records}
+    assert role_by_id[1] == "0"
+    assert role_by_id[3] == "manager"
 
 
 def test_recording_without_begin_extends_latest_trail_for_role(tmp_path):
@@ -673,10 +674,70 @@ def test_missing_flag_file_is_reported_by_id(tmp_path):
         store.read_exchange(cid)
 
 
-def test_role_of_unknown_id_is_an_error(tmp_path):
+def test_missing_request_file_is_reported_by_id(tmp_path):
+    # an index that covers a deleted exchange fails closed
     store = ProfileStore(tmp_path)
-    with pytest.raises(ValueError, match="99"):
-        store.role_of(99)
+    for target in ("/a.php", "/b.php"):
+        store.record_exchange(head_text(target), "0")
+    (tmp_path / "2_request").unlink()
+    with pytest.raises(ValueError, match="communication id 2 has no 2_request"):
+        store.read_exchange(2)
+    with pytest.raises(ValueError, match="communication id 2 has no 2_request"):
+        build_model(ProfileStore(tmp_path))
+
+
+def test_a_trail_is_made_by_its_first_exchange(tmp_path):
+    store = ProfileStore(tmp_path)
+    store.begin_trail("0")
+    assert store.trails == []
+    store.record_exchange(head_text("/a.php"), "0")
+    store.begin_trail("manager")
+    store.begin_trail("0")
+    assert persisted(store.trails) == [("0", 1, 1, ["a.php"])]
+    store.record_exchange(head_text("/b.php"), "0")
+    assert persisted(store.trails) == [("0", 1, 1, ["a.php"]), ("0", 2, 2, ["b.php"])]
+    assert (tmp_path / "trails").read_text() == "0\t1\t1\n0\t2\t2\n"
+
+
+@pytest.mark.parametrize("index, lineno", [
+    ("0\t1\t2\n0\t2\t3\n", 2),  # overlaps the line before
+    ("0\t3\t3\n0\t1\t2\n", 2),  # comes before it
+    ("0\t1\t1\n\n0\t1\t1\n", 3),  # repeats it, past a blank line
+    ("0\t2\t1\n", 1),  # an empty range
+    ("0\t0\t1\n", 1),  # ids start at 1
+])
+def test_reopen_refuses_trail_ranges_out_of_id_order(tmp_path, index, lineno):
+    (tmp_path / "trails").write_text(index)
+    with pytest.raises(ValueError, match=f"trails: line {lineno}: ids .* overlap or precede"):
+        ProfileStore(tmp_path)
+
+
+_UNNAMEABLE_ROLES = ["", ".", "..", "../escaped", "a/b", "a\\b", "a\tb", "a\nb", "a\rb", "a\x00b", "a\x7fb", "a\x85b"]
+
+
+@pytest.mark.parametrize("role", _UNNAMEABLE_ROLES)
+def test_a_role_that_cannot_name_a_file_is_refused(tmp_path, role):
+    directory = tmp_path / "store"
+    store = ProfileStore(directory)
+    with pytest.raises(ValueError, match="^role "):
+        store.record_exchange(head_text("/a.php"), role)
+    assert os.listdir(directory) == []
+    assert os.listdir(tmp_path) == ["store"]
+    assert store.trails == [] and store.recorded_ids() == []
+
+
+# those of _UNNAMEABLE_ROLES that can sit inside one `trails` line
+@pytest.mark.parametrize("role", ["", ".", "..", "../escaped", "a/b", "a\\b", "a\x00b", "a\x7fb", "a\x85b"])
+def test_reopen_refuses_an_index_line_with_a_role_that_cannot_name_a_file(tmp_path, role):
+    (tmp_path / "trails").write_text(f"0\t1\t1\n{role}\t2\t2\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="trails: line 2: role "):
+        ProfileStore(tmp_path)
+
+
+@pytest.mark.parametrize("role", ["0", "manager", "a b", "..a", "a.", 'a"&<b', "r\xf4le", "a\u2028b"])
+def test_a_role_that_names_a_file_is_recorded(tmp_path, role):
+    ProfileStore(tmp_path).record_exchange(head_text("/a.php"), role)
+    assert persisted(ProfileStore(tmp_path).trails) == [(role, 1, 1, ["a.php"])]
 
 
 def test_custom_session_cookie_name(tmp_path):
@@ -699,7 +760,7 @@ def test_recording_under_another_role_starts_a_new_trail(tmp_path):
     assert (tmp_path / "trails").read_text() == "0\t1\t1\nmanager\t2\t2\n0\t3\t3\n"
     assert (tmp_path / "0.xml").read_text() == (
         '<Sequences role="0">\n  <Trail>a.php</Trail>\n  <Trail>c.php</Trail>\n</Sequences>\n')
-    assert [store.role_of(cid) for cid in (1, 2, 3)] == ["0", "manager", "0"]
+    assert [role for role, _ in store.trail_records()] == ["0", "manager", "0"]
     assert [[cid for cid, _, _ in records] for _, records in store.trail_records()] == [[1], [2], [3]]
     model1, _ = build_model(store)
     assert [(r.reqresid, r.session_flag, r.role) for r in model1.rows] == [
@@ -751,7 +812,8 @@ _ROLES = ["0", "manager", 'a"&<b']
 _TARGETS = ["/a.php", "/", "/b&c.php?x=1", "/<x>.php", "/d/e.php"]
 _STEPS = st.lists(st.one_of(
     st.tuples(st.just("begin"), st.sampled_from(_ROLES)),
-    st.tuples(st.just("record"), st.sampled_from(_ROLES), st.sampled_from(_TARGETS)),
+    st.tuples(st.just("record"), st.sampled_from(_ROLES), st.sampled_from(_TARGETS),
+              st.sampled_from([None, "PHPSESSID=aa"])),
     st.tuples(st.just("reopen")),
 ), max_size=25)
 
@@ -766,11 +828,15 @@ def test_store_files_equal_a_full_render_after_every_step(steps):
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
         store = ProfileStore(directory)
+        rows = []  # the model rows the steps recorded: (sno, id, request id, flag, role)
         for step in steps:
             if step[0] == "begin":
                 store.begin_trail(step[1])
             elif step[0] == "record":
-                store.record_exchange(head_text(step[2]), step[1])
+                head = head_text(step[2], cookie=step[3])
+                cid = store.record_exchange(head, step[1])
+                key = request_key(parse_header_block(head))
+                rows.append((len(rows) + 1, cid, key.request_id, int(key.cookie is not None), step[1]))
             else:
                 store = ProfileStore(directory)
             if not store.recorded_ids():
@@ -781,6 +847,8 @@ def test_store_files_equal_a_full_render_after_every_step(steps):
             for role in recorded_roles:
                 assert (directory / f"{role}.xml").read_text() == render_role_xml(store.trails, role)
             assert persisted(ProfileStore(directory).trails) == persisted(store.trails)
+            model1, _ = build_model(store)
+            assert [tuple(row) for row in model1.rows] == rows
 
 
 def test_one_more_exchange_escapes_only_its_own_page(tmp_path, monkeypatch):

@@ -156,9 +156,10 @@ def test_function_definitions_keep_scopes_paired(tmp_path):
     assert len(ctx.frames) == 1
 
 
-@pytest.mark.parametrize("default", ["1", "Foo::class"])
+@pytest.mark.parametrize("default", ["1", "Foo::class", "['k' => 1]", "array('k' => 1)"])
 def test_class_constant_in_a_signature_keeps_the_function_scope(tmp_path, default):
-    # the keyword class in ::class opens no class scope, so $x stays local to f
+    # the keyword class in ::class opens no class scope, and only fn's body
+    # starts at =>, so $x stays local to f
     target = tmp_path / "f.php"
     target.write_text(f'<?php\nfunction f($a = {default}) {{ $x = $_GET["a"]; }}\necho $x;\n')
     ctx = ScanContext()

@@ -143,9 +143,7 @@ def test_replay_training_is_block_free(trained, proxy_stack):
     blocks, total = replay_training(trained.store, proxy_stack.addr, CREDENTIALS)
     assert blocks == 0
     # 36 recorded exchanges + one login preamble per authenticated trail
-    authenticated_trails = sum(
-        1 for t in trained.store.trails if t.role != "0" and t.first_id is not None
-    )
+    authenticated_trails = sum(1 for t in trained.store.trails if t.role != "0")
     recorded = len(trained.store.recorded_ids())
     assert total == recorded + authenticated_trails
     assert (recorded, authenticated_trails) == (36, 13)
