@@ -157,6 +157,11 @@ def _cmd_train(args) -> int:
         credentials = (args.login_user, args.login_pass)
     store = ProfileStore(args.store, session_cookie_name=_session_cookie(args))
     try:
+        store.check_role(args.role)  # and its length, which the store's file system bounds
+    except ValueError as exc:
+        print(f"train: {exc}", file=sys.stderr)
+        return 2
+    try:
         visited = crawl(args.base, args.role, credentials, store)
     except CrawlError as exc:
         print(f"train: {exc}", file=sys.stderr)

@@ -37,8 +37,8 @@ from collections import namedtuple
 from datetime import datetime
 
 from .models import NavigationModel, RequestModel, is_asset
-from .http1 import (LOGIN_PAGE, LOGOUT_PAGE, SESSION_COOKIE, RequestHead, goes_past_script,
-                    login_succeeded, page_of, parse_header_block, read_login_form, request_key)
+from .http1 import (LOGIN_PAGE, LOGOUT_PAGE, SESSION_COOKIE, goes_past_script, login_succeeded,
+                    parse_header_block, read_login_form, request_key)
 
 logger = logging.getLogger(__name__)
 
@@ -64,10 +64,11 @@ LEVEL_FOR_REASON = {
 }
 
 
-class Verdict(namedtuple("Verdict", "reason detail head", defaults=("", None))):
+class Verdict(namedtuple("Verdict", "reason detail head key", defaults=("", None, None))):
     """OK or a block reason, with a detail for the log; the status follows
-    from the reason.  head is the RequestHead evaluate() parsed (None if it
-    did not), so no caller parses it twice; equality and hashing ignore it."""
+    from the reason.  head and key are the RequestHead evaluate() parsed
+    and the http1.RequestKey it made (None if it could not parse), so no
+    caller parses or keys a request twice; equality and hashing ignore them."""
 
     __slots__ = ()
 
@@ -76,7 +77,7 @@ class Verdict(namedtuple("Verdict", "reason detail head", defaults=("", None))):
             return NotImplemented
         return self[:2] == other[:2]
 
-    def __ne__(self, other):  # tuple's own would compare head too
+    def __ne__(self, other):  # tuple's own would compare head and key too
         return not self == other
 
     def __hash__(self):
@@ -175,16 +176,17 @@ class ClientState:
 
 
 def load_bindings(text: str) -> dict[str, str]:
-    """`username,role` per line; blank lines and # comments allowed."""
+    """`username,role` per line, neither empty; blank lines and # comments
+    allowed."""
     bindings: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "," not in line:
-            raise ValueError(f"bindings line {lineno}: expected username,role")
-        username, _, role = line.partition(",")
-        bindings[username.strip()] = role.strip()
+        username, comma, role = (part.strip() for part in line.partition(","))
+        if not (comma and username and role):
+            raise ValueError(f"bindings line {lineno}: expected username,role, neither empty")
+        bindings[username] = role
     return bindings
 
 
@@ -281,7 +283,7 @@ class Enforcer:
             )
 
     def evaluate(self, raw_head: str, client_ip: str) -> Verdict:
-        """Verdict, carrying the parsed head, for one raw request head from
+        """Verdict, carrying the head and key, for one raw request head from
         client_ip.  Updates client state on success; logs exactly once on block."""
         now = self.clock()
         try:
@@ -292,7 +294,8 @@ class Enforcer:
             verdict = Verdict.block(UNKNOWN_REQUEST, f"unparseable request: {exc}")
             self._record_block(identity, first_line or "<empty>", verdict)
             return verdict
-        reqres_id, page, cookie, user_agent = request_key(head, self.config.session_cookie_name)
+        key = request_key(head, self.config.session_cookie_name)
+        reqres_id, page, cookie, user_agent = key
         identity = ClientIdentity(client_ip, user_agent)
 
         with self._lock:
@@ -312,22 +315,19 @@ class Enforcer:
                     state.last_page = page
         if verdict.blocked:
             self._record_block(identity, reqres_id, verdict)
-        return Verdict(verdict.reason, verdict.detail, head)
+        return Verdict(verdict.reason, verdict.detail, head, key)
 
-    def note_response(self, client_ip: str, head: RequestHead, body: bytes, status: int,
+    def note_response(self, client_ip: str, verdict: Verdict, body: bytes, status: int,
                       fields: list[tuple[str, str]]) -> None:
-        """Apply the session rule to the final response head of a request
-        evaluate() passed, before the client gets a byte of it, so its next
-        request cannot race it: a logout clears the client's role, and a
-        login (a POST of the form in body, answered by a redirect that sets
-        the session cookie: http1.login_succeeded) binds its user's role."""
-        page = page_of(head.target)
-        if page != LOGIN_PAGE and page != LOGOUT_PAGE:
-            return
-        user_agent = request_key(head).user_agent  # the identity evaluate checked
+        """Apply the session rule to the final response head of the request
+        evaluate() passed with verdict, before the client gets a byte of it,
+        so its next request cannot race it: a logout clears the client's role,
+        and a login (a POST of the form in body, answered by a redirect that
+        sets the session cookie: http1.login_succeeded) binds its user's role."""
+        _, page, _, user_agent = verdict.key  # the identity evaluate checked
         if page == LOGOUT_PAGE:
             self.note_logout(client_ip, user_agent)
-        elif head.method.upper() == "POST":
+        elif page == LOGIN_PAGE and verdict.head.method.upper() == "POST":
             cookie = login_succeeded(status, fields, self.config.session_cookie_name)
             if cookie:
                 username, _ = read_login_form(body.decode("latin-1"))

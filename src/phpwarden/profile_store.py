@@ -121,6 +121,8 @@ class ProfileStore:
         # built per exchange
         self._prefix = os.path.join(self.directory, "")
         self.session_cookie_name = session_cookie_name
+        # the longest file name the store's file system takes
+        self._name_max = os.pathconf(self.directory, "PC_NAME_MAX")
         self.trails: list[Trail] = []
         # byte length of the sealed text (all but the newest trail) of each
         # growing file this store has written: the `trails` index lines, and
@@ -166,6 +168,14 @@ class ProfileStore:
 
     # -- recording ---------------------------------------------------------
 
+    def check_role(self, role: str) -> str:
+        """role, unless check_role refuses it or `<role>.xml.tmp`, the
+        longest file name it gives, is too long for the store's file system."""
+        if len(f"{check_role(role)}.xml.tmp".encode()) > self._name_max:
+            raise ValueError(f"role {role[:16]!r}... is too long to name a file in {self.directory} "
+                             f"({self._name_max} bytes at most)")
+        return role
+
     def begin_trail(self, role: str) -> None:
         """End the newest trail: the next exchange makes a new one."""
         self._open = None
@@ -179,7 +189,7 @@ class ProfileStore:
         cid = self._next_id
         trail = self._open
         if trail is None or trail.role != role:
-            trail = Trail(check_role(role), cid, cid, [])
+            trail = Trail(self.check_role(role), cid, cid, [])
         self._next_id += 1
         _write(f"{self._prefix}{cid}_request", request_headers.encode())
         self._ids.append(cid)
@@ -245,12 +255,18 @@ class ProfileStore:
 
     def read_exchange(self, cid: int) -> tuple[str, int]:
         """(raw request text, session flag) for one communication id.  A
-        missing request or flag file is a corrupt store, reported by id."""
+        missing request or flag file, or a flag file that holds no integer,
+        is a corrupt store, reported by id."""
         try:
-            return _read(f"{self._prefix}{cid}_request"), int(_read(f"{self._prefix}{cid}_Srequest").strip())
+            request, flag = _read(f"{self._prefix}{cid}_request"), _read(f"{self._prefix}{cid}_Srequest")
         except FileNotFoundError as exc:
             missing = os.path.basename(exc.filename)
             raise ValueError(f"store {self.directory}: communication id {cid} has no {missing}") from None
+        try:
+            return request, int(flag.strip())
+        except ValueError:
+            raise ValueError(f"store {self.directory}: communication id {cid} has a {cid}_Srequest "
+                             f"that holds no integer: {flag[:32]!r}") from None
 
     def recorded_ids(self) -> list[int]:
         """Ids with a `<id>_request` file: those listed on open, then those

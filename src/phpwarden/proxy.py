@@ -18,8 +18,8 @@ serve_forever does not wait for the workers.
 One request per connection.  Its head is read up to the first blank line,
 empty or whitespace only; one whose blank line is not a bare CRLF is
 refused, since an upstream that ends heads only at CRLF CRLF would read
-what follows as more of the head.  Enforcer.evaluate parses the request
-head once and hands it back in its verdict, before the body is read.  A
+what follows as more of the head.  Enforcer.evaluate parses and keys the
+head once and hands both back in its verdict, before the body is read.  A
 blocked request gets a 403 that names only the deviation reason at once,
 and its body, by the head's Content-Length, is then read and thrown away.
 A passing request's body is read by its Content-Length and forwarded with
@@ -38,13 +38,13 @@ proxy from being built.  Both sides of a connection are read through an
 http1.Connection, which the crawler shares.  The response head is framed
 by RFC 9112 section 6.3; one that http1 refuses is a 502, and so is an
 unreachable upstream, and each 502 is logged as a warning with its cause
-(connect, timeout or malformed response), the request id and the error,
-never the head.  A 1xx head other than 101 is relayed at once and the
-final head read after it.  The body is streamed to the client in pieces of
-at most 64 KiB: a chunked one up to its last chunk and trailer section, a
-101's or one with no length until the upstream closes.  The client's side
-is then shut at once, so the client sees the response end before the
-upstream socket closes.  Each final response head goes to
+(connect, timeout or malformed response), evaluate's request id and the
+error, never the head.  A 1xx head other than 101 is relayed at once and
+the final head read after it.  The body is streamed to the client in
+pieces of at most 64 KiB: a chunked one up to its last chunk and trailer
+section, a 101's or one with no length until the upstream closes.  The
+client's side is then shut at once, so the client sees the response end
+before the upstream socket closes.  Each final response head goes to
 Enforcer.note_response before the client gets a byte of it: the Enforcer
 owns the session and decides which response logs a client in or out.
 """
@@ -57,8 +57,8 @@ import socketserver
 import threading
 import time
 
-from .enforcer import LEVEL_FOR_REASON, Enforcer
-from .http1 import Connection, RequestHead, request_key
+from .enforcer import LEVEL_FOR_REASON, Enforcer, Verdict
+from .http1 import Connection
 
 logger = logging.getLogger(__name__)
 
@@ -227,12 +227,12 @@ class EnforcementProxy(socketserver.TCPServer):
             # the client cut short
             body: list[bytes] = []
             if conn.relay(length, body.append):
-                answered = self._forward(sock, client_address[0], head, head_bytes, b"".join(body))
+                answered = self._forward(sock, client_address[0], verdict, head_bytes, b"".join(body))
         except OSError:
             pass  # a peer went away mid-message
         return answered
 
-    def _forward(self, sock: socket.socket, client_ip: str, head: RequestHead, head_bytes: bytes,
+    def _forward(self, sock: socket.socket, client_ip: str, verdict: Verdict, head_bytes: bytes,
                  body: bytes) -> bool:
         """Send the verified request upstream and stream its response to the
         client, or answer 502 when no well-framed response head comes.  True
@@ -240,19 +240,20 @@ class EnforcementProxy(socketserver.TCPServer):
         try:
             up = self.connect_upstream()
         except OSError as exc:
-            return _bad_gateway(sock, head, "connect", exc)
+            return _bad_gateway(sock, verdict, "connect", exc)
         with up:
             upstream = Connection(up)
             try:
                 up.sendall(head_bytes + body)
-                response_head, status, fields, length = upstream.read_response_head(head.method, sock.sendall)
+                response_head, status, fields, length = upstream.read_response_head(verdict.head.method,
+                                                                                    sock.sendall)
             except ValueError as exc:
-                return _bad_gateway(sock, head, "malformed response", exc)
+                return _bad_gateway(sock, verdict, "malformed response", exc)
             except OSError as exc:
-                return _bad_gateway(sock, head, "timeout" if isinstance(exc, TimeoutError) else "connect", exc)
+                return _bad_gateway(sock, verdict, "timeout" if isinstance(exc, TimeoutError) else "connect", exc)
             # bind/clear the session before the client can act on the response,
             # otherwise its next request races the bookkeeping
-            self.enforcer.note_response(client_ip, head, body, status, fields)
+            self.enforcer.note_response(client_ip, verdict, body, status, fields)
             # the head goes in one write with the body bytes that came with
             # it: a small head sent alone waits on Nagle's algorithm.  After a
             # 101 the connection speaks another protocol, until close.
@@ -266,11 +267,11 @@ class EnforcementProxy(socketserver.TCPServer):
             return True
 
 
-def _bad_gateway(sock: socket.socket, head: RequestHead, cause: str, exc: Exception) -> bool:
-    """Log the 502 with its cause, the request id and the exception text
-    (never the head, which carries cookies), then send it; False, since the
-    connection is shut whole, not half-closed."""
-    logger.warning("502 Bad Gateway for %s: %s: %s", request_key(head).request_id, cause, exc)
+def _bad_gateway(sock: socket.socket, verdict: Verdict, cause: str, exc: Exception) -> bool:
+    """Log the 502 with its cause, verdict's request id and the exception
+    text (never the head, which carries cookies), then send it; False, since
+    the connection is shut whole, not half-closed."""
+    logger.warning("502 Bad Gateway for %s: %s: %s", verdict.key.request_id, cause, exc)
     sock.sendall(_BAD_GATEWAY)
     return False
 

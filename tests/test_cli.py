@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from phpwarden import __version__, cli, profile_store
+from phpwarden import __version__, cli, profile_store, proxy
 from phpwarden.cli import main
 from phpwarden.profile_store import ProfileStore
 from phpwarden.scenarios import BUILTIN_SCENARIOS
@@ -204,6 +204,18 @@ def test_train_refuses_a_role_that_cannot_name_a_file(tmp_path, monkeypatch, cap
     assert not store.exists()
 
 
+def test_train_refuses_a_role_too_long_to_name_a_file(tmp_path, monkeypatch, capsys):
+    crawled = []
+    monkeypatch.setattr(cli, "crawl", lambda *args: crawled.append(args) or [])
+    store = tmp_path / "store"
+    rc = main(["train", "--role", "r" * 300, "--base", "http://127.0.0.1:1", "--store", str(store)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"train: role {'r' * 16!r}... is too long to name a file in ") and err.count("\n") == 1
+    assert crawled == []
+    assert os.listdir(store) == []
+
+
 def test_train_unreachable_target(tmp_path, capsys):
     rc = main(["train", "--role", "0", "--base", "http://127.0.0.1:1", "--store", str(tmp_path)])
     assert rc == 1
@@ -324,6 +336,25 @@ def test_enforce_unwritable_log_is_reported_at_start(tmp_path, capsys):
     ])
     assert rc == 1
     assert capsys.readouterr().err.startswith("enforce:")
+
+
+@pytest.mark.parametrize("line", ["mark,", ",manager"])
+def test_enforce_refuses_bindings_with_an_empty_username_or_role(tmp_path, capsys, monkeypatch, line):
+    # a proxy that started would serve until killed
+    monkeypatch.setattr(proxy, "serve_proxy", lambda *args: pytest.fail("the proxy was built"))
+    models = tmp_path / "models"
+    models.mkdir()
+    (models / "requests.csv").write_text("sno,convid,reqresid,sessionFlag,role\n1,1,GET_About.php,0,0\n")
+    (models / "0.xml").write_text('<Pages entry="About.php" />\n')
+    (tmp_path / "bindings.txt").write_text(f"emma,employer\n{line}\n")
+    rc = main([
+        "enforce", "--models", str(models),
+        "--listen", "127.0.0.1:0", "--upstream", "127.0.0.1:1",
+        "--bindings", str(tmp_path / "bindings.txt"),
+        "--log", str(tmp_path / "deviations.log"),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == "enforce: bindings line 2: expected username,role, neither empty\n"
 
 
 def test_enforce_unresolvable_upstream_is_reported_at_start(tmp_path, capsys, monkeypatch):

@@ -30,7 +30,7 @@ from phpwarden.enforcer import (
     verify_request,
 )
 from phpwarden.models import ModelRow, NavigationModel, RequestModel, build_model
-from phpwarden.http1 import SESSION_COOKIE, parse_header_block
+from phpwarden.http1 import SESSION_COOKIE, parse_header_block, request_key
 from phpwarden.profile_store import ProfileStore
 
 from conftest import BINDINGS_TEXT, read_records
@@ -85,6 +85,21 @@ def test_verdict_equality_ignores_the_head():
     assert Verdict(ROLE_MISMATCH, "d", head) == Verdict.block(ROLE_MISMATCH, "d")
     assert Verdict.block(ROLE_MISMATCH, "d") != Verdict.block(ROLE_MISMATCH, "e")
     assert hash(Verdict(OK, "", head)) == hash(Verdict.ok())
+
+
+def test_verdict_equality_ignores_the_key():
+    head = parse_header_block("GET /a.php HTTP/1.1\r\nHost: x\r\n\r\n")
+    verdict = Verdict(OK, "", head, request_key(head))
+    assert verdict == Verdict.ok() and not verdict != Verdict.ok()
+    assert hash(verdict) == hash(Verdict.ok())
+
+
+def test_evaluate_hands_on_the_key_it_made_by_the_configured_cookie_name():
+    verdict = mysess_engine().evaluate(MYSESS_HOME, "10.0.0.1")
+    assert verdict.key == request_key(verdict.head, "MYSESS")
+    assert verdict.key == ("GET_Home.php", "Home.php", "fresh", "browser-a")
+    unparseable = mysess_engine().evaluate("GET /Home.php HTTP/1.1\r\nno colon\r\n\r\n", "10.0.0.1")
+    assert unparseable.reason == UNKNOWN_REQUEST and unparseable.head is None and unparseable.key is None
 
 
 def test_passing_verdict_without_detail_is_shared():
@@ -465,6 +480,14 @@ def test_load_bindings_bad_line_numbered():
         load_bindings("mark,manager\nnonsense\n")
 
 
+@pytest.mark.parametrize("line", ["mark,", ",manager", " , ", "mark , "],
+                         ids=["no-role", "no-username", "neither", "blank-role"])
+def test_load_bindings_refuses_an_empty_username_or_role(line):
+    # a user bound to role "" would pass no model's level 1 once logged in
+    with pytest.raises(ValueError, match="^bindings line 2: expected username,role, neither empty$"):
+        load_bindings(f"emma,employer\n{line}\n")
+
+
 # -- the stateful engine ------------------------------------------------------------
 
 
@@ -658,8 +681,14 @@ def mysess_engine():
                     config=EnforcerConfig(session_cookie_name="MYSESS"))
 
 
+def passed(raw, cookie_name="MYSESS"):
+    """The passing verdict evaluate() gives raw, with the key it makes."""
+    head = parse_header_block(raw)
+    return Verdict(OK, "", head, request_key(head, cookie_name))
+
+
 def log_in_by_response(engine, method="POST", set_cookie="MYSESS=fresh; path=/"):
-    login = parse_header_block(raw_head("/Login.php", ua="browser-a", method=method))
+    login = passed(raw_head("/Login.php", ua="browser-a", method=method))
     engine.note_response("10.0.0.1", login, b"username=mark&password=maplesyrup", 302,
                          [("Location", "Home.php"), ("Set-Cookie", set_cookie)])
 
@@ -683,8 +712,7 @@ def test_logout_response_clears_the_role_under_a_custom_cookie_name():
     engine = mysess_engine()
     log_in_by_response(engine)
     assert engine.evaluate(MYSESS_HOME, "10.0.0.1").reason == OK
-    logout = parse_header_block(raw_head("/Logout.php", ua="browser-a", cookie="fresh",
-                                         cookie_name="MYSESS"))
+    logout = passed(raw_head("/Logout.php", ua="browser-a", cookie="fresh", cookie_name="MYSESS"))
     engine.note_response("10.0.0.1", logout, b"", 302, [("Location", "index.php")])
     assert engine.evaluate(MYSESS_HOME, "10.0.0.1").reason == ROLE_MISMATCH
 

@@ -686,6 +686,21 @@ def test_missing_request_file_is_reported_by_id(tmp_path):
         build_model(ProfileStore(tmp_path))
 
 
+@pytest.mark.parametrize("flag", ["x", "", "1.0"])
+def test_flag_file_that_holds_no_integer_is_reported_by_id(tmp_path, flag):
+    store = ProfileStore(tmp_path)
+    for target in ("/a.php", "/b.php"):
+        store.record_exchange(head_text(target), "0")
+    (tmp_path / "2_Srequest").write_text(flag)
+    message = f"store {tmp_path}: communication id 2 has a 2_Srequest that holds no integer: {flag!r}"
+    with pytest.raises(ValueError) as raised:
+        store.read_exchange(2)
+    assert str(raised.value) == message
+    with pytest.raises(ValueError) as raised:
+        build_model(ProfileStore(tmp_path))
+    assert str(raised.value) == message
+
+
 def test_a_trail_is_made_by_its_first_exchange(tmp_path):
     store = ProfileStore(tmp_path)
     store.begin_trail("0")
@@ -712,7 +727,8 @@ def test_reopen_refuses_trail_ranges_out_of_id_order(tmp_path, index, lineno):
         ProfileStore(tmp_path)
 
 
-_UNNAMEABLE_ROLES = ["", ".", "..", "../escaped", "a/b", "a\\b", "a\tb", "a\nb", "a\rb", "a\x00b", "a\x7fb", "a\x85b"]
+_UNNAMEABLE_ROLES = ["", ".", "..", "../escaped", "a/b", "a\\b", "a\tb", "a\nb", "a\rb", "a\x00b", "a\x7fb", "a\x85b",
+                     pytest.param("r" * 300, id="r*300")]
 
 
 @pytest.mark.parametrize("role", _UNNAMEABLE_ROLES)

@@ -1131,6 +1131,74 @@ def test_each_proxied_request_is_parsed_once(proxy_stack, monkeypatch):
     assert len(calls) == len(requests)
 
 
+def test_each_proxied_request_is_keyed_once(keepalive_upstream, tmp_path, monkeypatch, caplog):
+    # a login, a page, a logout, a blocked page and a 502: evaluate keys each
+    # request, and the session rule and the 502 log read that key; page_of
+    # runs only inside it
+    keys, stray_pages = [], []
+    inside = threading.local()
+    original_key, original_page = http1.request_key, http1.page_of
+
+    def counted_key(*args):
+        keys.append(args[0].target)
+        inside.depth = getattr(inside, "depth", 0) + 1
+        try:
+            return original_key(*args)
+        finally:
+            inside.depth -= 1
+
+    def counted_page(target):
+        if not getattr(inside, "depth", 0):
+            stray_pages.append(target)
+        return original_page(target)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("phpwarden"):
+            for attr, original, counted in (("request_key", original_key, counted_key),
+                                            ("page_of", original_page, counted_page)):
+                if getattr(module, attr, None) is original:
+                    monkeypatch.setattr(module, attr, counted)
+    triples = [("POST_Login.php", 0, "0"), ("GET_About.php", 0, "0"),
+               ("GET_Home.php", 1, "manager"), ("GET_Logout.php", 1, "manager")]
+    model1 = RequestModel(rows=[ModelRow(sno=i, convid=i, reqresid=reqresid, session_flag=flag, role=role)
+                                for i, (reqresid, flag, role) in enumerate(triples, start=1)])
+    model2 = NavigationModel(graphs={"0": {}, "manager": {"Home.php": ["Logout.php"]}},
+                             entries={"0": ["Login.php", "About.php"], "manager": ["Home.php"]})
+    enforcer = Enforcer(model1, model2, load_bindings(BINDINGS_TEXT),
+                        DeviationLog(str(tmp_path / "deviations.log")))
+    proxy = serve_proxy(("127.0.0.1", 0), keepalive_upstream.server_address, enforcer)
+    start_in_thread(proxy)
+    addr = proxy.server_address
+    keepalive_upstream.responses += [
+        b"HTTP/1.1 302 Found\r\nLocation: /Home.php\r\nSet-Cookie: PHPSESSID=ck; Path=/\r\n"
+        b"Content-Length: 0\r\n\r\n",
+        CANNED_RESPONSE,
+        b"HTTP/1.1 302 Found\r\nLocation: /index.php\r\nContent-Length: 0\r\n\r\n",
+    ]
+    get = b"GET /%s HTTP/1.1\r\nHost: x\r\nUser-Agent: key/1\r\nCookie: PHPSESSID=ck\r\n\r\n"
+    body = b"username=mark&password=maplesyrup"
+    try:
+        login = (b"POST /Login.php HTTP/1.1\r\nHost: x\r\nUser-Agent: key/1\r\n"
+                 b"Content-Length: %d\r\n\r\n" % len(body) + body)
+        statuses = [status_of(send_raw(addr, request))
+                    for request in (login, get % b"Home.php", get % b"Logout.php", get % b"Home.php")]
+        keepalive_upstream.shutdown()
+        keepalive_upstream.server_close()  # now refuses connections
+        with caplog.at_level(logging.WARNING, logger="phpwarden.proxy"):
+            statuses.append(status_of(send_raw(addr, b"GET /About.php HTTP/1.1\r\nHost: x\r\n"
+                                                     b"User-Agent: key/1\r\n\r\n")))
+    finally:
+        proxy.shutdown()
+        proxy.server_close()
+        enforcer.log.close()
+    # the login bound the manager, and the logout cleared the binding
+    assert statuses == [302, 200, 302, 403, 502]
+    assert keys == ["/Login.php", "/Home.php", "/Logout.php", "/Home.php", "/About.php"]
+    assert stray_pages == []
+    records = [record.getMessage() for record in caplog.records if record.name == "phpwarden.proxy"]
+    assert len(records) == 1 and "502 Bad Gateway for GET_About.php: connect: " in records[0], records
+
+
 def test_whitespace_only_line_ends_the_head_while_the_client_keeps_its_side_open(framing_rig):
     # a line of whitespace ends the head for the parser but is no CRLF
     # blank line, so the head is refused at once, not read on until timeout
