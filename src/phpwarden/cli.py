@@ -1,8 +1,12 @@
 """Command-line entry point.
 
 Exit codes: 0 success; 1 when the subcommand found what it guards against
-(vulnerabilities, misconfigurations, failed scenarios) or hit an
-operational error; 2 usage errors.
+(vulnerabilities, misconfigurations, failed scenarios); 2 usage errors.
+A command raises rather than prints what stops it, and main alone turns
+that into a message and an exit code: `<command>: <message>` on stderr and
+exit 2 for a UsageError, exit 1 for an OSError or ValueError (an input it
+cannot read, an output it cannot write, an address it cannot use).  Any
+other exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -13,6 +17,10 @@ import sys
 from pathlib import Path
 
 from . import __version__
+
+
+class UsageError(Exception):
+    """The command line asks for something the command cannot do: exit 2."""
 
 
 # Each command imports the modules it runs inside its own function, so a
@@ -87,20 +95,13 @@ def _cmd_scan(args) -> int:
     from .scanner import scan_project
 
     if not Path(args.root).is_dir():
-        print(f"scan: --root {args.root} is not a directory", file=sys.stderr)
-        return 2
+        raise UsageError(f"--root {args.root} is not a directory")
     try:
         checklist = _load_checklist_arg(args.checklist)
     except (ChecklistError, OSError) as exc:
         print(f"checklist: {exc}", file=sys.stderr)
         return 1
-    misconfigs = []
-    if args.ini:
-        try:
-            misconfigs = _audit_ini(args.ini, args.policy)
-        except (OSError, ValueError) as exc:
-            print(f"scan: {exc}", file=sys.stderr)
-            return 1
+    misconfigs = _audit_ini(args.ini, args.policy) if args.ini else []
     result = scan_project(args.root, checklist)
     app_name = args.app_name or os.path.basename(os.path.abspath(args.root))
     report = build_report(result, misconfigs, app_name)
@@ -115,11 +116,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    try:
-        misconfigs = _audit_ini(args.ini, args.policy)
-    except (OSError, ValueError) as exc:
-        print(f"audit: {exc}", file=sys.stderr)
-        return 1
+    misconfigs = _audit_ini(args.ini, args.policy)
     if not misconfigs:
         print("No misconfigurations detected.")
         return 0
@@ -131,41 +128,28 @@ def _cmd_audit(args) -> int:
 def _cmd_report(args) -> int:
     from .report import parse_structured, render
 
-    try:
-        report = parse_structured(Path(args.data).read_text())
-    except (ValueError, OSError) as exc:
-        print(f"report: {exc}", file=sys.stderr)
-        return 1
-    print(render(report))
+    print(render(parse_structured(Path(args.data).read_text())))
     return 0
 
 
 def _cmd_train(args) -> int:
-    from .crawler import CrawlError
     from .profile_store import ProfileStore, check_role
 
     try:
         check_role(args.role)
     except ValueError as exc:
-        print(f"train: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(exc)
     credentials = None
     if args.login_user or args.login_pass:
         if not (args.login_user and args.login_pass):
-            print("train: --login-user and --login-pass go together", file=sys.stderr)
-            return 2
+            raise UsageError("--login-user and --login-pass go together")
         credentials = (args.login_user, args.login_pass)
     store = ProfileStore(args.store, session_cookie_name=_session_cookie(args))
     try:
         store.check_role(args.role)  # and its length, which the store's file system bounds
     except ValueError as exc:
-        print(f"train: {exc}", file=sys.stderr)
-        return 2
-    try:
-        visited = crawl(args.base, args.role, credentials, store)
-    except CrawlError as exc:
-        print(f"train: {exc}", file=sys.stderr)
-        return 1
+        raise UsageError(exc)
+    visited = crawl(args.base, args.role, credentials, store)
     print(f"role {args.role}: visited {len(visited)} pages, "
           f"{len(store.recorded_ids())} exchanges in store")
     for page in visited:
@@ -178,13 +162,8 @@ def _cmd_build_model(args) -> int:
     from .profile_store import ProfileStore
 
     if not Path(args.store).is_dir():
-        print(f"build-model: no store directory at {args.store}", file=sys.stderr)
-        return 1
-    try:
-        model1, model2 = build_model(ProfileStore(args.store))
-    except ValueError as exc:
-        print(f"build-model: {exc}", file=sys.stderr)
-        return 1
+        raise FileNotFoundError(f"no store directory at {args.store}")
+    model1, model2 = build_model(ProfileStore(args.store))
     persist_model(model1, model2, args.out)
     roles = ", ".join(model2.entries) or "none"
     print(f"{len(model1.rows)} rows ({len(model1.triples())} distinct), roles: {roles}")
@@ -200,13 +179,9 @@ def _cmd_enforce(args) -> int:
     from .proxy import serve_proxy
 
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    try:
-        model1, model2 = load_model(args.models)
-        bindings = load_bindings(Path(args.bindings).read_text())
-        log = DeviationLog(args.log)
-    except (ValueError, OSError) as exc:
-        print(f"enforce: {exc}", file=sys.stderr)
-        return 1
+    model1, model2 = load_model(args.models)
+    bindings = load_bindings(Path(args.bindings).read_text())
+    log = DeviationLog(args.log)
     config = EnforcerConfig(
         session_cookie_name=_session_cookie(args),
         idle_timeout=args.idle_timeout,
@@ -214,15 +189,11 @@ def _cmd_enforce(args) -> int:
     enforcer = Enforcer(model1, model2, bindings, log, config)
     try:
         proxy = serve_proxy(args.listen, args.upstream, enforcer)
-    except socket.gaierror as exc:
-        log.close()
-        print(f"enforce: cannot resolve upstream {args.upstream[0]}:{args.upstream[1]}: {exc}",
-              file=sys.stderr)
-        return 1
     except OSError as exc:
         log.close()
-        print(f"enforce: cannot listen on {args.listen[0]}:{args.listen[1]}: {exc}", file=sys.stderr)
-        return 1
+        if isinstance(exc, socket.gaierror):
+            raise OSError(f"cannot resolve upstream {args.upstream[0]}:{args.upstream[1]}: {exc}")
+        raise OSError(f"cannot listen on {args.listen[0]}:{args.listen[1]}: {exc}")
     print(f"enforcing on {args.listen[0]}:{args.listen[1]} -> "
           f"upstream {args.upstream[0]}:{args.upstream[1]}; deviations: {args.log}")
     try:
@@ -241,8 +212,7 @@ def _cmd_serve_demo(args) -> int:
     try:
         app = serve_app(args.listen, seed=args.seed)
     except OSError as exc:
-        print(f"serve-demo: cannot listen on {args.listen[0]}:{args.listen[1]}: {exc}", file=sys.stderr)
-        return 1
+        raise OSError(f"cannot listen on {args.listen[0]}:{args.listen[1]}: {exc}")
     print(f"demo app on http://{args.listen[0]}:{app.server_address[1]}/ (seed {args.seed})")
     try:
         app.serve_forever()
@@ -260,14 +230,14 @@ def _cmd_scenario(args) -> int:
         for name in BUILTIN_SCENARIOS:
             print(name)
         return 0
+    if args.enforcer is None:
+        raise UsageError("--enforcer is required unless --list")
     if bool(args.name) == bool(args.file):
-        print("scenario: give exactly one of --name or --file", file=sys.stderr)
-        return 2
+        raise UsageError("give exactly one of --name or --file")
     if args.name:
         script = BUILTIN_SCENARIOS.get(args.name)
         if script is None:
-            print(f"scenario: unknown scenario {args.name!r} (see --list)", file=sys.stderr)
-            return 2
+            raise UsageError(f"unknown scenario {args.name!r} (see --list)")
         title = args.name
     else:
         script = Path(args.file).read_text()
@@ -275,8 +245,7 @@ def _cmd_scenario(args) -> int:
     try:
         result = run_scenario(script, args.enforcer, name=title)
     except ScenarioError as exc:
-        print(f"scenario: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(exc)
     for line in result.transcript:
         print(line)
     return 0 if result.passed else 1
@@ -349,10 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "scenario" and not args.list and args.enforcer is None:
-        print("scenario: --enforcer is required unless --list", file=sys.stderr)
-        return 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (UsageError, OSError, ValueError) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":

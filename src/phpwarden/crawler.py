@@ -37,8 +37,9 @@ _HREF_RE = re.compile(r'href="([^"#\x00-\x20\x7f]+)"')
 _PAGE_BUDGET = 10_000
 
 
-class CrawlError(Exception):
-    pass
+class CrawlError(ValueError):
+    """A crawl that cannot go on; a ValueError, as is any other input the
+    CLI cannot use."""
 
 
 def extract_links(html: str) -> list[str]:

@@ -145,7 +145,10 @@ class ProfileStore:
         # per role, its trails' pages, each taken by the role's next index line
         sequences: dict[str, Iterator[list[str]]] = {}
         for role_file in sorted(self.directory.glob("*.xml")):
-            root = ET.parse(role_file).getroot()
+            try:
+                root = ET.parse(role_file).getroot()
+            except ET.ParseError as exc:
+                raise ValueError(f"{role_file}: {exc}") from None
             role = root.get("role", role_file.stem)
             sequences[role] = ([p for p in (el.text or "").split(", ") if p] for el in root)
         # lines end at LF alone: splitlines would also end one at a U+2028 in a role

@@ -123,8 +123,9 @@ def _array(items: list[str], indent: str) -> str:
 
 
 def parse_structured(text: str) -> Report:
-    """Inverse of render_structured.  Raises ValueError on a bad header or
-    unsupported version."""
+    """Inverse of render_structured.  Raises ValueError on a bad header, an
+    unsupported version, or a body that is not a report: not a JSON object,
+    or one with a field missing, unknown, or of the wrong shape."""
     from .config_audit import Misconfiguration  # a scan without --ini loads no config_audit
 
     header, _, body = text.partition("\n")
@@ -134,16 +135,23 @@ def parse_structured(text: str) -> Report:
     if int(parts[1]) != STRUCTURED_VERSION:
         raise ValueError(f"unsupported report version {parts[1]}")
     doc = json.loads(body)
-    findings = [
-        Finding(**{**f, "children": tuple(TaintedParam(**c) for c in f["children"])})
-        for f in doc["findings"]
-    ]
-    return Report(**{
-        **doc,
-        "scan_timestamp": datetime.fromisoformat(doc["scan_timestamp"]),
-        "findings": findings,
-        "misconfigurations": [Misconfiguration(**m) for m in doc["misconfigurations"]],
-    })
+    if not isinstance(doc, dict):
+        raise ValueError(f"report body is a JSON {type(doc).__name__}, not an object")
+    try:
+        findings = [
+            Finding(**{**f, "children": tuple(TaintedParam(**c) for c in f["children"])})
+            for f in doc["findings"]
+        ]
+        return Report(**{
+            **doc,
+            "scan_timestamp": datetime.fromisoformat(doc["scan_timestamp"]),
+            "findings": findings,
+            "misconfigurations": [Misconfiguration(**m) for m in doc["misconfigurations"]],
+        })
+    except KeyError as exc:
+        raise ValueError(f"report lacks field {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"not a report: {exc}") from None
 
 
 def write_report(report: Report, out_path: str, text: str | None = None) -> tuple[str, str]:

@@ -378,6 +378,59 @@ def test_enforce_unresolvable_upstream_is_reported_at_start(tmp_path, capsys, mo
     assert capsys.readouterr().err.startswith("enforce: cannot resolve upstream no-such-host.invalid:8008: ")
 
 
+def unusable_input(case: str, tmp_path: Path) -> list[str]:
+    """argv of a command given something it cannot read, write or use."""
+    store = tmp_path / "store"
+    train = ["train", "--role", "0", "--base", "http://127.0.0.1:1", "--store", str(store)]
+    if case == "train-store-is-a-file":
+        store.write_text("")
+        return train
+    if case == "train-refused-index-line":
+        store.mkdir()
+        (store / "trails").write_text("0\tx\t1\n")
+        return train
+    if case in ("train-cut-role-file", "build-model-cut-role-file"):
+        ProfileStore(store).record_exchange("GET /a.php HTTP/1.1\r\nHost: x\r\n\r\n", "0")
+        role_xml = (store / "0.xml").read_bytes()
+        (store / "0.xml").write_bytes(role_xml[:len(role_xml) // 2])
+        if case == "train-cut-role-file":
+            return train
+        return ["build-model", "--store", str(store), "--out", str(tmp_path / "models")]
+    if case == "scenario-missing-file":
+        return ["scenario", "--enforcer", "127.0.0.1:1", "--file", str(tmp_path / "absent.scn")]
+    if case == "scan-out-in-a-missing-directory":
+        return ["scan", "--root", str(FIXTURES / "bookstore"), "--out", str(tmp_path / "absent" / "r.txt")]
+    assert case == "report-body-not-a-report"
+    (tmp_path / "r.data").write_text("phpwarden-report 1\n{}\n")
+    return ["report", "--data", str(tmp_path / "r.data")]
+
+
+@pytest.mark.parametrize("case", [
+    "train-store-is-a-file", "train-refused-index-line", "scenario-missing-file",
+    "scan-out-in-a-missing-directory", "build-model-cut-role-file", "train-cut-role-file",
+    "report-body-not-a-report",
+])
+def test_what_a_command_cannot_read_or_write_exits_one_with_its_name(tmp_path, capsys, case):
+    argv = unusable_input(case, tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith(f"{argv[0]}: ")
+
+
+@pytest.mark.parametrize("responses", [
+    [b"HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n"],
+    [b'HTTP/1.1 200 OK\r\nContent-Length: 25\r\n\r\n<a href="About.php">x</a>',
+     b"HTTP/1.1 500 Internal Server Error\r\nContent-Length: 0\r\n\r\n"],
+], ids=["landing-page", "mid-crawl"])
+def test_train_stops_at_a_page_that_is_not_200(keepalive_upstream, tmp_path, capsys, responses):
+    keepalive_upstream.responses += responses
+    base = "http://%s:%d/" % keepalive_upstream.server_address
+    rc = main(["train", "--role", "0", "--base", base, "--store", str(tmp_path / "store")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == ("train: landing page returned 404\n" if len(responses) == 1
+                   else "train: GET /About.php returned 500 during role 0 crawl\n")
+
+
 def test_scenario_list_names_builtins(capsys):
     rc = main(["scenario", "--list"])
     assert rc == 0

@@ -727,6 +727,14 @@ def test_reopen_refuses_trail_ranges_out_of_id_order(tmp_path, index, lineno):
         ProfileStore(tmp_path)
 
 
+def test_reopen_refuses_a_role_file_cut_off_halfway(tmp_path):
+    ProfileStore(tmp_path).record_exchange(head_text("/a.php"), "0")
+    role_xml = (tmp_path / "0.xml").read_bytes()
+    (tmp_path / "0.xml").write_bytes(role_xml[:len(role_xml) // 2])
+    with pytest.raises(ValueError, match=r"0\.xml: "):
+        ProfileStore(tmp_path)
+
+
 _UNNAMEABLE_ROLES = ["", ".", "..", "../escaped", "a/b", "a\\b", "a\tb", "a\nb", "a\rb", "a\x00b", "a\x7fb", "a\x85b",
                      pytest.param("r" * 300, id="r*300")]
 

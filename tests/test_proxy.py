@@ -650,16 +650,22 @@ def test_response_after_an_empty_line_is_502(framing_rig):
     assert enforcer.blocked_count == 0
 
 
-@pytest.mark.parametrize("cause", ["connect", "malformed response"])
-def test_each_502_is_logged_once_with_its_cause(keepalive_upstream, caplog, cause):
-    # a refused upstream port, or a head with two Content-Length fields: one
-    # warning names the cause and the request id, never the cookie
+@pytest.mark.parametrize("cause", ["connect", "malformed response", "timeout"])
+def test_each_502_is_logged_once_with_its_cause(keepalive_upstream, caplog, monkeypatch, cause):
+    # a refused upstream port, a head with two Content-Length fields, or an
+    # upstream that accepts and never answers: one warning names the cause
+    # and the request id, never the cookie
     address = keepalive_upstream.server_address
     if cause == "connect":
         dead = socket.socket()
         dead.bind(("127.0.0.1", 0))
         address = dead.getsockname()
         dead.close()
+    if cause == "timeout":
+        # the kernel completes the handshake of a listener that never accepts
+        silent = socket.create_server(("127.0.0.1", 0))
+        address = silent.getsockname()
+        monkeypatch.setattr("phpwarden.proxy._IO_TIMEOUT", 0.2)
     keepalive_upstream.responses.append(b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello")
     model1 = RequestModel(rows=[ModelRow(sno=1, convid=1, reqresid="GET_a.php", session_flag=1, role="0")])
     model2 = NavigationModel(graphs={"0": {}}, entries={"0": ["a.php"]})
@@ -671,6 +677,8 @@ def test_each_502_is_logged_once_with_its_cause(keepalive_upstream, caplog, caus
     finally:
         proxy.shutdown()
         proxy.server_close()
+        if cause == "timeout":
+            silent.close()
     assert response.startswith(b"HTTP/1.1 502 Bad Gateway")
     records = [record.getMessage() for record in caplog.records if record.name == "phpwarden.proxy"]
     assert len(records) == 1, records

@@ -191,6 +191,22 @@ def test_parse_structured_rejects_bad_header():
         parse_structured("something else\n{}")
 
 
+def finding_without_its_line():
+    doc = json.loads(render_structured(sample_report()).partition("\n")[2])
+    del doc["findings"][0]["line"]
+    return doc
+
+
+@pytest.mark.parametrize("body, message", [
+    ({}, "report lacks field 'findings'"),
+    ([], "report body is a JSON list, not an object"),
+    (finding_without_its_line(), "not a report: .*'line'"),
+], ids=["empty-object", "list", "finding-without-line"])
+def test_parse_structured_rejects_a_body_that_is_not_a_report(body, message):
+    with pytest.raises(ValueError, match=message):
+        parse_structured(f"phpwarden-report 1\n{json.dumps(body)}\n")
+
+
 def test_parse_structured_rejects_unknown_version():
     doc = render_structured(sample_report()).replace(
         "phpwarden-report 1", "phpwarden-report 99", 1

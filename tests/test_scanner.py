@@ -77,6 +77,17 @@ def test_include_following_pulls_findings(tmp_path):
     ]
 
 
+def test_include_literal_with_an_escape_is_followed(tmp_path):
+    (tmp_path / "it's.php").write_text("<?php\necho $_GET['q'];\n")
+    (tmp_path / "main.php").write_text("<?php\ninclude 'it\\'s.php';\n")
+    ctx = ScanContext()
+    findings = scan_file(tmp_path / "main.php", CHECKLIST, ctx)
+    assert [(Path(f.file).name, f.line, f.category) for f in findings] == [
+        ("it's.php", 2, "CrossSiteScripting")
+    ]
+    assert ctx.diagnostics == []
+
+
 def test_include_cycle_is_cut(tmp_path):
     (tmp_path / "a.php").write_text("<?php\ninclude 'b.php';\necho $_GET['x'];\n")
     (tmp_path / "b.php").write_text("<?php\ninclude 'a.php';\n")

@@ -139,6 +139,19 @@ def test_scenarios_are_deterministic(proxy_stack):
     assert first.transcript == second.transcript
 
 
+def test_logged_out_client_is_judged_without_its_session(proxy_stack):
+    script = (
+        "client c agent/logout\n"
+        "login c mark maplesyrup\n"
+        "logout c\n"
+        "request c GET /Home.php expect=block reason=session_flag_mismatch\n"
+    )
+    result = run_scenario(script, proxy_stack.addr, name="logout")
+    assert result.passed, "\n".join(result.transcript)
+    assert "c logged out" in result.transcript
+    assert "c GET /Home.php -> block (session_flag_mismatch)" in result.transcript
+
+
 def test_replay_training_is_block_free(trained, proxy_stack):
     blocks, total = replay_training(trained.store, proxy_stack.addr, CREDENTIALS)
     assert blocks == 0
