@@ -175,9 +175,6 @@ def build_model(store: ProfileStore) -> tuple[RequestModel, NavigationModel]:
         raise ValueError(f"store {store.directory}: communication id {min(orphans)} not covered by any trail")
     if not rows:
         raise ValueError(f"store {store.directory}: no recorded exchanges")
-    # canonical form: drop pages that picked up no successors
-    for role in list(nav.graphs):
-        nav.graphs[role] = {p: n for p, n in nav.graphs[role].items() if n}
     return RequestModel(rows=rows), nav
 
 
@@ -194,30 +191,16 @@ _PLAIN_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9._-]*$")
 def _encode_page_name(page: str) -> str:
     if _PLAIN_NAME_RE.match(page) and not page.startswith("esc-"):
         return page
-    out = ["esc-"]
-    for b in page.encode("utf-8"):
-        ch = chr(b)
-        if ch.isascii() and (ch.isalnum() or ch in "._"):
-            out.append(ch)
-        else:
-            out.append("-%02X" % b)
-    return "".join(out)
+    escaped = re.sub(rb"[^A-Za-z0-9._]", lambda m: b"-%02X" % m[0][0], page.encode("utf-8"))
+    return "esc-" + escaped.decode("ascii")
 
 
 def _decode_page_name(name: str) -> str:
     if not name.startswith("esc-"):
         return name
-    body = name[4:]
-    raw = bytearray()
-    i = 0
-    while i < len(body):
-        if body[i] == "-":
-            raw.append(int(body[i + 1:i + 3], 16))
-            i += 3
-        else:
-            raw.append(ord(body[i]))
-            i += 1
-    return raw.decode("utf-8")
+    # each -XX back to its byte, each other character to the byte of its code
+    raw = re.sub(r"-(.{0,2})", lambda m: chr(int(m[1], 16)), name[4:], flags=re.S)
+    return raw.encode("latin-1").decode("utf-8")
 
 
 def persist_model(model1: RequestModel, model2: NavigationModel, out_dir: str | Path) -> None:

@@ -122,10 +122,27 @@ def _array(items: list[str], indent: str) -> str:
     return "[\n" + ",\n".join(items) + "\n" + indent + "]"
 
 
+# the JSON type of each field of a report, a finding, a tainted parameter
+# and a misconfiguration that is not a string; bool, though an int in
+# Python, is neither a count nor a number
+_FIELD_TYPES = {"files_scanned": int, "number": int, "line": int, "elapsed": (int, float),
+                "findings": list, "children": list, "misconfigurations": list}
+
+
+def _typed(obj):
+    """obj, once each of its fields holds a value of that field's type (a
+    value that is not a JSON object is left to the constructor's check)."""
+    for key, value in obj.items() if isinstance(obj, dict) else ():
+        if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES.get(key, str)):
+            raise ValueError(f"report field {key!r} has the wrong type ({type(value).__name__})")
+    return obj
+
+
 def parse_structured(text: str) -> Report:
     """Inverse of render_structured.  Raises ValueError on a bad header, an
     unsupported version, or a body that is not a report: not a JSON object,
-    or one with a field missing, unknown, or of the wrong shape."""
+    or one with a field missing, unknown, of the wrong type, or of the
+    wrong shape."""
     from .config_audit import Misconfiguration  # a scan without --ini loads no config_audit
 
     header, _, body = text.partition("\n")
@@ -139,14 +156,14 @@ def parse_structured(text: str) -> Report:
         raise ValueError(f"report body is a JSON {type(doc).__name__}, not an object")
     try:
         findings = [
-            Finding(**{**f, "children": tuple(TaintedParam(**c) for c in f["children"])})
-            for f in doc["findings"]
+            Finding(**{**_typed(f), "children": tuple(TaintedParam(**_typed(c)) for c in f["children"])})
+            for f in _typed(doc)["findings"]
         ]
         return Report(**{
             **doc,
             "scan_timestamp": datetime.fromisoformat(doc["scan_timestamp"]),
             "findings": findings,
-            "misconfigurations": [Misconfiguration(**m) for m in doc["misconfigurations"]],
+            "misconfigurations": [Misconfiguration(**_typed(m)) for m in doc["misconfigurations"]],
         })
     except KeyError as exc:
         raise ValueError(f"report lacks field {exc}") from None

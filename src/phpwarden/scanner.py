@@ -32,6 +32,7 @@ evaluated once.  So:
 from __future__ import annotations
 
 import os
+import re
 import time
 from collections import namedtuple
 from collections.abc import Iterable
@@ -49,11 +50,15 @@ CONSTRUCT_SINKS = frozenset({
 })
 
 INCLUDE_KEYWORDS = frozenset({"include", "include_once", "require", "require_once"})
+# include levels followed below a page; each costs three Python frames
+# (scan_file, _walk, _handle_include), so a deeper chain would exhaust the stack
+MAX_INCLUDE_DEPTH = 100
 
 ASSIGN_OPS = frozenset({"=", ".=", "+=", "-=", "*=", "/=", "%=", "??=", "**=", "&=", "|=", "^="})
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "v": "\v", "f": "\f",
             "\\": "\\", "'": "'", '"': '"', "$": "$", "`": "`", "0": "\0"}
+_BACKSLASH_RE = re.compile(r"\\(.)", re.S)  # a backslash and the character it escapes
 
 
 # source_kind: "superglobal" | "source function" | "unresolved".  One is
@@ -176,21 +181,9 @@ def string_value(token: Token) -> str:
         return lex
     quote = lex[0]
     body = lex[1:-1] if lex.endswith(quote) and len(lex) >= 2 else lex[1:]
-    out: list[str] = []
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "\\" and i + 1 < len(body):
-            nxt = body[i + 1]
-            if quote == "'":
-                out.append(nxt if nxt in ("\\", "'") else ch + nxt)
-            else:
-                out.append(_ESCAPES.get(nxt, ch + nxt))
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    if quote == "'":  # only \\ and \' are escapes
+        return _BACKSLASH_RE.sub(lambda m: m[1] if m[1] in "\\'" else m[0], body)
+    return _BACKSLASH_RE.sub(lambda m: _ESCAPES.get(m[1], m[0]), body)
 
 
 def _cleared(reads: list[tuple[str, TaintInfo]],
@@ -444,6 +437,9 @@ def _handle_include(tokens: list[Token], keyword_idx: int, ctx: ScanContext,
     absolute = os.path.abspath(target)
     if absolute in ctx.file_stack:
         ctx.diagnostics.append(f"{display_path}: include cycle cut at {rel}")
+        return []
+    if len(ctx.file_stack) > MAX_INCLUDE_DEPTH:
+        ctx.diagnostics.append(f"{display_path}: include depth {MAX_INCLUDE_DEPTH} reached at {rel}")
         return []
     return scan_file(target, checklist, ctx, absolute)
 

@@ -23,7 +23,7 @@ continues so the transcript shows the whole picture.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
 
 from .crawler import log_in, send_request
 from .http1 import LOGIN_FIELDS, LOGOUT_PAGE, parse_header_block
@@ -34,39 +34,26 @@ class ScenarioError(ValueError):
     """Malformed scenario script."""
 
 
+_WORD_RE = re.compile(r'(?:[^\s"]|"[^"]*")+')
+
+
 def _tokenize(line: str) -> list[str]:
     """Whitespace-separated words; double quotes group.  Single quotes are
     ordinary characters (verdict literals contain apostrophes)."""
-    words: list[str] = []
-    current: list[str] = []
-    in_quote = False
-    for ch in line:
-        if ch == '"':
-            in_quote = not in_quote
-        elif ch.isspace() and not in_quote:
-            if current:
-                words.append("".join(current))
-                current = []
-        else:
-            current.append(ch)
-    if in_quote:
+    if line.count('"') % 2:
         raise ValueError("unclosed double quote")
-    if current:
-        words.append("".join(current))
-    return words
+    return [word for match in _WORD_RE.finditer(line) if (word := match[0].replace('"', ""))]
 
 
-@dataclass
 class ScenarioResult:
-    name: str
-    passed: bool
-    transcript: list[str] = field(default_factory=list)
+    def __init__(self, name: str, passed: bool, transcript: list[str] | None = None) -> None:
+        self.name, self.passed = name, passed
+        self.transcript = [] if transcript is None else transcript
 
 
-@dataclass
 class _Client:
-    user_agent: str
-    cookie: str | None = None
+    def __init__(self, user_agent: str) -> None:
+        self.user_agent, self.cookie = user_agent, None
 
 
 def _reason(headers) -> str | None:
@@ -74,110 +61,82 @@ def _reason(headers) -> str | None:
     return next((v for k, v in headers if k.lower() == "x-deviation-reason"), None)
 
 
+# directive: its usage, how many arguments it takes (request takes options
+# after them), and how many of the first ones must name a defined client
+_DIRECTIVES = {
+    "client": ("client <name> <user-agent>", 2, 0),
+    "steal": ("steal <victim> <thief> (both defined)", 2, 2),
+    "login": ("login <client> <username> <password>", 3, 1),
+    "logout": ("logout <client>", 1, 1),
+    "request": ("request <client> <METHOD> <path> [expect=...] [reason=...]", 3, 1),
+}
+
+
 def run_scenario(script: str, enforcer_addr: tuple[str, int], name: str = "scenario") -> ScenarioResult:
     clients: dict[str, _Client] = {}
-    result = ScenarioResult(name=name, passed=True)
-
-    def say(line: str) -> None:
-        result.transcript.append(line)
-
-    def fail(lineno: int, message: str) -> None:
-        result.passed = False
-        say(f"FAIL line {lineno}: {message}")
-
+    result = ScenarioResult(name, True)
     for lineno, raw in enumerate(script.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            words = _tokenize(line)
+            directive, *args = _tokenize(line) or [""]
         except ValueError as exc:
             raise ScenarioError(f"line {lineno}: {exc}") from None
-        directive, args = words[0], words[1:]
+        if directive not in _DIRECTIVES:
+            raise ScenarioError(f"line {lineno}: unknown directive {directive!r}")
+        usage, count, named = _DIRECTIVES[directive]
+        if (len(args) < count or len(args) > count and directive != "request"
+                or any(arg not in clients for arg in args[:named])):
+            raise ScenarioError(f"line {lineno}: {usage}")
+        expect = reasons = None
+        for option in args[3:]:
+            key, _, value = option.partition("=")
+            if key == "expect" and value in ("block", "don't_block"):
+                expect = value
+            elif key == "reason":
+                reasons = value.split("|")
+            else:
+                raise ScenarioError(f"line {lineno}: bad option {option!r}")
 
-        if directive == "client":
-            if len(args) != 2:
-                raise ScenarioError(f"line {lineno}: client <name> <user-agent>")
-            clients[args[0]] = _Client(user_agent=args[1])
-            say(f"client {args[0]} ({args[1]})")
-            continue
-
-        if directive == "steal":
-            if len(args) != 2 or args[0] not in clients or args[1] not in clients:
-                raise ScenarioError(f"line {lineno}: steal <victim> <thief> (both defined)")
-            clients[args[1]].cookie = clients[args[0]].cookie
-            say(f"{args[1]} now presents {args[0]}'s session cookie")
-            continue
-
-        if directive == "login":
-            if len(args) != 3 or args[0] not in clients:
-                raise ScenarioError(f"line {lineno}: login <client> <username> <password>")
-            client = clients[args[0]]
-            try:
+        ok, client = True, clients.get(args[0])
+        try:
+            if directive == "client":
+                clients[args[0]] = _Client(args[1])
+                note = f"client {args[0]} ({args[1]})"
+            elif directive == "steal":
+                clients[args[1]].cookie = client.cookie
+                note = f"{args[1]} now presents {args[0]}'s session cookie"
+            elif directive == "login":
                 status, headers, cookie = log_in(enforcer_addr, client.user_agent, args[1], args[2],
                                                  client.cookie)
-            except (OSError, ValueError) as exc:
-                fail(lineno, f"no usable response: {exc}")
-                continue
-            reason = _reason(headers)
-            if reason is not None:
-                fail(lineno, f"login blocked ({reason})")
-                continue
-            if cookie is None:
-                fail(lineno, f"login as {args[1]} got no session cookie (status {status})")
-                continue
-            client.cookie = cookie
-            say(f"{args[0]} logged in as {args[1]}")
-            continue
-
-        if directive == "logout":
-            if len(args) != 1 or args[0] not in clients:
-                raise ScenarioError(f"line {lineno}: logout <client>")
-            client = clients[args[0]]
-            try:
-                send_request(enforcer_addr, "GET", f"/{LOGOUT_PAGE}", client.user_agent, client.cookie)
-            except (OSError, ValueError) as exc:
-                fail(lineno, f"no usable response: {exc}")
-                continue
-            client.cookie = None
-            say(f"{args[0]} logged out")
-            continue
-
-        if directive == "request":
-            if len(args) < 3 or args[0] not in clients:
-                raise ScenarioError(f"line {lineno}: request <client> <METHOD> <path> [expect=...] [reason=...]")
-            client = clients[args[0]]
-            method, path = args[1].upper(), args[2]
-            expect = None
-            reasons = None
-            for option in args[3:]:
-                key, _, value = option.partition("=")
-                if key == "expect" and value in ("block", "don't_block"):
-                    expect = value
-                elif key == "reason":
-                    reasons = value.split("|")
+                reason = _reason(headers)
+                if reason is not None:
+                    ok, note = False, f"login blocked ({reason})"
+                elif cookie is None:
+                    ok, note = False, f"login as {args[1]} got no session cookie (status {status})"
                 else:
-                    raise ScenarioError(f"line {lineno}: bad option {option!r}")
-            try:
-                status, headers, _, _ = send_request(enforcer_addr, method, path, client.user_agent, client.cookie)
-            except (OSError, ValueError) as exc:
-                fail(lineno, f"no usable response: {exc}")
-                continue
-            reason = _reason(headers)
-            observed = "block" if reason is not None else "don't_block"
-            note = f"{args[0]} {method} {path} -> {observed}" + (f" ({reason})" if reason else f" [{status}]")
-            if expect is not None and observed != expect:
-                fail(lineno, f"{note}, expected {expect}")
-                continue
-            if expect == "block" and reasons is not None and reason not in reasons:
-                fail(lineno, f"{note}, expected reason {'|'.join(reasons)}")
-                continue
-            say(note)
-            continue
+                    client.cookie, note = cookie, f"{args[0]} logged in as {args[1]}"
+            elif directive == "logout":
+                send_request(enforcer_addr, "GET", f"/{LOGOUT_PAGE}", client.user_agent, client.cookie)
+                client.cookie, note = None, f"{args[0]} logged out"
+            else:
+                method, path = args[1].upper(), args[2]
+                status, headers, _, _ = send_request(enforcer_addr, method, path, client.user_agent,
+                                                     client.cookie)
+                reason = _reason(headers)
+                observed = "block" if reason is not None else "don't_block"
+                note = f"{args[0]} {method} {path} -> {observed}" + (f" ({reason})" if reason else f" [{status}]")
+                if expect is not None and observed != expect:
+                    ok, note = False, f"{note}, expected {expect}"
+                elif expect == "block" and reasons is not None and reason not in reasons:
+                    ok, note = False, f"{note}, expected reason {'|'.join(reasons)}"
+        except (OSError, ValueError) as exc:
+            ok, note = False, f"no usable response: {exc}"
+        result.passed = result.passed and ok
+        result.transcript.append(note if ok else f"FAIL line {lineno}: {note}")
 
-        raise ScenarioError(f"line {lineno}: unknown directive {directive!r}")
-
-    say(("PASS" if result.passed else "FAIL") + f" {name}")
+    result.transcript.append(("PASS" if result.passed else "FAIL") + f" {name}")
     return result
 
 

@@ -690,6 +690,7 @@ GATE_COMMAND_MODULES = {
     "build-model": (("phpwarden.models", "phpwarden.profile_store"), True),
     "enforce": (("logging", "socket", "phpwarden.enforcer", "phpwarden.proxy", "phpwarden.models"), True),
     "serve-demo": (("phpwarden.demoapp",), False),
+    "scenario": (("phpwarden.scenarios", "phpwarden.profile_store"), False),
 }
 
 
@@ -727,3 +728,19 @@ def test_scan_without_ini_loads_no_audit_training_or_model_code(tmp_path):
     left_out = ("phpwarden.config_audit", "phpwarden.crawler", "phpwarden.profile_store", "phpwarden.models",
                 "phpwarden.http1")
     assert _modules_loaded_by(["scan", "--root", str(tmp_path)], left_out) == (1, [])
+
+
+def test_scan_cuts_an_include_chain_past_the_depth_bound(tmp_path, capsys):
+    # f0.php includes f1.php, and so on, three files past the bound; the
+    # last echoes what the first read from the request
+    from phpwarden.scanner import MAX_INCLUDE_DEPTH
+    last = MAX_INCLUDE_DEPTH + 3
+    for i in range(last):
+        (tmp_path / f"f{i}.php").write_text(f"<?php\n$x = $_GET['a'];\ninclude 'f{i + 1}.php';\n")
+    (tmp_path / f"f{last}.php").write_text("<?php\necho $x;\n")
+    assert main(["scan", "--root", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert "VulnerabilityName : Cross-Site Scripting" in out
+    assert (f"note: {tmp_path / f'f{MAX_INCLUDE_DEPTH}.php'}: include depth {MAX_INCLUDE_DEPTH} "
+            f"reached at f{MAX_INCLUDE_DEPTH + 1}.php") in err
+    assert "Traceback" not in err

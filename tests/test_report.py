@@ -191,17 +191,34 @@ def test_parse_structured_rejects_bad_header():
         parse_structured("something else\n{}")
 
 
-def finding_without_its_line():
+def sample_body(edit=None) -> dict:
+    """The JSON body of the sample report, edited in place by edit."""
     doc = json.loads(render_structured(sample_report()).partition("\n")[2])
-    del doc["findings"][0]["line"]
+    if edit is not None:
+        edit(doc)
     return doc
 
 
 @pytest.mark.parametrize("body, message", [
     ({}, "report lacks field 'findings'"),
     ([], "report body is a JSON list, not an object"),
-    (finding_without_its_line(), "not a report: .*'line'"),
-], ids=["empty-object", "list", "finding-without-line"])
+    (sample_body(lambda d: d["findings"][0].pop("line")), "not a report: .*'line'"),
+    (sample_body(lambda d: d.update(elapsed="x")), r"report field 'elapsed' has the wrong type \(str\)"),
+    (sample_body(lambda d: d.update(elapsed=True)), r"report field 'elapsed' has the wrong type \(bool\)"),
+    (sample_body(lambda d: d.update(files_scanned=1.5)), "report field 'files_scanned'"),
+    (sample_body(lambda d: d.update(application_name=7)), "report field 'application_name'"),
+    (sample_body(lambda d: d.update(findings={})), "report field 'findings'"),
+    (sample_body(lambda d: d.update(misconfigurations="none")), "report field 'misconfigurations'"),
+    (sample_body(lambda d: d["findings"][0].update(number="7")), "report field 'number'"),
+    (sample_body(lambda d: d["findings"][0].update(line=True)), "report field 'line'"),
+    (sample_body(lambda d: d["findings"][0].update(file=None)), "report field 'file'"),
+    (sample_body(lambda d: d["findings"][0].update(children="x")), "report field 'children'"),
+    (sample_body(lambda d: d["findings"][0]["children"][0].update(line="3")), "report field 'line'"),
+    (sample_body(lambda d: d["findings"][0]["children"][0].update(source_name=[])), "report field 'source_name'"),
+    (sample_body(lambda d: d["misconfigurations"][0].update(current=1)), "report field 'current'"),
+], ids=["empty-object", "list", "finding-without-line", "elapsed-str", "elapsed-bool", "files-scanned-float",
+        "application-name-int", "findings-object", "misconfigurations-str", "number-str", "line-bool",
+        "file-null", "children-str", "child-line-str", "child-source-name-list", "current-int"])
 def test_parse_structured_rejects_a_body_that_is_not_a_report(body, message):
     with pytest.raises(ValueError, match=message):
         parse_structured(f"phpwarden-report 1\n{json.dumps(body)}\n")

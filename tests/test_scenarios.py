@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from phpwarden.enforcer import Enforcer, EnforcerConfig, load_bindings
@@ -203,3 +205,66 @@ def test_request_answered_with_a_malformed_response_fails(keepalive_upstream):
                           keepalive_upstream.server_address)
     assert not result.passed
     assert result.transcript[1].startswith("FAIL line 2: ")
+
+
+# a response the proxy answers 502 for (two Content-Length fields), and the
+# answers of a gate that forwards a request and of one that blocks it
+MALFORMED_RESPONSE = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nok"
+PAGE_RESPONSE = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+BLOCK_RESPONSE = b"HTTP/1.1 403 Forbidden\r\nX-Deviation-Reason: unknown_request\r\nContent-Length: 0\r\n\r\n"
+
+
+@pytest.mark.parametrize("script, usage", [
+    ("client a\n", "line 1: client <name> <user-agent>"),
+    ("login ghost mark maplesyrup\n", "line 1: login <client> <username> <password>"),
+    ("client a agent/1\nlogin a mark\n", "line 2: login <client> <username> <password>"),
+    ("client a agent/1\nlogout a a\n", "line 2: logout <client>"),
+    ("logout ghost\n", "line 1: logout <client>"),
+], ids=["client-one-word", "login-undefined", "login-no-password", "logout-two-words", "logout-undefined"])
+def test_a_misused_directive_is_refused_with_its_usage(script, usage):
+    # refused before anything is sent, so no gate need listen at the address
+    with pytest.raises(ScenarioError, match=re.escape(usage)):
+        run_scenario(script, ("127.0.0.1", 1))
+
+
+def test_a_line_of_no_word_is_an_unknown_directive():
+    with pytest.raises(ScenarioError, match="line 1: unknown directive ''"):
+        run_scenario('""\n', ("127.0.0.1", 1))
+
+
+@pytest.mark.parametrize("step", ["login c mark maplesyrup", "logout c"])
+def test_a_step_with_no_usable_response_fails_and_the_script_goes_on(keepalive_upstream, step):
+    keepalive_upstream.responses += [MALFORMED_RESPONSE, PAGE_RESPONSE]
+    script = f"client c agent/1\n{step}\nrequest c GET /a.php\n"
+    result = run_scenario(script, keepalive_upstream.server_address, name="s")
+    assert not result.passed
+    assert result.transcript[1].startswith("FAIL line 2: no usable response: ")
+    assert result.transcript[2:] == ["c GET /a.php -> don't_block [200]", "FAIL s"]
+
+
+def test_a_login_the_gate_blocks_fails(proxy_stack):
+    # the thief logs in over the victim's session cookie from its own identity
+    script = (
+        "client mgr agent/victim\n"
+        "client thief agent/thief\n"
+        "login mgr mark maplesyrup\n"
+        "steal mgr thief\n"
+        "login thief mark maplesyrup\n"
+    )
+    result = run_scenario(script, proxy_stack.addr, name="blocked-login")
+    assert not result.passed
+    assert "FAIL line 5: login blocked (identity_mismatch)" in result.transcript
+
+
+def test_replay_training_counts_a_blocked_login_and_a_blocked_request(tmp_path, keepalive_upstream):
+    # an anonymous trail of one request, then a manager trail of two; the
+    # gate blocks the request and the login, so the manager trail stops there
+    store = ProfileStore(tmp_path / "store")
+    store.record_exchange("GET /About.php HTTP/1.1\r\nHost: app\r\n\r\n", "0")
+    for page in ("Home.php", "View.php"):
+        store.record_exchange(f"GET /{page} HTTP/1.1\r\nHost: app\r\nCookie: PHPSESSID=t\r\n\r\n", "manager")
+    keepalive_upstream.responses += [BLOCK_RESPONSE, BLOCK_RESPONSE]
+    blocks, total = replay_training(store, keepalive_upstream.server_address, CREDENTIALS)
+    assert (blocks, total) == (2, 2)
+    assert [head.split(b" ", 2)[:2] for head in keepalive_upstream.received] == [
+        [b"GET", b"/About.php"], [b"POST", b"/Login.php"]]
