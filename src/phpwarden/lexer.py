@@ -18,8 +18,11 @@ over the line table, which is searched only when a token starts past the
 current line's end.  Only a heredoc needs a second, label-specific search
 for its terminator: a line of optional indentation and the label, followed
 by any character that cannot continue a name (PHP 7.3's flexible closer),
-so  [<<<EOT ... EOT];  ends at EOT.  Tokens are plain slotted objects, which
-build several times faster than frozen dataclasses.
+so  [<<<EOT ... EOT];  ends at EOT.  A # starts a line comment unless a [
+follows it: PHP 8 reads #[ as the start of an attribute, so it is lexed as
+a # operator and the [ group.  The stream holds its tokens as parallel
+lists of kinds, lexemes and lines, so a token costs three appends and no
+object; Token is only the value type of the stream's tokens view.
 """
 
 from __future__ import annotations
@@ -84,7 +87,7 @@ OPERATORS = (
     "*=", "/=", ".=", "%=", "&=", "|=", "^=", "->", "=>", "::", "<<",
     ">>", "??", "**",
     "+", "-", "*", "/", "%", ".", "=", "<", ">", "!", "&", "|", "^",
-    "~", "?", ":", "@", "$", "\\",
+    "~", "?", ":", "@", "$", "\\", "#",
 )
 
 _NAME = r"[A-Za-z_\x80-\xff][A-Za-z0-9_\x80-\xff]*"
@@ -96,11 +99,12 @@ _NAME = r"[A-Za-z_\x80-\xff][A-Za-z0-9_\x80-\xff]*"
 # token; "unexpected" takes no whitespace, so a whitespace-only tail is no
 # match at all.  A "name" is a keyword or an identifier.  The "open_*"
 # groups are the unterminated forms: they run to the end of input and carry
-# a diagnostic.
+# a diagnostic.  A # that the comment group leaves, the # of #[, is an
+# operator.
 _PHP_TOKENS = (
     ("punctuation", PUNCTUATION, r"[()\[\]{};,]"),
     ("close_tag", CLOSE_TAG, r"\?>"),
-    ("comment", COMMENT, r"(?://|\#)(?:[^\r\n?]|\?(?!>))*|/\*[\s\S]*?\*/"),
+    ("comment", COMMENT, r"(?://|\#(?!\[))(?:[^\r\n?]|\?(?!>))*|/\*[\s\S]*?\*/"),
     ("open_comment", COMMENT, r"/\*[\s\S]*"),
     ("variable", VARIABLE, r"\$" + _NAME),
     ("string", STRING,
@@ -144,7 +148,8 @@ _INTERP_RE = re.compile(
 class Token:
     """One token, equal to and hashed as another with the same fields.
     interpolations holds the variable names referenced by "$x" / "{$x}" /
-    "${x}" interpolation, for double-quoted strings and heredocs only."""
+    "${x}" interpolation, for double-quoted strings and heredocs only.
+    Only TokenStream.tokens builds one; a scan reads the stream's lists."""
 
     __slots__ = ("kind", "lexeme", "line", "interpolations")
 
@@ -174,17 +179,29 @@ LexDiagnostic = namedtuple("LexDiagnostic", "message line")
 
 
 class TokenStream:
-    """A file's tokens and diagnostics, and its line table: line_ends holds
-    the offset just past each line terminator, in order."""
+    """A file's tokens as parallel lists: token i is kinds[i], lexemes[i]
+    (an exact substring of the source) and lines[i] (1-based), and
+    interpolations maps i to the names token i interpolates, for the
+    double-quoted strings and heredocs that interpolate any.  Also the
+    file's diagnostics, and its line table: line_ends holds the offset just
+    past each line terminator, in order."""
 
-    __slots__ = ("tokens", "diagnostics", "line_ends")
+    __slots__ = ("kinds", "lexemes", "lines", "interpolations", "diagnostics", "line_ends")
 
-    def __init__(self, tokens: list[Token] | None = None,
-                 diagnostics: list[LexDiagnostic] | None = None,
-                 line_ends: list[int] | None = None) -> None:
-        self.tokens = [] if tokens is None else tokens
-        self.diagnostics = [] if diagnostics is None else diagnostics
-        self.line_ends = [] if line_ends is None else line_ends
+    def __init__(self, line_ends: list[int]) -> None:
+        self.kinds: list[TokenKind] = []
+        self.lexemes: list[str] = []
+        self.lines: list[int] = []
+        self.interpolations: dict[int, tuple[str, ...]] = {}
+        self.diagnostics: list[LexDiagnostic] = []
+        self.line_ends = line_ends
+
+    @property
+    def tokens(self) -> list[Token]:
+        """The tokens as Token values, built anew on each read."""
+        names = self.interpolations
+        return [Token(kind, lexeme, line, names.get(i, ()))
+                for i, (kind, lexeme, line) in enumerate(zip(self.kinds, self.lexemes, self.lines))]
 
 
 def line_text(source: str, line_ends: list[int], line: int) -> str:
@@ -210,8 +227,8 @@ def extract_interpolations(body: str) -> tuple[str, ...]:
 def _lex_php(src: str, pos: int, line_ends: list[int], stream: TokenStream) -> int:
     """Tokenize PHP mode from pos up to and including ?> (or the end of
     input); returns the position where inline HTML resumes."""
-    tokens, diagnostics = stream.tokens, stream.diagnostics
-    append, plain_kinds = tokens.append, _PLAIN_KINDS
+    kinds, lexemes, lines, diagnostics = stream.kinds, stream.lexemes, stream.lines, stream.diagnostics
+    add_kind, add_lexeme, add_line, plain_kinds = kinds.append, lexemes.append, lines.append, _PLAIN_KINDS
     # a token starting before next_end is on line `line`
     index = bisect_right(line_ends, pos)
     line, next_end = index + 1, line_ends[index] if index < len(line_ends) else len(src)
@@ -225,11 +242,15 @@ def _lex_php(src: str, pos: int, line_ends: list[int], stream: TokenStream) -> i
                 next_end = line_ends[ends_before] if ends_before < len(line_ends) else len(src)
             kind = plain_kinds[index]
             if kind is not None:
-                append(Token(kind, src[start:end], line))
+                add_kind(kind)
+                add_lexeme(src[start:end])
+                add_line(line)
                 continue
             lexeme = src[start:end]
             if index == _NAME_INDEX:
-                append(Token(KEYWORD if lexeme.lower() in KEYWORDS else IDENTIFIER, lexeme, line))
+                add_kind(KEYWORD if lexeme.lower() in KEYWORDS else IDENTIFIER)
+                add_lexeme(lexeme)
+                add_line(line)
                 continue
             group = _GROUP_AT[index]
             if group == "unexpected":
@@ -254,9 +275,14 @@ def _lex_php(src: str, pos: int, line_ends: list[int], stream: TokenStream) -> i
                 body_end, pos = (t.start(), t.end()) if t else (len(src), len(src))
                 if m["quote"] != "'":
                     interpolations = extract_interpolations(src[end : body_end])
-                append(Token(STRING, src[start:pos], line, interpolations))
+                lexeme = src[start:pos]
+            if interpolations:
+                stream.interpolations[len(kinds)] = interpolations
+            add_kind(_KINDS[group])
+            add_lexeme(lexeme)
+            add_line(line)
+            if group == "heredoc":
                 break  # lex on after the terminator
-            append(Token(_KINDS[group], lexeme, line, interpolations))
             if group == "close_tag":
                 return end
         else:
@@ -274,17 +300,20 @@ def tokenize(source: str | bytes) -> TokenStream:
     # a token's line is 1 + the number of line terminators ending at or
     # before its start
     line_ends = [m.end() for m in _NEWLINE_RE.finditer(source)]
-    stream = TokenStream(line_ends=line_ends)
+    stream = TokenStream(line_ends)
+    kinds, lexemes, lines = stream.kinds, stream.lexemes, stream.lines
     pos = 0
     while pos < len(source):
         m = _OPEN_TAG_RE.search(source, pos)
         html_end = m.start() if m else len(source)
         if html_end > pos:
-            line = bisect_right(line_ends, pos) + 1
-            stream.tokens.append(Token(INLINE_HTML, source[pos:html_end], line))
+            kinds.append(INLINE_HTML)
+            lexemes.append(source[pos:html_end])
+            lines.append(bisect_right(line_ends, pos) + 1)
         if m is None:
             break
-        line = bisect_right(line_ends, m.start()) + 1
-        stream.tokens.append(Token(OPEN_TAG, m[0], line))
+        kinds.append(OPEN_TAG)
+        lexemes.append(m[0])
+        lines.append(bisect_right(line_ends, m.start()) + 1)
         pos = _lex_php(source, m.end(), line_ends, stream)
     return stream

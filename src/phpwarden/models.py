@@ -276,7 +276,10 @@ def load_model(model_dir: str | Path) -> tuple[RequestModel, NavigationModel]:
         nav.entries[role] = [share(p, p) for p in entry_attr.split(", ") if p]
         graph: dict[str, list[str]] = {}
         for el in root:
-            page = _decode_page_name(el.tag)
+            try:
+                page = _decode_page_name(el.tag)
+            except ValueError as exc:  # a UnicodeDecodeError too
+                raise ValueError(f"{role_file}: element <{el.tag}>: {exc}") from None
             graph[share(page, page)] = [share(p, p) for p in (el.text or "").split(", ") if p]
         nav.graphs[role] = {p: n for p, n in graph.items() if n}
     return model1, nav

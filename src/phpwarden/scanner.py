@@ -41,7 +41,7 @@ from pathlib import Path
 
 from .checklist import Checklist
 from .lexer import (CLOSE_TAG, COMMENT, IDENTIFIER, INLINE_HTML, KEYWORD, OPEN_TAG, OPERATOR,
-                    PUNCTUATION, STRING, VARIABLE, Token, TokenStream, line_text, tokenize)
+                    PUNCTUATION, STRING, VARIABLE, TokenKind, TokenStream, line_text, tokenize)
 
 # Language constructs that take arguments without parentheses.
 CONSTRUCT_SINKS = frozenset({
@@ -174,9 +174,8 @@ class ScanContext:
             frame[name] = bound + tuple(t for t in dict.fromkeys(taints) if t not in bound)
 
 
-def string_value(token: Token) -> str:
-    """Literal value of a quoted string token (escapes resolved)."""
-    lex = token.lexeme
+def string_value(lex: str) -> str:
+    """Literal value of a quoted string token's lexeme (escapes resolved)."""
     if not lex or lex[0] not in "'\"`":
         return lex
     quote = lex[0]
@@ -207,22 +206,23 @@ def _resolve_name(name: str, line: int, ctx: ScanContext, checklist: Checklist,
     return _cleared([(name, ti) for ti in bound], extra)
 
 
-def _is_assigned(tokens: list[Token], j: int, hi: int, closers: dict[int, int | None]) -> bool:
-    """Whether the variable before tokens[j] is the target of a plain =,
+def _is_assigned(kinds: list[TokenKind], lexemes: list[str], j: int, hi: int,
+                 closers: dict[int, int | None]) -> bool:
+    """Whether the variable before token j is the target of a plain =,
     itself or through a chain of [...] indexes and ->name properties.  The
     index expressions are left for the caller to read.  closers memoizes
     _match_brackets for one file, so no token is scanned twice."""
     while j < hi:
-        t = tokens[j]
-        if t.kind is OPERATOR:
-            if t.lexeme != "->":
-                return t.lexeme == "="
-            if j + 1 >= hi or tokens[j + 1].kind not in (IDENTIFIER, KEYWORD):
+        kind = kinds[j]
+        if kind is OPERATOR:
+            if lexemes[j] != "->":
+                return lexemes[j] == "="
+            if j + 1 >= hi or kinds[j + 1] not in (IDENTIFIER, KEYWORD):
                 return False
             j += 2
-        elif t.kind is PUNCTUATION and t.lexeme == "[":
+        elif kind is PUNCTUATION and lexemes[j] == "[":
             if j not in closers:
-                _match_brackets(tokens, j, hi, closers)
+                _match_brackets(kinds, lexemes, j, hi, closers)
             closer = closers[j]
             if closer is None:
                 return False
@@ -232,16 +232,17 @@ def _is_assigned(tokens: list[Token], j: int, hi: int, closers: dict[int, int | 
     return False
 
 
-def _match_brackets(tokens: list[Token], j: int, hi: int, closers: dict[int, int | None]) -> None:
-    """Record in closers the index of the ] that closes the [ at tokens[j],
+def _match_brackets(kinds: list[TokenKind], lexemes: list[str], j: int, hi: int,
+                    closers: dict[int, int | None]) -> None:
+    """Record in closers the index of the ] that closes the [ at token j,
     and of each [ inside it; None for one still open at hi."""
     opened: list[int] = []
     for k in range(j, hi):
-        t = tokens[k]
-        if t.kind is PUNCTUATION:
-            if t.lexeme == "[":
+        if kinds[k] is PUNCTUATION:
+            lexeme = lexemes[k]
+            if lexeme == "[":
                 opened.append(k)
-            elif t.lexeme == "]":
+            elif lexeme == "]":
                 closers[opened.pop()] = k
                 if not opened:
                     return
@@ -255,7 +256,7 @@ def _match_brackets(tokens: list[Token], j: int, hi: int, closers: dict[int, int
 # root into none.  cleared: the categories of the sanitizer groups open up
 # to the collecting node, which a read here is cleared for; down: what a
 # collecting node's reads are cleared for as they pass below, None for a
-# group that collects nothing.  sink: the (slot, token, name) that reports
+# group that collects nothing.  sink: the (slot, line, name) that reports
 # the reads; target: the variable bound.
 _GROUP, _ASSIGN, _CONSTRUCT = "group", "assign", "construct"
 _NO_CATEGORIES = frozenset()
@@ -264,8 +265,9 @@ _NO_CALL = (_NO_CATEGORIES, None)  # the categories and sink of a plain group
 
 def _walk(stream: TokenStream, source: str, display_path: str,
           ctx: ScanContext, checklist: Checklist) -> list[Finding]:
-    tokens, line_ends = stream.tokens, stream.line_ends
-    count = len(tokens)
+    kinds, lexemes, lines = stream.kinds, stream.lexemes, stream.lines
+    interpolations, line_ends = stream.interpolations, stream.line_ends
+    count = len(kinds)
     # one list of findings per sink and per followed include, in the order
     # of their first tokens; a sink fills its own when its node ends
     slots: list[list[Finding]] = []
@@ -275,12 +277,14 @@ def _walk(stream: TokenStream, source: str, display_path: str,
     sink_index, sanitizer_index, sources = checklist.sink_index, checklist.sanitizer_index, checklist.sources
     call = _NO_CALL  # what the ( after a call's name opens
     pending_function = ""  # function or fn, if the next { opens its body
-    prev_significant: Token | None = None
+    # the kind and lexeme of the last token that is no comment or inline HTML
+    prev_kind: TokenKind | None = None
+    prev_lexeme = ""
 
     def open_node(kind: str, categories: frozenset[str] = frozenset(), sink: tuple | None = None,
                   target: str | None = None) -> None:
         """Push a node that collects its own reads."""
-        if sink is not None:  # (token, name); a call's ( follows its name at once
+        if sink is not None:  # (line, name); a call's ( follows its name at once
             slots.append([])
             sink = (slots[-1], *sink)
         nodes.append((kind, [], frozenset(), nodes[-1][2] | categories, sink, target))
@@ -290,24 +294,23 @@ def _walk(stream: TokenStream, source: str, display_path: str,
         if down is None:  # a group, whose reads are already below
             return
         if sink is not None:
-            slot, tok, name = sink
-            text = line_text(source, line_ends, tok.line)
+            slot, line, name = sink
+            text = line_text(source, line_ends, line)
             # read once, then filtered per category
             for category in sink_index.get(name, ()):
                 children = dict.fromkeys(
                     TaintedParam(label, ti.source_kind, ti.source_name, ti.line)
                     for label, ti in reads if category not in ti.sanitized_for)
                 if children:
-                    slot.append(Finding(0, display_path, tok.line, text, category, tuple(children)))
+                    slot.append(Finding(0, display_path, line, text, category, tuple(children)))
         if kind is _ASSIGN:
             ctx.assign(target, [ti for _, ti in reads])
         if nodes[-1][1] is not None:
             nodes[-1][1].extend(_cleared(reads, down))
 
-    for i, t in enumerate(tokens):
-        kind = t.kind
+    for i, kind in enumerate(kinds):
+        lexeme = lexemes[i]
         if kind is PUNCTUATION:
-            lexeme = t.lexeme
             if lexeme in "([{":
                 categories, sink = call
                 call = _NO_CALL
@@ -338,96 +341,94 @@ def _walk(stream: TokenStream, source: str, display_path: str,
 
         elif kind is VARIABLE:
             _, reads, cleared, _, _, _ = nodes[-1]
-            if reads is not None and not _is_assigned(tokens, i + 1, count, closers):
-                reads.extend(_resolve_name(t.lexeme, t.line, ctx, checklist, cleared))
-            if i + 1 < count:
-                nxt = tokens[i + 1]
-                if nxt.kind is OPERATOR and nxt.lexeme in ASSIGN_OPS:
-                    open_node(_ASSIGN, target=t.lexeme)
+            if reads is not None and not _is_assigned(kinds, lexemes, i + 1, count, closers):
+                reads.extend(_resolve_name(lexeme, lines[i], ctx, checklist, cleared))
+            if i + 1 < count and kinds[i + 1] is OPERATOR and lexemes[i + 1] in ASSIGN_OPS:
+                open_node(_ASSIGN, target=lexeme)
 
         elif kind is IDENTIFIER or kind is KEYWORD:
-            name = t.lexeme.lower()
+            name = lexeme.lower()
             if kind is KEYWORD:
                 if name in ("function", "fn"):
                     # a member or constant so named ($o->fn, Foo::function) opens no body
-                    if prev_significant is None or prev_significant.lexeme not in ("->", "?->", "::"):
+                    if prev_lexeme not in ("->", "?->", "::"):
                         pending_function = name
                 elif name in INCLUDE_KEYWORDS:
-                    slots.append(_handle_include(tokens, i, ctx, checklist, display_path))
-            nxt = tokens[i + 1] if i + 1 < count else None
-            paren = nxt is not None and nxt.kind is PUNCTUATION and nxt.lexeme == "("
+                    slots.append(_handle_include(stream, i, ctx, checklist, display_path))
+            paren = i + 1 < count and kinds[i + 1] is PUNCTUATION and lexemes[i + 1] == "("
             if paren:
                 _, reads, cleared, _, _, _ = nodes[-1]
                 if reads is not None and name in sources:
-                    reads.append((t.lexeme, TaintInfo("source function", t.lexeme, t.line, cleared)))
+                    reads.append((lexeme, TaintInfo("source function", lexeme, lines[i], cleared)))
                 call = sanitizer_index.get(name, _NO_CATEGORIES), None
             if (name in sink_index and (paren or (kind is KEYWORD and name in CONSTRUCT_SINKS))
-                    and not (prev_significant is not None and prev_significant.kind is KEYWORD
-                             and prev_significant.lexeme.lower() == "function")):
+                    and not (prev_kind is KEYWORD and prev_lexeme.lower() == "function")):
                 # a construct like echo (even one followed by a parenthesis)
                 # takes the expression up to the statement end; a call, its
                 # parenthesized arguments
                 if name in CONSTRUCT_SINKS:
-                    open_node(_CONSTRUCT, sink=(t, name))
+                    open_node(_CONSTRUCT, sink=(lines[i], name))
                 else:
-                    call = call[0], (t, name)
+                    call = call[0], (lines[i], name)
 
         elif kind is COMMENT or kind is INLINE_HTML:
             continue
 
         elif kind is STRING:
-            if t.interpolations:
+            if i in interpolations:
                 _, reads, cleared, _, _, _ = nodes[-1]
                 if reads is not None:
-                    for name in t.interpolations:
-                        reads.extend(_resolve_name(name, t.line, ctx, checklist, cleared))
+                    for name in interpolations[i]:
+                        reads.extend(_resolve_name(name, lines[i], ctx, checklist, cleared))
 
         elif kind is OPERATOR:
-            if t.lexeme == "=>" and pending_function == "fn":  # fn's body, not a default's ['k' => 1]
+            if lexeme == "=>" and pending_function == "fn":  # fn's body, not a default's ['k' => 1]
                 pending_function = ""
 
         elif kind is OPEN_TAG:
-            if t.lexeme.startswith("<?="):  # <?= expr ?> is an echo
-                open_node(_CONSTRUCT, sink=(t, "echo"))
+            if lexeme.startswith("<?="):  # <?= expr ?> is an echo
+                open_node(_CONSTRUCT, sink=(lines[i], "echo"))
 
         elif kind is CLOSE_TAG:
             while len(nodes) > 1:
                 end_node()
 
-        prev_significant = t
+        prev_kind, prev_lexeme = kind, lexeme
 
     while len(nodes) > 1:
         end_node()
     return [f for slot in slots for f in slot]
 
 
-def _handle_include(tokens: list[Token], keyword_idx: int, ctx: ScanContext,
+def _handle_include(stream: TokenStream, keyword_idx: int, ctx: ScanContext,
                     checklist: Checklist, display_path: str) -> list[Finding]:
     """Follow include/require whose argument is one plain string literal
     among parentheses, and return the target's findings.  Dynamic includes
     are left to the FileInclusion sink check."""
+    kinds, lexemes = stream.kinds, stream.lexemes
+    count = len(kinds)
     depth, literal, j = 0, None, keyword_idx + 1
-    while j < len(tokens):
-        t = tokens[j]
-        if t.kind is PUNCTUATION and t.lexeme == "(":
+    while j < count:
+        kind = kinds[j]
+        if kind is PUNCTUATION and lexemes[j] == "(":
             depth += 1
-        elif t.kind is PUNCTUATION and t.lexeme == ")" and depth:
+        elif kind is PUNCTUATION and lexemes[j] == ")" and depth:
             depth -= 1
-        elif t.kind is STRING and literal is None:
-            literal = t
+        elif kind is STRING and literal is None:
+            literal = j
         else:
             break
         j += 1
 
     def ends(k: int) -> bool:  # ?> or the end of the file, or a ; or closer outside parentheses
-        return k >= len(tokens) or tokens[k].kind is CLOSE_TAG or (
-            not depth and tokens[k].kind is PUNCTUATION and tokens[k].lexeme in ";)]}")
+        return k >= count or kinds[k] is CLOSE_TAG or (
+            not depth and kinds[k] is PUNCTUATION and lexemes[k] in ";)]}")
 
     # a trailing , starts no second argument when the list ends right after it
-    if literal is None or literal.interpolations or not (
-            ends(j) or not depth and tokens[j].lexeme == "," and ends(j + 1)):
+    if literal is None or literal in stream.interpolations or not (
+            ends(j) or not depth and lexemes[j] == "," and ends(j + 1)):
         return []
-    rel = string_value(literal)
+    rel = string_value(lexemes[literal])
     # the target keeps the includer's path form (relative or absolute), so
     # its findings match those of its own direct scan
     target = os.path.normpath(os.path.join(os.path.dirname(display_path), rel))

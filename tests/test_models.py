@@ -251,6 +251,18 @@ def test_load_model_wrong_root_tag(tmp_path):
         load_model(tmp_path)
 
 
+@pytest.mark.parametrize("tag", ["esc--zz", "esc--c3"], ids=["not-hex", "not-utf-8"])
+def test_load_model_undecodable_element_names_file_and_element(tmp_path, tag):
+    good = ",".join(MODEL1_HEADER)
+    (tmp_path / "requests.csv").write_text(f"{good}\n")
+    role_file = tmp_path / "0.xml"
+    role_file.write_text(f"<Pages entry='a.php'><{tag}>a.php</{tag}></Pages>\n")
+    with pytest.raises(ValueError) as raised:
+        load_model(tmp_path)
+    assert raised.type is ValueError
+    assert str(raised.value).startswith(f"{role_file}: element <{tag}>: ")
+
+
 # -- page-name encoding ---------------------------------------------------------
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from phpwarden import scanner
+from phpwarden import lexer, scanner
 from phpwarden.checklist import default_checklist, load_checklist
 from phpwarden.lexer import tokenize
 from phpwarden.scanner import ScanContext, scan_file, scan_project
@@ -132,6 +132,30 @@ def test_construct_sink_takes_the_whole_expression(tmp_path, source):
     assert findings_set(scan_file(target, CHECKLIST)) == {(2, "CrossSiteScripting")}
 
 
+# PHP 8 reads #[ as the start of an attribute, not of a line comment
+@pytest.mark.parametrize("source", [
+    '<?php\n#[Route("/x")] function h() { echo $_GET["x"]; }\n',
+    '<?php\n$f = #[Pure] fn($a) => $a; echo $_GET["y"];\n',
+    '<?php\n#[Attr(\n "x"\n)]\nfunction h() { echo $_GET["x"]; }\n',
+], ids=["function", "arrow-function", "multi-line"])
+def test_an_attribute_is_not_a_comment(tmp_path, source):
+    stream = tokenize(source)
+    assert lexer.COMMENT not in stream.kinds and stream.diagnostics == []
+    hash_at = stream.lexemes.index("#")
+    assert stream.kinds[hash_at] is lexer.OPERATOR and stream.lexemes[hash_at + 1] == "["
+    target = tmp_path / "a.php"
+    target.write_text(source)
+    echo_line = source.count("\n", 0, source.index("echo")) + 1
+    assert findings_set(scan_file(target, CHECKLIST)) == {(echo_line, "CrossSiteScripting")}
+
+
+@pytest.mark.parametrize("comment", ["#", "# [x]", "#\t[x]", "#(x)", "#]"])
+def test_a_hash_not_followed_by_a_bracket_starts_a_comment(tmp_path, comment):
+    stream = tokenize(f"<?php\n{comment} echo $_GET['x'];\n$a = 1;")
+    assert stream.kinds[1] is lexer.COMMENT and stream.lexemes[1] == f"{comment} echo $_GET['x'];"
+    assert stream.lexemes[2:] == ["$a", "=", "1", ";"] and stream.lines[2] == 3
+
+
 def test_method_call_sink(tmp_path):
     target = tmp_path / "db.php"
     target.write_text("<?php\n$db->query($_POST['id']);\n")
@@ -249,24 +273,11 @@ def test_scan_file_is_total(tmp_path, source):
 
 def test_comma_separated_assignments_are_walked_once(tmp_path, monkeypatch):
     # each right-hand side ends at its comma, so token reads grow linearly
-    reads = Counter()
-
-    class CountingList(list):
-        def __getitem__(self, index):
-            reads["reads"] += 1
-            return super().__getitem__(index)
-
-    def counting_tokenize(source):
-        stream = tokenize(source)
-        stream.tokens = CountingList(stream.tokens)
-        reads["tokens"] = len(stream.tokens)
-        return stream
-
-    monkeypatch.setattr(scanner, "tokenize", counting_tokenize)
+    reads = count_token_reads(monkeypatch)
     target = tmp_path / "many.php"
     target.write_text("<?php\nf(" + ", ".join(f"$a{i} = 1" for i in range(2000)) + ");\n")
     scan_file(target, CHECKLIST)
-    assert reads["reads"] < 10 * reads["tokens"]
+    assert 0 < reads["reads"] < 10 * reads["tokens"]
 
 
 def test_every_finding_line_names_a_sink(repo_root):
@@ -689,8 +700,9 @@ def test_shared_cache_scans_equal_fresh_scans(pages, libs):
 
 
 def count_token_reads(monkeypatch):
-    """Token reads of the scans run after it, and the token count of the
-    last file lexed."""
+    """Reads by index of the token lists (kinds, lexemes and lines, all
+    counted as "reads") of the scans run after it, and the token count of
+    the last file lexed."""
     reads = Counter()
 
     class CountingList(list):
@@ -700,8 +712,10 @@ def count_token_reads(monkeypatch):
 
     def counting_tokenize(source):
         stream = tokenize(source)
-        stream.tokens = CountingList(stream.tokens)
-        reads["tokens"] = len(stream.tokens)
+        stream.kinds = CountingList(stream.kinds)
+        stream.lexemes = CountingList(stream.lexemes)
+        stream.lines = CountingList(stream.lines)
+        reads["tokens"] = len(stream.kinds)
         return stream
 
     monkeypatch.setattr(scanner, "tokenize", counting_tokenize)
@@ -721,7 +735,22 @@ def test_each_token_is_read_a_bounded_number_of_times(tmp_path, monkeypatch, sou
     target.write_text("<?php\n" + source)
     scan_file(target, CHECKLIST)
     assert reads["tokens"] > 4000
-    assert reads["reads"] < 10 * reads["tokens"]
+    assert 0 < reads["reads"] < 10 * reads["tokens"]
+
+
+def test_a_scan_builds_no_token_object(repo_root, monkeypatch):
+    # the walk reads the stream's lists; Token is only the tokens view's type
+    built = Counter()
+    init = lexer.Token.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built["tokens"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(lexer.Token, "__init__", counting_init)
+    result = scan_project(repo_root / "fixtures", CHECKLIST)
+    assert result.findings and result.files_scanned > 10
+    assert built["tokens"] == 0
 
 
 def children_of(findings):
