@@ -16,8 +16,7 @@ Source entries may be function names or $-prefixed superglobals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from importlib import resources
+import os
 
 CATEGORIES = (
     "CrossSiteScripting",
@@ -42,17 +41,18 @@ class ChecklistError(ValueError):
     pass
 
 
-@dataclass
 class Checklist:
     """The tables, and a name -> categories index of the sinks and of the
     sanitizers built from them once, at construction.  The indexes are keyed
     by lowercase name, for a caller that has lowered the name already."""
 
-    sinks: dict[str, frozenset[str]] = field(default_factory=dict)
-    sources: frozenset[str] = frozenset()
-    sanitizers: dict[str, frozenset[str]] = field(default_factory=dict)
+    __slots__ = ("sinks", "sources", "sanitizers", "sink_index", "sanitizer_index")
 
-    def __post_init__(self) -> None:
+    def __init__(self, sinks: dict[str, frozenset[str]] | None = None, sources: frozenset[str] = frozenset(),
+                 sanitizers: dict[str, frozenset[str]] | None = None) -> None:
+        self.sinks = {} if sinks is None else sinks
+        self.sources = sources
+        self.sanitizers = {} if sanitizers is None else sanitizers
         self.sink_index = _index(self.sinks)
         self.sanitizer_index = {name: frozenset(cats) for name, cats in _index(self.sanitizers).items()}
 
@@ -124,5 +124,5 @@ def load_checklist(text: str) -> Checklist:
 
 def default_checklist() -> Checklist:
     """The checklist shipped with the package."""
-    text = resources.files("phpwarden.data").joinpath("checklist.txt").read_text()
-    return load_checklist(text)
+    with open(os.path.join(os.path.dirname(__file__), "data", "checklist.txt"), encoding="utf-8") as fh:
+        return load_checklist(fh.read())

@@ -27,8 +27,11 @@ class UsageError(Exception):
 # process loads only what its command uses: a scan loads neither the training
 # and model layers nor xml.etree and csv, the gate's commands (serve-demo,
 # train, build-model, enforce) load no scanner, and only enforce, the one
-# command that logs, loads logging.  These hooks import on first call and
-# stay module globals, which perfbench/spans.py replaces to time them.
+# command that logs, loads logging.  No phpwarden module imports dataclasses
+# (which loads inspect, ast, dis and tokenize), typing or importlib.resources:
+# value types are namedtuples and __slots__ classes, and the checklist and
+# policy are read from beside their modules.  These hooks import on first
+# call and stay module globals, which perfbench/spans.py replaces to time them.
 def write_report(*args, **kwargs):
     from .report import write_report
     return write_report(*args, **kwargs)

@@ -8,8 +8,8 @@ the default conflicts with the recommendation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from importlib import resources
+import os
+from collections import namedtuple
 
 # Booleans in ini files come in many spellings; fold them all.
 _BOOL_TOKENS = {
@@ -28,10 +28,12 @@ def normalize_value(value: str) -> str:
     return _BOOL_TOKENS.get(v.lower(), v)
 
 
-@dataclass
 class SettingsMap:
-    entries: dict[str, str] = field(default_factory=dict)  # lowercased name -> normalized value
-    diagnostics: list[str] = field(default_factory=list)
+    __slots__ = ("entries", "diagnostics")
+
+    def __init__(self) -> None:
+        self.entries: dict[str, str] = {}  # lowercased name -> normalized value
+        self.diagnostics: list[str] = []
 
     def get(self, name: str) -> str | None:
         return self.entries.get(name.lower())
@@ -61,20 +63,10 @@ def parse_ini(text: str) -> SettingsMap:
     return settings
 
 
-@dataclass(frozen=True)
-class PolicyRule:
-    name: str
-    recommended: str
-    rationale: str
-    default: str  # effective value when the ini does not mention the setting
+# default: the effective value when the ini does not mention the setting
+PolicyRule = namedtuple("PolicyRule", "name recommended rationale default")
 
-
-@dataclass(frozen=True)
-class Misconfiguration:
-    name: str
-    current: str
-    recommended: str
-    rationale: str
+Misconfiguration = namedtuple("Misconfiguration", "name current recommended rationale")
 
 
 def load_policy(text: str) -> list[PolicyRule]:
@@ -109,8 +101,8 @@ def load_policy(text: str) -> list[PolicyRule]:
 
 
 def default_policy() -> list[PolicyRule]:
-    text = resources.files("phpwarden.data").joinpath("policy.ini").read_text()
-    return load_policy(text)
+    with open(os.path.join(os.path.dirname(__file__), "data", "policy.ini"), encoding="utf-8") as fh:
+        return load_policy(fh.read())
 
 
 def audit(settings: SettingsMap, policy: list[PolicyRule]) -> list[Misconfiguration]:

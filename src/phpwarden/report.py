@@ -9,29 +9,40 @@ byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from datetime import datetime
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, Callable
 
 from .checklist import DISPLAY_NAMES
 from .scanner import Finding, ScanResult, TaintedParam
-
-if TYPE_CHECKING:
-    from .config_audit import Misconfiguration
 
 STRUCTURED_FORMAT = "phpwarden-report"
 STRUCTURED_VERSION = 1
 
 
-@dataclass
 class Report:
-    application_name: str
-    scan_timestamp: datetime
-    files_scanned: int
-    elapsed: float
-    findings: list[Finding] = field(default_factory=list)
-    misconfigurations: list[Misconfiguration] = field(default_factory=list)
+    """A scan's report, equal to another of equal fields.  findings and
+    misconfigurations default to a fresh empty list each."""
+
+    __slots__ = ("application_name", "scan_timestamp", "files_scanned", "elapsed", "findings",
+                 "misconfigurations")
+
+    def __init__(self, application_name: str, scan_timestamp: datetime, files_scanned: int, elapsed: float,
+                 findings: list[Finding] | None = None,
+                 misconfigurations: list[Misconfiguration] | None = None) -> None:
+        self.application_name = application_name
+        self.scan_timestamp = scan_timestamp
+        self.files_scanned = files_scanned
+        self.elapsed = elapsed
+        self.findings = [] if findings is None else findings
+        self.misconfigurations = [] if misconfigurations is None else misconfigurations
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        return "Report(" + ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__) + ")"
 
 
 def build_report(
@@ -86,11 +97,12 @@ def render(report: Report) -> str:
 
 def render_structured(report: Report) -> str:
     """Machine-readable form: `phpwarden-report 1` header line, then JSON:
-    each dataclass an object of its fields in order, the timestamp its ISO
-    form.  Written directly, equal byte for byte to json.dumps(..., indent=2)
-    of that value, whose indented encoder runs in pure Python: strings go
-    through the C encode_basestring_ascii, numbers (elapsed is finite)
-    through their repr, as json writes them."""
+    the report and each finding, tainted parameter and misconfiguration an
+    object of its fields in order, the timestamp its ISO form.  Written
+    directly, equal byte for byte to json.dumps(..., indent=2) of that
+    value, whose indented encoder runs in pure Python: strings go through
+    the C encode_basestring_ascii, numbers (elapsed is finite) through
+    their repr, as json writes them."""
     q = encode_basestring_ascii
     findings = [
         f'    {{\n      "number": {f.number!r},\n      "file": {q(f.file)},\n'
@@ -138,18 +150,30 @@ def _typed(obj):
     return obj
 
 
+def _timestamp(text: str) -> datetime:
+    """The report's scan_timestamp, parsed from its ISO form."""
+    try:
+        return datetime.fromisoformat(text)
+    except ValueError:
+        raise ValueError(f"report field 'scan_timestamp' is not an ISO date and time: {text!r}") from None
+
+
 def parse_structured(text: str) -> Report:
     """Inverse of render_structured.  Raises ValueError on a bad header, an
     unsupported version, or a body that is not a report: not a JSON object,
     or one with a field missing, unknown, of the wrong type, or of the
-    wrong shape."""
+    wrong shape, or a timestamp that is not ISO."""
     from .config_audit import Misconfiguration  # a scan without --ini loads no config_audit
 
     header, _, body = text.partition("\n")
     parts = header.split()
     if len(parts) != 2 or parts[0] != STRUCTURED_FORMAT:
         raise ValueError(f"not a {STRUCTURED_FORMAT} document: {header!r}")
-    if int(parts[1]) != STRUCTURED_VERSION:
+    try:
+        version = int(parts[1])
+    except ValueError:
+        raise ValueError(f"report header {header!r} has no version number") from None
+    if version != STRUCTURED_VERSION:
         raise ValueError(f"unsupported report version {parts[1]}")
     doc = json.loads(body)
     if not isinstance(doc, dict):
@@ -161,7 +185,7 @@ def parse_structured(text: str) -> Report:
         ]
         return Report(**{
             **doc,
-            "scan_timestamp": datetime.fromisoformat(doc["scan_timestamp"]),
+            "scan_timestamp": _timestamp(doc["scan_timestamp"]),
             "findings": findings,
             "misconfigurations": [Misconfiguration(**_typed(m)) for m in doc["misconfigurations"]],
         })

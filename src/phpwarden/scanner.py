@@ -36,7 +36,6 @@ import re
 import time
 from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass
 from pathlib import Path
 
 from .checklist import Checklist
@@ -62,21 +61,18 @@ _BACKSLASH_RE = re.compile(r"\\(.)", re.S)  # a backslash and the character it e
 
 
 # source_kind: "superglobal" | "source function" | "unresolved".  One is
-# built for every read, and a namedtuple builds in about 0.6 of a frozen
-# dataclass's time (0.73 against 1.26 us, timeit, 2-CPU x86-64 VM).
+# built for every read.  A namedtuple is immutable with no Python-level
+# __init__, and builds in about 0.55 of the time of a __slots__ class that
+# refuses assignment (0.30 against 0.55 us, timeit, 2-CPU x86-64 VM).
 TaintInfo = namedtuple("TaintInfo", "source_kind source_name line sanitized_for",
                        defaults=(frozenset(),))
 
 
-@dataclass(frozen=True)
-class TaintedParam:
+class TaintedParam(namedtuple("TaintedParam", "variable source_kind source_name line")):
     """One tainted argument of a sink call: which variable (or call) carried
     the taint, where the taint originates, and the defining line."""
 
-    variable: str
-    source_kind: str
-    source_name: str
-    line: int
+    __slots__ = ()
 
     def origin(self) -> str:
         if self.source_kind == "unresolved":
@@ -84,14 +80,11 @@ class TaintedParam:
         return f"{self.source_kind} {self.source_name}"
 
 
-@dataclass(frozen=True)
-class Finding:
-    number: int
-    file: str
-    line: int
-    line_text: str
-    category: str
-    children: tuple[TaintedParam, ...]
+class Finding(namedtuple("Finding", "number file line line_text category children")):
+    """One sink call that taint reaches: children is a tuple of the
+    TaintedParams that carry it."""
+
+    __slots__ = ()
 
     def key(self) -> tuple:
         return (self.file, self.line, self.category, self.children)

@@ -641,15 +641,27 @@ def test_trace_hook_points_are_module_globals(tmp_path, monkeypatch):
     assert calls == ["a.php", "l.php", "m.php", "b.php", "l.php", "l.php", "m.php", "m.php"]
 
 
+# the directory that holds the phpwarden package under test
+PACKAGE_ROOT = str(Path(cli.__file__).resolve().parent.parent)
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh `python -S args`, which has run no site hook (a .pth file may
+    import typing or importlib.resources, say, before phpwarden starts) and
+    imports phpwarden from PACKAGE_ROOT.  It must exit 0."""
+    proc = subprocess.run([sys.executable, "-S", *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": PACKAGE_ROOT})
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
 def test_cli_import_leaves_out_the_training_and_model_code():
     # scan processes import only the scanner side; train, build-model and
     # enforce import the rest inside their commands
     left_out = ("phpwarden.crawler", "phpwarden.profile_store", "phpwarden.models", "xml.etree", "csv",
                 "logging")
     code = f"import sys, phpwarden.cli; print([m for m in {left_out!r} if m in sys.modules])"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert _python("-c", code).stdout.strip() == "[]"
 
 
 SCAN_STACK = ("phpwarden.checklist", "phpwarden.config_audit", "phpwarden.report", "phpwarden.scanner",
@@ -661,17 +673,13 @@ def _modules_loaded_by(argv: list[str], modules: tuple[str, ...]) -> tuple[int, 
     fresh interpreter."""
     code = ("import sys; from phpwarden.cli import main; rc = main(sys.argv[1:]); "
             f"print(rc, *[m for m in {modules!r} if m in sys.modules])")
-    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    rc, *loaded = proc.stdout.splitlines()[-1].split()
+    rc, *loaded = _python("-c", code, *argv).stdout.splitlines()[-1].split()
     return int(rc), loaded
 
 
 def test_cli_import_leaves_out_the_scan_stack():
     code = f"import sys, phpwarden.cli; print([m for m in {SCAN_STACK!r} if m in sys.modules])"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert _python("-c", code).stdout.strip() == "[]"
 
 
 def test_build_model_loads_no_scan_stack(tmp_path):
@@ -696,12 +704,10 @@ GATE_COMMAND_MODULES = {
 
 def _newly_loaded(code: str, modules: tuple[str, ...]) -> list[str]:
     """Those of modules that running code in a fresh interpreter loads,
-    beyond what the interpreter loaded before it (site hooks, say)."""
+    beyond what the interpreter loaded before it."""
     script = (f"import sys\nbefore = set(sys.modules)\nimport phpwarden.cli\n{code}\n"
               f"print(*[m for m in {modules!r} if m in sys.modules and m not in before])")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split()
+    return _python("-c", script).stdout.split()
 
 
 @pytest.mark.parametrize("command", GATE_COMMAND_MODULES)
@@ -728,6 +734,16 @@ def test_scan_without_ini_loads_no_audit_training_or_model_code(tmp_path):
     left_out = ("phpwarden.config_audit", "phpwarden.crawler", "phpwarden.profile_store", "phpwarden.models",
                 "phpwarden.http1")
     assert _modules_loaded_by(["scan", "--root", str(tmp_path)], left_out) == (1, [])
+
+
+@pytest.mark.parametrize("command", [["scan", "--root", "{tree}"], ["scan", "--root", "{tree}", "--ini", "{ini}"],
+                                     ["audit", "--ini", "{ini}"]], ids=["scan", "scan-ini", "audit"])
+def test_scan_and_audit_load_no_dataclasses(tmp_path, command):
+    (tmp_path / "a.php").write_text("<?php\necho $_GET['a'];\n")
+    ini = str(FIXTURES / "php_ini" / "vulnerable.ini")
+    argv = [arg.format(tree=tmp_path, ini=ini) for arg in command]
+    left_out = ("dataclasses", "inspect", "typing", "importlib.resources")
+    assert _modules_loaded_by(argv, left_out) == (1, [])
 
 
 def test_scan_cuts_an_include_chain_past_the_depth_bound(tmp_path, capsys):

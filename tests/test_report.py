@@ -1,5 +1,4 @@
 import json
-from dataclasses import asdict, replace
 from datetime import datetime, timezone
 
 import pytest
@@ -119,7 +118,7 @@ def test_fixed_clock_renders_are_byte_identical():
 def test_distinct_findings_render_distinctly():
     base = sample_report()
     other = sample_report()
-    other.findings[0] = replace(other.findings[0], line=8)
+    other.findings[0] = other.findings[0]._replace(line=8)
     assert render(base) != render(other)
 
 
@@ -133,19 +132,34 @@ def test_structured_round_trip_empty_report():
     assert parse_structured(render_structured(report)) == report
 
 
+REPORT_FIELDS = ("application_name", "scan_timestamp", "files_scanned", "elapsed", "findings", "misconfigurations")
+
+
+def as_dict(value):
+    """value as dataclasses.asdict would give it: the report, and each
+    namedtuple in it, a dict of its fields in order, recursively."""
+    if isinstance(value, Report):
+        return {name: as_dict(getattr(value, name)) for name in REPORT_FIELDS}
+    if hasattr(value, "_fields"):
+        return {name: as_dict(v) for name, v in zip(value._fields, value)}
+    if isinstance(value, (list, tuple)):
+        return type(value)(as_dict(v) for v in value)
+    return value
+
+
 def test_structured_body_is_the_json_of_asdict():
     children = (TaintedParam("$id", "superglobal", "$_GET", 4), TaintedParam("$q", "unresolved", "", 5))
     findings = [Finding(n, f"app/p{n}.php", 7 * n, 'echo "<b>" . $x;', "CrossSiteScripting", children)
                 for n in (1, 2)]
     report = Report("demo \u00e9", FIXED_CLOCK(), 2, 0.25, findings,
                     sample_audits() + [Misconfiguration("allow_url_include", "1", "0", "remote code")])
-    doc = asdict(report)
+    doc = as_dict(report)
     doc["scan_timestamp"] = report.scan_timestamp.isoformat()
     assert render_structured(report) == "phpwarden-report 1\n" + json.dumps(doc, indent=2) + "\n"
 
 
 def json_of_asdict(report):
-    doc = asdict(report)
+    doc = as_dict(report)
     doc["scan_timestamp"] = report.scan_timestamp.isoformat()
     return "phpwarden-report 1\n" + json.dumps(doc, indent=2) + "\n"
 
@@ -230,6 +244,18 @@ def test_parse_structured_rejects_unknown_version():
     )
     with pytest.raises(ValueError, match="version"):
         parse_structured(doc)
+
+
+def test_parse_structured_names_a_header_without_a_version_number():
+    doc = render_structured(sample_report()).replace("phpwarden-report 1", "phpwarden-report x", 1)
+    with pytest.raises(ValueError, match=r"^report header 'phpwarden-report x' has no version number$"):
+        parse_structured(doc)
+
+
+def test_parse_structured_names_a_timestamp_that_is_not_iso():
+    body = sample_body(lambda d: d.update(scan_timestamp="x"))
+    with pytest.raises(ValueError, match=r"^report field 'scan_timestamp' is not an ISO date and time: 'x'$"):
+        parse_structured(f"phpwarden-report 1\n{json.dumps(body)}\n")
 
 
 def test_write_report_produces_both_files(tmp_path):
