@@ -179,7 +179,7 @@ def _cmd_enforce(args) -> int:
     import socket
 
     from .enforcer import DeviationLog, Enforcer, EnforcerConfig, load_bindings
-    from .proxy import serve_proxy
+    from .proxy import EnforcementProxy
 
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     model1, model2 = load_model(args.models)
@@ -191,7 +191,7 @@ def _cmd_enforce(args) -> int:
     )
     enforcer = Enforcer(model1, model2, bindings, log, config)
     try:
-        proxy = serve_proxy(args.listen, args.upstream, enforcer)
+        proxy = EnforcementProxy(args.listen, args.upstream, enforcer)
     except OSError as exc:
         log.close()
         if isinstance(exc, socket.gaierror):
@@ -210,10 +210,10 @@ def _cmd_enforce(args) -> int:
 
 
 def _cmd_serve_demo(args) -> int:
-    from .demoapp import serve_app
+    from .demoapp import DemoApp
 
     try:
-        app = serve_app(args.listen, seed=args.seed)
+        app = DemoApp(args.listen, seed=args.seed)
     except OSError as exc:
         raise OSError(f"cannot listen on {args.listen[0]}:{args.listen[1]}: {exc}")
     print(f"demo app on http://{args.listen[0]}:{app.server_address[1]}/ (seed {args.seed})")

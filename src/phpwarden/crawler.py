@@ -29,7 +29,6 @@ from collections import deque
 from urllib.parse import urlencode, urlsplit
 
 from .http1 import LOGIN_FIELDS, LOGIN_PAGE, LOGOUT_PAGE, SESSION_COOKIE, Connection, login_succeeded, page_of
-from .profile_store import ProfileStore
 
 # a target with whitespace or a control character would break the request line
 _HREF_RE = re.compile(r'href="([^"#\x00-\x20\x7f]+)"')

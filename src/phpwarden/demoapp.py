@@ -68,6 +68,8 @@ ROUTES: dict[str, PageSpec] = {
 
 
 class DemoApp(ThreadingHTTPServer):
+    """The app, bound on listen (a busy port raises); the caller drives serve_forever()."""
+
     daemon_threads = True
 
     def __init__(self, listen: tuple[str, int], seed: int = 0):
@@ -155,7 +157,3 @@ class _Handler(BaseHTTPRequestHandler):
             self.server.sessions[cookie] = username
         self._redirect("/Home.php", [("Set-Cookie", f"{SESSION_COOKIE}={cookie}; Path=/")])
 
-
-def serve_app(listen: tuple[str, int], seed: int = 0) -> DemoApp:
-    """Bind the app; caller drives serve_forever().  A busy port raises."""
-    return DemoApp(listen, seed=seed)

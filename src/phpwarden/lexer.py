@@ -22,7 +22,7 @@ so  [<<<EOT ... EOT];  ends at EOT.  A # starts a line comment unless a [
 follows it: PHP 8 reads #[ as the start of an attribute, so it is lexed as
 a # operator and the [ group.  The stream holds its tokens as parallel
 lists of kinds, lexemes and lines, so a token costs three appends and no
-object; Token is only the value type of the stream's tokens view.
+object.
 """
 
 from __future__ import annotations
@@ -145,36 +145,6 @@ _INTERP_RE = re.compile(
 )
 
 
-class Token:
-    """One token, equal to and hashed as another with the same fields.
-    interpolations holds the variable names referenced by "$x" / "{$x}" /
-    "${x}" interpolation, for double-quoted strings and heredocs only.
-    Only TokenStream.tokens builds one; a scan reads the stream's lists."""
-
-    __slots__ = ("kind", "lexeme", "line", "interpolations")
-
-    def __init__(self, kind: TokenKind, lexeme: str, line: int,
-                 interpolations: tuple[str, ...] = ()) -> None:
-        self.kind = kind
-        self.lexeme = lexeme
-        self.line = line
-        self.interpolations = interpolations
-
-    def _fields(self) -> tuple:
-        return self.kind, self.lexeme, self.line, self.interpolations
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Token:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:  # keeps pytest diffs readable
-        return f"Token({self.kind.value}, {self.lexeme!r}, line={self.line})"
-
-
 LexDiagnostic = namedtuple("LexDiagnostic", "message line")
 
 
@@ -195,13 +165,6 @@ class TokenStream:
         self.interpolations: dict[int, tuple[str, ...]] = {}
         self.diagnostics: list[LexDiagnostic] = []
         self.line_ends = line_ends
-
-    @property
-    def tokens(self) -> list[Token]:
-        """The tokens as Token values, built anew on each read."""
-        names = self.interpolations
-        return [Token(kind, lexeme, line, names.get(i, ()))
-                for i, (kind, lexeme, line) in enumerate(zip(self.kinds, self.lexemes, self.lines))]
 
 
 def line_text(source: str, line_ends: list[int], line: int) -> str:

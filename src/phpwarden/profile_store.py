@@ -275,10 +275,3 @@ class ProfileStore:
         """Ids with a `<id>_request` file: those listed on open, then those
         recorded since."""
         return list(self._ids)
-
-    def trail_records(self) -> list[tuple[str, list[tuple[int, str, int]]]]:
-        """Per trail, in recording order: (role, [(cid, raw request, flag)]).
-        This is the replay view of the store."""
-        return [(trail.role, [(cid, *self.read_exchange(cid))
-                              for cid in range(trail.first_id, trail.last_id + 1)])
-                for trail in self.trails]

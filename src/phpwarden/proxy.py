@@ -275,7 +275,3 @@ def _bad_gateway(sock: socket.socket, verdict: Verdict, cause: str, exc: Excepti
     sock.sendall(_BAD_GATEWAY)
     return False
 
-
-def serve_proxy(listen: tuple[str, int], upstream: tuple[str, int], enforcer: Enforcer,
-                workers: int = _WORKERS) -> EnforcementProxy:
-    return EnforcementProxy(listen, upstream, enforcer, workers)

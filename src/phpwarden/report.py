@@ -141,10 +141,17 @@ _FIELD_TYPES = {"files_scanned": int, "number": int, "line": int, "elapsed": (in
                 "findings": list, "children": list, "misconfigurations": list}
 
 
-def _typed(obj):
-    """obj, once each of its fields holds a value of that field's type (a
-    value that is not a JSON object is left to the constructor's check)."""
-    for key, value in obj.items() if isinstance(obj, dict) else ():
+def _record(obj, what: str, fields: tuple[str, ...] = ()) -> dict:
+    """obj, once it is a JSON object whose fields hold values of their types
+    and, if fields is given, are exactly fields; what names obj in refusals."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"not a report: {what} is a JSON {type(obj).__name__}, not an object")
+    for key in fields:
+        if key not in obj:
+            raise ValueError(f"not a report: {what} lacks field {key!r}")
+    for key, value in obj.items():
+        if fields and key not in fields:
+            raise ValueError(f"not a report: {what} has unknown field {key!r}")
         if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES.get(key, str)):
             raise ValueError(f"report field {key!r} has the wrong type ({type(value).__name__})")
     return obj
@@ -160,9 +167,10 @@ def _timestamp(text: str) -> datetime:
 
 def parse_structured(text: str) -> Report:
     """Inverse of render_structured.  Raises ValueError on a bad header, an
-    unsupported version, or a body that is not a report: not a JSON object,
-    or one with a field missing, unknown, of the wrong type, or of the
-    wrong shape, or a timestamp that is not ISO."""
+    unsupported version, or a body that is not a report: not JSON, not a
+    JSON object, or one with a field missing, unknown, of the wrong type,
+    or of the wrong shape, or a timestamp that is not ISO.  A refusal names
+    a finding, child or misconfiguration by its 1-based position."""
     from .config_audit import Misconfiguration  # a scan without --ini loads no config_audit
 
     header, _, body = text.partition("\n")
@@ -175,34 +183,34 @@ def parse_structured(text: str) -> Report:
         raise ValueError(f"report header {header!r} has no version number") from None
     if version != STRUCTURED_VERSION:
         raise ValueError(f"unsupported report version {parts[1]}")
-    doc = json.loads(body)
-    if not isinstance(doc, dict):
-        raise ValueError(f"report body is a JSON {type(doc).__name__}, not an object")
     try:
-        findings = [
-            Finding(**{**_typed(f), "children": tuple(TaintedParam(**_typed(c)) for c in f["children"])})
-            for f in _typed(doc)["findings"]
-        ]
-        return Report(**{
-            **doc,
-            "scan_timestamp": _timestamp(doc["scan_timestamp"]),
-            "findings": findings,
-            "misconfigurations": [Misconfiguration(**_typed(m)) for m in doc["misconfigurations"]],
-        })
+        doc = _record(json.loads(body), "report body")
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"report body is not JSON: {exc}") from None
+    try:
+        findings = []
+        for i, f in enumerate(doc["findings"], 1):
+            what = f"finding {i}"
+            children = tuple(TaintedParam(**_record(c, f"child {j} of {what}", TaintedParam._fields))
+                             for j, c in enumerate(_record(f, what, Finding._fields)["children"], 1))
+            findings.append(Finding(**{**f, "children": children}))
+        misconfigurations = [Misconfiguration(**_record(m, f"misconfiguration {i}", Misconfiguration._fields))
+                             for i, m in enumerate(doc["misconfigurations"], 1)]
+        return Report(**{**doc, "scan_timestamp": _timestamp(doc["scan_timestamp"]),
+                         "findings": findings, "misconfigurations": misconfigurations})
     except KeyError as exc:
         raise ValueError(f"report lacks field {exc}") from None
     except TypeError as exc:
         raise ValueError(f"not a report: {exc}") from None
 
 
-def write_report(report: Report, out_path: str, text: str | None = None) -> tuple[str, str]:
-    """Write the text form at out_path and the structured form alongside it
-    (same name + `.data`).  Returns both paths.  text, when given, is
-    render(report), already rendered by the caller."""
+def write_report(report: Report, out_path: str, text: str) -> tuple[str, str]:
+    """Write text, which is render(report), at out_path and the structured
+    form alongside it (same name + `.data`).  Returns both paths."""
     text_path = out_path
     data_path = out_path + ".data"
     with open(text_path, "w", encoding="utf-8") as fh:
-        fh.write(render(report) if text is None else text)
+        fh.write(text)
     with open(data_path, "w", encoding="utf-8") as fh:
         fh.write(render_structured(report))
     return text_path, data_path

@@ -26,8 +26,7 @@ from __future__ import annotations
 import re
 
 from .crawler import log_in, send_request
-from .http1 import LOGIN_FIELDS, LOGOUT_PAGE, parse_header_block
-from .profile_store import ProfileStore
+from .http1 import LOGOUT_PAGE
 
 
 class ScenarioError(ValueError):
@@ -46,9 +45,8 @@ def _tokenize(line: str) -> list[str]:
 
 
 class ScenarioResult:
-    def __init__(self, name: str, passed: bool, transcript: list[str] | None = None) -> None:
-        self.name, self.passed = name, passed
-        self.transcript = [] if transcript is None else transcript
+    def __init__(self, name: str) -> None:
+        self.name, self.passed, self.transcript = name, True, []
 
 
 class _Client:
@@ -74,7 +72,7 @@ _DIRECTIVES = {
 
 def run_scenario(script: str, enforcer_addr: tuple[str, int], name: str = "scenario") -> ScenarioResult:
     clients: dict[str, _Client] = {}
-    result = ScenarioResult(name, True)
+    result = ScenarioResult(name)
     for lineno, raw in enumerate(script.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -184,43 +182,3 @@ request emp GET /Work_report.php expect=don't_block
 """,
 }
 
-
-def replay_training(
-    store: ProfileStore,
-    enforcer_addr: tuple[str, int],
-    credentials_by_role: dict[str, tuple[str, str]],
-) -> tuple[int, int]:
-    """Replay every recorded trail through the proxy and count blocks.
-
-    Each trail runs as a fresh client identity so its page history starts
-    clean, exactly as in training.  Authenticated trails are preceded by a
-    login with that role's credentials (training obtained its session the
-    same way, out of band), and replayed requests that were recorded with
-    a session flag present the fresh cookie.  Returns (blocks, total
-    replayed requests), login preambles included in both counts.
-    """
-    blocks = 0
-    total = 0
-    for index, (role, records) in enumerate(store.trail_records()):
-        agent = f"training-replay/{index}.{role}"
-        cookie = None
-        if role != "0":
-            username, password = credentials_by_role[role]
-            total += 1
-            _, headers, cookie = log_in(enforcer_addr, agent, username, password,
-                                        cookie_name=store.session_cookie_name)
-            if _reason(headers) is not None:
-                blocks += 1
-                continue
-        for _, raw, flag in records:
-            head = parse_header_block(raw)
-            # the only trained POST is the unauthenticated form probe
-            form = dict.fromkeys(LOGIN_FIELDS, "") if head.method.upper() == "POST" else None
-            total += 1
-            _, headers, _, _ = send_request(
-                enforcer_addr, head.method.upper(), head.target, agent,
-                cookie=cookie if flag else None, form=form, cookie_name=store.session_cookie_name,
-            )
-            if _reason(headers) is not None:
-                blocks += 1
-    return blocks, total

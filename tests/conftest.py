@@ -9,12 +9,14 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))  # scanner_oracle import
 
-from phpwarden.crawler import crawl
-from phpwarden.demoapp import serve_app
+from phpwarden.crawler import crawl, log_in, send_request
+from phpwarden.demoapp import DemoApp
 from phpwarden.enforcer import DeviationLog, Enforcer, load_bindings
+from phpwarden.http1 import LOGIN_FIELDS, parse_header_block
 from phpwarden.models import NavigationModel, RequestModel, build_model
 from phpwarden.profile_store import ProfileStore
-from phpwarden.proxy import serve_proxy
+from phpwarden.proxy import EnforcementProxy
+from phpwarden.scenarios import _reason
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -38,6 +40,55 @@ def read_records(path) -> list[tuple[str, ...]]:
             if line.strip():
                 records.append(tuple(line.rstrip("\n").split("\t")))
     return records
+
+
+def trail_records(store: ProfileStore) -> list[tuple[str, list[tuple[int, str, int]]]]:
+    """Per trail of store, in recording order: (role, [(cid, raw request,
+    flag)])."""
+    return [(trail.role, [(cid, *store.read_exchange(cid))
+                          for cid in range(trail.first_id, trail.last_id + 1)])
+            for trail in store.trails]
+
+
+def replay_training(
+    store: ProfileStore,
+    enforcer_addr: tuple[str, int],
+    credentials_by_role: dict[str, tuple[str, str]],
+) -> tuple[int, int]:
+    """Replay every recorded trail through the proxy and count blocks.
+
+    Each trail runs as a fresh client identity so its page history starts
+    clean, exactly as in training.  Authenticated trails are preceded by a
+    login with that role's credentials (training obtained its session the
+    same way, out of band), and replayed requests that were recorded with
+    a session flag present the fresh cookie.  Returns (blocks, total
+    replayed requests), login preambles included in both counts.
+    """
+    blocks = 0
+    total = 0
+    for index, (role, records) in enumerate(trail_records(store)):
+        agent = f"training-replay/{index}.{role}"
+        cookie = None
+        if role != "0":
+            username, password = credentials_by_role[role]
+            total += 1
+            _, headers, cookie = log_in(enforcer_addr, agent, username, password,
+                                        cookie_name=store.session_cookie_name)
+            if _reason(headers) is not None:
+                blocks += 1
+                continue
+        for _, raw, flag in records:
+            head = parse_header_block(raw)
+            # the only trained POST is the unauthenticated form probe
+            form = dict.fromkeys(LOGIN_FIELDS, "") if head.method.upper() == "POST" else None
+            total += 1
+            _, headers, _, _ = send_request(
+                enforcer_addr, head.method.upper(), head.target, agent,
+                cookie=cookie if flag else None, form=form, cookie_name=store.session_cookie_name,
+            )
+            if _reason(headers) is not None:
+                blocks += 1
+    return blocks, total
 
 
 def start_in_thread(server: socketserver.BaseServer) -> threading.Thread:
@@ -68,7 +119,7 @@ class TrainedStack:
 def trained(tmp_path_factory) -> TrainedStack:
     """One demo app instance plus a full three-role training run, shared by
     every test that only reads the models."""
-    app = serve_app(("127.0.0.1", 0), seed=99)
+    app = DemoApp(("127.0.0.1", 0), seed=99)
     start_in_thread(app)
     port = app.server_address[1]
     base = f"http://127.0.0.1:{port}"
@@ -98,7 +149,7 @@ def proxy_stack(trained, tmp_path) -> ProxyStack:
         trained.model1, trained.model2,
         load_bindings(BINDINGS_TEXT), DeviationLog(log_path),
     )
-    proxy = serve_proxy(("127.0.0.1", 0), trained.upstream, enforcer)
+    proxy = EnforcementProxy(("127.0.0.1", 0), trained.upstream, enforcer)
     start_in_thread(proxy)
     yield ProxyStack(("127.0.0.1", proxy.server_address[1]), enforcer, log_path)
     proxy.shutdown()

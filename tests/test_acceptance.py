@@ -22,12 +22,11 @@ from phpwarden.crawler import crawl
 from phpwarden.enforcer import DeviationLog, Enforcer, load_bindings, verify_request
 from phpwarden.models import build_model, load_model, persist_model
 from phpwarden.profile_store import ProfileStore
-from phpwarden.proxy import serve_proxy
+from phpwarden.proxy import EnforcementProxy
 from phpwarden.report import build_report, parse_structured, render, render_structured
 from phpwarden.scanner import scan_project
-from phpwarden.scenarios import replay_training
 
-from conftest import start_in_thread
+from conftest import replay_training, start_in_thread
 from test_enforcer import naive_verdict, toy_models
 
 CREDENTIALS = {"manager": ("mark", "maplesyrup"), "employer": ("emma", "evergreen")}
@@ -136,7 +135,7 @@ def gate(trained, tmp_path_factory):
         trained.model1, trained.model2,
         load_bindings(BINDINGS_TEXT), DeviationLog(log_path),
     )
-    proxy = serve_proxy(("127.0.0.1", 0), trained.upstream, enforcer)
+    proxy = EnforcementProxy(("127.0.0.1", 0), trained.upstream, enforcer)
     start_in_thread(proxy)
     yield SimpleNamespace(
         addr=("127.0.0.1", proxy.server_address[1]),

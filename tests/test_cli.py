@@ -341,7 +341,7 @@ def test_enforce_unwritable_log_is_reported_at_start(tmp_path, capsys):
 @pytest.mark.parametrize("line", ["mark,", ",manager"])
 def test_enforce_refuses_bindings_with_an_empty_username_or_role(tmp_path, capsys, monkeypatch, line):
     # a proxy that started would serve until killed
-    monkeypatch.setattr(proxy, "serve_proxy", lambda *args: pytest.fail("the proxy was built"))
+    monkeypatch.setattr(proxy, "EnforcementProxy", lambda *args: pytest.fail("the proxy was built"))
     models = tmp_path / "models"
     models.mkdir()
     (models / "requests.csv").write_text("sno,convid,reqresid,sessionFlag,role\n1,1,GET_About.php,0,0\n")
@@ -717,6 +717,10 @@ def test_gate_commands_load_no_dataclasses(command):
     # the gate serves and the demo app answers with no training-store code
     left_out += () if "phpwarden.profile_store" in modules else ("phpwarden.profile_store",)
     assert _newly_loaded("".join(f"import {m}\n" for m in modules), left_out) == []
+
+
+def test_scenario_list_loads_no_training_store():
+    assert _modules_loaded_by(["scenario", "--list"], ("phpwarden.profile_store",)) == (0, [])
 
 
 def test_training_into_a_fresh_store_loads_no_xml(tmp_path):

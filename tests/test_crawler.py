@@ -4,11 +4,11 @@ import threading
 import pytest
 
 from phpwarden.crawler import CrawlError, crawl, extract_links
-from phpwarden.demoapp import serve_app
+from phpwarden.demoapp import DemoApp
 from phpwarden.http1 import parse_header_block
 from phpwarden.profile_store import ProfileStore
 
-from conftest import start_in_thread
+from conftest import start_in_thread, trail_records
 
 
 def test_extract_links_order_and_dedup():
@@ -48,7 +48,7 @@ def test_extract_links_empty_html():
 
 
 def test_role0_crawl_records_six_exchanges(trained):
-    records = [r for r in trained.store.trail_records() if r[0] == "0"]
+    records = [r for r in trail_records(trained.store) if r[0] == "0"]
     total = sum(len(recs) for _, recs in records)
     assert total == 6
     ids = [parse_header_block(raw).method + "_" + parse_header_block(raw).target.lstrip("/")
@@ -71,7 +71,7 @@ def test_role0_trails_shape(trained):
 
 
 def test_role0_requests_carry_no_session_flag(trained):
-    for role, recs in trained.store.trail_records():
+    for role, recs in trail_records(trained.store):
         if role != "0":
             continue
         for _, _, flag in recs:
@@ -79,14 +79,14 @@ def test_role0_requests_carry_no_session_flag(trained):
 
 
 def test_manager_crawl_counts(trained):
-    records = [r for r in trained.store.trail_records() if r[0] == "manager"]
+    records = [r for r in trail_records(trained.store) if r[0] == "manager"]
     assert len(records) == 8  # one trail per discovered page
     assert sum(len(recs) for _, recs in records) == 19
     assert [len(recs) for _, recs in records] == [1, 2, 2, 2, 3, 3, 3, 3]
 
 
 def test_employer_crawl_counts(trained):
-    records = [r for r in trained.store.trail_records() if r[0] == "employer"]
+    records = [r for r in trail_records(trained.store) if r[0] == "employer"]
     assert len(records) == 5
     assert sum(len(recs) for _, recs in records) == 11
     assert [len(recs) for _, recs in records] == [1, 2, 2, 3, 3]
@@ -100,7 +100,7 @@ def test_authenticated_trails_start_at_home(trained):
 
 def test_scaffolding_is_unrecorded(trained):
     # no landing page, no credentialed login POST, no logout anywhere
-    for role, recs in trained.store.trail_records():
+    for role, recs in trail_records(trained.store):
         for _, raw, _ in recs:
             head = parse_header_block(raw)
             assert head.target != "/"
@@ -110,7 +110,7 @@ def test_scaffolding_is_unrecorded(trained):
 
 
 def test_authenticated_requests_carry_session_cookie(trained):
-    for role, recs in trained.store.trail_records():
+    for role, recs in trail_records(trained.store):
         if role == "0":
             continue
         for _, raw, flag in recs:
@@ -119,7 +119,7 @@ def test_authenticated_requests_carry_session_cookie(trained):
 
 
 def test_crawl_returns_first_visit_order(tmp_path):
-    app = serve_app(("127.0.0.1", 0), seed=3)
+    app = DemoApp(("127.0.0.1", 0), seed=3)
     start_in_thread(app)
     try:
         base = "http://%s:%d/" % app.server_address
@@ -152,7 +152,7 @@ def test_authenticated_role_requires_credentials(tmp_path):
 
 
 def test_bad_credentials_name_the_role(tmp_path):
-    app = serve_app(("127.0.0.1", 0), seed=3)
+    app = DemoApp(("127.0.0.1", 0), seed=3)
     start_in_thread(app)
     try:
         base = "http://%s:%d/" % app.server_address
@@ -172,7 +172,7 @@ def test_unreachable_target_is_crawl_error(tmp_path):
 
 
 def test_crawl_user_agent_is_recorded(tmp_path):
-    app = serve_app(("127.0.0.1", 0), seed=3)
+    app = DemoApp(("127.0.0.1", 0), seed=3)
     start_in_thread(app)
     try:
         base = "http://%s:%d/" % app.server_address
@@ -203,7 +203,7 @@ def test_chunked_page_with_a_link_split_across_chunks_is_followed(keepalive_upst
     store = ProfileStore(tmp_path / "store")
     base = "http://%s:%d/" % keepalive_upstream.server_address
     assert crawl(base, "0", None, store) == ["About.php"]
-    assert [parse_header_block(raw).target for _, raw, _ in store.trail_records()[0][1]] == ["/About.php"]
+    assert [parse_header_block(raw).target for _, raw, _ in trail_records(store)[0][1]] == ["/About.php"]
 
 
 @pytest.mark.parametrize("role, credentials, response", [

@@ -3,14 +3,14 @@ import http.client
 import pytest
 
 from phpwarden.crawler import extract_links
-from phpwarden.demoapp import ROUTES, SESSION_COOKIE, USERS, serve_app
+from phpwarden.demoapp import ROUTES, SESSION_COOKIE, USERS, DemoApp
 
 from conftest import start_in_thread
 
 
 @pytest.fixture(scope="module")
 def app():
-    server = serve_app(("127.0.0.1", 0), seed=7)
+    server = DemoApp(("127.0.0.1", 0), seed=7)
     start_in_thread(server)
     yield server.server_address
     server.shutdown()
@@ -155,8 +155,8 @@ def test_login_page_serves_a_form(app):
 
 
 def test_seeded_cookie_sequences_are_reproducible():
-    a = serve_app(("127.0.0.1", 0), seed=42)
-    b = serve_app(("127.0.0.1", 0), seed=42)
+    a = DemoApp(("127.0.0.1", 0), seed=42)
+    b = DemoApp(("127.0.0.1", 0), seed=42)
     try:
         assert [a.new_cookie() for _ in range(4)] == [b.new_cookie() for _ in range(4)]
     finally:

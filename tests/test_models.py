@@ -21,6 +21,8 @@ from phpwarden.models import (
 from phpwarden.http1 import parse_header_block, request_key
 from phpwarden.profile_store import ProfileStore
 
+from conftest import trail_records
+
 
 def head_text(target, cookie=None, method="GET"):
     lines = [f"{method} {target} HTTP/1.1", "Host: app.local"]
@@ -160,7 +162,7 @@ def test_build_model_rows_match_a_parse_per_exchange(repo_root, tmp_path, monkey
             for page in trail:
                 store.record_exchange(f"GET /{page} HTTP/1.1\r\nHost: 127.0.0.1:8080\r\n"
                                       f"Cookie: PHPSESSID=trainer{role}\r\n\r\n", role)
-    role_by_id = {cid: role for role, records in store.trail_records() for cid, _, _ in records}
+    role_by_id = {cid: role for role, records in trail_records(store) for cid, _, _ in records}
     expected = []
     for sno, cid in enumerate(store.recorded_ids(), start=1):
         raw, flag = store.read_exchange(cid)

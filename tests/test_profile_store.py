@@ -27,7 +27,7 @@ from phpwarden.http1 import (
 from phpwarden.models import build_model
 from phpwarden.profile_store import ProfileStore
 
-from conftest import BARE_CR_REQUEST
+from conftest import BARE_CR_REQUEST, trail_records
 
 
 def head_text(target, cookie=None, method="GET"):
@@ -628,7 +628,7 @@ def test_trails_and_roles_survive_reload(tmp_path):
         ("manager", ["Home.php", "View.php"]),
         ("manager", ["Home.php"]),
     ]
-    role_by_id = {cid: role for role, records in reopened.trail_records() for cid, _, _ in records}
+    role_by_id = {cid: role for role, records in trail_records(reopened) for cid, _, _ in records}
     assert role_by_id[1] == "0"
     assert role_by_id[3] == "manager"
 
@@ -657,7 +657,7 @@ def test_trail_records_replay_view(tmp_path):
     store.record_exchange(head_text("/a.php"), "0")
     store.begin_trail("manager")
     store.record_exchange(head_text("/Home.php", cookie="PHPSESSID=aa"), "manager")
-    records = store.trail_records()
+    records = trail_records(store)
     assert [role for role, _ in records] == ["0", "manager"]
     (cid, raw, flag) = records[1][1][0]
     assert cid == 2
@@ -784,8 +784,8 @@ def test_recording_under_another_role_starts_a_new_trail(tmp_path):
     assert (tmp_path / "trails").read_text() == "0\t1\t1\nmanager\t2\t2\n0\t3\t3\n"
     assert (tmp_path / "0.xml").read_text() == (
         '<Sequences role="0">\n  <Trail>a.php</Trail>\n  <Trail>c.php</Trail>\n</Sequences>\n')
-    assert [role for role, _ in store.trail_records()] == ["0", "manager", "0"]
-    assert [[cid for cid, _, _ in records] for _, records in store.trail_records()] == [[1], [2], [3]]
+    assert [role for role, _ in trail_records(store)] == ["0", "manager", "0"]
+    assert [[cid for cid, _, _ in records] for _, records in trail_records(store)] == [[1], [2], [3]]
     model1, _ = build_model(store)
     assert [(r.reqresid, r.session_flag, r.role) for r in model1.rows] == [
         ("GET_a.php", 0, "0"), ("GET_Home.php", 1, "manager"), ("GET_c.php", 0, "0")]

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from phpwarden import http1, profile_store
 from phpwarden.enforcer import LEVEL_FOR_REASON, DeviationLog, Enforcer, load_bindings
 from phpwarden.models import ModelRow, NavigationModel, RequestModel
-from phpwarden.proxy import _BLOCKED, EnforcementProxy, _error_response, serve_proxy
+from phpwarden.proxy import _BLOCKED, EnforcementProxy, _error_response
 from phpwarden.scenarios import run_scenario
 
 from conftest import BARE_CR_REQUEST, BINDINGS_TEXT, read_records, start_in_thread
@@ -92,7 +92,7 @@ def capture_rig(trained, tmp_path):
         trained.model1, trained.model2,
         load_bindings(BINDINGS_TEXT), DeviationLog(log_path),
     )
-    proxy = serve_proxy(("127.0.0.1", 0), upstream.server_address, enforcer)
+    proxy = EnforcementProxy(("127.0.0.1", 0), upstream.server_address, enforcer)
     start_in_thread(proxy)
     yield ("127.0.0.1", proxy.server_address[1]), upstream, enforcer, log_path
     proxy.shutdown()
@@ -223,7 +223,7 @@ def path_info_rig(tmp_path):
     start_in_thread(upstream)
     log_path = str(tmp_path / "deviations.log")
     enforcer = Enforcer(model1, model2, {}, DeviationLog(log_path))
-    proxy = serve_proxy(("127.0.0.1", 0), upstream.server_address, enforcer, 2)
+    proxy = EnforcementProxy(("127.0.0.1", 0), upstream.server_address, enforcer, 2)
     start_in_thread(proxy)
     yield proxy.server_address, upstream, log_path
     proxy.shutdown()
@@ -330,7 +330,7 @@ def test_upstream_down_is_502_not_deviation(trained, tmp_path):
         trained.model1, trained.model2,
         load_bindings(BINDINGS_TEXT), DeviationLog(log_path),
     )
-    proxy = serve_proxy(("127.0.0.1", 0), dead_addr, enforcer)
+    proxy = EnforcementProxy(("127.0.0.1", 0), dead_addr, enforcer)
     start_in_thread(proxy)
     try:
         response = send_raw(
@@ -388,7 +388,7 @@ def test_upstream_addresses_are_tried_in_order(trained, tmp_path, monkeypatch):
                         DeviationLog(str(tmp_path / "deviations.log")))
     with monkeypatch.context() as patch:
         patch.setattr(socket, "getaddrinfo", resolve)
-        proxy = serve_proxy(("127.0.0.1", 0), ("upstream.test", 8008), enforcer)
+        proxy = EnforcementProxy(("127.0.0.1", 0), ("upstream.test", 8008), enforcer)
     assert resolved == [("upstream.test", 8008)]
     connects = []
 
@@ -466,7 +466,7 @@ def test_logout_hook_clears_binding(tmp_path):
     start_in_thread(upstream)
     enforcer = Enforcer(model1, model2, load_bindings(BINDINGS_TEXT),
                         DeviationLog(str(tmp_path / "d.log")))
-    proxy = serve_proxy(("127.0.0.1", 0), upstream.server_address, enforcer)
+    proxy = EnforcementProxy(("127.0.0.1", 0), upstream.server_address, enforcer)
     start_in_thread(proxy)
     addr = ("127.0.0.1", proxy.server_address[1])
     try:
@@ -525,7 +525,7 @@ def framing_rig(keepalive_upstream, tmp_path):
     model2 = NavigationModel(graphs={"0": {"a.php": ["a.php"]}}, entries={"0": ["a.php"]})
     log_path = str(tmp_path / "deviations.log")
     enforcer = Enforcer(model1, model2, {}, DeviationLog(log_path))
-    proxy = serve_proxy(("127.0.0.1", 0), keepalive_upstream.server_address, enforcer)
+    proxy = EnforcementProxy(("127.0.0.1", 0), keepalive_upstream.server_address, enforcer)
     start_in_thread(proxy)
     yield ("127.0.0.1", proxy.server_address[1]), keepalive_upstream, enforcer, log_path
     proxy.shutdown()
@@ -669,7 +669,7 @@ def test_each_502_is_logged_once_with_its_cause(keepalive_upstream, caplog, monk
     keepalive_upstream.responses.append(b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello")
     model1 = RequestModel(rows=[ModelRow(sno=1, convid=1, reqresid="GET_a.php", session_flag=1, role="0")])
     model2 = NavigationModel(graphs={"0": {}}, entries={"0": ["a.php"]})
-    proxy = serve_proxy(("127.0.0.1", 0), address, Enforcer(model1, model2, {}, None))
+    proxy = EnforcementProxy(("127.0.0.1", 0), address, Enforcer(model1, model2, {}, None))
     start_in_thread(proxy)
     try:
         with caplog.at_level(logging.WARNING, logger="phpwarden.proxy"):
@@ -1030,7 +1030,7 @@ def login_rig(keepalive_upstream, tmp_path):
                              entries={"0": ["Login.php", "Signin.php"], "manager": ["Home.php"]})
     enforcer = Enforcer(model1, model2, load_bindings(BINDINGS_TEXT),
                         DeviationLog(str(tmp_path / "deviations.log")))
-    proxy = serve_proxy(("127.0.0.1", 0), keepalive_upstream.server_address, enforcer)
+    proxy = EnforcementProxy(("127.0.0.1", 0), keepalive_upstream.server_address, enforcer)
     start_in_thread(proxy)
     yield ("127.0.0.1", proxy.server_address[1]), keepalive_upstream, enforcer
     proxy.shutdown()
@@ -1174,7 +1174,7 @@ def test_each_proxied_request_is_keyed_once(keepalive_upstream, tmp_path, monkey
                              entries={"0": ["Login.php", "About.php"], "manager": ["Home.php"]})
     enforcer = Enforcer(model1, model2, load_bindings(BINDINGS_TEXT),
                         DeviationLog(str(tmp_path / "deviations.log")))
-    proxy = serve_proxy(("127.0.0.1", 0), keepalive_upstream.server_address, enforcer)
+    proxy = EnforcementProxy(("127.0.0.1", 0), keepalive_upstream.server_address, enforcer)
     start_in_thread(proxy)
     addr = proxy.server_address
     keepalive_upstream.responses += [
@@ -1248,7 +1248,7 @@ def start_pool(tmp_path):
     proxies = []
 
     def start(workers: int):
-        proxy = serve_proxy(("127.0.0.1", 0), upstream.server_address, enforcer, workers)
+        proxy = EnforcementProxy(("127.0.0.1", 0), upstream.server_address, enforcer, workers)
         proxies.append(proxy)
         serving = start_in_thread(proxy)
         deadline = time.monotonic() + 5
@@ -1478,7 +1478,7 @@ sys.path[:0] = sys.argv[1:3]
 import spans
 from phpwarden.enforcer import DeviationLog, Enforcer
 from phpwarden.models import ModelRow, NavigationModel, RequestModel
-from phpwarden.proxy import serve_proxy
+from phpwarden.proxy import EnforcementProxy
 
 
 class Upstream(socketserver.BaseRequestHandler):
@@ -1507,7 +1507,7 @@ model1 = RequestModel(rows=[ModelRow(1, 1, "GET_About.php", 0, "0")])
 model2 = NavigationModel(graphs={}, entries={"0": ["About.php"]})
 with tempfile.TemporaryDirectory() as tmp:
     log = DeviationLog(os.path.join(tmp, "deviations.log"))
-    proxy = serve_proxy(("127.0.0.1", 0), upstream.server_address, Enforcer(model1, model2, {}, log))
+    proxy = EnforcementProxy(("127.0.0.1", 0), upstream.server_address, Enforcer(model1, model2, {}, log))
     threading.Thread(target=proxy.serve_forever, daemon=True).start()
     statuses = [get(proxy.server_address, page) for page in ("About.php", "Secret.php")]
     proxy.shutdown()  # joins the workers, so every span is recorded

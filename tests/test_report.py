@@ -230,12 +230,24 @@ def sample_body(edit=None) -> dict:
     (sample_body(lambda d: d["findings"][0]["children"][0].update(line="3")), "report field 'line'"),
     (sample_body(lambda d: d["findings"][0]["children"][0].update(source_name=[])), "report field 'source_name'"),
     (sample_body(lambda d: d["misconfigurations"][0].update(current=1)), "report field 'current'"),
+    ("not json", r"^report body is not JSON: Expecting value: line 1 column 1 \(char 0\)$"),
+    (sample_body(lambda d: d["findings"][0].update(severity="high")),
+     "^not a report: finding 1 has unknown field 'severity'$"),
+    (sample_body(lambda d: d["findings"][0]["children"][0].pop("source_kind")),
+     "^not a report: child 1 of finding 1 lacks field 'source_kind'$"),
+    (sample_body(lambda d: d["findings"].append(5)), "^not a report: finding 2 is a JSON int, not an object$"),
+    (sample_body(lambda d: d["misconfigurations"][0].pop("rationale")),
+     "^not a report: misconfiguration 1 lacks field 'rationale'$"),
 ], ids=["empty-object", "list", "finding-without-line", "elapsed-str", "elapsed-bool", "files-scanned-float",
         "application-name-int", "findings-object", "misconfigurations-str", "number-str", "line-bool",
-        "file-null", "children-str", "child-line-str", "child-source-name-list", "current-int"])
+        "file-null", "children-str", "child-line-str", "child-source-name-list", "current-int",
+        "not-json", "finding-unknown-field", "child-without-source-kind", "finding-int",
+        "misconfiguration-without-rationale"])
 def test_parse_structured_rejects_a_body_that_is_not_a_report(body, message):
+    # a str body is the text after the header as it stands, not JSON-encoded
+    text = body if isinstance(body, str) else json.dumps(body)
     with pytest.raises(ValueError, match=message):
-        parse_structured(f"phpwarden-report 1\n{json.dumps(body)}\n")
+        parse_structured(f"phpwarden-report 1\n{text}\n")
 
 
 def test_parse_structured_rejects_unknown_version():
@@ -260,7 +272,7 @@ def test_parse_structured_names_a_timestamp_that_is_not_iso():
 
 def test_write_report_produces_both_files(tmp_path):
     report = sample_report()
-    text_path, data_path = write_report(report, str(tmp_path / "out.txt"))
+    text_path, data_path = write_report(report, str(tmp_path / "out.txt"), render(report))
     assert text_path.endswith("out.txt")
     assert data_path.endswith("out.txt.data")
     with open(text_path) as fh:

@@ -737,21 +737,6 @@ def test_each_token_is_read_a_bounded_number_of_times(tmp_path, monkeypatch, sou
     assert 0 < reads["reads"] < 10 * reads["tokens"]
 
 
-def test_a_scan_builds_no_token_object(repo_root, monkeypatch):
-    # the walk reads the stream's lists; Token is only the tokens view's type
-    built = Counter()
-    init = lexer.Token.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built["tokens"] += 1
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(lexer.Token, "__init__", counting_init)
-    result = scan_project(repo_root / "fixtures", CHECKLIST)
-    assert result.findings and result.files_scanned > 10
-    assert built["tokens"] == 0
-
-
 def children_of(findings):
     return {f.line: [(c.variable, c.origin()) for c in f.children] for f in findings}
 

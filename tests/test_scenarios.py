@@ -5,16 +5,15 @@ import pytest
 from phpwarden.enforcer import Enforcer, EnforcerConfig, load_bindings
 from phpwarden.models import build_model
 from phpwarden.profile_store import ProfileStore
-from phpwarden.proxy import serve_proxy
+from phpwarden.proxy import EnforcementProxy
 from phpwarden.scenarios import (
     BUILTIN_SCENARIOS,
     ScenarioError,
     _tokenize,
-    replay_training,
     run_scenario,
 )
 
-from conftest import BINDINGS_TEXT, CREDENTIALS, start_in_thread
+from conftest import BINDINGS_TEXT, CREDENTIALS, replay_training, start_in_thread
 
 
 # -- tokenizer ------------------------------------------------------------------
@@ -185,7 +184,7 @@ def test_replay_training_speaks_the_store_cookie_name(tmp_path, keepalive_upstre
         b"Content-Length: 0\r\n\r\n",  # the manager's login
         page, page,
     ]
-    proxy = serve_proxy(("127.0.0.1", 0), keepalive_upstream.server_address, enforcer)
+    proxy = EnforcementProxy(("127.0.0.1", 0), keepalive_upstream.server_address, enforcer)
     start_in_thread(proxy)
     try:
         blocks, total = replay_training(store, ("127.0.0.1", proxy.server_address[1]), CREDENTIALS)
