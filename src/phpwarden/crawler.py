@@ -34,6 +34,7 @@ from .http1 import LOGIN_FIELDS, LOGIN_PAGE, LOGOUT_PAGE, SESSION_COOKIE, Connec
 _HREF_RE = re.compile(r'href="([^"#\x00-\x20\x7f]+)"')
 
 _PAGE_BUDGET = 10_000
+USER_AGENT = "phpwarden-trainer/0.1"
 
 
 class CrawlError(ValueError):
@@ -97,8 +98,6 @@ def crawl(
     role: str,
     credentials: tuple[str, str] | None,
     store: ProfileStore,
-    *,
-    user_agent: str = "phpwarden-trainer/0.1",
 ) -> list[str]:
     """Crawl base_url as role, recording into store.  Role "0" starts at
     the landing page with no login; any other role logs in with
@@ -120,7 +119,7 @@ def crawl(
 
     def fetch(method: str, path: str, form: dict | None = None):
         status, headers, body, raw_head = reach(
-            send_request, path, method, path, user_agent, cookie, form, store.session_cookie_name)
+            send_request, path, method, path, USER_AGENT, cookie, form, store.session_cookie_name)
         return status, headers, body.decode("latin-1"), raw_head
 
     discovered: list[str] = []
@@ -139,7 +138,7 @@ def crawl(
     else:
         if credentials is None:
             raise CrawlError(f"role {role} requires credentials")
-        _, resp_headers, cookie = reach(log_in, f"/{LOGIN_PAGE}", user_agent, *credentials,
+        _, resp_headers, cookie = reach(log_in, f"/{LOGIN_PAGE}", USER_AGENT, *credentials,
                                         cookie_name=store.session_cookie_name)
         if cookie is None:
             raise CrawlError(f"login failed for role {role}")

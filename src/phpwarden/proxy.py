@@ -1,19 +1,19 @@
 """Intercepting reverse proxy, the deployable form of the enforcer.
 
-A fixed pool of worker threads serves it, 8 by default (the workers
-argument).  Each worker loops: a blocking accept() on the shared listening
-socket, then the whole request, so the kernel hands each connection to one
-idle worker, and no thread is started per connection.  When every worker
-is busy a connection waits in the listen backlog (_BACKLOG) until one
-frees: the overload policy is to wait.  A client has _IO_TIMEOUT in all to
-send its request head, however it drips it, and up to _IO_TIMEOUT per read
-after it.  An exception in one request goes to handle_error, and neither it
-nor a failed accept ends the worker.
-shutdown() wakes the blocked accepts, cuts off every client still sending
-its head, and joins the workers once each has finished its request: a head
-not yet read has not been verified either, so it is dropped unanswered,
-while a request past its head goes on to its end.  A Ctrl-C in
-serve_forever does not wait for the workers.
+The proxy owns its listening socket and a fixed pool of worker threads, 8
+by default (the workers argument).  Each worker loops: a blocking accept()
+on that socket, then the whole request, so the kernel hands each connection
+to one idle worker, and no thread is started per connection.  When every
+worker is busy a connection waits in the listen backlog (_BACKLOG) until
+one frees: the overload policy is to wait.  A client has _IO_TIMEOUT in all
+to send its request head, however it drips it, and up to _IO_TIMEOUT per
+read after it.  A request whose handling raises is logged with its
+traceback, and neither it nor a failed accept ends the worker.
+shutdown() makes serve_forever return, which wakes the blocked accepts; it
+cuts off every client still sending its head and joins the workers once
+each has finished its request: a head not yet read has not been verified
+either, so it is dropped unanswered, while a request past its head goes on
+to its end.  A Ctrl-C in serve_forever does not wait for the workers.
 
 One request per connection.  Its head is read up to the first blank line,
 empty or whitespace only; one whose blank line is not a bare CRLF is
@@ -42,18 +42,18 @@ unreachable upstream, and each 502 is logged as a warning with its cause
 error, never the head.  A 1xx head other than 101 is relayed at once and
 the final head read after it.  The body is streamed to the client in
 pieces of at most 64 KiB: a chunked one up to its last chunk and trailer
-section, a 101's or one with no length until the upstream closes.  The
-client's side is then shut at once, so the client sees the response end
-before the upstream socket closes.  Each final response head goes to
-Enforcer.note_response before the client gets a byte of it: the Enforcer
-owns the session and decides which response logs a client in or out.
+section, a 101's or one with no length until the upstream closes.  Each
+final response head goes to Enforcer.note_response before the client gets
+a byte of it: the Enforcer owns the session and decides which response logs
+a client in or out.  Each answer (a 403, a 502 or the response) shuts the
+client's side once sent, so the client sees its end before the upstream
+socket closes, and the worker then closes every connection, answered or not.
 """
 
 from __future__ import annotations
 
 import logging
 import socket
-import socketserver
 import threading
 import time
 
@@ -84,12 +84,8 @@ _BLOCKED = {
 }
 
 
-class EnforcementProxy(socketserver.TCPServer):
-    """A TCPServer served by a fixed pool of worker threads, each of which
-    accepts its own connections from the shared listening socket."""
-
-    allow_reuse_address = True
-    request_queue_size = _BACKLOG
+class EnforcementProxy:
+    """A listening socket and the pool of worker threads that accept from it."""
 
     def __init__(self, listen: tuple[str, int], upstream: tuple[str, int], enforcer: Enforcer,
                  workers: int = _WORKERS):
@@ -98,7 +94,15 @@ class EnforcementProxy(socketserver.TCPServer):
         # resolved before the listening socket exists, so a name that does
         # not resolve (socket.gaierror) leaves no socket behind
         self._upstream_addresses = socket.getaddrinfo(*upstream, 0, socket.SOCK_STREAM)
-        super().__init__(listen, None)  # finish_request handles each connection
+        self.socket = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            self.socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)  # a restart binds despite TIME_WAIT
+            self.socket.bind(listen)
+            self.socket.listen(_BACKLOG)
+        except Exception:
+            self.socket.close()
+            raise
+        self.server_address = self.socket.getsockname()
         self.enforcer = enforcer
         self.workers = workers
         self.threads: list[threading.Thread] = []  # the pool, once serve_forever starts it
@@ -109,8 +113,8 @@ class EnforcementProxy(socketserver.TCPServer):
 
     def serve_forever(self, poll_interval: float = 0.5) -> None:
         """Start the workers and wait until shutdown().  No worker polls,
-        since shutdown() wakes their accepts; poll_interval is only the
-        pause after a failed accept (out of file descriptors, say).  After a
+        since returning wakes their accepts; poll_interval is only the pause
+        after a failed accept (out of file descriptors, say).  After a
         Ctrl-C here the accepts stop at once, and a request in flight ends
         with the process, the workers being daemon threads."""
         for n in range(self.workers):
@@ -121,12 +125,18 @@ class EnforcementProxy(socketserver.TCPServer):
         try:
             self._stopping.wait()
         finally:
-            self._stop_accepting()
+            self._stopping.set()  # after a Ctrl-C, for the workers
+            try:
+                # on Linux this wakes every accept() blocked on the socket, and
+                # makes every later one fail at once
+                self.socket.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # closed already
 
     def shutdown(self) -> None:
         """Stop serve_forever, once every worker has finished its request;
         a connection still sending its head is cut off first."""
-        self._stop_accepting()
+        self._stopping.set()  # serve_forever returns, and stops the accepts
         with self._reading_lock:
             for sock in self._reading:
                 try:
@@ -136,28 +146,31 @@ class EnforcementProxy(socketserver.TCPServer):
         for worker in self.threads:
             worker.join()
 
+    def server_close(self) -> None:
+        self.socket.close()
+
+    def get_request(self) -> tuple[socket.socket, tuple[str, int]]:
+        return self.socket.accept()
+
+    def handle_error(self, request: socket.socket, client_address: tuple[str, int]) -> None:
+        """Log the request whose handling raised, with its traceback."""
+        logger.exception("request from %s:%d raised", *client_address)
+
     def _read_head(self, conn: Connection) -> bytes:
         """conn.read_head within _IO_TIMEOUT, cut off by shutdown(): b""
-        once the proxy is stopping, whatever arrived."""
+        once the proxy is stopping, whatever arrived, or once a read fails."""
         with self._reading_lock:
             if self._stopping.is_set():
                 return b""
             self._reading.add(conn.sock)
         try:
             head = conn.read_head(time.monotonic() + _IO_TIMEOUT)
+        except OSError:
+            head = b""  # the client went away, or took too long
         finally:
             with self._reading_lock:
                 self._reading.discard(conn.sock)
         return b"" if self._stopping.is_set() else head
-
-    def _stop_accepting(self) -> None:
-        self._stopping.set()
-        try:
-            # on Linux this wakes every accept() blocked on the socket, and
-            # makes every later one fail at once
-            self.socket.shutdown(socket.SHUT_RD)
-        except OSError:
-            pass  # already shut
 
     def connect_upstream(self) -> socket.socket:
         """A socket connected to the first upstream address that accepts,
@@ -176,38 +189,27 @@ class EnforcementProxy(socketserver.TCPServer):
     def _work(self, pause: float) -> None:
         while not self._stopping.is_set():
             try:
-                request, client_address = self.get_request()
+                sock, client_address = self.get_request()
             except OSError:
                 if not self._stopping.is_set():
                     time.sleep(pause)
                 continue
-            answered = False
-            try:
-                answered = self.finish_request(request, client_address)
-            except Exception:
-                self.handle_error(request, client_address)
-            finally:
-                # an answered connection's write side is shut already
-                if answered:
-                    self.close_request(request)
-                else:
-                    self.shutdown_request(request)
+            with sock:  # an answer has shut its write side already
+                try:
+                    self.finish_request(sock, client_address)
+                except Exception:
+                    self.handle_error(sock, client_address)
 
-    def finish_request(self, sock, client_address) -> bool:
-        """Handle one connection; True when it was answered and its write
-        side shut."""
+    def finish_request(self, sock: socket.socket, client_address: tuple[str, int]) -> None:
+        """Handle one connection, which the caller closes."""
         conn = Connection(sock)
-        try:
-            head_bytes = self._read_head(conn)
-            sock.settimeout(_IO_TIMEOUT)
-        except OSError:
-            return False
+        head_bytes = self._read_head(conn)
         if not head_bytes:
-            return False
+            return
+        sock.settimeout(_IO_TIMEOUT)
         verdict = self.enforcer.evaluate(head_bytes.decode("latin-1"), client_address[0])
         head = verdict.head
         length = head.content_length if head else 0
-        answered = False
         try:
             if verdict.blocked:
                 # answered before the body is read, which the client may hold
@@ -216,9 +218,8 @@ class EnforcementProxy(socketserver.TCPServer):
                 # sends is then read, so closing sends no reset
                 sock.sendall(_BLOCKED[verdict.reason])
                 sock.shutdown(socket.SHUT_WR)
-                answered = True
                 conn.relay(length, lambda piece: None)
-                return True
+                return
             if (length and head.version == "HTTP/1.1"
                     and (head.get("Expect") or "").lower() == "100-continue"):
                 sock.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
@@ -227,30 +228,30 @@ class EnforcementProxy(socketserver.TCPServer):
             # the client cut short
             body: list[bytes] = []
             if conn.relay(length, body.append):
-                answered = self._forward(sock, client_address[0], verdict, head_bytes, b"".join(body))
+                self._forward(sock, client_address[0], verdict, head_bytes, b"".join(body))
         except OSError:
             pass  # a peer went away mid-message
-        return answered
 
     def _forward(self, sock: socket.socket, client_ip: str, verdict: Verdict, head_bytes: bytes,
-                 body: bytes) -> bool:
+                 body: bytes) -> None:
         """Send the verified request upstream and stream its response to the
-        client, or answer 502 when no well-framed response head comes.  True
-        once the response is relayed and the client's write side shut."""
+        client, or answer 502 when no well-framed response head comes."""
         try:
             up = self.connect_upstream()
         except OSError as exc:
-            return _bad_gateway(sock, verdict, "connect", exc)
+            _bad_gateway(sock, verdict, "connect", exc)
+            return
         with up:
             upstream = Connection(up)
             try:
                 up.sendall(head_bytes + body)
                 response_head, status, fields, length = upstream.read_response_head(verdict.head.method,
                                                                                     sock.sendall)
-            except ValueError as exc:
-                return _bad_gateway(sock, verdict, "malformed response", exc)
-            except OSError as exc:
-                return _bad_gateway(sock, verdict, "timeout" if isinstance(exc, TimeoutError) else "connect", exc)
+            except (ValueError, OSError) as exc:
+                cause = ("malformed response" if isinstance(exc, ValueError)
+                         else "timeout" if isinstance(exc, TimeoutError) else "connect")
+                _bad_gateway(sock, verdict, cause, exc)
+                return
             # bind/clear the session before the client can act on the response,
             # otherwise its next request races the bookkeeping
             self.enforcer.note_response(client_ip, verdict, body, status, fields)
@@ -260,18 +261,16 @@ class EnforcementProxy(socketserver.TCPServer):
             try:
                 upstream.relay(None if status == 101 else length, sock.sendall, response_head)
             except ValueError:
-                return False  # broken chunked framing: both connections close
+                return  # broken chunked framing: both connections close
             # the client sees the response end now, not after the upstream
             # socket closes
             sock.shutdown(socket.SHUT_WR)
-            return True
 
 
-def _bad_gateway(sock: socket.socket, verdict: Verdict, cause: str, exc: Exception) -> bool:
-    """Log the 502 with its cause, verdict's request id and the exception
-    text (never the head, which carries cookies), then send it; False, since
-    the connection is shut whole, not half-closed."""
+def _bad_gateway(sock: socket.socket, verdict: Verdict, cause: str, exc: Exception) -> None:
+    """Log the 502 by cause, request id and exception text (never the head,
+    which carries cookies), then send it and shut the client's write side."""
     logger.warning("502 Bad Gateway for %s: %s: %s", verdict.key.request_id, cause, exc)
     sock.sendall(_BAD_GATEWAY)
-    return False
+    sock.shutdown(socket.SHUT_WR)
 

@@ -141,16 +141,16 @@ _FIELD_TYPES = {"files_scanned": int, "number": int, "line": int, "elapsed": (in
                 "findings": list, "children": list, "misconfigurations": list}
 
 
-def _record(obj, what: str, fields: tuple[str, ...] = ()) -> dict:
-    """obj, once it is a JSON object whose fields hold values of their types
-    and, if fields is given, are exactly fields; what names obj in refusals."""
+def _record(obj, what: str, fields: tuple[str, ...], required: bool = True) -> dict:
+    """obj, once it is a JSON object whose fields are among fields, all of
+    them if required, and hold values of their types; what names obj in refusals."""
     if not isinstance(obj, dict):
         raise ValueError(f"not a report: {what} is a JSON {type(obj).__name__}, not an object")
-    for key in fields:
+    for key in fields if required else ():
         if key not in obj:
             raise ValueError(f"not a report: {what} lacks field {key!r}")
     for key, value in obj.items():
-        if fields and key not in fields:
+        if key not in fields:
             raise ValueError(f"not a report: {what} has unknown field {key!r}")
         if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES.get(key, str)):
             raise ValueError(f"report field {key!r} has the wrong type ({type(value).__name__})")
@@ -184,7 +184,8 @@ def parse_structured(text: str) -> Report:
     if version != STRUCTURED_VERSION:
         raise ValueError(f"unsupported report version {parts[1]}")
     try:
-        doc = _record(json.loads(body), "report body")
+        # a field it lacks is refused below, where it is first read
+        doc = _record(json.loads(body), "report body", Report.__slots__, required=False)
     except json.JSONDecodeError as exc:
         raise ValueError(f"report body is not JSON: {exc}") from None
     try:

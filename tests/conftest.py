@@ -91,9 +91,11 @@ def replay_training(
     return blocks, total
 
 
-def start_in_thread(server: socketserver.BaseServer) -> threading.Thread:
-    """Serve from a daemon thread.  The short poll interval lets
-    `server.shutdown()` return within 0.05 s, not the default 0.5 s."""
+def start_in_thread(server: socketserver.BaseServer | EnforcementProxy) -> threading.Thread:
+    """Serve from a daemon thread.  The short poll interval lets a
+    socketserver's `shutdown()` return within 0.05 s, not the default
+    0.5 s; to the proxy, whose shutdown() needs no poll, it is the pause
+    after a failed accept."""
     thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
                               daemon=True)
     thread.start()

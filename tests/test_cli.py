@@ -1,7 +1,9 @@
+import errno
 import importlib
 import os
 import re
 import shutil
+import signal
 import socket
 import subprocess
 import sys
@@ -378,6 +380,49 @@ def test_enforce_unresolvable_upstream_is_reported_at_start(tmp_path, capsys, mo
     assert capsys.readouterr().err.startswith("enforce: cannot resolve upstream no-such-host.invalid:8008: ")
 
 
+def enforce_argv(tmp_path: Path, port: int) -> list[str]:
+    """argv of an enforce command on port, in front of a one-row model."""
+    models = tmp_path / "models"
+    models.mkdir()
+    (models / "requests.csv").write_text("sno,convid,reqresid,sessionFlag,role\n1,1,GET_About.php,0,0\n")
+    (models / "0.xml").write_text('<Pages entry="About.php" />\n')
+    (tmp_path / "bindings.txt").write_text("mark,manager\n")
+    return ["enforce", "--models", str(models), "--listen", f"127.0.0.1:{port}", "--upstream", "127.0.0.1:1",
+            "--bindings", str(tmp_path / "bindings.txt"), "--log", str(tmp_path / "deviations.log")]
+
+
+@pytest.mark.parametrize("command", ["enforce", "serve-demo"])
+def test_a_server_on_a_busy_port_exits_one_naming_the_address(tmp_path, command):
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        port = taken.getsockname()[1]
+        argv = enforce_argv(tmp_path, port) if command == "enforce" else [command, "--listen", f"127.0.0.1:{port}"]
+        proc = subprocess.run([sys.executable, "-m", "phpwarden.cli", *argv], capture_output=True, text=True,
+                              timeout=30)
+    busy = f"[Errno {errno.EADDRINUSE}] {os.strerror(errno.EADDRINUSE)}"
+    assert (proc.returncode, proc.stderr) == (1, f"{command}: cannot listen on 127.0.0.1:{port}: {busy}\n")
+
+
+def test_enforce_stops_at_a_ctrl_c_and_frees_its_port(tmp_path):
+    port = _free_port()
+    proc = subprocess.Popen([sys.executable, "-m", "phpwarden.cli", *enforce_argv(tmp_path, port)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env={**os.environ, "PYTHONUNBUFFERED": "1"})
+    try:
+        _wait_port(port)
+        # printed just before it serves, so the Ctrl-C finds it serving
+        assert proc.stdout.readline().startswith("enforcing on ")
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=5)
+    finally:
+        proc.kill()
+        proc.communicate()
+    assert proc.returncode == 0, err
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(("127.0.0.1", port), timeout=2).close()
+
+
 def unusable_input(case: str, tmp_path: Path) -> list[str]:
     """argv of a command given something it cannot read, write or use."""
     store = tmp_path / "store"
@@ -698,7 +743,7 @@ GATE_COMMAND_MODULES = {
     "build-model": (("phpwarden.models", "phpwarden.profile_store"), True),
     "enforce": (("logging", "socket", "phpwarden.enforcer", "phpwarden.proxy", "phpwarden.models"), True),
     "serve-demo": (("phpwarden.demoapp",), False),
-    "scenario": (("phpwarden.scenarios", "phpwarden.profile_store"), False),
+    "scenario": (("phpwarden.scenarios",), False),
 }
 
 
@@ -716,6 +761,8 @@ def test_gate_commands_load_no_dataclasses(command):
     left_out = ("dataclasses", "inspect", "typing") + (() if xml else ("xml.etree",))
     # the gate serves and the demo app answers with no training-store code
     left_out += () if "phpwarden.profile_store" in modules else ("phpwarden.profile_store",)
+    # only the demo app, an http.server, is a socketserver
+    left_out += () if command == "serve-demo" else ("socketserver",)
     assert _newly_loaded("".join(f"import {m}\n" for m in modules), left_out) == []
 
 

@@ -3,7 +3,7 @@ import threading
 
 import pytest
 
-from phpwarden.crawler import CrawlError, crawl, extract_links
+from phpwarden.crawler import USER_AGENT, CrawlError, crawl, extract_links
 from phpwarden.demoapp import DemoApp
 from phpwarden.http1 import parse_header_block
 from phpwarden.profile_store import ProfileStore
@@ -177,9 +177,9 @@ def test_crawl_user_agent_is_recorded(tmp_path):
     try:
         base = "http://%s:%d/" % app.server_address
         store = ProfileStore(tmp_path / "store")
-        crawl(base, "0", None, store, user_agent="custom-agent/9")
+        crawl(base, "0", None, store)
         raw, _ = store.read_exchange(1)
-        assert parse_header_block(raw).get("User-Agent") == "custom-agent/9"
+        assert parse_header_block(raw).get("User-Agent") == USER_AGENT == "phpwarden-trainer/0.1"
     finally:
         app.shutdown()
         app.server_close()

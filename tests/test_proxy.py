@@ -1330,6 +1330,20 @@ def test_request_whose_handling_raises_leaves_the_pool_whole(start_pool, monkeyp
         assert status_of(send_raw(addr, POOL_REQUEST)) == 200
 
 
+def test_request_whose_handling_raises_is_logged_with_its_traceback(start_pool, monkeypatch, caplog):
+    proxy, _ = start_pool(1)
+
+    def boom(raw_head, client_ip):
+        raise RuntimeError("evaluate failed")
+
+    monkeypatch.setattr(proxy.enforcer, "evaluate", boom)
+    with caplog.at_level(logging.ERROR, logger="phpwarden.proxy"):
+        assert send_raw(proxy.server_address, POOL_REQUEST) == b""  # logged before the close
+    records = [record for record in caplog.records if record.name == "phpwarden.proxy"]
+    assert len(records) == 1 and records[0].getMessage().startswith("request from 127.0.0.1:"), records
+    assert records[0].exc_info[0] is RuntimeError
+
+
 def test_failed_accept_leaves_the_pool_whole(start_pool, monkeypatch):
     proxy, _ = start_pool(2)
     get_request = proxy.get_request

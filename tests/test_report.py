@@ -238,11 +238,13 @@ def sample_body(edit=None) -> dict:
     (sample_body(lambda d: d["findings"].append(5)), "^not a report: finding 2 is a JSON int, not an object$"),
     (sample_body(lambda d: d["misconfigurations"][0].pop("rationale")),
      "^not a report: misconfiguration 1 lacks field 'rationale'$"),
+    (sample_body(lambda d: d.update(extra="y")), "^not a report: report body has unknown field 'extra'$"),
+    (sample_body(lambda d: d.update(extra=3)), "^not a report: report body has unknown field 'extra'$"),
 ], ids=["empty-object", "list", "finding-without-line", "elapsed-str", "elapsed-bool", "files-scanned-float",
         "application-name-int", "findings-object", "misconfigurations-str", "number-str", "line-bool",
         "file-null", "children-str", "child-line-str", "child-source-name-list", "current-int",
         "not-json", "finding-unknown-field", "child-without-source-kind", "finding-int",
-        "misconfiguration-without-rationale"])
+        "misconfiguration-without-rationale", "unknown-str-field", "unknown-int-field"])
 def test_parse_structured_rejects_a_body_that_is_not_a_report(body, message):
     # a str body is the text after the header as it stands, not JSON-encoded
     text = body if isinstance(body, str) else json.dumps(body)
