@@ -341,11 +341,12 @@ def _walk(stream: TokenStream, source: str, display_path: str,
 
         elif kind is IDENTIFIER or kind is KEYWORD:
             name = lexeme.lower()
+            if kind is KEYWORD and prev_lexeme in ("->", "?->", "::"):
+                # a member or constant so named ($o->print, Foo::function) is a plain name
+                kind = IDENTIFIER
             if kind is KEYWORD:
                 if name in ("function", "fn"):
-                    # a member or constant so named ($o->fn, Foo::function) opens no body
-                    if prev_lexeme not in ("->", "?->", "::"):
-                        pending_function = name
+                    pending_function = name
                 elif name in INCLUDE_KEYWORDS:
                     slots.append(_handle_include(stream, i, ctx, checklist, display_path))
             paren = i + 1 < count and kinds[i + 1] is PUNCTUATION and lexemes[i + 1] == "("
@@ -359,7 +360,7 @@ def _walk(stream: TokenStream, source: str, display_path: str,
                 # a construct like echo (even one followed by a parenthesis)
                 # takes the expression up to the statement end; a call, its
                 # parenthesized arguments
-                if name in CONSTRUCT_SINKS:
+                if kind is KEYWORD and name in CONSTRUCT_SINKS:
                     open_node(_CONSTRUCT, sink=(lines[i], name))
                 else:
                     call = call[0], (lines[i], name)

@@ -216,6 +216,28 @@ def test_a_member_named_function_opens_no_function_scope(tmp_path, condition):
     assert len(ctx.frames) == 1
 
 
+@pytest.mark.parametrize("source, expected", [
+    # print and echo after -> name a property, so no construct opens
+    ('$this->print = $_GET["a"];', {}),
+    ("mysql_query($o->echo = $q);", {2: [("SqlInjection", "$q", "unresolved")]}),
+    # a method named after a construct is a call: its arguments are its parenthesized list
+    ("$o->print($_GET['a']) . $b;", {2: [("CrossSiteScripting", "$_GET", "superglobal $_GET")]}),
+], ids=["property-print", "property-echo", "method-print"])
+def test_a_keyword_after_an_arrow_names_a_member(tmp_path, source, expected):
+    target = tmp_path / "m.php"
+    target.write_text(f"<?php\n{source}\n")
+    findings = scan_file(target, CHECKLIST)
+    assert {f.line: [(f.category, c.variable, c.origin()) for c in f.children] for f in findings} == expected
+
+
+def test_a_method_named_include_is_no_include(tmp_path):
+    target = tmp_path / "m.php"
+    target.write_text('<?php\n$o->include("lib.php");\n')
+    ctx = ScanContext()
+    assert scan_file(target, CHECKLIST, ctx) == []
+    assert ctx.diagnostics == []
+
+
 def test_unreadable_file_records_diagnostic(tmp_path):
     ctx = ScanContext()
     assert scan_file(tmp_path / "nope.php", CHECKLIST, ctx) == []
