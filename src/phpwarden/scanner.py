@@ -27,6 +27,14 @@ evaluated once.  So:
   ends print and the assignment, and echo reads $c as its next operand;
 * on unbalanced input, ?> or the end of the file ends every open node, a
   sink call's arguments included.
+
+The target of a plain = is written, not read, and so is one reached
+through [...] indexes and ->name properties.  The same pass decides it: a
+read whose next token is [ or -> stays open as a possible target, and at
+its depth a [ group, a -> with a name after it and that name go on with
+the chain, a plain = deletes the read, and any other token keeps it.  The
+chain follows the stack's groups, so on brackets of mismatched kinds any
+closer closes the innermost group: in  $a [ } = 1  $a is written.
 """
 
 from __future__ import annotations
@@ -199,50 +207,6 @@ def _resolve_name(name: str, line: int, ctx: ScanContext, checklist: Checklist,
     return _cleared([(name, ti) for ti in bound], extra)
 
 
-def _is_assigned(kinds: list[TokenKind], lexemes: list[str], j: int, hi: int,
-                 closers: dict[int, int | None]) -> bool:
-    """Whether the variable before token j is the target of a plain =,
-    itself or through a chain of [...] indexes and ->name properties.  The
-    index expressions are left for the caller to read.  closers memoizes
-    _match_brackets for one file, so no token is scanned twice."""
-    while j < hi:
-        kind = kinds[j]
-        if kind is OPERATOR:
-            if lexemes[j] != "->":
-                return lexemes[j] == "="
-            if j + 1 >= hi or kinds[j + 1] not in (IDENTIFIER, KEYWORD):
-                return False
-            j += 2
-        elif kind is PUNCTUATION and lexemes[j] == "[":
-            if j not in closers:
-                _match_brackets(kinds, lexemes, j, hi, closers)
-            closer = closers[j]
-            if closer is None:
-                return False
-            j = closer + 1
-        else:
-            return False
-    return False
-
-
-def _match_brackets(kinds: list[TokenKind], lexemes: list[str], j: int, hi: int,
-                    closers: dict[int, int | None]) -> None:
-    """Record in closers the index of the ] that closes the [ at token j,
-    and of each [ inside it; None for one still open at hi."""
-    opened: list[int] = []
-    for k in range(j, hi):
-        if kinds[k] is PUNCTUATION:
-            lexeme = lexemes[k]
-            if lexeme == "[":
-                opened.append(k)
-            elif lexeme == "]":
-                closers[opened.pop()] = k
-                if not opened:
-                    return
-    for k in opened:
-        closers[k] = None
-
-
 # A node on _walk's stack is (kind, reads, cleared, down, sink, target).
 # Assignments, construct sinks and sink calls' groups collect their own
 # (label, taint) reads; other groups read into the list below them, the
@@ -265,7 +229,10 @@ def _walk(stream: TokenStream, source: str, display_path: str,
     # of their first tokens; a sink fills its own when its node ends
     slots: list[list[Finding]] = []
     nodes = [(_GROUP, None, frozenset(), None, None, None)]  # the root, which collects nothing
-    closers: dict[int, int | None] = {}
+    # variable reads that may be the target of a plain =, through a chain of
+    # [...] indexes and ->name properties, innermost last: the node stack's
+    # depth at the read and the slice of that node's reads the read appended
+    targets: list[tuple[int, int, int]] = []
     # keyed by lowercase name, as the names looked up here are
     sink_index, sanitizer_index, sources = checklist.sink_index, checklist.sanitizer_index, checklist.sources
     call = _NO_CALL  # what the ( after a call's name opens
@@ -303,6 +270,21 @@ def _walk(stream: TokenStream, source: str, display_path: str,
 
     for i, kind in enumerate(kinds):
         lexeme = lexemes[i]
+        if targets:
+            depth = len(nodes)
+            while targets and targets[-1][0] > depth:  # ?> ended the node it read into
+                targets.pop()
+            # at a target's depth, a [ group, a -> with a name after it and
+            # that name continue its chain; a plain = writes it, so it was no
+            # read, and any other token ends the chain as a read
+            if targets and targets[-1][0] == depth and not (
+                    kind is PUNCTUATION and lexeme == "["
+                    or kind is OPERATOR and lexeme == "->" and i + 1 < count
+                    and kinds[i + 1] in (IDENTIFIER, KEYWORD)
+                    or prev_lexeme == "->" and (kind is IDENTIFIER or kind is KEYWORD)):
+                _, start, stop = targets.pop()
+                if kind is OPERATOR and lexeme == "=":
+                    del nodes[-1][1][start:stop]
         if kind is PUNCTUATION:
             if lexeme in "([{":
                 categories, sink = call
@@ -334,9 +316,13 @@ def _walk(stream: TokenStream, source: str, display_path: str,
 
         elif kind is VARIABLE:
             _, reads, cleared, _, _, _ = nodes[-1]
-            if reads is not None and not _is_assigned(kinds, lexemes, i + 1, count, closers):
+            following = lexemes[i + 1] if i + 1 < count else ""
+            if reads is not None and following != "=":  # a plain = writes the variable
+                start = len(reads)
                 reads.extend(_resolve_name(lexeme, lines[i], ctx, checklist, cleared))
-            if i + 1 < count and kinds[i + 1] is OPERATOR and lexemes[i + 1] in ASSIGN_OPS:
+                if following == "[" or following == "->":
+                    targets.append((len(nodes), start, len(reads)))
+            if following in ASSIGN_OPS:
                 open_node(_ASSIGN, target=lexeme)
 
         elif kind is IDENTIFIER or kind is KEYWORD:

@@ -349,7 +349,15 @@ def test_inner_assignment_target_is_a_write(tmp_path, source, expected):
     ("echo ($a['k'] .= 'x');", {2: ["unresolved"]}),
     # so does a plain read of the element
     ("echo $o->p;", {2: ["unresolved"]}),
-], ids=["element", "property", "chain", "index-read", "compound-element", "property-read"])
+    # a target inside an index is written too, and its own index read
+    ("echo ($a[$b[$c] = 1] = 2);", {2: ["unresolved"]}),
+    ("echo ($a[] = 'x');", {}),
+    # a comment before the = ends the chain, so the target is read
+    ("echo ($a['k'] /* c */ = 'x');", {2: ["unresolved"]}),
+    # and so does ?->, which is no property chain of a target
+    ("echo ($o?->p = 'x');", {2: ["unresolved"]}),
+], ids=["element", "property", "chain", "index-read", "compound-element", "property-read",
+        "target-in-index", "append", "comment-before-assign", "nullsafe-read"])
 def test_inner_element_or_property_assignment_target_is_a_write(tmp_path, source, expected):
     target = tmp_path / "a.php"
     target.write_text(f"<?php\n{source}\n")
@@ -747,7 +755,10 @@ def count_token_reads(monkeypatch):
     "".join(f"$a{i} = (" for i in range(2000)) + "$_GET['x']" + ")" * 2000 + ";\necho $a0;\n",
     "".join(f"$a{i} = (\n" for i in range(2000)),
     "echo (\n" * 2000,
-], ids=["nested-assignments", "unclosed-assignments", "unclosed-echo"])
+    "mysql_query(" + "".join(f"$a{i}[" for i in range(2000)) + "$_GET['x']" + "]" * 2000 + " = $q);\n",
+    "mysql_query($o" + "->p" * 2000 + " = $q);\n",
+], ids=["nested-assignments", "unclosed-assignments", "unclosed-echo", "nested-index-targets",
+        "property-chain-target"])
 def test_each_token_is_read_a_bounded_number_of_times(tmp_path, monkeypatch, source):
     # each expression is evaluated once, however deep its groups nest and
     # whether or not they close
