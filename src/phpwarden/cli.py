@@ -176,10 +176,9 @@ def _cmd_build_model(args) -> int:
 
 def _cmd_enforce(args) -> int:
     import logging
-    import socket
 
     from .enforcer import DeviationLog, Enforcer, EnforcerConfig, load_bindings
-    from .proxy import EnforcementProxy
+    from .proxy import EnforcementProxy, UnresolvedUpstream
 
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     model1, model2 = load_model(args.models)
@@ -194,7 +193,7 @@ def _cmd_enforce(args) -> int:
         proxy = EnforcementProxy(args.listen, args.upstream, enforcer)
     except OSError as exc:
         log.close()
-        if isinstance(exc, socket.gaierror):
+        if isinstance(exc, UnresolvedUpstream):
             raise OSError(f"cannot resolve upstream {args.upstream[0]}:{args.upstream[1]}: {exc}")
         raise OSError(f"cannot listen on {args.listen[0]}:{args.listen[1]}: {exc}")
     print(f"enforcing on {args.listen[0]}:{args.listen[1]} -> "

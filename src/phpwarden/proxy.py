@@ -84,6 +84,11 @@ _BLOCKED = {
 }
 
 
+class UnresolvedUpstream(socket.gaierror):
+    """The upstream's name did not resolve; a listen host that does not
+    resolve raises a plain socket.gaierror."""
+
+
 class EnforcementProxy:
     """A listening socket and the pool of worker threads that accept from it."""
 
@@ -92,8 +97,11 @@ class EnforcementProxy:
         if workers < 1:
             raise ValueError("the proxy needs at least one worker")
         # resolved before the listening socket exists, so a name that does
-        # not resolve (socket.gaierror) leaves no socket behind
-        self._upstream_addresses = socket.getaddrinfo(*upstream, 0, socket.SOCK_STREAM)
+        # not resolve leaves no socket behind
+        try:
+            self._upstream_addresses = socket.getaddrinfo(*upstream, 0, socket.SOCK_STREAM)
+        except socket.gaierror as exc:
+            raise UnresolvedUpstream(*exc.args) from exc
         self.socket = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
             self.socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)  # a restart binds despite TIME_WAIT

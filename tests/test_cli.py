@@ -404,6 +404,18 @@ def test_a_server_on_a_busy_port_exits_one_naming_the_address(tmp_path, command)
     assert (proc.returncode, proc.stderr) == (1, f"{command}: cannot listen on 127.0.0.1:{port}: {busy}\n")
 
 
+def test_enforce_unresolvable_listen_host_is_named(tmp_path, capsys, monkeypatch):
+    # the upstream resolves; the listen host's lookup, made by bind, fails
+    def unresolvable(sock, address):
+        raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+    monkeypatch.setattr(socket.socket, "bind", unresolvable)
+    argv = enforce_argv(tmp_path, 8123)
+    argv[argv.index("--listen") + 1] = "no-such-host.invalid:8123"
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("enforce: cannot listen on no-such-host.invalid:8123: ")
+
+
 def test_enforce_stops_at_a_ctrl_c_and_frees_its_port(tmp_path):
     port = _free_port()
     proc = subprocess.Popen([sys.executable, "-m", "phpwarden.cli", *enforce_argv(tmp_path, port)],
