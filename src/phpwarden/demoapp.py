@@ -8,7 +8,9 @@ access control beyond requiring a session; that gap is the point, since
 authorization is supposed to be enforced in front of it.
 
 Session cookies come from a seeded generator so whole end-to-end runs are
-reproducible.
+reproducible.  A login POST's body is framed by http1.declared_length, as
+the gate frames it: a Content-Length that it refuses gets a 400, and the
+body is not read.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import threading
 from collections import namedtuple
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .http1 import LOGIN_FIELDS, LOGIN_PAGE, LOGOUT_PAGE, SESSION_COOKIE, cookie_value, page_of, read_login_form
+from .http1 import (LOGIN_FIELDS, LOGIN_PAGE, LOGOUT_PAGE, SESSION_COOKIE, cookie_value, declared_length, page_of,
+                    read_login_form)
 
 # username -> (password, role)
 USERS = {
@@ -145,7 +148,11 @@ class _Handler(BaseHTTPRequestHandler):
         if page_of(self.path) != LOGIN_PAGE:
             self._send_page("Not Found", "<p>no such page</p>", status=404)
             return
-        length = int(self.headers.get("Content-Length", "0") or 0)
+        try:
+            length = declared_length([value.strip(" \t") for value in self.headers.get_all("Content-Length", ["0"])])
+        except ValueError:
+            self._send_page("Bad Request", "<p>bad Content-Length</p>", status=400)
+            return
         body = self.rfile.read(length).decode("latin-1") if length else ""
         username, password = read_login_form(body)
         known = USERS.get(username)

@@ -1,4 +1,5 @@
 import http.client
+import socket
 
 import pytest
 
@@ -146,6 +147,20 @@ def test_logout_invalidates_session(app):
     assert headers["location"] == "/Login.php"
     status, headers, _ = fetch(app, "/Home.php", cookie=cookie)
     assert status == 302
+
+
+@pytest.mark.parametrize("fields", [
+    "Content-Length: -5", "Content-Length: abc", "Content-Length: +13", "Content-Length: 1_3",
+    "Content-Length: 13\r\nContent-Length: 13",
+], ids=["negative", "not-a-number", "plus-sign", "underscore", "two-fields"])
+def test_login_with_a_content_length_the_gate_refuses_is_400(app, fields):
+    # the head alone: a 400 reads no body, so none is sent
+    with socket.create_connection(app, timeout=5) as sock:
+        sock.sendall(f"POST /Login.php HTTP/1.1\r\nHost: x\r\n{fields}\r\n\r\n".encode())
+        response = b""
+        while chunk := sock.recv(4096):
+            response += chunk
+    assert response.split(b"\r\n", 1)[0].split()[1] == b"400"
 
 
 def test_login_page_serves_a_form(app):
